@@ -15,7 +15,13 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::time::Instant;
+
+/// Events the journal retains. A node that sets bypasses up and tears them
+/// down for days must not grow by a kilobyte per cycle; 4096 events is a
+/// few hundred complete link lifecycles of history.
+pub const JOURNAL_CAPACITY: usize = 4096;
 
 /// What happened to a (directed) link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +59,12 @@ pub struct BypassEvent {
     pub detail: String,
 }
 
-/// An append-only journal with fan-out to live subscribers.
+/// A journal of the most recent [`JOURNAL_CAPACITY`] events with fan-out
+/// to live subscribers. Subscribers see every event; `snapshot`,
+/// `of_kind` and `wait_for`'s look at history see the retained window.
 #[derive(Default)]
 pub struct EventJournal {
-    log: Mutex<Vec<BypassEvent>>,
+    log: Mutex<VecDeque<BypassEvent>>,
     subscribers: Mutex<Vec<Sender<BypassEvent>>>,
 }
 
@@ -78,15 +86,19 @@ impl EventJournal {
         self.subscribers
             .lock()
             .retain(|tx| tx.send(ev.clone()).is_ok());
-        self.log.lock().push(ev);
+        let mut log = self.log.lock();
+        if log.len() == JOURNAL_CAPACITY {
+            log.pop_front();
+        }
+        log.push_back(ev);
     }
 
-    /// A snapshot of the full journal.
+    /// A snapshot of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<BypassEvent> {
-        self.log.lock().clone()
+        self.log.lock().iter().cloned().collect()
     }
 
-    /// Number of recorded events.
+    /// Number of retained events.
     pub fn len(&self) -> usize {
         self.log.lock().len()
     }
@@ -104,7 +116,7 @@ impl EventJournal {
         rx
     }
 
-    /// Events of one kind, in order.
+    /// Retained events of one kind, in order.
     pub fn of_kind(&self, kind: BypassEventKind) -> Vec<BypassEvent> {
         self.log
             .lock()
@@ -165,6 +177,23 @@ mod tests {
         assert_eq!(all[2].kind, BypassEventKind::Active);
         assert_eq!(all[2].detail, "bypass-1-2");
         assert!(all[0].at <= all[2].at);
+    }
+
+    #[test]
+    fn retains_only_the_most_recent_events() {
+        let j = EventJournal::new();
+        let rx = j.subscribe();
+        for i in 0..10_000u32 {
+            j.record(BypassEventKind::Detected, i, i + 1, "");
+        }
+        assert_eq!(j.len(), JOURNAL_CAPACITY);
+        let window = j.snapshot();
+        assert_eq!(window.len(), JOURNAL_CAPACITY);
+        assert_eq!(window.last().unwrap().src, 9_999, "newest event last");
+        assert_eq!(window[0].src, 10_000 - JOURNAL_CAPACITY as u32);
+        assert_eq!(j.of_kind(BypassEventKind::Detected).len(), JOURNAL_CAPACITY);
+        // History is a window; the live feed is not.
+        assert_eq!(rx.try_iter().count(), 10_000);
     }
 
     #[test]

@@ -70,8 +70,13 @@ struct Shared {
     down_ports: BTreeSet<u32>,
     /// What table+ports+policy currently imply, stamped with detection time.
     desired: BTreeMap<u32, (P2pLink, Instant)>,
-    /// Directions actually set up (src → link).
-    actual: BTreeMap<u32, P2pLink>,
+    /// Directions actually set up (src → link and the detection it serves).
+    /// The stamp is part of a bypass's identity: a rule deleted and added
+    /// again is a new rule with counters from zero, even when src, dst and
+    /// cookie repeat, and the bypass of the old one — whose guest still
+    /// counts into the old rule's retired statistics cell — must not be
+    /// mistaken for the new one's.
+    actual: BTreeMap<u32, (P2pLink, Instant)>,
     /// Completed setups.
     log: Vec<SetupRecord>,
     /// Setup/teardown failures (agent errors), for observability.
@@ -143,19 +148,25 @@ impl HighwayManager {
 
     /// The links currently carried by bypass channels.
     pub fn active_links(&self) -> Vec<P2pLink> {
-        self.shared.lock().actual.values().copied().collect()
+        self.shared
+            .lock()
+            .actual
+            .values()
+            .map(|(link, _)| *link)
+            .collect()
     }
 
     /// Every link the manager knows about, with its state (observability).
     pub fn snapshot_links(&self) -> Vec<(P2pLink, LinkState)> {
         let s = self.shared.lock();
         let mut out = Vec::new();
-        for (src, link) in &s.actual {
-            let state = match s.desired.get(src) {
-                Some((d, _)) if d == link => LinkState::Active,
-                _ => LinkState::TearingDown,
+        for (src, set_up) in &s.actual {
+            let state = if s.desired.get(src) == Some(set_up) {
+                LinkState::Active
+            } else {
+                LinkState::TearingDown
             };
-            out.push((*link, state));
+            out.push((set_up.0, state));
         }
         for (src, (link, _)) in &s.desired {
             if !s.actual.contains_key(src) {
@@ -170,10 +181,11 @@ impl HighwayManager {
     pub fn link_states(&self) -> BTreeMap<u32, LinkState> {
         let s = self.shared.lock();
         let mut out = BTreeMap::new();
-        for (src, link) in &s.actual {
-            let state = match s.desired.get(src) {
-                Some((d, _)) if d == link => LinkState::Active,
-                _ => LinkState::TearingDown,
+        for (src, set_up) in &s.actual {
+            let state = if s.desired.get(src) == Some(set_up) {
+                LinkState::Active
+            } else {
+                LinkState::TearingDown
             };
             out.insert(*src, state);
         }
@@ -197,11 +209,7 @@ impl HighwayManager {
     /// and no agent operation is in flight.
     pub fn is_converged(&self) -> bool {
         let s = self.shared.lock();
-        !s.inflight
-            && s.desired.len() == s.actual.len()
-            && s.desired
-                .iter()
-                .all(|(src, (link, _))| s.actual.get(src) == Some(link))
+        !s.inflight && s.desired == s.actual
     }
 
     /// Blocks until the actual link set matches the desired one (or the
@@ -287,18 +295,16 @@ impl HighwayManager {
             let mut op = None;
             // Teardowns first: frees segments and avoids steering stale
             // traffic along links the table no longer expresses.
-            for (src, link) in &s.actual {
-                match s.desired.get(src) {
-                    Some((d, _)) if d == link => {}
-                    _ => {
-                        op = Some(Op::Teardown(*link));
-                        break;
-                    }
+            for (src, set_up) in &s.actual {
+                if s.desired.get(src) != Some(set_up) {
+                    op = Some(Op::Teardown(set_up.0));
+                    break;
                 }
             }
             if op.is_none() {
-                for (src, (link, detected_at)) in &s.desired {
-                    if s.actual.get(src) == Some(link) {
+                for (src, wanted) in &s.desired {
+                    let (link, detected_at) = wanted;
+                    if s.actual.get(src) == Some(wanted) {
                         continue;
                     }
                     // Debounce: only set up once the link has been stable
@@ -359,7 +365,7 @@ impl HighwayManager {
                 match self.agent.setup_bypass(link.src, link.dst, link.cookie) {
                     Ok(report) => {
                         let mut s = self.shared.lock();
-                        s.actual.insert(link.src, link);
+                        s.actual.insert(link.src, (link, detected_at));
                         s.log.push(SetupRecord {
                             link,
                             detected_at,
@@ -568,6 +574,25 @@ mod tests {
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].cookie, 99);
         assert_eq!(manager.setup_log().len(), 2);
+        manager.shutdown();
+    }
+
+    /// Delete and re-add of the same rule is a new rule (counters from
+    /// zero, a fresh statistics cell): it gets a new bypass even when the
+    /// worker never saw the table in between and src, dst and cookie repeat.
+    #[test]
+    fn a_rule_deleted_and_added_again_gets_a_new_bypass() {
+        let (agent, registry, _vms) = agent_world();
+        let manager = HighwayManager::new(agent);
+        manager.table_changed(&[p2p_snapshot(2, 3, 1)]);
+        assert!(manager.wait_converged(Duration::from_secs(5)));
+        manager.table_changed(&[]);
+        manager.table_changed(&[p2p_snapshot(2, 3, 1)]);
+        assert!(manager.wait_converged(Duration::from_secs(5)));
+        assert_eq!(manager.active_links().len(), 1);
+        assert_eq!(manager.setup_log().len(), 2);
+        assert_eq!(registry.live_of_kind(SegmentKind::Bypass).len(), 1);
+        assert!(manager.failures().is_empty());
         manager.shutdown();
     }
 

@@ -415,6 +415,75 @@ mod tests {
         }
     }
 
+    /// What one add → bypass active → delete cycle leaves behind in a node
+    /// that runs for days: its `SetupRecord`, and nothing else. The journal
+    /// sits at its cap, the statistics region holds a cell only while the
+    /// rule that owns it is installed, and both stay there for 1 000 cycles
+    /// of distinct cookies.
+    #[test]
+    fn add_remove_cycles_retain_only_their_setup_record() {
+        use crate::events::JOURNAL_CAPACITY;
+        use openflow::{Action, FlowMatch};
+        const CYCLES: u64 = 1_000;
+        let timeout = Duration::from_secs(10);
+
+        let node = HighwayNode::new(HighwayNodeConfig::default());
+        let vm_a = node.orchestrator().create_vm(VnfSpec::forwarder("vm-a"), 2);
+        let vm_b = node.orchestrator().create_vm(VnfSpec::forwarder("vm-b"), 2);
+        let (src, dst) = (vm_a.of_ports()[1] as u16, vm_b.of_ports()[0] as u16);
+        node.start();
+        let ctrl = node.connect_controller();
+        ctrl.handshake(timeout).unwrap();
+        // The helper under test elsewhere polls at 1 ms; 2 000 waits of it
+        // would be most of this test's run time.
+        let converge = || {
+            let deadline = Instant::now() + timeout;
+            let manager = node.manager().unwrap();
+            while !(node.switch().control_idle() && manager.is_converged()) {
+                assert!(Instant::now() < deadline, "highway did not converge");
+                std::thread::yield_now();
+            }
+        };
+
+        let fmatch = FlowMatch::in_port(PortNo(src));
+        for cycle in 0..CYCLES {
+            ctrl.add_flow(
+                fmatch,
+                100,
+                vec![Action::Output(PortNo(dst))],
+                0xbe00 + cycle,
+            )
+            .unwrap();
+            ctrl.barrier(timeout).unwrap();
+            converge();
+            assert_eq!(node.active_links().len(), 1, "cycle {cycle}");
+            assert_eq!(
+                node.stats().rule_count(),
+                1,
+                "cycle {cycle}: the live rule's cell"
+            );
+
+            ctrl.del_flow_strict(fmatch, 100).unwrap();
+            ctrl.barrier(timeout).unwrap();
+            converge();
+            assert!(node.active_links().is_empty(), "cycle {cycle}");
+            assert_eq!(
+                node.stats().rule_count(),
+                0,
+                "cycle {cycle}: cell not retired"
+            );
+            while ctrl.try_recv().is_some() {} // the FlowRemoved notice
+        }
+
+        assert_eq!(node.setup_log().len(), CYCLES as usize);
+        assert!(node.highway_failures().is_empty());
+        // Six events a cycle went through the journal; it kept its window.
+        assert_eq!(node.journal().unwrap().len(), JOURNAL_CAPACITY);
+        node.stop();
+        vm_a.shutdown();
+        vm_b.shutdown();
+    }
+
     #[test]
     fn status_report_reflects_the_node() {
         let (node, _entry, _exit, dep) = chain_node(true);

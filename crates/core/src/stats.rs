@@ -38,6 +38,12 @@ impl StatsAugmenter for HighwayStatsAugmenter {
             tx_bytes,
         }
     }
+
+    fn rule_retired(&self, cookie: u64) {
+        // The totals went out in FlowRemoved; a guest PMD still attached
+        // keeps its own handle to the cell until the bypass is torn down.
+        self.region.retire_rule(cookie);
+    }
 }
 
 #[cfg(test)]
@@ -60,5 +66,9 @@ mod tests {
         assert_eq!((p1.tx_packets, p1.tx_bytes), (0, 0));
         let p2 = aug.port_extra(PortNo(2));
         assert_eq!((p2.tx_packets, p2.tx_bytes), (3, 192));
+
+        aug.rule_retired(7);
+        assert_eq!(aug.rule_extra(7), (0, 0));
+        assert_eq!(region.rule_count(), 0);
     }
 }

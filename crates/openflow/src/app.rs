@@ -10,19 +10,22 @@
 //! streams through exactly this interface.
 //!
 //! [`FabricRuntime`] is the multi-switch generalisation: one event loop
-//! multiplexing N live connections with a per-switch datapath-id
-//! registry, fair round-robin polling (a chatty switch cannot starve the
-//! rest), per-switch barrier/replay state (each [`Connection`] already
-//! owns its own), and optional replication to a standby peer via
-//! [`crate::failover::ActivePeer`].
+//! multiplexing N live connections — all of them waking one shared
+//! [`Event`], so the runtime parks once for the whole fabric — with a
+//! per-switch datapath-id registry, fair round-robin polling (a chatty
+//! switch cannot starve the rest), per-switch barrier/replay state (each
+//! [`Connection`] already owns its own), and optional replication to a
+//! standby peer via [`crate::failover::ActivePeer`].
 
 use crate::connection::{Connection, ConnectionState, SwitchFeatures};
+use crate::event::Event;
 use crate::failover::ActivePeer;
 use crate::messages::{FlowMod, OfpMessage, PacketIn};
 use crate::types::PortNo;
 use crate::{Action, FlowMatch, OfError, Result};
 use packet_wire::{EthernetFrame, MacAddr};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A controller application: policy over a [`Connection`].
@@ -143,6 +146,9 @@ pub struct FabricRuntime<A: FabricApp> {
     app: A,
     cursor: usize,
     peer: Option<ActivePeer>,
+    /// Shared by every switch connection: bytes from any of them end the
+    /// runtime's one park.
+    event: Arc<Event>,
 }
 
 impl<A: FabricApp> FabricRuntime<A> {
@@ -157,6 +163,7 @@ impl<A: FabricApp> FabricRuntime<A> {
             app,
             cursor: 0,
             peer: None,
+            event: Arc::new(Event::new()),
         }
     }
 
@@ -173,7 +180,8 @@ impl<A: FabricApp> FabricRuntime<A> {
     /// fresh [`Connection`] works, and so does an already-ready one
     /// adopted from [`crate::failover::StandbyController::take_over`]).
     /// Returns the session index.
-    pub fn add_switch(&mut self, conn: Connection) -> usize {
+    pub fn add_switch(&mut self, mut conn: Connection) -> usize {
+        conn.share_event(Arc::clone(&self.event));
         self.switches.push(FabricSession {
             conn,
             dpid: None,
@@ -284,8 +292,12 @@ impl<A: FabricApp> FabricRuntime<A> {
     /// first or `timeout` passes.
     pub fn run_until_ready(&mut self, timeout: Duration) -> Result<()> {
         let deadline = Instant::now() + timeout;
+        let event = Arc::clone(&self.event);
         loop {
-            self.poll();
+            // Registered before the round: bytes from any switch that land
+            // after it end the park below.
+            let waiter = event.prepare();
+            let delivered = self.poll();
             if self.switches.iter().all(|s| s.dpid.is_some()) {
                 return Ok(());
             }
@@ -299,8 +311,23 @@ impl<A: FabricApp> FabricRuntime<A> {
             if Instant::now() >= deadline {
                 return Err(OfError::Disconnected);
             }
-            std::thread::sleep(Duration::from_micros(500));
+            // A round that delivered something may have stopped at the
+            // fairness bound with more queued: go again before parking.
+            if delivered == 0 {
+                waiter.park_until(self.next_timer(deadline));
+            }
         }
+    }
+
+    /// The earliest moment a parked runtime has work that no transport
+    /// will announce: a keepalive probe or verdict on an announced switch,
+    /// the standby's next heartbeat — or `deadline` itself.
+    fn next_timer(&self, deadline: Instant) -> Instant {
+        self.switches
+            .iter()
+            .filter_map(|s| s.conn.keepalive_due())
+            .chain(self.peer.as_ref().map(ActivePeer::next_beat))
+            .fold(deadline, Instant::min)
     }
 
     /// Moves one switch's session to a fresh transport (switch restart or
@@ -579,6 +606,29 @@ mod tests {
         assert_eq!(rt.app().downs, vec![0xb2]);
         rt.poll();
         assert_eq!(rt.app().downs, vec![0xb2], "down reported once");
+    }
+
+    /// One park covers every switch, and a keepalive deadline on an
+    /// announced switch bounds it: with one switch gone silent after its
+    /// handshake and another that never answers at all, the runtime learns
+    /// of the dead one on keepalive time, not at its own 5 s deadline.
+    #[test]
+    fn parked_runtime_wakes_for_a_keepalive_deadline() {
+        let (mut c1, sw1) = framed_link();
+        c1.set_keepalive(Duration::from_millis(1), Duration::from_millis(20));
+        let (c2, _sw2) = framed_link();
+        let mut rt = FabricRuntime::new(FabricProbe::default());
+        rt.add_switch(c1);
+        rt.add_switch(c2);
+        answer_switch(&sw1, 0xa1);
+        let started = Instant::now();
+        assert!(rt.run_until_ready(Duration::from_secs(5)).is_err());
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "slept to the deadline"
+        );
+        assert_eq!(rt.app().ready, vec![0xa1]);
+        assert_eq!(rt.app().downs, vec![0xa1]);
     }
 
     #[test]

@@ -278,6 +278,45 @@ fn get_actions(buf: &mut &[u8], mut len: usize) -> Result<Vec<Action>> {
     Ok(actions)
 }
 
+/// Narrows a length field *inside* a message body. Every such field
+/// measures a part of the message, and [`OfpMarshal::marshal`] has checked
+/// the whole against the 16-bit frame length before the body is written.
+fn inner_len(len: usize) -> u16 {
+    u16::try_from(len).expect("a part of a message that fits a frame fits 16 bits")
+}
+
+/// Bytes of an `ofp_flow_stats` entry up to its action list.
+const FLOW_STATS_FIXED: usize = 88;
+
+fn flow_stats_entry_len(e: &FlowStatsEntry) -> usize {
+    FLOW_STATS_FIXED + actions_wire_len(&e.actions)
+}
+
+/// `OFPSF_REPLY_MORE`: further parts of this stats reply follow.
+const OFPSF_REPLY_MORE: u16 = 1 << 0;
+
+/// Splits a flow-stats reply into as few messages as will each fit one
+/// OF 1.0 frame: every part but the last is a
+/// [`OfpMessage::FlowStatsReplyMore`], the last (for a small or empty
+/// table, the only one) a [`OfpMessage::FlowStatsReply`].
+pub fn flow_stats_parts(entries: Vec<FlowStatsEntry>) -> Vec<OfpMessage> {
+    const ROOM: usize = u16::MAX as usize - HEADER_LEN - 4;
+    let mut parts = Vec::new();
+    let mut part = Vec::new();
+    let mut used = 0;
+    for e in entries {
+        let len = flow_stats_entry_len(&e);
+        if used + len > ROOM && !part.is_empty() {
+            parts.push(OfpMessage::FlowStatsReplyMore(std::mem::take(&mut part)));
+            used = 0;
+        }
+        used += len;
+        part.push(e);
+    }
+    parts.push(OfpMessage::FlowStatsReply(part));
+    parts
+}
+
 fn actions_wire_len(actions: &[Action]) -> usize {
     actions
         .iter()
@@ -326,14 +365,25 @@ fn put_phy_port(body: &mut Vec<u8>, port_no: u16, name: &str, down: bool) {
 
 /// Encodes a message with the given transaction id into OF 1.0 bytes.
 ///
-/// Thin wrapper over [`OfpMarshal::marshal`], kept for call-site brevity.
+/// For messages known to fit a frame (fixed-size ones, or ones that
+/// arrived in a frame). Anything a caller can make arbitrarily large goes
+/// through [`try_encode`].
+///
+/// # Panics
+///
+/// If the message exceeds the 65 535-byte OF 1.0 frame.
 pub fn encode(msg: &OfpMessage, xid: u32) -> Vec<u8> {
+    try_encode(msg, xid).expect("message exceeds the OpenFlow 1.0 frame; use try_encode")
+}
+
+/// Encodes a message, or reports [`OfError::Oversized`] when it cannot fit
+/// one OF 1.0 frame — never a frame whose length field lies.
+pub fn try_encode(msg: &OfpMessage, xid: u32) -> Result<Vec<u8>> {
     msg.marshal(xid)
 }
 
-/// Marshals only the message body (the bytes after the common header).
-fn encode_body(msg: &OfpMessage) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
+/// Appends the message body (the bytes after the common header).
+fn encode_body(msg: &OfpMessage, body: &mut Vec<u8>) {
     match msg {
         OfpMessage::Hello
         | OfpMessage::FeaturesRequest
@@ -367,7 +417,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
             }
         }
         OfpMessage::FlowMod(fm) => {
-            put_match(&mut body, &fm.fmatch);
+            put_match(body, &fm.fmatch);
             body.put_u64(fm.cookie);
             body.put_u16(match fm.command {
                 FlowModCommand::Add => 0,
@@ -382,11 +432,11 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
             body.put_u32(0xffff_ffff); // buffer_id: none
             body.put_u16(fm.out_port.0);
             body.put_u16(1); // flags: SEND_FLOW_REM
-            put_actions(&mut body, &fm.actions);
+            put_actions(body, &fm.actions);
         }
         OfpMessage::PacketIn(pi) => {
             body.put_u32(0xffff_ffff); // buffer_id: unbuffered
-            body.put_u16(pi.data.len() as u16);
+            body.put_u16(inner_len(pi.data.len()));
             body.put_u16(pi.in_port.0);
             body.put_u8(match pi.reason {
                 PacketInReason::NoMatch => 0,
@@ -398,12 +448,12 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         OfpMessage::PacketOut(po) => {
             body.put_u32(0xffff_ffff); // buffer_id: data attached
             body.put_u16(po.in_port.0);
-            body.put_u16(actions_wire_len(&po.actions) as u16);
-            put_actions(&mut body, &po.actions);
+            body.put_u16(inner_len(actions_wire_len(&po.actions)));
+            put_actions(body, &po.actions);
             body.put_slice(&po.data);
         }
         OfpMessage::FlowRemoved(fr) => {
-            put_match(&mut body, &fr.fmatch);
+            put_match(body, &fr.fmatch);
             body.put_u64(fr.cookie);
             body.put_u16(fr.priority);
             body.put_u8(2); // reason: delete
@@ -418,20 +468,22 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         OfpMessage::FlowStatsRequest(req) => {
             body.put_u16(1); // OFPST_FLOW
             body.put_u16(0); // flags
-            put_match(&mut body, &req.fmatch);
+            put_match(body, &req.fmatch);
             body.put_u8(0xff); // table_id: all
             body.put_u8(0);
             body.put_u16(req.out_port.0);
         }
-        OfpMessage::FlowStatsReply(entries) => {
+        OfpMessage::FlowStatsReply(entries) | OfpMessage::FlowStatsReplyMore(entries) => {
             body.put_u16(1);
-            body.put_u16(0);
+            body.put_u16(match msg {
+                OfpMessage::FlowStatsReplyMore(_) => OFPSF_REPLY_MORE,
+                _ => 0,
+            });
             for e in entries {
-                let entry_len = 88 + actions_wire_len(&e.actions);
-                body.put_u16(entry_len as u16);
+                body.put_u16(inner_len(flow_stats_entry_len(e)));
                 body.put_u8(0); // table_id
                 body.put_u8(0);
-                put_match(&mut body, &e.fmatch);
+                put_match(body, &e.fmatch);
                 body.put_u32(e.duration_sec);
                 body.put_u32(0); // duration_nsec
                 body.put_u16(e.priority);
@@ -441,7 +493,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
                 body.put_u64(e.cookie);
                 body.put_u64(e.packet_count);
                 body.put_u64(e.byte_count);
-                put_actions(&mut body, &e.actions);
+                put_actions(body, &e.actions);
             }
         }
         OfpMessage::PortStatsRequest(req) => {
@@ -483,12 +535,12 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
                 PortStatusReason::Modify => 2,
             });
             body.put_slice(&[0; 7]);
-            put_phy_port(&mut body, ps.port_no, &ps.name, ps.down);
+            put_phy_port(body, ps.port_no, &ps.name, ps.down);
         }
         OfpMessage::AggregateStatsRequest(req) => {
             body.put_u16(2); // OFPST_AGGREGATE
             body.put_u16(0);
-            put_match(&mut body, &req.fmatch);
+            put_match(body, &req.fmatch);
             body.put_u8(0xff); // table_id: all
             body.put_u8(0);
             body.put_u16(req.out_port.0);
@@ -511,7 +563,7 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
             for e in entries {
                 body.put_u8(e.table_id);
                 body.put_slice(&[0; 3]);
-                put_fixed_str(&mut body, &e.name, 32);
+                put_fixed_str(body, &e.name, 32);
                 body.put_u32(0x003f_ffff); // wildcards: everything maskable
                 body.put_u32(e.max_entries);
                 body.put_u32(e.active_count);
@@ -526,14 +578,13 @@ fn encode_body(msg: &OfpMessage) -> Vec<u8> {
         OfpMessage::DescStatsReply(d) => {
             body.put_u16(0);
             body.put_u16(0);
-            put_fixed_str(&mut body, &d.manufacturer, 256);
-            put_fixed_str(&mut body, &d.hardware, 256);
-            put_fixed_str(&mut body, &d.software, 256);
-            put_fixed_str(&mut body, &d.serial, 32);
-            put_fixed_str(&mut body, &d.datapath, 256);
+            put_fixed_str(body, &d.manufacturer, 256);
+            put_fixed_str(body, &d.hardware, 256);
+            put_fixed_str(body, &d.software, 256);
+            put_fixed_str(body, &d.serial, 32);
+            put_fixed_str(body, &d.datapath, 256);
         }
     }
-    body
 }
 
 impl OfpMarshal for OfpMessage {
@@ -553,11 +604,8 @@ impl OfpMarshal for OfpMessage {
             OfpMessage::PacketOut(po) => 8 + actions_wire_len(&po.actions) + po.data.len(),
             OfpMessage::FlowRemoved(_) => MATCH_LEN + 40,
             OfpMessage::FlowStatsRequest(_) => 4 + MATCH_LEN + 4,
-            OfpMessage::FlowStatsReply(entries) => {
-                4 + entries
-                    .iter()
-                    .map(|e| 88 + actions_wire_len(&e.actions))
-                    .sum::<usize>()
+            OfpMessage::FlowStatsReply(entries) | OfpMessage::FlowStatsReplyMore(entries) => {
+                4 + entries.iter().map(flow_stats_entry_len).sum::<usize>()
             }
             OfpMessage::PortStatsRequest(_) => 12,
             OfpMessage::PortStatsReply(entries) => 4 + 104 * entries.len(),
@@ -573,22 +621,17 @@ impl OfpMarshal for OfpMessage {
         HEADER_LEN + body
     }
 
-    fn header_of(&self, xid: u32) -> OfpHeader {
-        OfpHeader::new(OFP_VERSION, self.type_id(), self.size_of() as u16, xid)
+    fn header_of(&self, xid: u32) -> Result<OfpHeader> {
+        OfpHeader::for_message(self.type_id(), self.size_of(), xid)
     }
 
-    fn marshal(&self, xid: u32) -> Vec<u8> {
-        let body = encode_body(self);
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-        OfpHeader::new(
-            OFP_VERSION,
-            self.type_id(),
-            (HEADER_LEN + body.len()) as u16,
-            xid,
-        )
-        .marshal(&mut out);
-        out.extend_from_slice(&body);
-        out
+    fn marshal(&self, xid: u32) -> Result<Vec<u8>> {
+        let header = self.header_of(xid)?;
+        let mut out = Vec::with_capacity(header.length());
+        header.marshal(&mut out);
+        encode_body(self, &mut out);
+        assert_eq!(out.len(), header.length(), "size_of disagrees with marshal");
+        Ok(out)
     }
 
     fn parse(header: &OfpHeader, body: &[u8]) -> Result<(OfpMessage, u32)> {
@@ -882,14 +925,14 @@ fn parse_body(ty: u8, body: &[u8]) -> Result<OfpMessage> {
                     OfpMessage::TableStatsReply(entries)
                 }
                 1 => {
-                    buf.advance(2);
+                    let more = buf.get_u16() & OFPSF_REPLY_MORE != 0;
                     let mut entries = Vec::new();
                     while buf.has_remaining() {
                         if buf.remaining() < 2 {
                             return Err(OfError::Truncated);
                         }
                         let entry_len = usize::from(buf.get_u16());
-                        if entry_len < 88 || buf.remaining() < entry_len - 2 {
+                        if entry_len < FLOW_STATS_FIXED || buf.remaining() < entry_len - 2 {
                             return Err(OfError::BadLength);
                         }
                         buf.advance(2); // table_id + pad
@@ -903,7 +946,7 @@ fn parse_body(ty: u8, body: &[u8]) -> Result<OfpMessage> {
                         let cookie = buf.get_u64();
                         let packet_count = buf.get_u64();
                         let byte_count = buf.get_u64();
-                        let actions = get_actions(&mut buf, entry_len - 88)?;
+                        let actions = get_actions(&mut buf, entry_len - FLOW_STATS_FIXED)?;
                         entries.push(FlowStatsEntry {
                             fmatch,
                             priority,
@@ -916,7 +959,11 @@ fn parse_body(ty: u8, body: &[u8]) -> Result<OfpMessage> {
                             actions,
                         });
                     }
-                    OfpMessage::FlowStatsReply(entries)
+                    if more {
+                        OfpMessage::FlowStatsReplyMore(entries)
+                    } else {
+                        OfpMessage::FlowStatsReply(entries)
+                    }
                 }
                 4 => {
                     buf.advance(2);
@@ -1193,9 +1240,9 @@ mod tests {
                 fn $name() {
                     let msg: OfpMessage = $msg;
                     let xid = 0x0f00_0000 + line!();
-                    let bytes = msg.marshal(xid);
+                    let bytes = msg.marshal(xid).unwrap();
                     assert_eq!(msg.size_of(), bytes.len(), "size_of vs marshal");
-                    let header = msg.header_of(xid);
+                    let header = msg.header_of(xid).unwrap();
                     assert_eq!(header.typ, msg.type_id());
                     assert_eq!(header.length(), bytes.len());
                     assert_eq!(header.xid, xid);
@@ -1272,6 +1319,17 @@ mod tests {
             packet_count: 5,
             byte_count: 320,
             actions: vec![Action::StripVlan, Action::Output(PortNo(4))],
+        }]);
+        marshal_flow_stats_reply_more => OfpMessage::FlowStatsReplyMore(vec![FlowStatsEntry {
+            fmatch: FlowMatch::in_port(PortNo(2)),
+            priority: 9,
+            cookie: 3,
+            duration_sec: 1,
+            idle_timeout: 0,
+            hard_timeout: 60,
+            packet_count: 5,
+            byte_count: 320,
+            actions: vec![Action::Output(PortNo(4))],
         }]);
         marshal_port_stats_request => OfpMessage::PortStatsRequest(PortStatsRequest {
             port_no: PortNo(2),

@@ -11,6 +11,9 @@
 //! * **xid pairing** — every request carries a fresh transaction id and
 //!   [`Connection::wait_reply`] pairs replies to requests, stashing
 //!   asynchronous messages (packet-ins, port-status) for later delivery;
+//! * **event-driven waits** — `handshake` and `wait_reply` park on the
+//!   connection's [`Event`], which the transport notifies when bytes
+//!   arrive or the peer goes away; nothing sleeps and polls;
 //! * **echo keepalive** — in steady state an `EchoRequest` probes the
 //!   switch when the link has been quiet; a missing reply marks the
 //!   connection dead instead of hanging callers forever;
@@ -23,7 +26,8 @@
 //!   handshake on a fresh transport and replays them, so a controller
 //!   restart mid-update loses nothing.
 
-use crate::codec::encode;
+use crate::codec::{encode, try_encode};
+use crate::event::Event;
 use crate::framer::Framer;
 use crate::messages::*;
 use crate::transport::Transport;
@@ -120,12 +124,16 @@ pub struct Connection {
     waiters: AtomicUsize,
     /// Replication hook for active/standby failover (see [`ReplayObserver`]).
     observer: Mutex<Option<Arc<dyn ReplayObserver>>>,
+    /// What every blocking wait parks on; the transport notifies it.
+    event: Arc<Event>,
 }
 
 impl Connection {
     /// Opens a connection over `transport` and immediately starts the
     /// handshake (`Hello` + pipelined `FeaturesRequest`, one write).
     pub fn new(transport: Box<dyn Transport>) -> Connection {
+        let event = Arc::new(Event::new());
+        transport.subscribe(&event);
         let conn = Connection {
             io: Mutex::new(Io {
                 transport,
@@ -146,6 +154,7 @@ impl Connection {
             keepalive_timeout: Duration::from_secs(15),
             waiters: AtomicUsize::new(0),
             observer: Mutex::new(None),
+            event,
         };
         let hello_xid = conn.xid();
         let features_xid = conn.xid();
@@ -164,6 +173,28 @@ impl Connection {
     pub fn set_keepalive(&mut self, interval: Duration, timeout: Duration) {
         self.keepalive_interval = interval;
         self.keepalive_timeout = timeout;
+    }
+
+    /// Makes this connection wake `event` instead of an event of its own,
+    /// so that one thread can park on many connections at once (a fabric
+    /// runtime shares one event among all its switches).
+    pub fn share_event(&mut self, event: Arc<Event>) {
+        self.io.get_mut().transport.subscribe(&event);
+        self.event = event;
+    }
+
+    /// When the keepalive next needs the connection pumped — to send a
+    /// probe or to give up on one — if it is running at all. A thread
+    /// that parks on the connection's event must not sleep past this.
+    pub fn keepalive_due(&self) -> Option<Instant> {
+        let io = self.io.lock();
+        if io.state != ConnectionState::Ready || self.waiters.load(Ordering::Acquire) > 0 {
+            return None;
+        }
+        Some(match io.echo_sent {
+            Some(sent) => sent + self.keepalive_timeout,
+            None => io.last_io + self.keepalive_interval,
+        })
     }
 
     fn xid(&self) -> u32 {
@@ -197,6 +228,8 @@ impl Connection {
     pub fn handshake(&self, timeout: Duration) -> Result<SwitchFeatures> {
         let deadline = Instant::now() + timeout;
         loop {
+            // Registered before the pump: bytes that land after it wake us.
+            let waiter = self.event.prepare();
             self.pump()?;
             {
                 let io = self.io.lock();
@@ -210,7 +243,7 @@ impl Connection {
             if Instant::now() >= deadline {
                 return Err(OfError::Disconnected);
             }
-            std::thread::sleep(Duration::from_micros(500));
+            waiter.park_until(deadline);
         }
     }
 
@@ -221,6 +254,7 @@ impl Connection {
     pub fn reconnect(&self, transport: Box<dyn Transport>) {
         let mut io = self.io.lock();
         let mut replay = self.replay.lock();
+        transport.subscribe(&self.event);
         io.transport = transport;
         io.framer.reset();
         io.wbuf.clear();
@@ -258,6 +292,9 @@ impl Connection {
     /// Sends any message, returning the xid used.
     pub fn send(&self, msg: &OfpMessage) -> Result<u32> {
         let xid = self.xid();
+        // Encoded before anything is logged: a message too large for a
+        // frame is refused whole, not remembered for replay.
+        let bytes = try_encode(msg, xid)?;
         let mut io = self.io.lock();
         let mut logged = None;
         {
@@ -283,14 +320,17 @@ impl Connection {
                 obs.logged(seq, fm);
             }
         }
-        write_bytes(&mut io, &encode(msg, xid))?;
+        write_bytes(&mut io, &bytes)?;
         Ok(xid)
     }
 
     /// Marshals a whole batch of flow mods into a single transport write.
     pub fn send_flow_mods(&self, mods: &[FlowMod]) -> Result<()> {
-        let mut io = self.io.lock();
         let mut bytes = Vec::with_capacity(mods.len() * 80);
+        for fm in mods {
+            bytes.extend(try_encode(&OfpMessage::FlowMod(fm.clone()), self.xid())?);
+        }
+        let mut io = self.io.lock();
         let first_seq;
         {
             let mut replay = self.replay.lock();
@@ -299,7 +339,6 @@ impl Connection {
                 replay.seq += 1;
                 let seq = replay.seq;
                 replay.pending.push_back((seq, fm.clone()));
-                bytes.extend(encode(&OfpMessage::FlowMod(fm.clone()), self.xid()));
             }
         }
         if let Some(obs) = self.observer.lock().clone() {
@@ -449,6 +488,10 @@ impl Connection {
         let _guard = WaiterGuard::enter(&self.waiters);
         let deadline = Instant::now() + timeout;
         loop {
+            // Registered before the pump: a reply (or a hang-up) that lands
+            // after it wakes the park below. The keepalive needs no wake of
+            // its own here — it stands down while a waiter is blocked.
+            let waiter = self.event.prepare();
             let pump_err = self.pump().err();
             {
                 let mut inbox = self.inbox.lock();
@@ -462,7 +505,7 @@ impl Connection {
             if Instant::now() >= deadline {
                 return Err(OfError::Disconnected);
             }
-            std::thread::sleep(Duration::from_micros(500));
+            waiter.park_until(deadline);
         }
     }
 
@@ -493,15 +536,26 @@ impl Connection {
         )))
     }
 
-    /// Requests statistics for all flows and waits for the reply.
+    /// Requests statistics for all flows and waits for the whole reply:
+    /// a table too large for one frame arrives in parts flagged
+    /// `OFPSF_REPLY_MORE`, concatenated here until the flag clears.
     pub fn flow_stats(&self, timeout: Duration) -> Result<Vec<FlowStatsEntry>> {
-        let req = OfpMessage::FlowStatsRequest(FlowStatsRequest {
+        let xid = self.send(&OfpMessage::FlowStatsRequest(FlowStatsRequest {
             fmatch: FlowMatch::any(),
             out_port: PortNo::NONE,
-        });
-        match self.request_reply(&req, timeout)? {
-            OfpMessage::FlowStatsReply(entries) => Ok(entries),
-            other => Err(OfError::Unknown(format!("unexpected reply {other:?}"))),
+        }))?;
+        let deadline = Instant::now() + timeout;
+        let mut entries = Vec::new();
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.wait_reply(xid, left)? {
+                OfpMessage::FlowStatsReplyMore(part) => entries.extend(part),
+                OfpMessage::FlowStatsReply(last) => {
+                    entries.extend(last);
+                    return Ok(entries);
+                }
+                other => return Err(OfError::Unknown(format!("unexpected reply {other:?}"))),
+            }
         }
     }
 
@@ -820,6 +874,120 @@ mod tests {
             let _ = conn.try_recv();
         }
         assert_eq!(conn.state(), ConnectionState::Disconnected);
+    }
+
+    /// Counts `recv` calls and forwards everything else — `subscribe`
+    /// included, or the connection above would never be woken.
+    struct CountingTransport<T> {
+        inner: T,
+        recvs: Arc<AtomicUsize>,
+    }
+
+    impl<T: Transport> Transport for CountingTransport<T> {
+        fn send(&self, buf: &[u8]) -> Result<usize> {
+            self.inner.send(buf)
+        }
+        fn recv(&self, buf: &mut [u8]) -> Result<usize> {
+            self.recvs.fetch_add(1, Ordering::SeqCst);
+            self.inner.recv(buf)
+        }
+        fn pending_bytes(&self) -> usize {
+            self.inner.pending_bytes()
+        }
+        fn subscribe(&self, event: &Arc<Event>) {
+            self.inner.subscribe(event)
+        }
+    }
+
+    #[test]
+    fn wait_reply_parks_instead_of_polling_a_silent_transport() {
+        let (c, s) = loopback();
+        let recvs = Arc::new(AtomicUsize::new(0));
+        let conn = Connection::new(Box::new(CountingTransport {
+            inner: c,
+            recvs: Arc::clone(&recvs),
+        }));
+        let sw = SwitchLink::new(Box::new(s));
+        pump_switch(&sw);
+        conn.handshake(Duration::from_secs(1)).unwrap();
+
+        let before = recvs.load(Ordering::SeqCst);
+        let t = Instant::now();
+        // No such request is outstanding, and the switch stays silent.
+        assert!(conn.wait_reply(0xdead, Duration::from_millis(200)).is_err());
+        assert!(t.elapsed() >= Duration::from_millis(200));
+        let polls = recvs.load(Ordering::SeqCst) - before;
+        assert!(polls <= 8, "{polls} recv calls in 200 ms of silence");
+        assert_eq!(conn.state(), ConnectionState::Ready);
+    }
+
+    /// Blocks in `wait_reply` with a 5 s timeout while `hang_up` runs
+    /// 20 ms later on another thread; the wait must end on the hang-up.
+    fn assert_hang_up_ends_the_wait(conn: &Connection, hang_up: impl FnOnce() + Send + 'static) {
+        let xid = conn.send(&OfpMessage::BarrierRequest).unwrap();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            hang_up();
+        });
+        let started = Instant::now();
+        assert_eq!(
+            conn.wait_reply(xid, Duration::from_secs(5)),
+            Err(OfError::Disconnected)
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "waited out the timeout"
+        );
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn wait_reply_returns_the_moment_the_peer_goes_away() {
+        // The switch end is dropped...
+        let (conn, sw) = connected();
+        pump_switch(&sw);
+        conn.handshake(Duration::from_secs(1)).unwrap();
+        assert_hang_up_ends_the_wait(&conn, move || drop(sw));
+
+        // ...or the link is cut under both ends.
+        let (c_end, s_end, ctl) = faulty_pair(FaultConfig::default());
+        let conn = Connection::new(Box::new(c_end));
+        let sw = SwitchLink::new(Box::new(s_end));
+        pump_switch(&sw);
+        conn.handshake(Duration::from_secs(1)).unwrap();
+        assert_hang_up_ends_the_wait(&conn, move || ctl.cut());
+        drop(sw);
+    }
+
+    /// The same two wake-ups over a real socket, where the notify comes
+    /// from the transport's poll(2) watcher: a reply ends the park, and so
+    /// does the peer closing.
+    #[test]
+    fn tcp_transport_wakes_a_parked_waiter() {
+        let (c, s) = crate::tcp::tcp_pair().unwrap();
+        let conn = Connection::new(Box::new(c));
+        let sw = SwitchLink::new(Box::new(s));
+        let answerer = std::thread::spawn(move || {
+            // Answers whatever has arrived every 10 ms, then hangs up.
+            for _ in 0..10 {
+                std::thread::sleep(Duration::from_millis(10));
+                pump_switch(&sw);
+            }
+            drop(sw);
+        });
+        conn.handshake(Duration::from_secs(5)).unwrap();
+        conn.barrier(Duration::from_secs(5)).unwrap();
+        let started = Instant::now();
+        assert_eq!(
+            conn.wait_reply(0xdead, Duration::from_secs(5)),
+            Err(OfError::Disconnected)
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "waited out the timeout"
+        );
+        assert_eq!(conn.state(), ConnectionState::Disconnected);
+        answerer.join().unwrap();
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! aliases `ControllerHandle`/`control_link` are gone; the framed path is
 //! the only control channel.)
 
-use crate::codec::{decode, encode};
+use crate::codec::{decode, try_encode};
 use crate::connection::Connection;
+use crate::event::Event;
 use crate::framer::Framer;
 use crate::messages::OfpMessage;
 use crate::transport::{loopback, Transport};
 use crate::{OfError, Result};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// The switch's end of the control link: a framed byte stream.
 pub struct SwitchLink {
@@ -39,6 +41,12 @@ impl SwitchLink {
                 poisoned: None,
             }),
         }
+    }
+
+    /// Has the transport notify `event` when controller bytes arrive or
+    /// the controller goes away — what the switch's control loop parks on.
+    pub fn subscribe(&self, event: &Arc<Event>) {
+        self.inner.lock().transport.subscribe(event);
     }
 
     /// Bytes from the controller not yet consumed by the switch — the
@@ -79,10 +87,11 @@ impl SwitchLink {
         }
     }
 
-    /// Sends a message to the controller.
+    /// Sends a message to the controller; [`OfError::Oversized`] (and
+    /// nothing on the wire) when it cannot fit one frame.
     pub fn send(&self, msg: &OfpMessage, xid: u32) -> Result<()> {
+        let bytes = try_encode(msg, xid)?;
         let io = self.inner.lock();
-        let bytes = encode(msg, xid);
         let mut sent = 0;
         while sent < bytes.len() {
             match io.transport.send(&bytes[sent..]) {
@@ -109,6 +118,7 @@ pub fn framed_link() -> (Connection, SwitchLink) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode;
     use crate::messages::*;
     use crate::types::PortNo;
     use crate::{Action, FlowMatch};

@@ -122,6 +122,12 @@ impl ActivePeer {
         }
     }
 
+    /// When the next heartbeat falls due — how long a runtime that drives
+    /// this peer may park.
+    pub fn next_beat(&self) -> Instant {
+        self.io.lock().last_beat + self.beat_interval
+    }
+
     /// A [`ReplayObserver`] that mirrors one switch's replay log to the
     /// standby, to be attached with [`Connection::set_replay_observer`].
     pub fn sink_for(&self, dpid: u64) -> Arc<dyn ReplayObserver> {

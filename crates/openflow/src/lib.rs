@@ -21,6 +21,9 @@
 //!   would-block, disconnects) — in-memory [`loopback`], fault-injecting
 //!   [`faulty_pair`], scripted replay, and a real TCP socket
 //!   ([`tcp::TcpTransport`], loopback-bound in tests);
+//! * [`event`] is the one readiness primitive every blocking wait parks
+//!   on: transports notify it when bytes arrive or the peer goes away, so
+//!   nothing on the wire path sleeps and polls;
 //! * [`framer`] recovers OF 1.0 frame boundaries from the stream and
 //!   poisons itself permanently on desync (a framing error loses the
 //!   stream position — there is no resynchronising OF 1.0);
@@ -75,6 +78,7 @@ pub mod app;
 pub mod codec;
 pub mod connection;
 pub mod controller;
+pub mod event;
 pub mod failover;
 pub mod fmatch;
 pub mod framer;
@@ -88,6 +92,7 @@ pub use action::Action;
 pub use app::{ControllerApp, ControllerRuntime, FabricApp, FabricRuntime, LearningSwitch};
 pub use connection::{Connection, ConnectionState, ReplayObserver, SwitchFeatures};
 pub use controller::{framed_link, SwitchLink};
+pub use event::Event;
 pub use failover::{ActivePeer, StandbyController};
 pub use fmatch::FlowMatch;
 pub use framer::Framer;

@@ -250,7 +250,12 @@ pub enum OfpMessage {
     PacketOut(PacketOut),
     FlowRemoved(FlowRemoved),
     FlowStatsRequest(FlowStatsRequest),
+    /// The last (usually only) part of a flow-stats reply.
     FlowStatsReply(Vec<FlowStatsEntry>),
+    /// A part of a flow-stats reply with `OFPSF_REPLY_MORE` set: the table
+    /// did not fit one 64 KiB frame, and further parts follow under the
+    /// same xid until a [`OfpMessage::FlowStatsReply`] closes the series.
+    FlowStatsReplyMore(Vec<FlowStatsEntry>),
     PortStatsRequest(PortStatsRequest),
     PortStatsReply(Vec<PortStatsEntry>),
     PortMod(PortMod),
@@ -292,6 +297,7 @@ impl OfpMessage {
             | OfpMessage::TableStatsRequest
             | OfpMessage::DescStatsRequest => 16,
             OfpMessage::FlowStatsReply(_)
+            | OfpMessage::FlowStatsReplyMore(_)
             | OfpMessage::PortStatsReply(_)
             | OfpMessage::AggregateStatsReply(_)
             | OfpMessage::TableStatsReply(_)

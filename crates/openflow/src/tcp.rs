@@ -10,13 +10,87 @@
 //! the in-memory transports and the socket differ only in who moves the
 //! bytes.
 //!
+//! Readiness is the one thing a socket cannot do by itself: nothing in the
+//! kernel calls [`Event::notify`]. A subscribed transport therefore runs a
+//! small watcher thread that blocks in `poll(2)` on the fd and notifies
+//! the subscriber when the socket turns readable or hangs up, then stays
+//! off the (level-triggered) fd until `recv` reports it drained.
+//!
 //! Tests bind to `127.0.0.1:0` (an ephemeral loopback port) so nothing
 //! ever listens on an outside interface.
 
+use crate::event::Event;
 use crate::transport::Transport;
 use crate::{OfError, Result};
+use parking_lot::Mutex;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout_ms: i32) -> i32;
+}
+
+/// Blocks until `fd` is readable, at end-of-file or in error. False when
+/// poll(2) itself failed (the fd is gone): there is nothing left to watch.
+fn wait_readable(fd: RawFd) -> bool {
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    loop {
+        // SAFETY: `pfd` is one live, writable pollfd and nfds says so; a
+        // negative timeout blocks. poll only writes `revents`.
+        let rc = unsafe { poll(&mut pfd, 1, -1) };
+        if rc >= 0 {
+            return true;
+        }
+        if std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+            return false;
+        }
+    }
+}
+
+/// What a [`TcpTransport`] shares with its watcher thread.
+struct Watch {
+    subscriber: Mutex<Option<Arc<Event>>>,
+    /// Notified by `recv` when the socket is drained (would-block): the
+    /// watcher may look at the fd again.
+    drained: Event,
+    closing: AtomicBool,
+}
+
+impl Watch {
+    fn run(&self, fd: RawFd) {
+        loop {
+            let rearm = self.drained.prepare();
+            // A transport being dropped shuts the socket down first, so
+            // the poll of a closing watcher returns at once.
+            if !wait_readable(fd) || self.closing.load(Ordering::Acquire) {
+                return;
+            }
+            let subscriber = self.subscriber.lock().clone();
+            if let Some(event) = subscriber {
+                event.notify();
+            }
+            rearm.park();
+        }
+    }
+}
 
 /// A [`Transport`] over a connected TCP stream.
 ///
@@ -25,6 +99,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 /// a flow-mod against its own barrier).
 pub struct TcpTransport {
     stream: TcpStream,
+    watch: Arc<Watch>,
+    /// Started by the first [`Transport::subscribe`].
+    watcher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
@@ -37,7 +114,15 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> std::io::Result<TcpTransport> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        Ok(TcpTransport { stream })
+        Ok(TcpTransport {
+            stream,
+            watch: Arc::new(Watch {
+                subscriber: Mutex::new(None),
+                drained: Event::new(),
+                closing: AtomicBool::new(false),
+            }),
+            watcher: Mutex::new(None),
+        })
     }
 
     /// The local socket address.
@@ -69,13 +154,49 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self, buf: &mut [u8]) -> Result<usize> {
-        match (&self.stream).read(buf) {
-            // An orderly zero-length read is EOF: the peer closed.
-            Ok(0) => Err(OfError::Disconnected),
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(0),
-            Err(_) => Err(OfError::Disconnected),
+        loop {
+            return match (&self.stream).read(buf) {
+                // An orderly zero-length read is EOF: the peer closed.
+                Ok(0) => Err(OfError::Disconnected),
+                Ok(n) => Ok(n),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.watch.drained.notify();
+                    Ok(0)
+                }
+                // Not "dry": an `Ok(0)` here would park the caller with the
+                // watcher still off the fd and bytes still in the socket.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => Err(OfError::Disconnected),
+            };
+        }
+    }
+
+    fn subscribe(&self, event: &Arc<Event>) {
+        *self.watch.subscriber.lock() = Some(Arc::clone(event));
+        let mut watcher = self.watcher.lock();
+        if watcher.is_none() {
+            let watch = Arc::clone(&self.watch);
+            let fd = self.stream.as_raw_fd();
+            // The fd stays open for as long as the thread runs: `drop`
+            // joins it before `stream` is closed.
+            *watcher = std::thread::Builder::new()
+                .name("of-tcp-watch".into())
+                .spawn(move || watch.run(fd))
+                .map(Some)
+                .expect("spawn tcp watcher");
+        }
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        if let Some(watcher) = self.watcher.get_mut().take() {
+            self.watch.closing.store(true, Ordering::Release);
+            // A shut-down socket reads as hung up, which ends poll(2);
+            // the notify ends a park.
+            let _ = self.stream.shutdown(Shutdown::Both);
+            self.watch.drained.notify();
+            let _ = watcher.join();
         }
     }
 }

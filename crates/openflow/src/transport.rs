@@ -16,6 +16,7 @@
 //! * [`ScriptedTransport`] — replays a canned byte stream and captures
 //!   writes, for byte-identical controller-agnosticism tests.
 
+use crate::event::Event;
 use crate::{OfError, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,6 +43,20 @@ pub trait Transport: Send {
     fn pending_bytes(&self) -> usize {
         0
     }
+
+    /// Asks the transport to [`Event::notify`] `event` whenever `recv`
+    /// may have something new to report: bytes became readable, or the
+    /// peer went away (a waiter parked on `event` must learn of a
+    /// disconnect as promptly as of a reply). One subscriber at a time; a
+    /// new one replaces the old.
+    ///
+    /// The default does nothing, which is right only for a transport whose
+    /// readable bytes never change after construction
+    /// ([`ScriptedTransport`]): a waiter on any other transport that kept
+    /// it would sleep to its deadline.
+    fn subscribe(&self, event: &Arc<Event>) {
+        let _ = event;
+    }
 }
 
 /// A shared transport handle is itself a transport — lets a test keep a
@@ -59,12 +74,18 @@ impl<T: Transport + ?Sized + Sync> Transport for std::sync::Arc<T> {
     fn pending_bytes(&self) -> usize {
         (**self).pending_bytes()
     }
+
+    fn subscribe(&self, event: &Arc<Event>) {
+        (**self).subscribe(event)
+    }
 }
 
 /// One direction of an in-process byte pipe.
 struct Pipe {
     buf: parking_lot::Mutex<VecDeque<u8>>,
     closed: AtomicBool,
+    /// The reading end's subscriber, notified on `write` and `close`.
+    reader: parking_lot::Mutex<Option<Arc<Event>>>,
 }
 
 impl Pipe {
@@ -72,7 +93,16 @@ impl Pipe {
         Arc::new(Pipe {
             buf: parking_lot::Mutex::new(VecDeque::new()),
             closed: AtomicBool::new(false),
+            reader: parking_lot::Mutex::new(None),
         })
+    }
+
+    fn notify_reader(&self) {
+        // Cloned out so the reader is never woken into a held lock.
+        let reader = self.reader.lock().clone();
+        if let Some(event) = reader {
+            event.notify();
+        }
     }
 
     fn write(&self, data: &[u8]) -> Result<usize> {
@@ -80,6 +110,7 @@ impl Pipe {
             return Err(OfError::Disconnected);
         }
         self.buf.lock().extend(data);
+        self.notify_reader();
         Ok(data.len())
     }
 
@@ -105,6 +136,7 @@ impl Pipe {
 
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
+        self.notify_reader();
     }
 }
 
@@ -148,6 +180,10 @@ impl Transport for LoopbackEnd {
     fn pending_bytes(&self) -> usize {
         self.rx.len()
     }
+
+    fn subscribe(&self, event: &Arc<Event>) {
+        *self.rx.reader.lock() = Some(Arc::clone(event));
+    }
 }
 
 impl Drop for LoopbackEnd {
@@ -175,6 +211,20 @@ struct FaultState {
     cfg: FaultConfig,
     written: AtomicU64,
     cut: AtomicBool,
+    /// Each end's subscriber: a cut is a disconnect for both of them.
+    subscribers: [parking_lot::Mutex<Option<Arc<Event>>>; 2],
+}
+
+impl FaultState {
+    fn sever(&self) {
+        self.cut.store(true, Ordering::Release);
+        for slot in &self.subscribers {
+            let subscriber = slot.lock().clone();
+            if let Some(event) = subscriber {
+                event.notify();
+            }
+        }
+    }
 }
 
 /// Runtime control over a [`faulty_pair`]'s shared fault state.
@@ -187,7 +237,7 @@ impl FaultControl {
     /// Severs the link now; all subsequent I/O on either end fails
     /// (reads drain already-delivered bytes first).
     pub fn cut(&self) {
-        self.state.cut.store(true, Ordering::Release);
+        self.state.sever();
     }
 
     /// Whether the link has been cut (by plan or by [`FaultControl::cut`]).
@@ -204,6 +254,8 @@ impl FaultControl {
 /// One end of a [`faulty_pair`].
 pub struct FaultEnd {
     inner: LoopbackEnd,
+    /// Which of the pair's two subscriber slots is this end's.
+    side: usize,
     state: Arc<FaultState>,
 }
 
@@ -214,14 +266,17 @@ pub fn faulty_pair(cfg: FaultConfig) -> (FaultEnd, FaultEnd, FaultControl) {
         cfg,
         written: AtomicU64::new(0),
         cut: AtomicBool::new(false),
+        subscribers: Default::default(),
     });
     (
         FaultEnd {
             inner: a,
+            side: 0,
             state: Arc::clone(&state),
         },
         FaultEnd {
             inner: b,
+            side: 1,
             state: Arc::clone(&state),
         },
         FaultControl { state },
@@ -241,7 +296,7 @@ impl Transport for FaultEnd {
         if let Some(cap) = self.state.cfg.fail_after_bytes {
             let remaining = cap.saturating_sub(already);
             if remaining == 0 {
-                self.state.cut.store(true, Ordering::Release);
+                self.state.sever();
                 return Err(OfError::Disconnected);
             }
             allowed = allowed.min(remaining as usize);
@@ -271,6 +326,11 @@ impl Transport for FaultEnd {
 
     fn pending_bytes(&self) -> usize {
         self.inner.pending_bytes()
+    }
+
+    fn subscribe(&self, event: &Arc<Event>) {
+        self.inner.subscribe(event);
+        *self.state.subscribers[self.side].lock() = Some(Arc::clone(event));
     }
 }
 

@@ -40,6 +40,18 @@ impl OfpHeader {
         }
     }
 
+    /// The header of an OF 1.0 message `len` bytes long, header included —
+    /// the one place a message length is narrowed to the wire's 16 bits.
+    /// A message that does not fit is refused here, before a byte of it is
+    /// written: a truncated length would desync the peer's framer.
+    pub fn for_message(typ: u8, len: usize, xid: u32) -> Result<OfpHeader> {
+        let length = u16::try_from(len).map_err(|_| OfError::Oversized {
+            len,
+            max: usize::from(u16::MAX),
+        })?;
+        Ok(OfpHeader::new(OFP_VERSION, typ, length, xid))
+    }
+
     /// Appends the 8 header bytes (big-endian) to `bytes`.
     pub fn marshal(&self, bytes: &mut Vec<u8>) {
         bytes.push(self.version);
@@ -100,11 +112,13 @@ pub trait OfpMarshal: Sized {
     /// The total wire size (header + body) this message marshals to.
     fn size_of(&self) -> usize;
 
-    /// The header that fronts this message for transaction id `xid`.
-    fn header_of(&self, xid: u32) -> OfpHeader;
+    /// The header that fronts this message for transaction id `xid`;
+    /// [`OfError::Oversized`] when the message cannot fit one frame.
+    fn header_of(&self, xid: u32) -> Result<OfpHeader>;
 
-    /// Marshals the full message (header + body) for `xid`.
-    fn marshal(&self, xid: u32) -> Vec<u8>;
+    /// Marshals the full message (header + body) for `xid`;
+    /// [`OfError::Oversized`] when it cannot fit one frame.
+    fn marshal(&self, xid: u32) -> Result<Vec<u8>>;
 
     /// Parses a message from an already-validated `header` and its `body`
     /// (the bytes after the header, exactly `header.length() - 8` long).
@@ -125,6 +139,22 @@ mod tests {
         let parsed = OfpHeader::parse(&bytes).unwrap();
         assert_eq!(parsed, h);
         assert!(parsed.validate(65535).is_ok());
+    }
+
+    #[test]
+    fn for_message_refuses_what_sixteen_bits_cannot_say() {
+        let h = OfpHeader::for_message(14, 65_535, 9).unwrap();
+        assert_eq!(
+            (h.version, h.typ, h.length, h.xid),
+            (OFP_VERSION, 14, 65_535, 9)
+        );
+        assert_eq!(
+            OfpHeader::for_message(17, 65_536, 9).unwrap_err(),
+            OfError::Oversized {
+                len: 65_536,
+                max: 65_535
+            }
+        );
     }
 
     #[test]

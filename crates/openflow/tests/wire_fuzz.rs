@@ -151,3 +151,158 @@ proptest! {
         let _ = decode(&data); // Ok for accidental valid frames, Err otherwise
     }
 }
+
+// ---------------------------------------------------------------------------
+// Length narrowing. Every length on the wire is 16 bits; `try_encode` checks
+// the whole message against that once, in `OfpHeader::for_message`, and the
+// three length fields *inside* bodies measure parts of a checked whole. One
+// case per field: the largest message that fits round-trips, one byte more
+// is refused — never encoded with a wrapped length.
+
+use openflow::codec::{flow_stats_parts, try_encode, HEADER_LEN};
+use openflow::messages::{FlowStatsEntry, PacketOut};
+use openflow::OfError;
+
+const FRAME_MAX: usize = 65_535;
+
+fn assert_fits_exactly(msg: OfpMessage) {
+    let bytes = try_encode(&msg, 7).expect("largest message that fits");
+    assert_eq!(bytes.len(), FRAME_MAX);
+    let mut framer = Framer::new();
+    framer.push(&bytes);
+    framer.push(&encode(&OfpMessage::BarrierRequest, 8));
+    let frame = framer.poll_frame().unwrap().expect("one whole frame");
+    assert_eq!(decode(&frame).unwrap(), (msg, 7));
+    // The stream is still in step behind it.
+    let next = framer.poll_frame().unwrap().expect("the frame behind it");
+    assert_eq!(decode(&next).unwrap(), (OfpMessage::BarrierRequest, 8));
+}
+
+fn assert_refused(msg: OfpMessage, len: usize) {
+    assert_eq!(
+        try_encode(&msg, 7).unwrap_err(),
+        OfError::Oversized {
+            len,
+            max: FRAME_MAX
+        }
+    );
+}
+
+fn outputs(n: usize) -> Vec<Action> {
+    vec![Action::Output(PortNo(1)); n]
+}
+
+fn stats_entry(cookie: u64, n_actions: usize) -> FlowStatsEntry {
+    FlowStatsEntry {
+        fmatch: FlowMatch::in_port(PortNo(1)),
+        priority: 10,
+        cookie,
+        duration_sec: 0,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        packet_count: cookie,
+        byte_count: 64 * cookie,
+        actions: outputs(n_actions),
+    }
+}
+
+#[test]
+fn header_length_is_checked_not_wrapped() {
+    let room = FRAME_MAX - HEADER_LEN;
+    assert_fits_exactly(OfpMessage::EchoRequest(vec![0xa5; room]));
+    assert_refused(OfpMessage::EchoRequest(vec![0xa5; room + 1]), FRAME_MAX + 1);
+}
+
+#[test]
+fn packet_in_total_len_is_checked_not_wrapped() {
+    let packet_in = |n: usize| {
+        OfpMessage::PacketIn(PacketIn {
+            in_port: PortNo(1),
+            reason: PacketInReason::NoMatch,
+            data: vec![0x5a; n],
+        })
+    };
+    let room = FRAME_MAX - HEADER_LEN - 10;
+    assert_fits_exactly(packet_in(room));
+    assert_refused(packet_in(room + 1), FRAME_MAX + 1);
+    // Large enough that `total_len` alone would have wrapped to 4.
+    assert_refused(packet_in(65_540), HEADER_LEN + 10 + 65_540);
+}
+
+#[test]
+fn packet_out_actions_len_is_checked_not_wrapped() {
+    let packet_out = |n_actions: usize, n_data: usize| {
+        OfpMessage::PacketOut(PacketOut {
+            in_port: PortNo::NONE,
+            actions: outputs(n_actions),
+            data: vec![0x11; n_data],
+        })
+    };
+    // 8 189 actions of 8 bytes and 7 bytes of packet fill the frame.
+    assert_fits_exactly(packet_out(8_189, 7));
+    assert_refused(packet_out(8_189, 8), FRAME_MAX + 1);
+    // 8 192 actions: `actions_len` alone would have wrapped to 0.
+    assert_refused(packet_out(8_192, 0), HEADER_LEN + 8 + 65_536);
+}
+
+#[test]
+fn flow_stats_entry_len_is_checked_not_wrapped() {
+    // 8 179 actions make a 65 520-byte entry: 65 532 with the headers.
+    let reply = OfpMessage::FlowStatsReply(vec![stats_entry(1, 8_179)]);
+    let bytes = try_encode(&reply, 7).unwrap();
+    assert_eq!(bytes.len(), 65_532);
+    assert_eq!(decode(&bytes).unwrap(), (reply, 7));
+    // One action more and the entry no longer fits any frame; 8 181 and
+    // its own `length` field would have wrapped.
+    for n in [8_180, 8_181, 9_000] {
+        assert_refused(
+            OfpMessage::FlowStatsReply(vec![stats_entry(1, n)]),
+            HEADER_LEN + 4 + 88 + 8 * n,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// However a table's entries are sized, `flow_stats_parts` yields
+    /// messages that each fit a frame, flags all but the last `MORE`, and
+    /// loses, duplicates and reorders nothing — through the codec and the
+    /// framer, the way the controller receives them.
+    #[test]
+    fn flow_stats_parts_fit_frames_and_reassemble(
+        action_counts in proptest::collection::vec(0usize..700, 0..120),
+    ) {
+        let entries: Vec<FlowStatsEntry> = action_counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| stats_entry(i as u64 + 1, n))
+            .collect();
+        let parts = flow_stats_parts(entries.clone());
+        let mut framer = Framer::new();
+        for part in &parts {
+            let bytes = try_encode(part, 9);
+            prop_assert!(bytes.is_ok(), "a part does not fit a frame: {:?}", bytes.err());
+            framer.push(&bytes.unwrap());
+        }
+        let (frames, err) = drain(&mut framer);
+        prop_assert!(err.is_none());
+        prop_assert_eq!(frames.len(), parts.len());
+        let mut got = Vec::new();
+        for (i, f) in frames.iter().enumerate() {
+            match decode(f).expect("part decodes") {
+                (OfpMessage::FlowStatsReplyMore(part), 9) => {
+                    prop_assert!(i + 1 < frames.len(), "MORE on the last part");
+                    prop_assert!(!part.is_empty(), "an empty part with MORE set");
+                    got.extend(part);
+                }
+                (OfpMessage::FlowStatsReply(part), 9) => {
+                    prop_assert_eq!(i + 1, frames.len(), "a part without MORE before the last");
+                    got.extend(part);
+                }
+                other => prop_assert!(false, "unexpected {other:?}"),
+            }
+        }
+        prop_assert_eq!(got, entries);
+    }
+}

@@ -17,7 +17,7 @@ use dpdk_sim::{cycles, Mbuf};
 use openflow::messages::*;
 use openflow::{Action, FlowMatch, OfError, PortNo, SwitchLink};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// An immutable snapshot of one rule, handed to observers.
@@ -66,6 +66,12 @@ pub trait StatsAugmenter: Send + Sync {
     fn rule_extra(&self, cookie: u64) -> (u64, u64);
     /// Extra port counters for this port.
     fn port_extra(&self, port: PortNo) -> PortExtra;
+    /// The last rule carrying `cookie` is gone and its totals have been
+    /// reported in `FlowRemoved`: whatever the implementor keeps per
+    /// cookie can be released. Default: keep nothing, release nothing.
+    fn rule_retired(&self, cookie: u64) {
+        let _ = cookie;
+    }
 }
 
 /// Extra port counters contributed by bypassed traffic.
@@ -124,9 +130,12 @@ impl Ofproto {
                 .load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Attaches (or replaces) the controller link.
+    /// Attaches (or replaces) the controller link, and wakes the control
+    /// thread: the new link may already hold the controller's `Hello`.
     pub fn attach_controller(&self, link: SwitchLink) {
+        link.subscribe(&self.dp.control_wake);
         *self.link.lock() = Some(link);
+        self.dp.control_wake.notify();
     }
 
     /// Registers a flow-table observer.
@@ -230,31 +239,54 @@ impl Ofproto {
         if change.is_empty() {
             return;
         }
-        for removed in &change.removed {
+        self.report_removed(&change.removed);
+        self.notify_observers();
+    }
+
+    /// Tells the controller about rules that left the table (`FlowRemoved`
+    /// with the bypass counters folded in, so it reports the truth), then
+    /// lets the augmenter drop what it kept for cookies no rule carries
+    /// any more.
+    fn report_removed(&self, removed: &[Arc<RuleEntry>]) {
+        if removed.is_empty() {
+            return;
+        }
+        let aug = self.augmenter.lock().clone();
+        for rule in removed {
             telemetry::coverage!("flow_removed");
-            let (packets, bytes) = removed.counters();
-            // Fold in bypass counters so FlowRemoved reports the truth.
-            let (ep, eb) = self
-                .augmenter
-                .lock()
+            let (packets, bytes) = rule.counters();
+            let (ep, eb) = aug
                 .as_ref()
-                .map(|a| a.rule_extra(removed.cookie))
+                .map(|a| a.rule_extra(rule.cookie))
                 .unwrap_or((0, 0));
             self.send(
                 &OfpMessage::FlowRemoved(FlowRemoved {
-                    fmatch: removed.fmatch,
-                    priority: removed.priority,
-                    cookie: removed.cookie,
+                    fmatch: rule.fmatch,
+                    priority: rule.priority,
+                    cookie: rule.cookie,
                     packet_count: packets + ep,
                     byte_count: bytes + eb,
                 }),
                 0,
             );
         }
-        self.notify_observers();
+        if let Some(aug) = aug {
+            // A cookie is an accounting key, not a rule id: several rules
+            // may share one, and its counters live until the last is gone.
+            let mut gone: BTreeSet<u64> = removed.iter().map(|r| r.cookie).collect();
+            for rule in self.dp.table().rules() {
+                if gone.is_empty() {
+                    break;
+                }
+                gone.remove(&rule.cookie);
+            }
+            for cookie in gone {
+                aug.rule_retired(cookie);
+            }
+        }
     }
 
-    /// Sweeps rule timeouts (called by the vswitchd housekeeping loop).
+    /// Sweeps rule timeouts (called by the vswitchd control loop).
     ///
     /// Before sweeping, rules whose bypass counters advanced since the
     /// last sweep get their idle clock refreshed: a fully bypassed rule
@@ -288,26 +320,7 @@ impl Ofproto {
         if change.is_empty() {
             return;
         }
-        for removed in &change.removed {
-            telemetry::coverage!("flow_removed");
-            let (packets, bytes) = removed.counters();
-            let (ep, eb) = self
-                .augmenter
-                .lock()
-                .as_ref()
-                .map(|a| a.rule_extra(removed.cookie))
-                .unwrap_or((0, 0));
-            self.send(
-                &OfpMessage::FlowRemoved(FlowRemoved {
-                    fmatch: removed.fmatch,
-                    priority: removed.priority,
-                    cookie: removed.cookie,
-                    packet_count: packets + ep,
-                    byte_count: bytes + eb,
-                }),
-                0,
-            );
-        }
+        self.report_removed(&change.removed);
         self.notify_observers();
     }
 
@@ -458,9 +471,22 @@ impl Ofproto {
     /// Processes every pending controller message and forwards queued
     /// packet-ins. Returns how many messages were handled.
     pub fn poll(&self) -> usize {
+        self.poll_round().0
+    }
+
+    /// One [`Ofproto::poll`] round: how many controller messages it
+    /// handled, and whether it left a backlog. Controller messages are
+    /// drained dry, but packet-ins are forwarded a bounded batch at a time
+    /// so a punting PMD cannot starve the controller — and the ones past
+    /// the batch were announced when they were queued, nothing notifies
+    /// for them again. A caller about to park must go again on a backlog.
+    pub(crate) fn poll_round(&self) -> (usize, bool) {
+        const PACKET_IN_BATCH: usize = 64;
         let mut handled = 0;
         // Forward packet-ins punted by the datapath.
-        for pi in self.dp.drain_packet_ins(64) {
+        let packet_ins = self.dp.drain_packet_ins(PACKET_IN_BATCH);
+        let backlog = packet_ins.len() == PACKET_IN_BATCH;
+        for pi in packet_ins {
             telemetry::coverage!("packet_in");
             self.send(&OfpMessage::PacketIn(pi), 0);
         }
@@ -516,8 +542,11 @@ impl Ofproto {
                 OfpMessage::FlowMod(fm) => self.apply_flow_mod(&fm),
                 OfpMessage::PortMod(pm) => self.apply_port_mod(&pm),
                 OfpMessage::FlowStatsRequest(req) => {
-                    let entries = self.build_flow_stats(&req);
-                    self.send(&OfpMessage::FlowStatsReply(entries), xid);
+                    // As many frames as the table needs, never one whose
+                    // length field would have to lie.
+                    for part in openflow::codec::flow_stats_parts(self.build_flow_stats(&req)) {
+                        self.send(&part, xid);
+                    }
                 }
                 OfpMessage::PortStatsRequest(req) => {
                     let entries = self.build_port_stats(&req);
@@ -544,7 +573,7 @@ impl Ofproto {
             }
             self.control_inflight.store(false, Ordering::Release);
         }
-        handled
+        (handled, backlog)
     }
 }
 

@@ -213,6 +213,10 @@ pub struct Datapath {
     pub miss_to_controller: bool,
     packet_in_tx: Sender<PacketIn>,
     packet_in_rx: Receiver<PacketIn>,
+    /// What the control thread (`ovs-main`) parks on. Notified here when a
+    /// punt makes the packet-in queue non-empty; by the controller link
+    /// and the daemon for everything else that thread must react to.
+    pub(crate) control_wake: Arc<openflow::Event>,
     /// Packet-ins dropped because the controller queue was full.
     pub packet_in_drops: AtomicU64,
     /// Cache handles registered by running PMD threads, so operator paths
@@ -252,6 +256,7 @@ impl Datapath {
             miss_to_controller,
             packet_in_tx: tx,
             packet_in_rx: rx,
+            control_wake: Arc::new(openflow::Event::new()),
             packet_in_drops: AtomicU64::new(0),
             pmd_caches: RwLock::new(Vec::new()),
             telemetry_enabled: AtomicBool::new(true),
@@ -436,7 +441,7 @@ impl Datapath {
             data: pkt.to_vec(),
         };
         match self.packet_in_tx.try_send(pi) {
-            Ok(()) => {}
+            Ok(()) => self.control_wake.notify(),
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.packet_in_drops.fetch_add(1, Ordering::Relaxed);
             }

@@ -11,7 +11,11 @@ use shmem_sim::ChannelEnd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often `ovs-main` sweeps rule timeouts — the one timer that bounds
+/// how long it parks.
+const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -20,8 +24,6 @@ pub struct VSwitchdConfig {
     pub datapath_id: u64,
     /// Punt table misses to the controller (OF 1.0 default) or drop them.
     pub miss_to_controller: bool,
-    /// Housekeeping period (timeout sweeps, control-message polling).
-    pub housekeeping_interval: Duration,
     /// PMD threads polling the ports. One (the default) mirrors a
     /// single-core OVS-DPDK deployment; the paper's testbed dedicates
     /// several cores. Ports are partitioned round-robin across threads
@@ -45,7 +47,6 @@ impl Default for VSwitchdConfig {
         VSwitchdConfig {
             datapath_id: 0x00_c0ffee,
             miss_to_controller: false,
-            housekeeping_interval: Duration::from_millis(1),
             // `HIGHWAY_PMDS` overrides the default PMD count so the whole
             // test suite can be re-run under a sharded datapath (CI does
             // this with HIGHWAY_PMDS=4).
@@ -76,11 +77,10 @@ pub struct VSwitchd {
     ofproto: Arc<Ofproto>,
     stop: Arc<AtomicBool>,
     threads: parking_lot::Mutex<Vec<JoinHandle<()>>>,
-    /// Control-port acceptor threads (see `listen_controller`), joined on
-    /// `stop` — kept apart from `threads` so a listener can be opened
-    /// before or after `start`.
-    listeners: parking_lot::Mutex<Vec<JoinHandle<()>>>,
-    housekeeping: Duration,
+    /// Control-port acceptor threads (see `listen_controller`) with the
+    /// address each blocks in `accept` on, joined on `stop` — kept apart
+    /// from `threads` so a listener can be opened before or after `start`.
+    listeners: parking_lot::Mutex<Vec<(std::net::SocketAddr, JoinHandle<()>)>>,
     pmd_threads: usize,
     doorbell_coalesce: usize,
 }
@@ -97,7 +97,6 @@ impl VSwitchd {
             stop: Arc::new(AtomicBool::new(false)),
             threads: parking_lot::Mutex::new(Vec::new()),
             listeners: parking_lot::Mutex::new(Vec::new()),
-            housekeeping: config.housekeeping_interval,
             pmd_threads: config.pmd_threads.max(1),
             doorbell_coalesce: config.doorbell_coalesce,
         }
@@ -183,29 +182,23 @@ impl VSwitchd {
     /// previous link, exactly like `attach_controller`.
     pub fn listen_controller(&self) -> std::io::Result<std::net::SocketAddr> {
         let (listener, addr) = openflow::loopback_listener()?;
-        listener.set_nonblocking(true)?;
         let ofproto = Arc::clone(&self.ofproto);
         let stop = Arc::clone(&self.stop);
-        self.listeners.lock().push(
-            std::thread::Builder::new()
-                .name(format!("ovs-of-listen-{}", addr.port()))
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if let Ok(t) = openflow::TcpTransport::from_stream(stream) {
-                                    ofproto.attach_controller(SwitchLink::new(Box::new(t)));
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => return,
-                        }
+        let acceptor = std::thread::Builder::new()
+            .name(format!("ovs-of-listen-{}", addr.port()))
+            .spawn(move || {
+                // Blocks in accept(2); `stop` ends the block by dialling in.
+                while let Ok((stream, _peer)) = listener.accept() {
+                    if stop.load(Ordering::Acquire) {
+                        return;
                     }
-                })
-                .expect("spawn control-port acceptor"),
-        );
+                    if let Ok(t) = openflow::TcpTransport::from_stream(stream) {
+                        ofproto.attach_controller(SwitchLink::new(Box::new(t)));
+                    }
+                }
+            })
+            .expect("spawn control-port acceptor");
+        self.listeners.lock().push((addr, acceptor));
         Ok(addr)
     }
 
@@ -231,7 +224,7 @@ impl VSwitchd {
         self.ofproto.control_idle()
     }
 
-    /// Starts the PMD thread(s) and the housekeeping/control thread.
+    /// Starts the PMD thread(s) and the control thread (`ovs-main`).
     pub fn start(&self) {
         let mut threads = self.threads.lock();
         assert!(threads.is_empty(), "vswitchd already started");
@@ -268,20 +261,30 @@ impl VSwitchd {
 
         let ofproto = Arc::clone(&self.ofproto);
         let stop = Arc::clone(&self.stop);
-        let interval = self.housekeeping;
+        let wake = Arc::clone(&self.dp.control_wake);
         threads.push(
             std::thread::Builder::new()
                 .name("ovs-main".into())
                 .spawn(move || {
-                    let mut last_sweep = std::time::Instant::now();
-                    while !stop.load(Ordering::Acquire) {
-                        let handled = ofproto.poll();
-                        if last_sweep.elapsed() >= Duration::from_millis(100) {
-                            ofproto.sweep_timeouts();
-                            last_sweep = std::time::Instant::now();
+                    let mut next_sweep = Instant::now() + SWEEP_INTERVAL;
+                    loop {
+                        // Registered before looking: controller bytes, a
+                        // replaced link, a punt or `stop` that land after
+                        // this end the park below at once.
+                        let waiter = wake.prepare();
+                        if stop.load(Ordering::Acquire) {
+                            return;
                         }
-                        if handled == 0 {
-                            std::thread::sleep(interval);
+                        let (_handled, backlog) = ofproto.poll_round();
+                        if Instant::now() >= next_sweep {
+                            ofproto.sweep_timeouts();
+                            next_sweep = Instant::now() + SWEEP_INTERVAL;
+                        }
+                        // Packet-ins the round left queued were announced
+                        // before `prepare`: no notify would end a park
+                        // taken with them waiting, only the sweep timer.
+                        if !backlog {
+                            waiter.park_until(next_sweep);
                         }
                     }
                 })
@@ -292,11 +295,18 @@ impl VSwitchd {
     /// Stops all threads (idempotent).
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
+        self.dp.control_wake.notify();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
-        for t in self.listeners.lock().drain(..) {
-            let _ = t.join();
+        for (addr, t) in self.listeners.lock().drain(..) {
+            // The acceptor blocks in accept(2): dial it so it looks at
+            // `stop`. A dial that fails against a live acceptor (out of
+            // descriptors, say) leaves it blocked; better detached than a
+            // `stop` that never returns.
+            if std::net::TcpStream::connect(addr).is_ok() || t.is_finished() {
+                let _ = t.join();
+            }
         }
     }
 
@@ -690,6 +700,152 @@ mod tests {
         let desc = ctrl.desc_stats(Duration::from_secs(2)).unwrap();
         assert!(desc.manufacturer.contains("vnf-highway"));
         sw.stop();
+    }
+
+    /// A table far past what one OF 1.0 frame can describe (~680 rules)
+    /// comes back whole from one `flow_stats` call: the switch splits the
+    /// reply into `OFPSF_REPLY_MORE` parts, the connection joins them.
+    #[test]
+    fn flow_stats_reads_back_4096_rules_in_one_call() {
+        const RULES: u64 = 4096;
+        let sw = VSwitchd::new(VSwitchdConfig::default());
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        sw.start();
+        let mods: Vec<FlowMod> = (0..RULES)
+            .map(|i| {
+                let mut m = FlowMatch::in_port(PortNo(1 + (i % 16) as u16));
+                m.l4_dst = Some((i / 16) as u16);
+                FlowMod::add(m, 100, vec![Action::Output(PortNo(100))]).with_cookie(i + 1)
+            })
+            .collect();
+        for batch in mods.chunks(64) {
+            ctrl.send_flow_mods(batch).unwrap();
+        }
+        ctrl.barrier(Duration::from_secs(60)).unwrap();
+
+        let stats = ctrl.flow_stats(Duration::from_secs(10)).unwrap();
+        let mut cookies: Vec<u64> = stats.iter().map(|e| e.cookie).collect();
+        cookies.sort_unstable();
+        assert_eq!(cookies, (1..=RULES).collect::<Vec<u64>>());
+        // Nothing of the series is left behind for the next request.
+        assert!(ctrl.try_recv().is_none());
+        ctrl.barrier(Duration::from_secs(2)).unwrap();
+        sw.stop();
+    }
+
+    /// A table miss punted by a PMD reaches a learning-switch controller
+    /// because the punt wakes `ovs-main`, not because its sweep timer
+    /// happened to expire: the median of many trials sits far below the
+    /// timer's period (timer-paced delivery would centre on half of it).
+    #[test]
+    fn punted_packet_in_reaches_the_controller_without_a_timer() {
+        use openflow::{ControllerRuntime, LearningSwitch};
+        use packet_wire::MacAddr;
+        let sw = VSwitchd::new(VSwitchdConfig {
+            miss_to_controller: true,
+            ..VSwitchdConfig::default()
+        });
+        let (sw1, mut vm1) = channel("dpdkr1", 64);
+        sw.add_dpdkr_port(PortNo(1), "dpdkr1", sw1);
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        sw.start();
+        let mut rt = ControllerRuntime::new(ctrl, LearningSwitch::new());
+        rt.run_until_ready(Duration::from_secs(5)).unwrap();
+
+        let mut waits = Vec::new();
+        for host in 1..=21u8 {
+            let src = MacAddr::local(host);
+            let frame = PacketBuilder::udp_probe(64)
+                .eth(src, MacAddr::local(200))
+                .build();
+            let sent = Instant::now();
+            vm1.send(Mbuf::from_slice(&frame)).unwrap();
+            while !rt.app().known_hosts().contains_key(&src) {
+                assert!(sent.elapsed() < Duration::from_secs(5), "packet-in lost");
+                rt.poll();
+                std::thread::yield_now();
+            }
+            waits.push(sent.elapsed());
+            while vm1.recv().is_some() {} // the flood comes back out of port 1
+        }
+        waits.sort_unstable();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < SWEEP_INTERVAL / 5,
+            "median packet-in wait {median:?}: ovs-main is waking on its timer, not on the punt"
+        );
+        sw.stop();
+    }
+
+    /// A burst of punts larger than one `poll` batch is forwarded round
+    /// after round, not one batch per sweep tick: the misses are all
+    /// queued before `ovs-main` first looks, so no punt notification is
+    /// left to end a park taken with packet-ins still queued.
+    #[test]
+    fn punt_burst_past_one_poll_batch_drains_without_the_timer() {
+        const BURST: usize = 200;
+        let sw = VSwitchd::new(VSwitchdConfig {
+            miss_to_controller: true,
+            ..VSwitchdConfig::default()
+        });
+        let (sw1, mut vm1) = channel("dpdkr1", 256);
+        sw.add_dpdkr_port(PortNo(1), "dpdkr1", sw1);
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        for _ in 0..BURST {
+            vm1.send(Mbuf::from_slice(&PacketBuilder::udp_probe(64).build()))
+                .unwrap();
+        }
+        while sw.datapath().cache_stats().misses < BURST as u64 {
+            crate::pmd::pump_once(&sw.datapath(), None);
+        }
+
+        let started = Instant::now();
+        sw.start();
+        let mut packet_ins = 0;
+        while packet_ins < BURST {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "packet-ins lost"
+            );
+            match ctrl.try_recv() {
+                Some(Ok((openflow::OfpMessage::PacketIn(_), _))) => packet_ins += 1,
+                Some(_) => {}
+                None => std::thread::yield_now(),
+            }
+        }
+        let took = started.elapsed();
+        assert!(
+            took < SWEEP_INTERVAL / 2,
+            "{BURST} queued packet-ins took {took:?}: drained one batch per sweep tick"
+        );
+        sw.stop();
+    }
+
+    /// `stop` wakes a parked `ovs-main` (and a blocked control-port
+    /// acceptor) itself; it does not wait for the sweep timer to do it.
+    #[test]
+    fn stop_returns_promptly_while_ovs_main_is_parked() {
+        let mut stops = Vec::new();
+        for _ in 0..9 {
+            let sw = VSwitchd::new(VSwitchdConfig::default());
+            sw.listen_controller().unwrap();
+            sw.start();
+            // Long enough for ovs-main to park, short against its timer.
+            std::thread::sleep(Duration::from_millis(5));
+            let t = Instant::now();
+            sw.stop();
+            stops.push(t.elapsed());
+            assert!(!sw.is_running());
+        }
+        stops.sort_unstable();
+        let median = stops[stops.len() / 2];
+        assert!(
+            median < SWEEP_INTERVAL / 4,
+            "median stop {median:?}: a parked thread was left to its timer"
+        );
     }
 
     #[test]

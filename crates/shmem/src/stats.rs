@@ -103,6 +103,12 @@ impl StatsRegion {
             .unwrap_or((0, 0))
     }
 
+    /// Rule cells currently in the region — one per cookie that has carried
+    /// bypassed traffic and whose rule is still installed.
+    pub fn rule_count(&self) -> usize {
+        self.tables.read().rules.len()
+    }
+
     /// Removes the cell of a rule (rule deleted and stats folded in).
     pub fn retire_rule(&self, cookie: u64) -> (u64, u64) {
         self.tables

@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Fails if a wait on the control channel's wire path sleeps and polls.
+# Every blocking wait in `openflow` and in the switch's control loop parks
+# on an `openflow::Event` that the thing it waits for notifies
+# (docs/control-channel.md, "Waiting"); a `thread::sleep` there is a
+# latency floor under every barrier, handshake and bypass set-up in the
+# repository, which is what they were before. Test modules may sleep: by
+# the repository's convention they are the `#[cfg(test)]` tail of a file,
+# so each file is checked up to that line.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+fail=0
+while IFS= read -r file; do
+    hits=$(awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /thread::sleep/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' "$file")
+    if [ -n "$hits" ]; then
+        echo "$hits" >&2
+        fail=1
+    fi
+done < <(
+    find crates/openflow/src -name '*.rs' | sort
+    echo crates/ovs/src/ofproto.rs
+    echo crates/ovs/src/vswitchd.rs
+)
+
+if [ "$fail" -ne 0 ]; then
+    echo "thread::sleep on a control-channel wait path: park on an Event instead" >&2
+    exit 1
+fi
+echo "no sleep-polling on the control channel"

@@ -256,18 +256,38 @@ fn rolling_reconfiguration_leaks_no_arena_slots() {
         assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
     }
 
+    // One more burst over the link the last round left standing. The
+    // racing bursts above may be lost to the last packet — a rule removed
+    // over an event-driven control channel is gone within microseconds,
+    // before a descheduled PMD has moved anything — and the census below
+    // must also cover slots that came home by being delivered.
+    let settled_from = seq;
+    for _ in 0..50 {
+        let pkt = PacketBuilder::udp_probe(64).seq(seq).build();
+        let m = Mbuf::from_arena(arena.alloc_from(&pkt).expect("arena sized for the test"));
+        w.entry.send(m).expect("entry ring drained by now");
+        seq += 1;
+    }
+
     // Drain whatever made it through (loss across an unmap is allowed;
-    // leaks are not).
+    // leaks are not) — but nothing sent over the settled link may be lost.
     let quiet = Instant::now() + Duration::from_secs(3);
-    let mut delivered = 0u64;
+    let (mut delivered, mut settled) = (0u64, 0u64);
     while Instant::now() < quiet {
-        if w.exit.recv().is_some() {
-            delivered += 1;
-        } else {
-            std::thread::sleep(Duration::from_millis(5));
+        match w.exit.recv() {
+            Some(m) => {
+                delivered += 1;
+                if ProbeHeader::from_frame(m.data()).unwrap().seq >= settled_from {
+                    settled += 1;
+                }
+            }
+            None => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-    assert!(delivered > 0, "churn swallowed all traffic");
+    assert_eq!(
+        settled, 50,
+        "the settled link lost traffic ({delivered} of {seq} delivered overall)"
+    );
 
     // Census: stop the node, drop every ring, reclaim credits — all
     // slots home, no foreign frees.
