@@ -4,8 +4,8 @@
 //! Eight dpdkr in-ports each carry many distinct UDP flows toward a
 //! dedicated out-port; every packet crosses the real sharded datapath —
 //! rx burst, RSS ownership hash, SPSC fan-out ring where the owner is a
-//! different PMD, per-PMD cache lookup against the RCU-style table
-//! snapshot, staged tx. Packets are preloaded into the port channels so
+//! different PMD, per-PMD cache lookup validated against the shared
+//! table's generation, staged tx. Packets are preloaded into the port channels so
 //! the measurement prices the switch, not the generator.
 //!
 //! Emits `BENCH_pmd_scaling.json` for CI trend tracking; `--quick` bounds

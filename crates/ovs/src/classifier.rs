@@ -19,25 +19,53 @@ use crate::table::RuleEntry;
 use openflow::fmatch::{FlowMatch, MatchMask, ProjectedKey};
 use openflow::PortNo;
 use packet_wire::FlowKey;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-#[derive(Clone)]
 struct Subtable {
     mask: MatchMask,
     /// Projected rule key → rules with that projection, best priority first.
+    /// One bucket holds one match at distinct priorities.
     entries: HashMap<ProjectedKey, Vec<Arc<RuleEntry>>>,
-    len: usize,
+    /// Priority → rules at it, so the ceiling survives a removal without a
+    /// pass over the buckets.
+    priorities: BTreeMap<u16, usize>,
     /// Best priority of any rule in this subtable (probe-order sort key;
     /// lookups stop once the running best beats every remaining subtable).
     max_priority: u16,
 }
 
-/// The classifier index over a flow table's rules.
-///
-/// Cloning copies the index structure while sharing the rule entries
-/// (`Arc`) — how [`crate::table::FlowTable`] snapshots stay cheap.
-#[derive(Clone)]
+impl Subtable {
+    /// Drops `rule` from its bucket; true when that left no rule at the
+    /// subtable's ceiling priority.
+    fn unindex(&mut self, rule: &RuleEntry) -> bool {
+        let Entry::Occupied(mut bucket) = self.entries.entry(rule.fmatch.own_projection()) else {
+            return false;
+        };
+        let Some(pos) = bucket.get().iter().position(|r| r.id == rule.id) else {
+            return false;
+        };
+        bucket.get_mut().remove(pos);
+        if bucket.get().is_empty() {
+            bucket.remove();
+        }
+        let left = self
+            .priorities
+            .get_mut(&rule.priority)
+            .expect("every indexed rule is counted");
+        *left -= 1;
+        if *left > 0 {
+            return false;
+        }
+        self.priorities.remove(&rule.priority);
+        rule.priority == self.max_priority
+    }
+}
+
+/// The classifier index over a flow table's rules. One writer updates it in
+/// place; what serialises that against lookups is the table lock in
+/// `crate::pmd::Datapath`.
 pub struct Classifier {
     subtables: Vec<Subtable>,
 }
@@ -70,7 +98,7 @@ impl Classifier {
                 self.subtables.push(Subtable {
                     mask,
                     entries: HashMap::new(),
-                    len: 0,
+                    priorities: BTreeMap::new(),
                     max_priority: 0,
                 });
                 (self.subtables.last_mut().expect("just pushed"), true)
@@ -84,7 +112,7 @@ impl Classifier {
             .position(|r| r.priority < rule.priority)
             .unwrap_or(bucket.len());
         bucket.insert(pos, Arc::clone(rule));
-        sub.len += 1;
+        *sub.priorities.entry(rule.priority).or_default() += 1;
         // Probe order only changes when a subtable appears or its best
         // priority rises; skip the resort for the common case (another
         // rule at or below the subtable's existing ceiling).
@@ -95,35 +123,55 @@ impl Classifier {
         }
     }
 
+    /// The rule with exactly this (canonical) match and priority — the
+    /// probe behind `Add`-replace and the strict commands: one hash lookup
+    /// in the match's own `(mask, projection)` bucket, not a table scan.
+    pub fn find_exact(&self, fmatch: &FlowMatch, priority: u16) -> Option<&Arc<RuleEntry>> {
+        let mask = fmatch.mask();
+        let sub = self.subtables.iter().find(|s| s.mask == mask)?;
+        let bucket = sub.entries.get(&fmatch.own_projection())?;
+        bucket
+            .iter()
+            .find(|r| r.priority == priority && r.fmatch == *fmatch)
+    }
+
+    /// Swaps an indexed rule for its modified self (same id, match and
+    /// priority, so no ceiling and no probe order moves).
+    pub fn replace(&mut self, rule: &Arc<RuleEntry>) {
+        let mask = rule.fmatch.mask();
+        let slot = self
+            .subtables
+            .iter_mut()
+            .find(|s| s.mask == mask)
+            .and_then(|s| s.entries.get_mut(&rule.fmatch.own_projection()))
+            .and_then(|bucket| bucket.iter_mut().find(|r| r.id == rule.id));
+        if let Some(slot) = slot {
+            *slot = Arc::clone(rule);
+        }
+    }
+
     /// Unindexes a rule (by id).
     pub fn remove(&mut self, rule: &Arc<RuleEntry>) {
-        let mask = rule.fmatch.mask();
-        if let Some(idx) = self.subtables.iter().position(|s| s.mask == mask) {
-            let sub = &mut self.subtables[idx];
-            let proj = rule.fmatch.own_projection();
-            if let Some(bucket) = sub.entries.get_mut(&proj) {
-                if let Some(pos) = bucket.iter().position(|r| r.id == rule.id) {
-                    bucket.remove(pos);
-                    sub.len -= 1;
-                }
-                if bucket.is_empty() {
-                    sub.entries.remove(&proj);
-                }
+        self.remove_all(std::slice::from_ref(rule));
+    }
+
+    /// Unindexes rules (by id). Ceilings and the probe order are put right
+    /// once, after the last rule has left: per rule, emptying a table was
+    /// quadratic, and it now happens with every reader locked out.
+    pub fn remove_all(&mut self, rules: &[Arc<RuleEntry>]) {
+        let mut ceiling_moved = false;
+        for rule in rules {
+            let mask = rule.fmatch.mask();
+            if let Some(sub) = self.subtables.iter_mut().find(|s| s.mask == mask) {
+                ceiling_moved |= sub.unindex(rule);
             }
-            if sub.entries.is_empty() {
-                self.subtables.remove(idx);
-            } else if rule.priority == sub.max_priority {
-                // Buckets keep best priority first, so the subtable max is
-                // the max over bucket heads.
-                sub.max_priority = sub
-                    .entries
-                    .values()
-                    .filter_map(|b| b.first())
-                    .map(|r| r.priority)
-                    .max()
-                    .unwrap_or(0);
-                self.resort();
-            }
+        }
+        if ceiling_moved {
+            self.subtables.retain_mut(|sub| {
+                sub.max_priority = sub.priorities.keys().next_back().copied().unwrap_or(0);
+                !sub.entries.is_empty()
+            });
+            self.resort();
         }
     }
 
@@ -187,10 +235,6 @@ impl std::fmt::Debug for Classifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Classifier")
             .field("subtables", &self.subtables.len())
-            .field(
-                "rules",
-                &self.subtables.iter().map(|s| s.len).sum::<usize>(),
-            )
             .finish()
     }
 }

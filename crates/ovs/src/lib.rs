@@ -19,8 +19,8 @@
 //! * [`actions`] — action execution: header rewrites and output.
 //! * [`pmd`] — the poll-mode datapath: N PMD threads, each owning private
 //!   caches and a share of the ports, resharding rx bursts to the flow's
-//!   RSS owner over SPSC rings and classifying against a lock-free
-//!   RCU-style flow-table snapshot.
+//!   RSS owner over SPSC rings and classifying against the one flow
+//!   table, which a cache hit validates without locking.
 //! * [`ofproto`] — the OpenFlow agent: decodes controller messages, applies
 //!   flow_mods, answers statistics (optionally *augmented* by an external
 //!   provider — the hook the paper's shared-memory stats use), and emits

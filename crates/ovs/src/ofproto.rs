@@ -149,11 +149,17 @@ impl Ofproto {
     }
 
     fn notify_observers(&self) {
+        let observers = self.observers.lock();
+        if observers.is_empty() {
+            return; // nobody to build the O(table) snapshot for
+        }
+        // The table guard is gone before the first call-out: an observer
+        // is free to read the table, or change it, from inside its call.
         let snapshot: Vec<RuleSnapshot> = {
             let table = self.dp.table();
             table.rules().iter().map(|r| RuleSnapshot::of(r)).collect()
         };
-        for obs in self.observers.lock().iter() {
+        for obs in observers.iter() {
             obs.table_changed(&snapshot);
         }
     }
@@ -297,14 +303,18 @@ impl Ofproto {
     pub fn sweep_timeouts(&self) {
         let now = cycles::now();
         if let Some(aug) = self.augmenter.lock().clone() {
-            // Touching rules through a snapshot works because the entries
-            // are Arc-shared with the master table.
-            let table = self.dp.table();
+            // The rules that can idle out, copied so that the table guard
+            // is gone before the augmenter is called and before the sweep
+            // below takes the write side.
+            let idlers: Vec<Arc<RuleEntry>> = {
+                let table = self.dp.table();
+                let idlers = table.rules().iter().filter(|r| r.idle_timeout != 0);
+                idlers.cloned().collect()
+            };
             let mut progress = self.bypass_progress.lock();
-            for rule in table.rules() {
-                if rule.idle_timeout == 0 {
-                    continue;
-                }
+            let mut live = BTreeSet::new();
+            for rule in &idlers {
+                live.insert(rule.cookie);
                 let (pkts, _bytes) = aug.rule_extra(rule.cookie);
                 let seen = progress.entry(rule.cookie).or_insert(0);
                 if pkts > *seen {
@@ -314,7 +324,7 @@ impl Ofproto {
             }
             // Drop progress for rules that no longer exist, so a future
             // rule reusing a cookie starts from the region's current count.
-            progress.retain(|cookie, _| table.rules().iter().any(|r| r.cookie == *cookie));
+            progress.retain(|cookie, _| live.contains(cookie));
         }
         let change = self.dp.table_sweep(cycles::now());
         if change.is_empty() {
@@ -324,19 +334,23 @@ impl Ofproto {
         self.notify_observers();
     }
 
+    /// The rules a flow or aggregate stats request addresses (loose filter
+    /// semantics, like every stats request in OF 1.0), copied out so the
+    /// table guard is released before the augmenter is consulted.
+    fn stats_rules(&self, fmatch: &FlowMatch, out_port: PortNo) -> Vec<Arc<RuleEntry>> {
+        let table = self.dp.table();
+        let hits = table.rules().iter().filter(|r| {
+            crate::table::loose_filter_matches(fmatch, &r.fmatch)
+                && (out_port == PortNo::NONE || r.actions.contains(&Action::Output(out_port)))
+        });
+        hits.cloned().collect()
+    }
+
     fn build_flow_stats(&self, req: &FlowStatsRequest) -> Vec<FlowStatsEntry> {
         let aug = self.augmenter.lock().clone();
-        let table = self.dp.table();
         let now = cycles::now();
-        table
-            .rules()
+        self.stats_rules(&req.fmatch, req.out_port)
             .iter()
-            .filter(|r| {
-                // Loose filter semantics, like flow stats in OF 1.0.
-                crate::table::loose_filter_matches(&req.fmatch, &r.fmatch)
-                    && (req.out_port == PortNo::NONE
-                        || r.actions.iter().any(|a| *a == Action::Output(req.out_port)))
-            })
             .map(|r| {
                 let (mut packets, mut bytes) = r.counters();
                 if let Some(aug) = &aug {
@@ -393,17 +407,8 @@ impl Ofproto {
 
     fn build_aggregate_stats(&self, req: &AggregateStatsRequest) -> AggregateStats {
         let aug = self.augmenter.lock().clone();
-        let table = self.dp.table();
         let mut agg = AggregateStats::default();
-        for r in table.rules() {
-            if !crate::table::loose_filter_matches(&req.fmatch, &r.fmatch) {
-                continue;
-            }
-            if req.out_port != PortNo::NONE
-                && !r.actions.iter().any(|a| *a == Action::Output(req.out_port))
-            {
-                continue;
-            }
+        for r in self.stats_rules(&req.fmatch, req.out_port) {
             let (mut packets, mut bytes) = r.counters();
             if let Some(aug) = &aug {
                 let (ep, eb) = aug.rule_extra(r.cookie);

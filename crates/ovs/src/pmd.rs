@@ -10,10 +10,10 @@
 //! every polled burst is re-sharded by an RSS-style flow hash
 //! ([`rss_owner`]) over per-PMD SPSC rings ([`build_fanout_mesh`]), so
 //! each flow is always classified by the same PMD against that PMD's own
-//! caches. The shared [`FlowTable`] sits behind an RCU-style snapshot
-//! ([`Datapath::table`]): writers clone-and-publish an `Arc<FlowTable>`,
-//! readers revalidate a cached `Arc` against the shared generation — the
-//! classify path never takes the write-side lock.
+//! caches. The one shared [`FlowTable`] is updated in place behind a
+//! reader/writer lock: a flow_mod takes the write side for the rules it
+//! touches, a cache hit validates against one atomic load of the table
+//! generation and takes no lock, and only a cache miss takes the read side.
 
 use crate::actions::{execute, OutputTarget};
 use crate::emc::{Emc, DEFAULT_EMC_ENTRIES};
@@ -24,7 +24,7 @@ use crossbeam::channel::{Receiver, Sender, TrySendError};
 use dpdk_sim::{cycles, spsc_ring, Mbuf, SpscConsumer, SpscProducer, DEFAULT_BURST};
 use openflow::messages::{FlowMod, PacketIn, PacketInReason};
 use openflow::PortNo;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,10 +71,8 @@ pub struct PmdCaches {
     last_classify_cyc: u64,
     /// Burst-level execute cost of the last stamped burst.
     last_exec_cyc: u64,
-    /// This PMD's cached flow-table snapshot (the RCU read side). Refreshed
-    /// by [`PmdCaches::table_snapshot`] only when the shared generation
-    /// moved, so steady-state classification touches no lock at all.
-    table: Option<Arc<FlowTable>>,
+    /// Table generation of this PMD's latest resolution.
+    resolved_at: Option<u64>,
 }
 
 impl Default for PmdCaches {
@@ -101,7 +99,7 @@ impl PmdCaches {
             carry_pkts: 0,
             last_classify_cyc: 0,
             last_exec_cyc: 0,
-            table: None,
+            resolved_at: None,
         }
     }
 
@@ -118,25 +116,12 @@ impl PmdCaches {
         }
     }
 
-    /// Returns a flow-table snapshot current as of this call, refreshing
-    /// the cached `Arc` only when the shared generation moved since the
-    /// last refresh. The EMC/megaflow entries this PMD holds were stamped
-    /// with snapshot generations, so a refresh implicitly invalidates them:
-    /// their stamps no longer equal the new snapshot's `as_of`.
-    fn table_snapshot(&mut self, dp: &Datapath) -> Arc<FlowTable> {
-        let live = dp.table_generation();
-        let fresh = matches!(&self.table, Some(t) if t.as_of() == live);
-        if !fresh {
-            self.table = Some(dp.table());
-        }
-        Arc::clone(self.table.as_ref().expect("just populated"))
-    }
-
-    /// Generation of the snapshot this PMD currently holds (`None` before
-    /// the first classification). The multi-PMD coherence tests assert this
-    /// catches up with the live generation after `flow_mod` churn.
+    /// The table generation this PMD last resolved against (`None` before
+    /// the first classification): what its cache entries must carry to be
+    /// served. The multi-PMD coherence tests assert this catches up with
+    /// the live generation after `flow_mod` churn.
     pub fn snapshot_generation(&self) -> Option<u64> {
-        self.table.as_ref().map(|t| t.as_of())
+        self.resolved_at
     }
 }
 
@@ -176,15 +161,13 @@ pub struct CacheTierStats {
 /// Shared datapath state: the port table and the flow table.
 pub struct Datapath {
     pub ports: RwLock<BTreeMap<PortNo, Arc<OvsPort>>>,
-    /// Write-side master flow table. Control-plane only: every mutation
-    /// goes through [`Datapath::table_apply`]/[`Datapath::table_sweep`],
-    /// which republish a fresh snapshot; readers use [`Datapath::table`].
-    master: Mutex<FlowTable>,
-    /// RCU-style publication slot holding the latest immutable snapshot.
-    snapshot: RwLock<Arc<FlowTable>>,
-    /// The shared generation counter (the same cell the master table
-    /// bumps); PMDs compare their cached snapshot's `as_of` against it
-    /// lock-free to detect staleness.
+    /// The flow table. [`Datapath::table_apply`]/[`Datapath::table_sweep`]
+    /// take the write side, for the rules they touch; [`Datapath::table`]
+    /// and a classify that missed both caches take the read side.
+    table: RwLock<FlowTable>,
+    /// The table's generation counter (the cell the table itself bumps,
+    /// inside the write section, once a change is complete). Cache hits
+    /// validate against it without touching the lock.
     table_generation: Arc<AtomicU64>,
     /// Bumped whenever the port set changes (PMD refreshes its snapshot).
     pub ports_generation: AtomicU64,
@@ -236,14 +219,11 @@ impl Datapath {
     /// so either way no misses occur there).
     pub fn new(miss_to_controller: bool) -> Arc<Datapath> {
         let (tx, rx) = crossbeam::channel::bounded(1024);
-        let master = FlowTable::new();
-        let table_generation = master.generation_handle();
-        let snapshot = RwLock::new(Arc::new(master.clone()));
+        let table = FlowTable::new();
         Arc::new(Datapath {
             ports: RwLock::new(BTreeMap::new()),
-            master: Mutex::new(master),
-            snapshot,
-            table_generation,
+            table_generation: table.generation_handle(),
+            table: RwLock::new(table),
             ports_generation: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             matched: AtomicU64::new(0),
@@ -275,43 +255,33 @@ impl Datapath {
         self.telemetry_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// The latest published flow-table snapshot (the RCU read side). The
-    /// returned table is immutable; rule entries inside it are shared with
-    /// the master (`Arc`), so counters recorded through a snapshot are
-    /// visible to statistics readers everywhere.
-    pub fn table(&self) -> Arc<FlowTable> {
-        Arc::clone(&self.snapshot.read())
+    /// The flow table, read-locked while the guard lives. Hold the guard
+    /// for one statement or one block of reads, and never across
+    /// [`Datapath::table_apply`]/[`Datapath::table_sweep`], a second
+    /// `table()` or a call-out (observer, stats augmenter) on the same
+    /// thread: the lock is not re-entrant, and a reader queued behind a
+    /// waiting writer that is itself waiting for this guard never wakes.
+    pub fn table(&self) -> RwLockReadGuard<'_, FlowTable> {
+        self.table.read()
     }
 
-    /// The live table generation. This moves inside the master-table
-    /// mutation, momentarily before the new snapshot is published; PMDs use
-    /// it as a cheap staleness probe and re-read [`Datapath::table`] when
-    /// their cached snapshot's `as_of` falls behind.
+    /// The live table generation: one atomic load, no lock. It moves
+    /// inside the write section, so whoever reads it *under a read guard*
+    /// has the generation of exactly the contents that guard shows.
     pub fn table_generation(&self) -> u64 {
         self.table_generation.load(Ordering::Acquire)
     }
 
-    /// Applies a flow_mod to the master table and, if anything changed,
-    /// publishes a fresh snapshot before returning — so a caller that
-    /// mutates and then classifies always observes its own change.
+    /// Applies a flow_mod in place, at the cost of the rules it touches.
+    /// The change (and its generation bump) is complete when this returns,
+    /// so a caller that mutates and then classifies observes its own change.
     pub fn table_apply(&self, fm: &FlowMod) -> TableChange {
-        let mut master = self.master.lock();
-        let change = master.apply(fm);
-        if !change.is_empty() {
-            *self.snapshot.write() = Arc::new(master.clone());
-        }
-        change
+        self.table.write().apply(fm)
     }
 
-    /// Sweeps rule timeouts on the master table at cycle `now`,
-    /// republishing the snapshot when anything expired.
+    /// Sweeps rule timeouts at cycle `now`.
     pub fn table_sweep(&self, now: u64) -> TableChange {
-        let mut master = self.master.lock();
-        let change = master.sweep_timeouts(now);
-        if !change.is_empty() {
-            *self.snapshot.write() = Arc::new(master.clone());
-        }
-        change
+        self.table.write().sweep_timeouts(now)
     }
 
     /// Registers a PMD thread's caches for operator observation
@@ -516,11 +486,10 @@ impl Datapath {
         let Some(caches) = caches else {
             return (self.table().lookup(in_port, key), CacheTier::Classifier);
         };
-        let table = caches.table_snapshot(self);
-        // Stamp cache entries with the snapshot's frozen generation, not
-        // the live counter: a snapshot one publish behind must prime the
-        // caches under *its* generation or it would serve stale actions.
-        let generation = table.as_of();
+        // A hit takes no lock: an entry is served only if it was stamped
+        // with the generation this one atomic load returns.
+        let generation = self.table_generation();
+        caches.resolved_at = Some(generation);
         if let Some(rule) = caches.emc.lookup(in_port, key, generation) {
             return (Some(rule), CacheTier::Emc);
         }
@@ -540,7 +509,18 @@ impl Datapath {
             }
             return (Some(rule), CacheTier::Megaflow);
         }
-        let (found, staged_mask) = table.lookup_staged(in_port, key);
+        // Both caches missed: the one place the data path locks the table.
+        // Stamp under the guard — what this walk primes must carry the
+        // generation read while the guard that showed it the rules is
+        // held. The earlier load would at worst prime an entry dead on
+        // arrival; a load after the guard is gone could pair old rules
+        // with a new stamp, which is the stale-action bug.
+        let (found, staged_mask, generation) = {
+            let table = self.table();
+            let (found, staged_mask) = table.lookup_staged(in_port, key);
+            (found, staged_mask, table.generation())
+        };
+        caches.resolved_at = Some(generation);
         if let Some(rule) = &found {
             caches.megaflow.insert(
                 in_port,
@@ -1520,7 +1500,7 @@ mod tests {
 
     /// Four PMDs with an RSS fan-out mesh move a many-flow workload
     /// losslessly, and flows cached on remote PMDs still observe table
-    /// changes (the snapshot refresh) — end to end through real threads.
+    /// changes — end to end through real threads.
     #[test]
     fn fanout_pmds_move_traffic_end_to_end() {
         let (dp, mut vm1, mut vm2) = two_port_dp(false);

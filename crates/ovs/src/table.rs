@@ -10,6 +10,7 @@ use crate::classifier::Classifier;
 use dpdk_sim::cycles;
 use openflow::messages::{FlowMod, FlowModCommand};
 use openflow::{Action, FlowMatch, PortNo};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -130,35 +131,16 @@ impl TableChange {
     }
 }
 
-/// The flow table plus its classifier index.
-///
-/// Cloning produces a *snapshot*: rule entries stay shared (`Arc`, so
-/// counters recorded through a snapshot are visible everywhere), the
-/// classifier index is copied, and the generation cell stays shared so the
-/// snapshot can be compared against the live counter. The datapath
-/// publishes such snapshots RCU-style (see `Datapath::table` in
-/// `crate::pmd`) so classify-path reads never touch the write-side lock.
+/// The flow table plus its classifier index. There is one instance per
+/// datapath and it is changed in place, each change costing what it
+/// touches; `crate::pmd::Datapath` keeps it behind a reader/writer lock.
 pub struct FlowTable {
     rules: Vec<Arc<RuleEntry>>,
+    /// Rule id → position in `rules`, so a rule leaves without a scan.
+    position: HashMap<u64, usize>,
     classifier: Classifier,
     next_id: u64,
     generation: Arc<AtomicU64>,
-    /// Generation this instance reflects. On the live (master) table it
-    /// tracks the shared counter; on a clone it stays frozen at the value
-    /// current when the snapshot was taken.
-    as_of: u64,
-}
-
-impl Clone for FlowTable {
-    fn clone(&self) -> FlowTable {
-        FlowTable {
-            rules: self.rules.clone(),
-            classifier: self.classifier.clone(),
-            next_id: self.next_id,
-            generation: Arc::clone(&self.generation),
-            as_of: self.as_of,
-        }
-    }
 }
 
 impl Default for FlowTable {
@@ -172,35 +154,23 @@ impl FlowTable {
     pub fn new() -> FlowTable {
         FlowTable {
             rules: Vec::new(),
+            position: HashMap::new(),
             classifier: Classifier::new(),
             next_id: 1,
             generation: Arc::new(AtomicU64::new(0)),
-            as_of: 0,
         }
     }
 
-    /// Shared handle to the generation counter (EMC invalidation).
+    /// Shared handle to the generation counter: what the datapath's cache
+    /// tiers validate against without touching the table.
     pub fn generation_handle(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.generation)
     }
 
-    /// Current generation (the live shared counter — keeps moving even
-    /// after this instance was snapshotted).
+    /// Current generation; moves once per mutation that changed anything,
+    /// after the change is complete.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
-    }
-
-    /// Generation this instance reflects. Cache entries primed from a
-    /// snapshot must be stamped with this frozen value, never the moving
-    /// [`FlowTable::generation`] — otherwise a stale snapshot could
-    /// populate the EMC/megaflow under a newer generation and serve stale
-    /// actions after a table change.
-    pub fn as_of(&self) -> u64 {
-        self.as_of
-    }
-
-    fn bump(&mut self) {
-        self.as_of = self.generation.fetch_add(1, Ordering::Release) + 1;
     }
 
     /// Number of installed rules.
@@ -235,143 +205,131 @@ impl FlowTable {
         self.classifier.lookup_staged(port, key)
     }
 
+    /// The rules a modify or delete addresses: strict names one rule by
+    /// exact match and priority (an index probe), loose every rule the
+    /// match subsumes (a scan — the command is about the whole table).
+    fn select(&self, fmatch: &FlowMatch, priority: u16, strict: bool) -> Vec<Arc<RuleEntry>> {
+        if strict {
+            let hit = self.classifier.find_exact(fmatch, priority);
+            return hit.into_iter().cloned().collect();
+        }
+        let hits = self.rules.iter().filter(|r| subsumes(fmatch, &r.fmatch));
+        hits.cloned().collect()
+    }
+
+    /// Takes `victims` out of the rule list and the index. Any order is
+    /// correct; last first is cheaper, because a scan lists victims in
+    /// `rules` order and from the back `swap_remove` rarely has to move
+    /// (and re-index) a rule into the hole.
+    fn unlink(&mut self, victims: &[Arc<RuleEntry>]) {
+        for victim in victims.iter().rev() {
+            let pos = self
+                .position
+                .remove(&victim.id)
+                .expect("victim is installed");
+            self.rules.swap_remove(pos);
+            if let Some(moved) = self.rules.get(pos) {
+                self.position.insert(moved.id, pos);
+            }
+        }
+        self.classifier.remove_all(victims);
+    }
+
+    fn add(&mut self, fmatch: FlowMatch, fm: &FlowMod, change: &mut TableChange) {
+        // Identical match+priority ⇒ replace (counters reset).
+        change.replaced = self.select(&fmatch, fm.priority, true);
+        self.unlink(&change.replaced);
+        let rule = Arc::new(RuleEntry {
+            id: self.next_id,
+            fmatch,
+            priority: fm.priority,
+            actions: fm.actions.clone(),
+            cookie: fm.cookie,
+            idle_timeout: fm.idle_timeout,
+            hard_timeout: fm.hard_timeout,
+            added_at: cycles::now(),
+            last_used: AtomicU64::new(cycles::now()),
+            n_packets: AtomicU64::new(0),
+            n_bytes: AtomicU64::new(0),
+        });
+        self.next_id += 1;
+        self.classifier.insert(&rule);
+        self.position.insert(rule.id, self.rules.len());
+        self.rules.push(Arc::clone(&rule));
+        change.added.push(rule);
+    }
+
     /// Applies a flow_mod, returning what changed.
     pub fn apply(&mut self, fm: &FlowMod) -> TableChange {
         let fmatch = fm.fmatch.canonicalise();
         let mut change = TableChange::default();
         match fm.command {
-            FlowModCommand::Add => {
-                // Identical match+priority ⇒ replace (counters reset).
-                if let Some(pos) = self
-                    .rules
-                    .iter()
-                    .position(|r| r.fmatch == fmatch && r.priority == fm.priority)
-                {
-                    let old = self.rules.remove(pos);
-                    self.classifier.remove(&old);
-                    change.replaced.push(old);
-                }
-                let rule = Arc::new(RuleEntry {
-                    id: self.next_id,
-                    fmatch,
-                    priority: fm.priority,
-                    actions: fm.actions.clone(),
-                    cookie: fm.cookie,
-                    idle_timeout: fm.idle_timeout,
-                    hard_timeout: fm.hard_timeout,
-                    added_at: cycles::now(),
-                    last_used: AtomicU64::new(cycles::now()),
-                    n_packets: AtomicU64::new(0),
-                    n_bytes: AtomicU64::new(0),
-                });
-                self.next_id += 1;
-                self.classifier.insert(&rule);
-                self.rules.push(Arc::clone(&rule));
-                change.added.push(rule);
-            }
+            FlowModCommand::Add => self.add(fmatch, fm, &mut change),
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
                 let strict = fm.command == FlowModCommand::ModifyStrict;
-                let mut any = false;
-                let mut new_rules = Vec::with_capacity(self.rules.len());
-                for rule in self.rules.drain(..) {
-                    let hit = if strict {
-                        rule.fmatch == fmatch && rule.priority == fm.priority
-                    } else {
-                        subsumes(&fmatch, &rule.fmatch)
-                    };
-                    if hit {
-                        any = true;
-                        // Actions are immutable in the Arc; rebuild the entry
-                        // keeping id and counters (OF modify preserves them).
-                        let replacement = Arc::new(RuleEntry {
-                            id: rule.id,
-                            fmatch: rule.fmatch,
-                            priority: rule.priority,
-                            actions: fm.actions.clone(),
-                            cookie: if fm.cookie != 0 {
-                                fm.cookie
-                            } else {
-                                rule.cookie
-                            },
-                            idle_timeout: rule.idle_timeout,
-                            hard_timeout: rule.hard_timeout,
-                            added_at: rule.added_at,
-                            last_used: AtomicU64::new(rule.last_used.load(Ordering::Relaxed)),
-                            n_packets: AtomicU64::new(rule.n_packets.load(Ordering::Relaxed)),
-                            n_bytes: AtomicU64::new(rule.n_bytes.load(Ordering::Relaxed)),
-                        });
-                        self.classifier.remove(&rule);
-                        self.classifier.insert(&replacement);
-                        change.modified.push(Arc::clone(&replacement));
-                        new_rules.push(replacement);
-                    } else {
-                        new_rules.push(rule);
-                    }
+                for rule in self.select(&fmatch, fm.priority, strict) {
+                    // Actions are immutable in the Arc; rebuild the entry
+                    // keeping id and counters (OF modify preserves them).
+                    let replacement = Arc::new(RuleEntry {
+                        id: rule.id,
+                        fmatch: rule.fmatch,
+                        priority: rule.priority,
+                        actions: fm.actions.clone(),
+                        cookie: if fm.cookie != 0 {
+                            fm.cookie
+                        } else {
+                            rule.cookie
+                        },
+                        idle_timeout: rule.idle_timeout,
+                        hard_timeout: rule.hard_timeout,
+                        added_at: rule.added_at,
+                        last_used: AtomicU64::new(rule.last_used.load(Ordering::Relaxed)),
+                        n_packets: AtomicU64::new(rule.n_packets.load(Ordering::Relaxed)),
+                        n_bytes: AtomicU64::new(rule.n_bytes.load(Ordering::Relaxed)),
+                    });
+                    self.classifier.replace(&replacement);
+                    self.rules[self.position[&rule.id]] = Arc::clone(&replacement);
+                    change.modified.push(replacement);
                 }
-                self.rules = new_rules;
                 // OF 1.0: a modify that matches nothing behaves like an add.
-                if !any {
-                    let add = FlowMod {
-                        command: FlowModCommand::Add,
-                        ..fm.clone()
-                    };
-                    let mut sub = self.apply(&add);
-                    change.added.append(&mut sub.added);
-                    change.replaced.append(&mut sub.replaced);
+                if change.modified.is_empty() {
+                    self.add(fmatch, fm, &mut change);
                 }
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let strict = fm.command == FlowModCommand::DeleteStrict;
-                let out_filter = fm.out_port;
-                let mut kept = Vec::with_capacity(self.rules.len());
-                for rule in self.rules.drain(..) {
-                    let match_hit = if strict {
-                        rule.fmatch == fmatch && rule.priority == fm.priority
-                    } else {
-                        subsumes(&fmatch, &rule.fmatch)
-                    };
-                    let port_hit = out_filter == PortNo::NONE
-                        || rule
-                            .actions
-                            .iter()
-                            .any(|a| *a == Action::Output(out_filter));
-                    if match_hit && port_hit {
-                        self.classifier.remove(&rule);
-                        change.removed.push(rule);
-                    } else {
-                        kept.push(rule);
-                    }
+                change.removed = self.select(&fmatch, fm.priority, strict);
+                if fm.out_port != PortNo::NONE {
+                    let out = Action::Output(fm.out_port);
+                    change.removed.retain(|r| r.actions.contains(&out));
                 }
-                self.rules = kept;
+                self.unlink(&change.removed);
             }
         }
         if !change.is_empty() {
-            self.bump();
+            self.generation.fetch_add(1, Ordering::Release);
         }
         change
     }
 
     /// Evicts rules whose idle or hard timeout has expired at cycle `now`.
     pub fn sweep_timeouts(&mut self, now: u64) -> TableChange {
-        let mut change = TableChange::default();
-        let mut kept = Vec::with_capacity(self.rules.len());
-        for rule in self.rules.drain(..) {
+        let expired = |rule: &&Arc<RuleEntry>| {
             let hard_hit = rule.hard_timeout > 0
                 && now.saturating_sub(rule.added_at)
                     >= u64::from(rule.hard_timeout) * cycles::CPU_HZ;
             let idle_hit = rule.idle_timeout > 0
                 && now.saturating_sub(rule.last_used.load(Ordering::Relaxed))
                     >= u64::from(rule.idle_timeout) * cycles::CPU_HZ;
-            if hard_hit || idle_hit {
-                self.classifier.remove(&rule);
-                change.removed.push(rule);
-            } else {
-                kept.push(rule);
-            }
-        }
-        self.rules = kept;
+            hard_hit || idle_hit
+        };
+        let change = TableChange {
+            removed: self.rules.iter().filter(expired).cloned().collect(),
+            ..TableChange::default()
+        };
         if !change.is_empty() {
-            self.bump();
+            self.unlink(&change.removed);
+            self.generation.fetch_add(1, Ordering::Release);
         }
         change
     }

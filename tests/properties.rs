@@ -573,3 +573,214 @@ proptest! {
         prop_assert_eq!(removed, should_remove);
     }
 }
+
+// ---------- flow table vs. a linear-scan reference ----------
+
+/// A match universe small enough that commands keep landing on installed
+/// rules: 3 in-ports x (non-IP | 3 destination prefixes x 3 L4 ports),
+/// with prefixes that nest so loose commands subsume across masks.
+fn small_match() -> impl Strategy<Value = FlowMatch> {
+    (0u16..3, 0u8..4, 0u16..3).prop_map(|(port, dst, l4)| {
+        let mut m = FlowMatch::any();
+        m.in_port = (port > 0).then_some(PortNo(port));
+        if dst > 0 {
+            m.eth_type = Some(0x0800);
+            m.ip_proto = Some(17);
+            m.ipv4_dst = [None, Some((10, 8)), Some((10 << 8 | 1, 16))][dst as usize - 1]
+                .map(|(net, len): (u32, u8)| (Ipv4Addr::from(net << (32 - len)), len));
+            m.l4_dst = (l4 > 0).then_some(79 + l4);
+        }
+        m.canonicalise()
+    })
+}
+
+/// The reference table: a rule list and nothing else. Every command is a
+/// scan, written from the OF 1.0 text rather than from `FlowTable`.
+#[derive(Default)]
+struct ModelTable {
+    rules: Vec<RuleSnapshot>,
+    ids: u64,
+}
+
+/// Sizes of the four `TableChange` categories.
+#[derive(Debug, Default, PartialEq)]
+struct ChangeSizes {
+    added: usize,
+    modified: usize,
+    removed: usize,
+    replaced: usize,
+}
+
+impl ModelTable {
+    /// `general` covers every packet `specific` covers.
+    fn subsumes(general: &FlowMatch, specific: &FlowMatch) -> bool {
+        fn field<T: PartialEq>(g: Option<T>, s: Option<T>) -> bool {
+            g.is_none() || g == s
+        }
+        fn prefix(g: Option<(Ipv4Addr, u8)>, s: Option<(Ipv4Addr, u8)>) -> bool {
+            let Some((ga, gl)) = g else { return true };
+            let Some((sa, sl)) = s else { return false };
+            let bits = |a: Ipv4Addr| u64::from(u32::from(a)) >> (32 - gl);
+            gl <= sl && bits(ga) == bits(sa)
+        }
+        field(general.in_port, specific.in_port)
+            && field(general.eth_src, specific.eth_src)
+            && field(general.eth_dst, specific.eth_dst)
+            && field(general.vlan_id, specific.vlan_id)
+            && field(general.eth_type, specific.eth_type)
+            && field(general.ip_tos, specific.ip_tos)
+            && field(general.ip_proto, specific.ip_proto)
+            && prefix(general.ipv4_src, specific.ipv4_src)
+            && prefix(general.ipv4_dst, specific.ipv4_dst)
+            && field(general.l4_src, specific.l4_src)
+            && field(general.l4_dst, specific.l4_dst)
+    }
+
+    fn addressed(fm: &FlowMod, rule: &RuleSnapshot, strict: bool) -> bool {
+        if strict {
+            rule.fmatch == fm.fmatch && rule.priority == fm.priority
+        } else {
+            Self::subsumes(&fm.fmatch, &rule.fmatch)
+        }
+    }
+
+    fn add(&mut self, fm: &FlowMod, sizes: &mut ChangeSizes) {
+        let before = self.rules.len();
+        self.rules.retain(|r| !Self::addressed(fm, r, true));
+        sizes.replaced += before - self.rules.len();
+        self.ids += 1;
+        self.rules.push(RuleSnapshot {
+            id: self.ids,
+            fmatch: fm.fmatch,
+            priority: fm.priority,
+            actions: fm.actions.clone(),
+            cookie: fm.cookie,
+        });
+        sizes.added += 1;
+    }
+
+    fn apply(&mut self, fm: &FlowMod) -> ChangeSizes {
+        let mut sizes = ChangeSizes::default();
+        match fm.command {
+            FlowModCommand::Add => self.add(fm, &mut sizes),
+            FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
+                let strict = fm.command == FlowModCommand::ModifyStrict;
+                for rule in self
+                    .rules
+                    .iter_mut()
+                    .filter(|r| Self::addressed(fm, r, strict))
+                {
+                    rule.actions = fm.actions.clone();
+                    if fm.cookie != 0 {
+                        rule.cookie = fm.cookie;
+                    }
+                    sizes.modified += 1;
+                }
+                if sizes.modified == 0 {
+                    self.add(fm, &mut sizes);
+                }
+            }
+            FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
+                let strict = fm.command == FlowModCommand::DeleteStrict;
+                let before = self.rules.len();
+                self.rules.retain(|r| {
+                    let port_hit = fm.out_port == PortNo::NONE
+                        || r.actions.contains(&Action::Output(fm.out_port));
+                    !(Self::addressed(fm, r, strict) && port_hit)
+                });
+                sizes.removed = before - self.rules.len();
+            }
+        }
+        sizes
+    }
+
+    fn lookup(&self, port: PortNo, key: &FlowKey) -> Option<u64> {
+        let hits = self.rules.iter().filter(|r| r.fmatch.matches(port, key));
+        hits.max_by(|a, b| a.priority.cmp(&b.priority).then(b.id.cmp(&a.id)))
+            .map(|r| r.id)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `FlowTable::apply` finds, replaces and removes rules through the
+    /// classifier's buckets and a position index; the reference does it
+    /// all by scanning. After every command of a random sequence — the
+    /// five flow_mod commands, an `Add` aimed at an installed rule, a
+    /// strict modify aimed at nothing, deletes with and without an
+    /// out_port filter — both hold the same rules (id, match, priority,
+    /// actions, cookie: a modify keeps the id), report the same
+    /// `TableChange` category sizes and resolve random packets alike.
+    #[test]
+    fn flow_table_agrees_with_linear_scan_model(
+        ops in proptest::collection::vec(
+            (0u8..8, small_match(), 0u16..3, 1u16..4, 0u64..3, proptest::num::u64::ANY),
+            1..48,
+        ),
+        probes in proptest::collection::vec((0u16..3, 0u8..3, 0u16..3), 4..8),
+    ) {
+        use vnf_highway::ovs::FlowTable;
+
+        let mut table = FlowTable::new();
+        let mut model = ModelTable::default();
+        for (step, (kind, fmatch, priority, out, cookie, pick)) in ops.into_iter().enumerate() {
+            let mut fm = FlowMod::add(fmatch, priority, vec![Action::Output(PortNo(out))])
+                .with_cookie(cookie);
+            match kind {
+                0 => {}
+                1 => fm.command = FlowModCommand::Modify,
+                2 => fm.command = FlowModCommand::ModifyStrict,
+                3 => fm.command = FlowModCommand::Delete,
+                4 => fm.command = FlowModCommand::DeleteStrict,
+                5 => {
+                    // A loose delete narrowed to the rules that output here.
+                    fm.command = FlowModCommand::Delete;
+                    fm.out_port = PortNo(out);
+                }
+                6 => {
+                    // An Add that lands exactly on an installed rule.
+                    if let Some(r) = model.rules.get(pick as usize % model.rules.len().max(1)) {
+                        fm.fmatch = r.fmatch;
+                        fm.priority = r.priority;
+                    }
+                }
+                _ => {
+                    // A strict modify of a rule no step has installed.
+                    fm.command = FlowModCommand::ModifyStrict;
+                    fm.priority = 1000 + step as u16;
+                }
+            }
+            let change = table.apply(&fm);
+            let sizes = ChangeSizes {
+                added: change.added.len(),
+                modified: change.modified.len(),
+                removed: change.removed.len(),
+                replaced: change.replaced.len(),
+            };
+            prop_assert_eq!(&sizes, &model.apply(&fm), "step {}: {:?}", step, fm);
+
+            let mut installed: Vec<RuleSnapshot> = table
+                .rules()
+                .iter()
+                .map(|r| RuleSnapshot {
+                    id: r.id,
+                    fmatch: r.fmatch,
+                    priority: r.priority,
+                    actions: r.actions.clone(),
+                    cookie: r.cookie,
+                })
+                .collect();
+            installed.sort_by_key(|r| r.id);
+            model.rules.sort_by_key(|r| r.id);
+            prop_assert_eq!(&installed, &model.rules, "step {}: {:?}", step, fm);
+
+            for (port, dst, l4) in &probes {
+                let mut key = FlowKey::extract(&PacketBuilder::udp_probe(64).ports(7, 79 + l4).build());
+                key.ipv4_dst = Ipv4Addr::new(10, *dst, 0, 1);
+                let got = table.lookup(PortNo(*port), &key).map(|r| r.id);
+                prop_assert_eq!(got, model.lookup(PortNo(*port), &key), "step {}: lookup", step);
+            }
+        }
+    }
+}
