@@ -77,7 +77,7 @@ fn highway_pass(arena: &dpdk_sim::Arena, frame: &[u8], samples: usize, chain: us
             assert_eq!(got, burst, "SPSC ring delivers the whole burst");
             pkts = next;
         }
-        drop(pkts); // sink: consumer frees travel the credit ring
+        drop(pkts); // sink: consumer frees travel the credit stack
         done += burst;
     }
     start.elapsed().as_nanos() as f64 / samples as f64

@@ -6,20 +6,28 @@
 //! `(segment_id, offset, length)`. This module models exactly that:
 //!
 //! * `ArenaSegment` (internal) — one contiguous slab carved into
-//!   fixed-size slots, with a lock-free freelist of slot indices, one
-//!   refcount per slot for multi-reader handoff, and a **credit-return
-//!   ring**: consumers that finish with a buffer push its slot index onto
-//!   the credit ring instead of the freelist, so recycling never touches
-//!   the slab and never contends with the producer's allocation path — the
-//!   producer reclaims credits in batches when its freelist runs dry.
+//!   fixed-size slots, one refcount per slot for multi-reader handoff, and
+//!   two lock-free LIFO stacks of slot indices linked through one shared
+//!   `next[]` array: the owner's **freelist** and the **credit stack**.
+//!   Consumers that finish with a buffer push its slot onto the credit
+//!   stack instead of the freelist, so recycling never contends with the
+//!   producer's pops; when the freelist runs dry the producer detaches the
+//!   whole credit chain with one CAS and splices it onto the freelist with
+//!   one more. Slots never issued yet sit behind a `fresh` watermark, so a
+//!   new segment pushes nothing, and LIFO reuse keeps the slots in use —
+//!   and the pages faulted in — near the in-flight high water.
 //! * [`Arena`] — a process-local *mapping* of a segment. The owner mapping
 //!   (created by [`Arena::new`]) frees straight to the freelist; consumer
-//!   mappings ([`Arena::consumer`]) free through the credit ring, like a
+//!   mappings ([`Arena::consumer`]) free through the credit stack, like a
 //!   guest that must not write the host's freelist head.
 //! * [`ArenaMbuf`] — an RAII packet handle over one slot: offset-based,
 //!   refcounted ([`ArenaMbuf::clone_ref`]), and convertible to/from the POD
 //!   [`MbufDesc`] that rides rings between mappings (descriptor-only
 //!   enqueue — the zero-copy hop).
+//! * [`Resolver`] — a receiver's table of the segments it has mapped: a
+//!   descriptor from a known segment adopts with one `Weak::upgrade`; the
+//!   process-wide segment table behind [`adopt`] is the cold path for an
+//!   id seen for the first time.
 //!
 //! The slab counts every mutable-byte access in `slab_writes`, which is the
 //! instrument behind the zero-copy acceptance test: across an N-hop chain,
@@ -27,7 +35,7 @@
 //! legitimately mutate payload), never per hop.
 
 use crate::events;
-use crossbeam::queue::ArrayQueue;
+use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::mem::ManuallyDrop;
@@ -101,6 +109,128 @@ impl Slab {
     }
 }
 
+/// Empty-stack marker, in a stack head and in the bottom slot's `next`.
+const NIL: u32 = u32::MAX;
+
+fn pack(tag: u32, top: u32) -> u64 {
+    (u64::from(tag) << 32) | u64::from(top)
+}
+
+fn unpack(head: u64) -> (u32, u32) {
+    ((head >> 32) as u32, head as u32)
+}
+
+/// A lock-free LIFO of slot indices (a Treiber stack). The links live in
+/// the segment's `next[]` array, one per slot: a slot is on at most one
+/// stack at a time, so both stacks share it. The head packs a 32-bit ABA
+/// tag, bumped by every successful CAS, above the top slot index, so a pop
+/// that read a stale `next` cannot succeed.
+///
+/// Ordering: a push stores its `next` link, then publishes with a
+/// `Release` CAS on the head; pops and detaches read the head with
+/// `Acquire` (every later head CAS is an RMW, so it carries the release
+/// on), so whoever takes a slot sees the link written before its push.
+/// `len` pairs the same way, so a reader that sees a slot counted also
+/// sees the `fresh` watermark that issued it.
+struct SlotStack {
+    head: AtomicU64,
+    /// Slots on the stack. Raised before a push publishes and lowered only
+    /// after a pop or detach succeeds, so a concurrent reader may count an
+    /// in-flight push early but never sees the count go below zero.
+    len: AtomicUsize,
+}
+
+impl SlotStack {
+    fn new() -> SlotStack {
+        SlotStack {
+            head: AtomicU64::new(pack(0, NIL)),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Pushes the chain `first ..= last`, already linked through `next`,
+    /// of `n` slots with one successful CAS.
+    fn push_chain(&self, next: &[AtomicU32], first: u32, last: u32, n: usize) {
+        self.len.fetch_add(n, Ordering::Release);
+        let mut cur = self.head.load(Ordering::Relaxed);
+        loop {
+            let (tag, top) = unpack(cur);
+            next[last as usize].store(top, Ordering::Relaxed);
+            let new = pack(tag.wrapping_add(1), first);
+            match self
+                .head
+                .compare_exchange_weak(cur, new, Ordering::Release, Ordering::Relaxed)
+            {
+                Ok(_) => return,
+                Err(now) => cur = now,
+            }
+        }
+    }
+
+    fn push(&self, next: &[AtomicU32], slot: u32) {
+        self.push_chain(next, slot, slot, 1);
+    }
+
+    fn pop(&self, next: &[AtomicU32]) -> Option<u32> {
+        let mut cur = self.head.load(Ordering::Acquire);
+        loop {
+            let (tag, top) = unpack(cur);
+            if top == NIL {
+                return None;
+            }
+            // Stale if `top` was popped meanwhile; the tag then fails the CAS.
+            let below = next[top as usize].load(Ordering::Relaxed);
+            let new = pack(tag.wrapping_add(1), below);
+            match self
+                .head
+                .compare_exchange_weak(cur, new, Ordering::Acquire, Ordering::Acquire)
+            {
+                Ok(_) => {
+                    self.len.fetch_sub(1, Ordering::Relaxed);
+                    return Some(top);
+                }
+                Err(now) => cur = now,
+            }
+        }
+    }
+
+    /// Detaches the whole stack with one CAS and returns the chain as
+    /// `(first, last, n)`, found by walking the now-private links. `len`
+    /// drops before the caller can push the chain anywhere else, so no
+    /// reader counts a slot on two stacks.
+    fn take_all(&self, next: &[AtomicU32]) -> Option<(u32, u32, usize)> {
+        let mut cur = self.head.load(Ordering::Acquire);
+        let first = loop {
+            let (tag, top) = unpack(cur);
+            if top == NIL {
+                return None;
+            }
+            let new = pack(tag.wrapping_add(1), NIL);
+            match self
+                .head
+                .compare_exchange_weak(cur, new, Ordering::Acquire, Ordering::Acquire)
+            {
+                Ok(_) => break top,
+                Err(now) => cur = now,
+            }
+        };
+        let (mut last, mut n) = (first, 1);
+        loop {
+            let below = next[last as usize].load(Ordering::Relaxed);
+            if below == NIL {
+                break;
+            }
+            (last, n) = (below, n + 1);
+        }
+        self.len.fetch_sub(n, Ordering::Relaxed);
+        Some((first, last, n))
+    }
+}
+
 /// One shared-memory arena segment (the thing a hugepage backs).
 pub(crate) struct ArenaSegment {
     name: String,
@@ -108,22 +238,26 @@ pub(crate) struct ArenaSegment {
     slab: Slab,
     slot_size: usize,
     capacity: usize,
-    /// Per-slot reference counts; 0 = slot is in a queue, not in flight.
+    /// Per-slot reference counts; 0 = slot is on a stack or never issued.
     refcounts: Box<[AtomicU32]>,
-    /// Owner-side freelist of slot indices.
-    free: ArrayQueue<u32>,
-    /// Credit-return ring: consumer mappings push finished slots here.
-    credit: ArrayQueue<u32>,
+    /// Stack links: the slot below each slot on whichever stack holds it.
+    next: Box<[AtomicU32]>,
+    /// Owner-side freelist.
+    free: CachePadded<SlotStack>,
+    /// Credit-return stack: consumer mappings push finished slots here.
+    credit: CachePadded<SlotStack>,
+    /// Slots `fresh..capacity` have never been issued.
+    fresh: AtomicUsize,
     // ---- counters ----
     allocs: AtomicU64,
     alloc_failures: AtomicU64,
     /// Direct freelist returns (owner mapping frees).
     frees: AtomicU64,
-    /// Returns via the credit ring (consumer mapping frees).
+    /// Returns via the credit stack (consumer mapping frees).
     credit_returns: AtomicU64,
-    /// Credits the owner has moved from the credit ring to the freelist.
+    /// Credits the owner has moved from the credit stack to the freelist.
     credits_reclaimed: AtomicU64,
-    /// Returns that fit neither queue — a buffer this segment never issued.
+    /// Releases of a slot nobody held or this segment never issued.
     foreign_frees: AtomicU64,
     /// Copy-on-write slot copies (a shared handle was mutated).
     cow_copies: AtomicU64,
@@ -134,63 +268,65 @@ pub(crate) struct ArenaSegment {
 }
 
 impl ArenaSegment {
-    fn return_slot(&self, slot: u32, via_credit: bool) {
-        if (slot as usize) >= self.capacity {
-            self.foreign_frees.fetch_add(1, Ordering::Relaxed);
-            events::emit("arena_foreign_free", 1);
-            return;
-        }
-        self.in_use.fetch_sub(1, Ordering::Relaxed);
-        if via_credit {
-            if self.credit.push(slot).is_ok() {
-                self.credit_returns.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        } else if self.free.push(slot).is_ok() {
-            self.frees.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Both queues are sized to capacity and every legitimate slot is in
-        // exactly one place, so a failed push means a double free or a slot
-        // from some other segment: observable, never silent.
-        self.in_use.fetch_add(1, Ordering::Relaxed);
+    fn foreign_free(&self) {
         self.foreign_frees.fetch_add(1, Ordering::Relaxed);
         events::emit("arena_foreign_free", 1);
     }
 
-    /// Drains the credit ring into the freelist; returns slots reclaimed.
+    fn return_slot(&self, slot: u32, via_credit: bool) {
+        self.in_use.fetch_sub(1, Ordering::Relaxed);
+        if via_credit {
+            self.credit.push(&self.next, slot);
+            self.credit_returns.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.free.push(&self.next, slot);
+            self.frees.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Moves the whole credit stack onto the freelist: one CAS detaches
+    /// it, one CAS splices it on. Returns slots reclaimed.
     fn reclaim_credits(&self) -> usize {
-        let mut n = 0;
-        while let Some(slot) = self.credit.pop() {
-            self.free
-                .push(slot)
-                .unwrap_or_else(|_| unreachable!("freelist sized to capacity"));
-            n += 1;
-        }
-        if n > 0 {
-            self.credits_reclaimed
-                .fetch_add(n as u64, Ordering::Relaxed);
-        }
+        let Some((first, last, n)) = self.credit.take_all(&self.next) else {
+            return 0;
+        };
+        self.free.push_chain(&self.next, first, last, n);
+        self.credits_reclaimed
+            .fetch_add(n as u64, Ordering::Relaxed);
         n
     }
 
+    /// Issues the next never-used slot, if any remain.
+    fn issue_fresh(&self) -> Option<u32> {
+        self.fresh
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| {
+                (f < self.capacity).then_some(f + 1)
+            })
+            .ok()
+            .map(|f| f as u32)
+    }
+
+    /// Freelist plus never-issued slots. The freelist is read first: a
+    /// slot counted there was issued before the watermark read, so the sum
+    /// never exceeds capacity.
+    fn available(&self) -> usize {
+        let free = self.free.len();
+        free + (self.capacity - self.fresh.load(Ordering::Acquire))
+    }
+
     fn take_slot(&self) -> Option<u32> {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                // Freelist dry: reclaim consumer credits in one batch, then
-                // retry. This is the producer-side half of the credit
-                // protocol — amortised, never per packet.
-                self.reclaim_credits();
-                match self.free.pop() {
-                    Some(s) => s,
-                    None => {
-                        self.alloc_failures.fetch_add(1, Ordering::Relaxed);
-                        events::emit("arena_alloc_failure", 1);
-                        return None;
-                    }
-                }
-            }
+        // Recycled slots before fresh ones: freelist, then (when dry) the
+        // consumers' credits in one batch — the producer-side half of the
+        // credit protocol, amortised, never per packet — and only then a
+        // slot never touched before.
+        let slot = self.free.pop(&self.next).or_else(|| {
+            self.reclaim_credits();
+            self.free.pop(&self.next).or_else(|| self.issue_fresh())
+        });
+        let Some(slot) = slot else {
+            self.alloc_failures.fetch_add(1, Ordering::Relaxed);
+            events::emit("arena_alloc_failure", 1);
+            return None;
         };
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.refcounts[slot as usize].store(1, Ordering::Release);
@@ -211,9 +347,10 @@ impl Drop for ArenaSegment {
 pub struct ArenaStats {
     pub capacity: usize,
     pub slot_size: usize,
-    /// Slots on the owner freelist right now.
+    /// Slots allocatable without a reclaim: on the owner freelist or never
+    /// issued.
     pub available: usize,
-    /// Slots parked on the credit ring, not yet reclaimed by the owner.
+    /// Slots parked on the credit stack, not yet reclaimed by the owner.
     pub credit_pending: usize,
     /// Slots in flight (allocated, not yet returned by either path).
     pub in_use: usize,
@@ -223,12 +360,13 @@ pub struct ArenaStats {
     pub alloc_failures: u64,
     /// Direct freelist returns (owner-mapping frees).
     pub frees: u64,
-    /// Returns through the credit ring (consumer-mapping frees).
+    /// Returns through the credit stack (consumer-mapping frees).
     pub credit_returns: u64,
     /// Credits the owner has folded back into the freelist.
     pub credits_reclaimed: u64,
-    /// Returned buffers this segment never issued (double free / cross-
-    /// segment confusion) — must stay 0 in a healthy system.
+    /// Releases of a slot nobody held or this segment never issued (a
+    /// double free through a stale or duplicated descriptor, cross-segment
+    /// confusion) — must stay 0 in a healthy system.
     pub foreign_frees: u64,
     /// Copy-on-write slot copies.
     pub cow_copies: u64,
@@ -241,7 +379,7 @@ pub struct ArenaStats {
 /// Clone is cheap; clones share the segment. The mapping created by
 /// [`Arena::new`] is the *owner* (frees go straight to the freelist);
 /// [`Arena::consumer`] derives a consumer mapping whose frees take the
-/// credit-return ring, the way a guest recycles a host-owned buffer.
+/// credit-return stack, the way a guest recycles a host-owned buffer.
 #[derive(Clone)]
 pub struct Arena {
     seg: Arc<ArenaSegment>,
@@ -275,20 +413,17 @@ fn next_segment_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Resolves a descriptor received from a ring into a live handle.
-///
-/// This is what a consumer does after dequeuing: look the segment up in its
-/// mapping table and rebind the offsets. The adopted handle recycles
-/// through the credit ring (the adopter is by definition not the owner's
-/// allocation path). Returns `None` — and counts `arena_adopt_failure` —
-/// when the segment has been torn down, the packet-loss mode a real
-/// unmap-under-traffic has.
-pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
-    let seg = segment_table()
+fn lookup_segment(segment_id: u64) -> Option<Arc<ArenaSegment>> {
+    segment_table()
         .lock()
         .unwrap()
-        .get(&desc.segment_id)
-        .and_then(Weak::upgrade);
+        .get(&segment_id)
+        .and_then(Weak::upgrade)
+}
+
+/// Rebinds `desc` onto its segment; counts `arena_adopt_failure` when the
+/// segment is gone.
+fn adopt_from(seg: Option<Arc<ArenaSegment>>, desc: MbufDesc) -> Option<ArenaMbuf> {
     match seg {
         Some(seg) => Some(ArenaMbuf::rebind(seg, desc, true)),
         None => {
@@ -298,27 +433,74 @@ pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
     }
 }
 
+/// Resolves a descriptor received from a ring into a live handle.
+///
+/// This is what a consumer does after dequeuing: look the segment up in the
+/// process-wide segment table and rebind the offsets. The adopted handle
+/// recycles through the credit stack (the adopter is by definition not the
+/// owner's allocation path). Returns `None` — and counts
+/// `arena_adopt_failure` — when the segment has been torn down, the
+/// packet-loss mode a real unmap-under-traffic has.
+///
+/// The table sits behind a process-wide mutex; per-packet receivers adopt
+/// through a [`Resolver`] instead, which consults it once per segment.
+pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
+    adopt_from(lookup_segment(desc.segment_id), desc)
+}
+
+/// A receiver's own mapping table, the in-process form of a guest mapping
+/// an ivshmem BAR once and then only doing offset arithmetic.
+///
+/// [`Resolver::adopt`] behaves exactly like [`adopt`], but resolves each
+/// segment id through the global table only the first time it is seen;
+/// after that a descriptor costs one `Weak::upgrade` — no lock, no hash.
+/// The cache holds `Weak`s so it never keeps an unmapped segment alive,
+/// and segment ids are never reused, so a dead entry means that segment is
+/// gone for good.
+#[derive(Default)]
+pub struct Resolver {
+    mapped: Vec<(u64, Weak<ArenaSegment>)>,
+}
+
+impl Resolver {
+    /// [`adopt`] through this table.
+    pub fn adopt(&mut self, desc: MbufDesc) -> Option<ArenaMbuf> {
+        let seg = match self.mapped.iter().find(|(id, _)| *id == desc.segment_id) {
+            Some((_, seg)) => seg.upgrade(),
+            None => {
+                // Cold path: a segment this receiver has not mapped yet.
+                // Forget any that have since been unmapped while here.
+                self.mapped.retain(|(_, seg)| seg.strong_count() > 0);
+                let seg = lookup_segment(desc.segment_id);
+                if let Some(seg) = &seg {
+                    self.mapped.push((desc.segment_id, Arc::downgrade(seg)));
+                }
+                seg
+            }
+        };
+        adopt_from(seg, desc)
+    }
+}
+
 impl Arena {
     /// Creates a new segment of `capacity` slots of `slot_size` bytes and
-    /// returns its owner mapping.
+    /// returns its owner mapping. No slot is touched: all start behind the
+    /// never-issued watermark.
     pub fn new(name: impl Into<String>, capacity: usize, slot_size: usize) -> Arena {
         assert!(capacity > 0, "arena capacity must be positive");
+        assert!(capacity < NIL as usize, "arena capacity exceeds slot index");
         assert!(slot_size > 0, "arena slot size must be positive");
-        let free = ArrayQueue::new(capacity);
-        for slot in 0..capacity {
-            free.push(slot as u32)
-                .unwrap_or_else(|_| unreachable!("queue sized to capacity"));
-        }
-        let refcounts = (0..capacity).map(|_| AtomicU32::new(0)).collect();
         let seg = Arc::new(ArenaSegment {
             name: name.into(),
             id: next_segment_id(),
             slab: Slab::new(capacity * slot_size),
             slot_size,
             capacity,
-            refcounts,
-            free,
-            credit: ArrayQueue::new(capacity),
+            refcounts: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
+            next: (0..capacity).map(|_| AtomicU32::new(NIL)).collect(),
+            free: CachePadded::new(SlotStack::new()),
+            credit: CachePadded::new(SlotStack::new()),
+            fresh: AtomicUsize::new(0),
             allocs: AtomicU64::new(0),
             alloc_failures: AtomicU64::new(0),
             frees: AtomicU64::new(0),
@@ -341,7 +523,7 @@ impl Arena {
     }
 
     /// Derives a consumer mapping: same segment, but frees (and frees of
-    /// buffers allocated through it) take the credit-return ring.
+    /// buffers allocated through it) take the credit-return stack.
     pub fn consumer(&self) -> Arena {
         Arena {
             seg: Arc::clone(&self.seg),
@@ -386,7 +568,7 @@ impl Arena {
         Some(m)
     }
 
-    /// Drains the credit-return ring into the freelist (owner-side batch
+    /// Moves the credit-return stack onto the freelist (owner-side batch
     /// reclaim); returns how many slots moved. Also runs implicitly when
     /// an allocation finds the freelist dry.
     pub fn reclaim_credits(&self) -> usize {
@@ -413,12 +595,13 @@ impl Arena {
         self.seg.slot_size
     }
 
-    /// Slots on the freelist right now (excludes unreclaimed credits).
+    /// Slots allocatable without a reclaim: on the freelist or never
+    /// issued (excludes unreclaimed credits).
     pub fn available(&self) -> usize {
-        self.seg.free.len()
+        self.seg.available()
     }
 
-    /// Slots parked on the credit ring awaiting owner reclaim.
+    /// Slots parked on the credit stack awaiting owner reclaim.
     pub fn credit_pending(&self) -> usize {
         self.seg.credit.len()
     }
@@ -434,7 +617,7 @@ impl Arena {
         ArenaStats {
             capacity: s.capacity,
             slot_size: s.slot_size,
-            available: s.free.len(),
+            available: s.available(),
             credit_pending: s.credit.len(),
             in_use: s.in_use.load(Ordering::Relaxed),
             high_water: s.high_water.load(Ordering::Relaxed),
@@ -449,8 +632,9 @@ impl Arena {
         }
     }
 
-    /// Zero-leak census: true when every slot is accounted for in the
-    /// freelist or the credit ring and nothing foreign ever came back.
+    /// Zero-leak census: true when every slot is accounted for — on the
+    /// freelist, on the credit stack or never issued — and nothing foreign
+    /// ever came back.
     pub fn census_clean(&self) -> bool {
         self.in_use() == 0
             && self.available() + self.credit_pending() == self.capacity()
@@ -514,7 +698,7 @@ impl ArenaMbuf {
     }
 
     /// Adds a reader: both handles see the same bytes, the slot returns to
-    /// its queue exactly once, when the last handle drops.
+    /// its stack exactly once, when the last handle drops.
     pub fn clone_ref(&self) -> ArenaMbuf {
         self.refcount().fetch_add(1, Ordering::AcqRel);
         ArenaMbuf {
@@ -679,10 +863,29 @@ impl ArenaMbuf {
     }
 }
 
-fn release_ref(seg: &Arc<ArenaSegment>, slot: u32, via_credit: bool) {
-    let prev = seg.refcounts[slot as usize].fetch_sub(1, Ordering::AcqRel);
-    debug_assert!(prev >= 1, "arena refcount underflow on slot {slot}");
-    if prev == 1 {
+/// Drops one reference to `slot`; the last one returns it to a stack.
+///
+/// A CAS loop, not `fetch_sub`: releasing a slot nobody holds — a stale or
+/// duplicated descriptor, since `MbufDesc` is `Copy` — is counted as a
+/// foreign free and touches neither stack. Pushing it again would link the
+/// slot into a cycle.
+fn release_ref(seg: &ArenaSegment, slot: u32, via_credit: bool) {
+    let Some(refcount) = seg.refcounts.get(slot as usize) else {
+        seg.foreign_free();
+        return;
+    };
+    let mut held = refcount.load(Ordering::Relaxed);
+    loop {
+        if held == 0 {
+            seg.foreign_free();
+            return;
+        }
+        match refcount.compare_exchange_weak(held, held - 1, Ordering::AcqRel, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(now) => held = now,
+        }
+    }
+    if held == 1 {
         seg.return_slot(slot, via_credit);
     }
 }
@@ -873,5 +1076,73 @@ mod tests {
         assert_eq!(sum, (0..1000u64).map(|i| i % 251).sum::<u64>());
         a.reclaim_credits();
         assert!(a.census_clean());
+    }
+
+    #[test]
+    fn a_duplicated_descriptor_frees_once_and_counts_the_rest() {
+        let a = arena(4);
+        let desc = a.alloc_from(&[1]).unwrap().into_desc();
+        let (first, second) = (adopt(desc).unwrap(), adopt(desc).unwrap());
+        drop(first);
+        drop(second); // the slot's only reference is already gone
+        let s = a.stats();
+        assert_eq!(s.foreign_frees, 1);
+        assert_eq!(s.in_use, 0);
+        assert_eq!(s.available + s.credit_pending, 4, "slot returned once");
+        let live: Vec<_> = (0..4).map(|_| a.alloc().expect("no slot lost")).collect();
+        let mut slots: Vec<u32> = live.iter().map(ArenaMbuf::slot).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), 4, "a slot was issued twice: {slots:?}");
+        assert!(a.alloc().is_none());
+    }
+
+    #[test]
+    fn a_new_arena_issues_nothing_and_is_census_clean() {
+        let a = Arena::new("lazy", 16_384, 256);
+        assert_eq!(a.available(), a.capacity());
+        assert_eq!(a.credit_pending(), 0);
+        assert!(a.census_clean());
+        assert_eq!(a.stats().allocs, 0);
+    }
+
+    #[test]
+    fn lifo_recycling_keeps_the_working_set_small() {
+        let a = Arena::new("lifo", 16_384, 256);
+        let mut consumer = Resolver::default();
+        let mut issued = std::collections::HashSet::new();
+        let mut burst = Vec::with_capacity(32);
+        for _ in 0..10_000 {
+            burst.extend((0..32).map(|_| a.alloc().unwrap().into_desc()));
+            for desc in burst.drain(..) {
+                issued.insert(desc.slot);
+                drop(consumer.adopt(desc).unwrap()); // credit-stack free
+            }
+        }
+        assert!(
+            issued.len() <= 64,
+            "{} distinct slots for 32 in flight",
+            issued.len()
+        );
+        let s = a.stats();
+        assert_eq!(s.allocs, 320_000);
+        assert_eq!(s.credit_returns, 320_000);
+        assert!(a.census_clean(), "census: {s:?}");
+    }
+
+    #[test]
+    fn resolver_maps_each_segment_once_and_holds_none_alive() {
+        let (x, y) = (arena(4), arena(4));
+        let mut r = Resolver::default();
+        for from in [&x, &y, &x, &y] {
+            let m = r.adopt(from.alloc_from(&[7]).unwrap().into_desc()).unwrap();
+            assert_eq!((m.segment_id(), m.data()), (from.segment_id(), &[7][..]));
+        }
+        assert_eq!(r.mapped.len(), 2);
+        let (weak_x, desc) = (x.weak(), x.alloc().unwrap().into_desc());
+        drop(x);
+        assert!(weak_x.upgrade().is_none(), "the resolver kept x alive");
+        assert!(r.adopt(desc).is_none(), "a dead segment adopts to None");
+        assert!(y.census_clean());
     }
 }

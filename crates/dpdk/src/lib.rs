@@ -2,7 +2,7 @@
 //!
 //! A faithful, process-local substitute for the slice of DPDK that the paper's
 //! system depends on: packet buffers ([`Mbuf`]) recycled through fixed-size
-//! pools ([`Mempool`]), lock-free rings with DPDK burst semantics
+//! pools ([`Mempool`]), rings with DPDK burst semantics
 //! ([`ring`]), a poll-mode device trait ([`EthDev`]) and a TSC-style cycle
 //! clock ([`cycles`]).
 //!
@@ -15,16 +15,18 @@
 //!   compile error rather than a data race.
 //! * Where DPDK offers multi-producer rings (e.g. several PMD threads feeding
 //!   one port) the [`ring::MpmcRing`] wrapper delegates to
-//!   `crossbeam::queue::ArrayQueue`, a proven lock-free MPMC queue, rather
-//!   than re-deriving the rte_ring CAS protocol — same contract, lower risk.
+//!   `crossbeam::queue::ArrayQueue` rather than re-deriving the rte_ring CAS
+//!   protocol. The vendored `ArrayQueue` (`shims/crossbeam`) is a
+//!   `Mutex<VecDeque>`, not the lock-free original: same contract, but a
+//!   lock per operation, so nothing on a per-packet path uses it.
 //! * Mbufs carry the few metadata fields the reproduction needs (input port,
 //!   a 64-bit user scratch word and a timestamp), and return their buffer to
 //!   the owning pool on drop, exactly like `rte_pktmbuf_free`.
 //! * The shared-memory highway allocates from [`Arena`] segments whose
 //!   handles are **offset-based** ([`MbufDesc`]): valid in any process that
-//!   maps the segment, with refcounted multi-reader handoff and a
-//!   credit-return ring for cross-mapping recycling — the representation an
-//!   ivshmem BAR actually permits.
+//!   maps the segment, with refcounted multi-reader handoff and lock-free
+//!   LIFO slot stacks (freelist and credit return) for cross-mapping
+//!   recycling — the representation an ivshmem BAR actually permits.
 
 pub mod arena;
 pub mod cycles;

@@ -31,7 +31,7 @@ enum Storage {
 ///
 /// Owns a byte buffer; when dropped, a pooled mbuf returns its buffer to
 /// the originating [`crate::Mempool`], an arena-backed mbuf releases its
-/// slot reference back to the [`crate::Arena`] (freelist or credit ring).
+/// slot reference back to the [`crate::Arena`] (freelist or credit stack).
 /// Detached mbufs (created via [`Mbuf::from_vec`]) simply free their
 /// memory — convenient for tests.
 pub struct Mbuf {

@@ -1,14 +1,16 @@
-//! Lock-free rings with DPDK burst semantics.
+//! Rings with DPDK burst semantics.
 //!
-//! [`spsc_ring`] is a bespoke single-producer/single-consumer bounded queue —
-//! the exact topology of a `dpdkr` port ring and of the paper's bypass
-//! channels (one VM produces, one consumer drains). The producer and consumer
-//! sides are *owned handles*, so the single-producer/single-consumer
-//! discipline is enforced by the type system instead of by convention.
+//! [`spsc_ring`] is a bespoke lock-free single-producer/single-consumer
+//! bounded queue — the exact topology of a `dpdkr` port ring and of the
+//! paper's bypass channels (one VM produces, one consumer drains). The
+//! producer and consumer sides are *owned handles*, so the
+//! single-producer/single-consumer discipline is enforced by the type system
+//! instead of by convention.
 //!
 //! [`MpmcRing`] covers the remaining multi-producer cases (e.g. several PMD
 //! threads injecting `packet-out`s into one port) by wrapping crossbeam's
-//! proven `ArrayQueue`.
+//! `ArrayQueue`. The vendored one (`shims/crossbeam`) takes a mutex per
+//! operation; swapping in the real crate makes it lock-free.
 
 use crossbeam::queue::ArrayQueue;
 use crossbeam::utils::CachePadded;

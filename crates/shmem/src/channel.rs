@@ -9,13 +9,15 @@
 //! enqueued as its POD [`MbufDesc`] — segment id plus offsets, the only
 //! representation valid on both sides of an ivshmem BAR — so a hop moves
 //! ~32 bytes of descriptor while the payload stays put in the shared slab
-//! (the zero-copy hop). Heap-backed mbufs still travel by value, keeping
-//! every legacy producer working. Each direction has a batched
+//! (the zero-copy hop). The receiving endpoint resolves a segment id once,
+//! through its own [`Resolver`], and adopts every later descriptor from
+//! that segment without a lock. Heap-backed mbufs still travel by value,
+//! keeping every legacy producer working. Each direction has a batched
 //! [`Doorbell`]: senders accumulate notifications and ring once per burst
 //! instead of once per packet.
 
 use crate::doorbell::Doorbell;
-use dpdk_sim::arena::adopt;
+use dpdk_sim::arena::{adopt, Resolver};
 use dpdk_sim::{spsc_ring, Mbuf, MbufDesc, SpscConsumer, SpscProducer};
 
 /// What a ring slot carries: an owned heap mbuf, or an arena descriptor
@@ -48,8 +50,9 @@ impl PktSlot {
 impl Drop for PktSlot {
     fn drop(&mut self) {
         if let Some(PktSlotKind::Desc(desc)) = self.0.take() {
-            // Adopt-and-free: the arena slot travels the credit ring home.
-            // A dead segment yields None, which is already accounted.
+            // Adopt-and-free: the arena slot travels the credit stack home.
+            // A dead segment yields None, which is already accounted. Ring
+            // teardown only, so the global segment table is fine here.
             drop(adopt(desc));
         }
     }
@@ -76,6 +79,9 @@ pub struct ChannelEnd {
     tx_bell: Doorbell,
     /// Doorbell the peer rings toward this endpoint (consumer side).
     rx_bell: Doorbell,
+    /// The arena segments this endpoint has received from, each resolved
+    /// once (the receiver's BAR mapping).
+    segments: Resolver,
     stats: ChannelEndStats,
 }
 
@@ -95,6 +101,7 @@ pub fn channel(name: impl Into<String>, depth: usize) -> (ChannelEnd, ChannelEnd
             rx: a_rx,
             tx_bell: ab_bell.clone(),
             rx_bell: ba_bell.clone(),
+            segments: Resolver::default(),
             stats: ChannelEndStats::default(),
         },
         ChannelEnd {
@@ -103,6 +110,7 @@ pub fn channel(name: impl Into<String>, depth: usize) -> (ChannelEnd, ChannelEnd
             rx: b_rx,
             tx_bell: ba_bell,
             rx_bell: ab_bell,
+            segments: Resolver::default(),
             stats: ChannelEndStats::default(),
         },
     )
@@ -130,7 +138,7 @@ impl ChannelEnd {
     fn mbuf_of(&mut self, slot: PktSlot) -> Option<Mbuf> {
         match slot.take_kind() {
             PktSlotKind::Boxed(m) => Some(m),
-            PktSlotKind::Desc(desc) => match adopt(desc) {
+            PktSlotKind::Desc(desc) => match self.segments.adopt(desc) {
                 Some(am) => Some(Mbuf::from_arena(am)),
                 None => {
                     self.stats.unmapped_drops += 1;
@@ -356,6 +364,47 @@ mod tests {
         let got = b.recv().expect("recv skips the dead desc");
         assert_eq!(got.data(), &[2]);
         assert_eq!(b.stats().unmapped_drops, 1);
+    }
+
+    #[test]
+    fn resolved_segment_is_not_kept_alive_by_the_receiver() {
+        let arena = Arena::new("chan-cached", 4, 256);
+        let weak = arena.weak();
+        let (mut a, mut b) = channel("t", 8);
+        a.send(Mbuf::from_arena(arena.alloc_from(&[1]).unwrap()))
+            .unwrap();
+        drop(b.recv().unwrap()); // `b` has now resolved the segment
+        a.send(Mbuf::from_arena(arena.alloc_from(&[2]).unwrap()))
+            .unwrap();
+        drop(arena); // owner and every handle gone, one descriptor in flight
+        assert!(weak.upgrade().is_none(), "the receiver kept it mapped");
+        assert!(b.recv().is_none());
+        assert_eq!(b.stats().unmapped_drops, 1);
+    }
+
+    #[test]
+    fn one_burst_from_two_arenas_resolves_each() {
+        let (x, y) = (Arena::new("chan-x", 8, 256), Arena::new("chan-y", 8, 256));
+        let (mut a, mut b) = channel("t", 16);
+        let mut pkts: Vec<Mbuf> = (0u8..8)
+            .map(|i| {
+                let from = if i % 2 == 0 { &x } else { &y };
+                Mbuf::from_arena(from.alloc_from(&[i, i]).unwrap())
+            })
+            .collect();
+        assert_eq!(a.send_burst(&mut pkts), 8);
+        let mut out = Vec::new();
+        assert_eq!(b.recv_burst(&mut out, 16), 8);
+        for (i, m) in (0u8..).zip(&out) {
+            let from = if i % 2 == 0 { &x } else { &y };
+            assert_eq!(m.arena_segment_id(), Some(from.segment_id()));
+            assert_eq!(m.data(), &[i, i]);
+        }
+        drop(out);
+        for arena in [&x, &y] {
+            arena.reclaim_credits();
+            assert!(arena.census_clean(), "census: {:?}", arena.stats());
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl DeviceBoard {
     }
 
     /// Host side: maps the packet arena into the VM (as a consumer
-    /// mapping — the guest recycles buffers through the credit ring).
+    /// mapping — the guest recycles buffers through the credit stack).
     /// Idempotent for the same segment; a re-plug simply replaces it.
     pub fn set_arena(&self, arena: &dpdk_sim::Arena) {
         *self.arena.lock() = Some(arena.consumer());

@@ -44,8 +44,8 @@ pub struct PoolStats {
     pub name: String,
     pub kind: PoolKind,
     pub capacity: usize,
-    /// Buffers immediately allocatable (arena: freelist only, excludes
-    /// unreclaimed credits).
+    /// Buffers immediately allocatable (arena: freelist plus never-issued
+    /// slots, excludes unreclaimed credits).
     pub available: usize,
     pub in_use: usize,
     /// Highest `in_use` ever observed (mempools derive it as capacity
@@ -56,7 +56,7 @@ pub struct PoolStats {
     pub alloc_failures: u64,
     pub frees: u64,
     pub foreign_frees: u64,
-    /// Arena-only: frees routed through the credit-return ring.
+    /// Arena-only: frees routed through the credit-return stack.
     pub credit_returns: u64,
     /// Arena-only: credits the owner folded back into the freelist.
     pub credits_reclaimed: u64,
