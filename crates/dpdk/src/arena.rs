@@ -6,9 +6,10 @@
 //! `(segment_id, offset, length)`. This module models exactly that:
 //!
 //! * `ArenaSegment` (internal) — one contiguous slab carved into
-//!   fixed-size slots, one refcount per slot for multi-reader handoff, and
-//!   two lock-free LIFO stacks of slot indices linked through one shared
-//!   `next[]` array: the owner's **freelist** and the **credit stack**.
+//!   fixed-size slots, one `held` flag per slot (the double-free guard),
+//!   and two lock-free LIFO stacks of slot indices linked through one
+//!   shared `next[]` array: the owner's **freelist** and the **credit
+//!   stack**.
 //!   Consumers that finish with a buffer push its slot onto the credit
 //!   stack instead of the freelist, so recycling never contends with the
 //!   producer's pops; when the freelist runs dry the producer detaches the
@@ -21,9 +22,11 @@
 //!   mappings ([`Arena::consumer`]) free through the credit stack, like a
 //!   guest that must not write the host's freelist head.
 //! * [`ArenaMbuf`] — an RAII packet handle over one slot: offset-based,
-//!   refcounted ([`ArenaMbuf::clone_ref`]), and convertible to/from the POD
-//!   [`MbufDesc`] that rides rings between mappings (descriptor-only
-//!   enqueue — the zero-copy hop).
+//!   the slot's only owner, and convertible to/from the POD [`MbufDesc`]
+//!   that rides rings between mappings (descriptor-only enqueue — the
+//!   zero-copy hop). Ownership moves with the handle or the descriptor; it
+//!   is never shared, so a packet sent to several ports is copied (see
+//!   `Mbuf::duplicate`).
 //! * [`Resolver`] — a receiver's table of the segments it has mapped: a
 //!   descriptor from a known segment adopts with one `Weak::upgrade`; the
 //!   process-wide segment table behind [`adopt`] is the cold path for an
@@ -39,7 +42,7 @@ use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::mem::ManuallyDrop;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Headroom reserved at the front of every arena slot, mirroring
@@ -75,14 +78,15 @@ impl MbufDesc {
 }
 
 /// The slab: interior-mutable so multiple handles can address disjoint
-/// slots concurrently. Slot disjointness plus the per-slot refcount
-/// protocol (mutable access only at refcount 1, through `&mut` handles)
-/// guarantee no byte is ever aliased mutably.
+/// slots concurrently. Each issued slot has exactly one owner — the
+/// `ArenaMbuf` (or the in-flight descriptor) that holds it — so no byte is
+/// ever aliased mutably.
 struct Slab(Box<[UnsafeCell<u8>]>);
 
-// SAFETY: all access goes through ArenaMbuf, which only hands out `&mut`
-// bytes for a slot whose refcount is 1 and only through a `&mut` handle;
-// shared reads of a slot are fine concurrently.
+// SAFETY: all access goes through ArenaMbuf. A slot's bytes are reachable
+// only through the one handle that holds it, mutably only through `&mut`
+// to that handle; a slot is reissued only after its holder released it.
+// This assumes each descriptor is adopted once (see `adopt`).
 unsafe impl Sync for Slab {}
 unsafe impl Send for Slab {}
 
@@ -238,8 +242,9 @@ pub(crate) struct ArenaSegment {
     slab: Slab,
     slot_size: usize,
     capacity: usize,
-    /// Per-slot reference counts; 0 = slot is on a stack or never issued.
-    refcounts: Box<[AtomicU32]>,
+    /// Per-slot ownership: set while a handle or descriptor holds the
+    /// slot; clear when it is on a stack or never issued.
+    held: Box<[AtomicBool]>,
     /// Stack links: the slot below each slot on whichever stack holds it.
     next: Box<[AtomicU32]>,
     /// Owner-side freelist.
@@ -259,8 +264,6 @@ pub(crate) struct ArenaSegment {
     credits_reclaimed: AtomicU64,
     /// Releases of a slot nobody held or this segment never issued.
     foreign_frees: AtomicU64,
-    /// Copy-on-write slot copies (a shared handle was mutated).
-    cow_copies: AtomicU64,
     /// Mutable-byte accesses to the slab (the zero-copy census probe).
     slab_writes: AtomicU64,
     in_use: AtomicUsize,
@@ -329,7 +332,7 @@ impl ArenaSegment {
             return None;
         };
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.refcounts[slot as usize].store(1, Ordering::Release);
+        self.held[slot as usize].store(true, Ordering::Release);
         let now = self.in_use.fetch_add(1, Ordering::Relaxed) + 1;
         self.high_water.fetch_max(now, Ordering::Relaxed);
         Some(slot)
@@ -368,7 +371,8 @@ pub struct ArenaStats {
     /// double free through a stale or duplicated descriptor, cross-segment
     /// confusion) — must stay 0 in a healthy system.
     pub foreign_frees: u64,
-    /// Copy-on-write slot copies.
+    /// Always 0: slots are never shared, so nothing copies on write. Kept
+    /// for readers that still report it.
     pub cow_copies: u64,
     /// Mutable-byte accesses to the slab since creation.
     pub slab_writes: u64,
@@ -422,11 +426,19 @@ fn lookup_segment(segment_id: u64) -> Option<Arc<ArenaSegment>> {
 }
 
 /// Rebinds `desc` onto its segment; counts `arena_adopt_failure` when the
-/// segment is gone.
+/// segment is gone or the descriptor does not lie inside one of its slots.
+///
+/// A corrupt descriptor is not released either: none of its fields can be
+/// trusted, so the slot it names (if any) stays held and shows up in the
+/// census instead of being freed on a guess.
 fn adopt_from(seg: Option<Arc<ArenaSegment>>, desc: MbufDesc) -> Option<ArenaMbuf> {
+    let fits = |seg: &ArenaSegment| {
+        (desc.slot as usize) < seg.capacity
+            && desc.data_off as usize + desc.len as usize <= seg.slot_size
+    };
     match seg {
-        Some(seg) => Some(ArenaMbuf::rebind(seg, desc, true)),
-        None => {
+        Some(seg) if fits(&seg) => Some(ArenaMbuf::rebind(seg, desc, true)),
+        _ => {
             events::emit("arena_adopt_failure", 1);
             None
         }
@@ -440,7 +452,13 @@ fn adopt_from(seg: Option<Arc<ArenaSegment>>, desc: MbufDesc) -> Option<ArenaMbu
 /// recycles through the credit stack (the adopter is by definition not the
 /// owner's allocation path). Returns `None` — and counts
 /// `arena_adopt_failure` — when the segment has been torn down, the
-/// packet-loss mode a real unmap-under-traffic has.
+/// packet-loss mode a real unmap-under-traffic has, or when the
+/// descriptor's slot and layout do not fit the segment.
+///
+/// A descriptor carries its slot's ownership, so adopt it once. `MbufDesc`
+/// is `Copy`, and nothing here detects a second adoption of the same
+/// descriptor: the two handles would alias one slot. Only the second
+/// release is caught (a foreign free).
 ///
 /// The table sits behind a process-wide mutex; per-packet receivers adopt
 /// through a [`Resolver`] instead, which consults it once per segment.
@@ -496,7 +514,7 @@ impl Arena {
             slab: Slab::new(capacity * slot_size),
             slot_size,
             capacity,
-            refcounts: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
+            held: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
             next: (0..capacity).map(|_| AtomicU32::new(NIL)).collect(),
             free: CachePadded::new(SlotStack::new()),
             credit: CachePadded::new(SlotStack::new()),
@@ -507,7 +525,6 @@ impl Arena {
             credit_returns: AtomicU64::new(0),
             credits_reclaimed: AtomicU64::new(0),
             foreign_frees: AtomicU64::new(0),
-            cow_copies: AtomicU64::new(0),
             slab_writes: AtomicU64::new(0),
             in_use: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
@@ -627,7 +644,7 @@ impl Arena {
             credit_returns: s.credit_returns.load(Ordering::Relaxed),
             credits_reclaimed: s.credits_reclaimed.load(Ordering::Relaxed),
             foreign_frees: s.foreign_frees.load(Ordering::Relaxed),
-            cow_copies: s.cow_copies.load(Ordering::Relaxed),
+            cow_copies: 0,
             slab_writes: s.slab_writes.load(Ordering::Relaxed),
         }
     }
@@ -655,7 +672,8 @@ impl std::fmt::Debug for Arena {
     }
 }
 
-/// An offset-based, refcounted packet handle over one arena slot.
+/// An offset-based packet handle that owns one arena slot. It moves; it is
+/// never cloned, so the slot has exactly one holder until it is released.
 pub struct ArenaMbuf {
     seg: Arc<ArenaSegment>,
     slot: u32,
@@ -688,33 +706,8 @@ impl ArenaMbuf {
         self.slot as usize * self.seg.slot_size
     }
 
-    fn refcount(&self) -> &AtomicU32 {
-        &self.seg.refcounts[self.slot as usize]
-    }
-
-    /// True when this handle is the slot's only reference.
-    pub fn is_unique(&self) -> bool {
-        self.refcount().load(Ordering::Acquire) == 1
-    }
-
-    /// Adds a reader: both handles see the same bytes, the slot returns to
-    /// its stack exactly once, when the last handle drops.
-    pub fn clone_ref(&self) -> ArenaMbuf {
-        self.refcount().fetch_add(1, Ordering::AcqRel);
-        ArenaMbuf {
-            seg: Arc::clone(&self.seg),
-            slot: self.slot,
-            via_credit: self.via_credit,
-            data_off: self.data_off,
-            data_len: self.data_len,
-            port: self.port,
-            udata: self.udata,
-            timestamp: self.timestamp,
-        }
-    }
-
     /// Converts the handle into its ring descriptor *without* releasing the
-    /// slot: the reference moves into the descriptor, to be resurrected by
+    /// slot: ownership moves into the descriptor, to be resurrected by
     /// [`adopt`] on the other side. This is the descriptor-only enqueue.
     pub fn into_desc(self) -> MbufDesc {
         let mut this = ManuallyDrop::new(self);
@@ -728,16 +721,16 @@ impl ArenaMbuf {
             timestamp: this.timestamp,
         };
         // Release the mapping Arc without running ArenaMbuf::drop — the
-        // slot's refcount travels inside the descriptor, not the Arc.
+        // slot's ownership travels inside the descriptor, not the Arc.
         // SAFETY: `this` is ManuallyDrop, so `seg` is dropped exactly once.
         unsafe { std::ptr::drop_in_place(&mut this.seg) };
         desc
     }
 
-    /// Packet bytes (shared read; any number of clones may read).
+    /// Packet bytes.
     pub fn data(&self) -> &[u8] {
-        // SAFETY: mutable access requires refcount == 1 plus &mut, so no
-        // &mut alias can exist while shared handles read.
+        // SAFETY: this handle is the slot's only owner, so the only `&mut`
+        // to these bytes would need `&mut self`, which `&self` excludes.
         unsafe {
             self.seg
                 .slab
@@ -745,16 +738,10 @@ impl ArenaMbuf {
         }
     }
 
-    /// Mutable packet bytes. Panics on a shared slot — callers either hold
-    /// a unique handle or go through [`ArenaMbuf::make_unique`] /
-    /// the `Mbuf` wrapper's copy-on-write first.
+    /// Mutable packet bytes. Counted as a slab write.
     pub fn data_mut(&mut self) -> &mut [u8] {
-        assert!(
-            self.is_unique(),
-            "data_mut on a shared arena mbuf; make_unique() first"
-        );
         self.seg.slab_writes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: refcount == 1 and we hold &mut — exclusive.
+        // SAFETY: the slot's only owner, held through `&mut` — exclusive.
         unsafe {
             self.seg
                 .slab
@@ -769,48 +756,15 @@ impl ArenaMbuf {
         unsafe { self.seg.slab.slice(self.slot_base(), self.seg.slot_size) }
     }
 
-    /// The whole slot as mutable bytes; unique handles only (see
-    /// [`ArenaMbuf::data_mut`]). Counted as a slab write.
+    /// The whole slot as mutable bytes. Counted as a slab write.
     pub fn slot_bytes_mut(&mut self) -> &mut [u8] {
-        assert!(
-            self.is_unique(),
-            "slot_bytes_mut on a shared arena mbuf; make_unique() first"
-        );
         self.seg.slab_writes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: refcount == 1 and we hold &mut — exclusive.
+        // SAFETY: as in `data_mut`.
         unsafe {
             self.seg
                 .slab
                 .slice_mut(self.slot_base(), self.seg.slot_size)
         }
-    }
-
-    /// Copy-on-write: if the slot is shared, moves this handle onto a
-    /// fresh slot with a private copy of the bytes. Returns `false` (handle
-    /// untouched, still shared) when the arena is exhausted — callers with
-    /// a fallback (the `Mbuf` wrapper detaches to a heap copy) handle that.
-    pub fn make_unique(&mut self) -> bool {
-        if self.is_unique() {
-            return true;
-        }
-        let Some(new_slot) = self.seg.take_slot() else {
-            return false;
-        };
-        let (base_old, base_new) = (self.slot_base(), new_slot as usize * self.seg.slot_size);
-        self.seg.cow_copies.fetch_add(1, Ordering::Relaxed);
-        self.seg.slab_writes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: new_slot was just allocated (exclusive); the old slot is
-        // only read, which shared handles permit. Slots are disjoint.
-        unsafe {
-            let src = self.seg.slab.slice(base_old, self.seg.slot_size);
-            let dst = self.seg.slab.slice_mut(base_new, self.seg.slot_size);
-            dst.copy_from_slice(src);
-        }
-        // Release our reference to the shared slot, keep the new one.
-        let old = self.slot;
-        self.slot = new_slot;
-        release_ref(&self.seg, old, self.via_credit);
-        true
     }
 
     /// Current packet length.
@@ -863,36 +817,24 @@ impl ArenaMbuf {
     }
 }
 
-/// Drops one reference to `slot`; the last one returns it to a stack.
+/// Returns `slot` to a stack, clearing its `held` flag.
 ///
-/// A CAS loop, not `fetch_sub`: releasing a slot nobody holds — a stale or
-/// duplicated descriptor, since `MbufDesc` is `Copy` — is counted as a
-/// foreign free and touches neither stack. Pushing it again would link the
-/// slot into a cycle.
-fn release_ref(seg: &ArenaSegment, slot: u32, via_credit: bool) {
-    let Some(refcount) = seg.refcounts.get(slot as usize) else {
-        seg.foreign_free();
-        return;
-    };
-    let mut held = refcount.load(Ordering::Relaxed);
-    loop {
-        if held == 0 {
-            seg.foreign_free();
-            return;
-        }
-        match refcount.compare_exchange_weak(held, held - 1, Ordering::AcqRel, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(now) => held = now,
-        }
-    }
-    if held == 1 {
-        seg.return_slot(slot, via_credit);
+/// Releasing a slot nobody holds — a stale or duplicated descriptor, since
+/// `MbufDesc` is `Copy` — is counted as a foreign free and touches neither
+/// stack, as is a slot past the segment's end. Pushing it again would link
+/// the slot into a cycle. The `AcqRel` swap pairs with the `Release` store
+/// that issued the slot, so the holder's writes to the bytes happen before
+/// the slot can be issued again (the stacks' CASes publish them too).
+fn release(seg: &ArenaSegment, slot: u32, via_credit: bool) {
+    match seg.held.get(slot as usize) {
+        Some(held) if held.swap(false, Ordering::AcqRel) => seg.return_slot(slot, via_credit),
+        _ => seg.foreign_free(),
     }
 }
 
 impl Drop for ArenaMbuf {
     fn drop(&mut self) {
-        release_ref(&self.seg, self.slot, self.via_credit);
+        release(&self.seg, self.slot, self.via_credit);
     }
 }
 
@@ -902,7 +844,6 @@ impl std::fmt::Debug for ArenaMbuf {
             .field("segment", &self.seg.id)
             .field("slot", &self.slot)
             .field("len", &self.data_len)
-            .field("unique", &self.is_unique())
             .field("via_credit", &self.via_credit)
             .finish()
     }
@@ -968,22 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_ref_returns_slot_exactly_once() {
-        let a = arena(2);
-        let m = a.alloc_from(&[9; 16]).unwrap();
-        let c1 = m.clone_ref();
-        let c2 = c1.clone_ref();
-        assert!(!m.is_unique());
-        drop(m);
-        drop(c1);
-        assert_eq!(a.in_use(), 1, "slot still held by last clone");
-        assert_eq!(c2.data(), &[9; 16]);
-        drop(c2);
-        assert!(a.census_clean());
-        assert_eq!(a.stats().frees + a.stats().credit_returns, 1);
-    }
-
-    #[test]
     fn descriptor_roundtrip_preserves_bytes_and_metadata() {
         let a = arena(2);
         let mut m = a.alloc_from(&[7, 8, 9]).unwrap();
@@ -995,7 +920,7 @@ mod tests {
         let got = adopt(desc).unwrap();
         assert_eq!(got.data(), &[7, 8, 9]);
         assert_eq!((got.port, got.udata, got.timestamp), (5, 0xfeed, 77));
-        assert_eq!(a.in_use(), 1, "descriptor held the reference");
+        assert_eq!(a.in_use(), 1, "descriptor held the slot");
     }
 
     #[test]
@@ -1007,37 +932,41 @@ mod tests {
     }
 
     #[test]
-    fn cow_gives_a_private_copy() {
-        let a = arena(4);
-        let mut m = a.alloc_from(&[1, 1, 1]).unwrap();
-        let reader = m.clone_ref();
-        assert!(m.make_unique());
-        m.data_mut()[0] = 42;
-        assert_eq!(reader.data(), &[1, 1, 1], "reader unaffected");
-        assert_eq!(m.data(), &[42, 1, 1]);
-        assert_eq!(a.stats().cow_copies, 1);
-        drop((m, reader));
-        assert!(a.census_clean());
+    fn a_descriptor_outside_its_segment_does_not_adopt() {
+        // 64 B slots: slot 0 with data_off 32 and len 72 would read into
+        // slot 1; slot 4 of a 4-slot segment would read past the slab.
+        let a = Arena::new("bounds", 4, 64);
+        let mut resolver = Resolver::default();
+        let good = a.alloc_from(&[1; 16]).unwrap().into_desc();
+        let past_slot = MbufDesc {
+            data_off: 32,
+            len: 72,
+            ..good
+        };
+        let past_slab = MbufDesc { slot: 4, ..good };
+        for bad in [past_slot, past_slab] {
+            assert!(adopt(bad).is_none(), "adopted {bad:?}");
+            assert!(resolver.adopt(bad).is_none(), "resolved {bad:?}");
+        }
+        let edge = MbufDesc {
+            data_off: 32,
+            len: 32,
+            ..good
+        };
+        assert_eq!(resolver.adopt(edge).expect("fits exactly").len(), 32);
+        let s = a.stats();
+        assert_eq!((s.foreign_frees, s.in_use), (0, 0), "census: {s:?}");
     }
 
     #[test]
-    fn cow_fails_when_exhausted_without_corrupting() {
-        let a = arena(1);
-        let mut m = a.alloc_from(&[5]).unwrap();
-        let reader = m.clone_ref();
-        assert!(!m.make_unique(), "no free slot for the copy");
-        assert_eq!(reader.data(), &[5]);
-        drop((m, reader));
-        assert!(a.census_clean());
-    }
-
-    #[test]
-    #[should_panic(expected = "shared arena mbuf")]
-    fn data_mut_on_shared_slot_panics() {
+    fn a_rejected_descriptor_leaves_its_slot_held() {
         let a = arena(2);
-        let mut m = a.alloc_from(&[1]).unwrap();
-        let _reader = m.clone_ref();
-        let _ = m.data_mut();
+        let desc = a.alloc_from(&[1]).unwrap().into_desc();
+        assert!(adopt(MbufDesc { len: 1024, ..desc }).is_none());
+        assert_eq!(a.in_use(), 1, "nothing released on a corrupt descriptor");
+        assert!(!a.census_clean());
+        drop(adopt(desc).unwrap());
+        assert!(a.census_clean());
     }
 
     #[test]
@@ -1084,7 +1013,7 @@ mod tests {
         let desc = a.alloc_from(&[1]).unwrap().into_desc();
         let (first, second) = (adopt(desc).unwrap(), adopt(desc).unwrap());
         drop(first);
-        drop(second); // the slot's only reference is already gone
+        drop(second); // the slot was already released
         let s = a.stats();
         assert_eq!(s.foreign_frees, 1);
         assert_eq!(s.in_use, 0);

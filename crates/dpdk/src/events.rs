@@ -8,8 +8,8 @@
 //! behaviour, so the dpdk crate stays usable standalone.
 //!
 //! Only *exceptional* paths emit (allocation failures, foreign frees,
-//! copy-on-write detaches): the hook is never consulted on the per-packet
-//! fast path.
+//! descriptors that do not adopt): the hook is never consulted on the
+//! per-packet fast path.
 
 use std::sync::OnceLock;
 

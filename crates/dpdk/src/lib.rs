@@ -1,10 +1,9 @@
 //! # dpdk-sim
 //!
 //! A faithful, process-local substitute for the slice of DPDK that the paper's
-//! system depends on: packet buffers ([`Mbuf`]) recycled through fixed-size
-//! pools ([`Mempool`]), rings with DPDK burst semantics
-//! ([`ring`]), a poll-mode device trait ([`EthDev`]) and a TSC-style cycle
-//! clock ([`cycles`]).
+//! system depends on: packet buffers ([`Mbuf`]) on the heap or in a shared
+//! [`Arena`], rings with DPDK burst semantics ([`ring`]), a poll-mode device
+//! trait ([`EthDev`]) and a TSC-style cycle clock ([`cycles`]).
 //!
 //! ## Fidelity notes
 //!
@@ -20,11 +19,11 @@
 //!   `Mutex<VecDeque>`, not the lock-free original: same contract, but a
 //!   lock per operation, so nothing on a per-packet path uses it.
 //! * Mbufs carry the few metadata fields the reproduction needs (input port,
-//!   a 64-bit user scratch word and a timestamp), and return their buffer to
-//!   the owning pool on drop, exactly like `rte_pktmbuf_free`.
+//!   a 64-bit user scratch word and a timestamp). Each owns its buffer
+//!   exclusively and releases it on drop, like `rte_pktmbuf_free`.
 //! * The shared-memory highway allocates from [`Arena`] segments whose
 //!   handles are **offset-based** ([`MbufDesc`]): valid in any process that
-//!   maps the segment, with refcounted multi-reader handoff and lock-free
+//!   maps the segment, moved (never shared) between holders, with lock-free
 //!   LIFO slot stacks (freelist and credit return) for cross-mapping
 //!   recycling — the representation an ivshmem BAR actually permits.
 
@@ -33,13 +32,11 @@ pub mod cycles;
 pub mod ethdev;
 pub mod events;
 pub mod mbuf;
-pub mod mempool;
 pub mod ring;
 
 pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, WeakArena};
 pub use ethdev::{DevStats, EthDev, LoopbackDev};
 pub use mbuf::Mbuf;
-pub use mempool::{Mempool, MempoolStats, WeakMempool};
 pub use ring::{spsc_ring, MpmcRing, RingError, SpscConsumer, SpscProducer};
 
 /// Default mbuf data room, matching DPDK's `RTE_MBUF_DEFAULT_BUF_SIZE` minus

@@ -5,9 +5,7 @@
 //!    writes through one handle are invisible through any other;
 //! 2. exhaustion then free recovers full capacity, whichever mapping
 //!    (owner freelist or consumer credit ring) the frees went through;
-//! 3. refcounted clones return the slot exactly once, no matter how the
-//!    clones/descriptors are dropped or adopted;
-//! 4. a random interleaving of alloc / clone_ref / into_desc→adopt / free
+//! 3. a random interleaving of alloc / into_desc→adopt / free / reclaim
 //!    ends with a zero-leak census: `in_use == 0`,
 //!    `available + credit_pending == capacity`, `foreign_frees == 0`.
 
@@ -20,8 +18,6 @@ use proptest::prelude::*;
 enum Op {
     /// Allocate (from the owner or the consumer mapping) and fill with a tag.
     Alloc { via_consumer: bool },
-    /// clone_ref an arbitrary live handle.
-    Clone { pick: usize },
     /// Round-trip an arbitrary live handle through a descriptor + adopt.
     DescHop { pick: usize },
     /// Drop an arbitrary live handle.
@@ -33,7 +29,6 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         proptest::bool::ANY.prop_map(|via_consumer| Op::Alloc { via_consumer }),
-        (0usize..64).prop_map(|pick| Op::Clone { pick }),
         (0usize..64).prop_map(|pick| Op::DescHop { pick }),
         (0usize..64).prop_map(|pick| Op::Free { pick }),
         Just(Op::Reclaim),
@@ -97,33 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn clones_return_the_slot_exactly_once(n_clones in 1usize..12, hop_mask in 0u32..4096) {
-        let arena = Arena::new("props", 4, 256);
-        let m = arena.alloc_from(&tag(7)).unwrap();
-        let mut handles = vec![m];
-        for i in 0..n_clones {
-            let c = handles[i % handles.len()].clone_ref();
-            // Some clones additionally take a descriptor hop first.
-            if hop_mask & (1 << (i % 12)) != 0 {
-                handles.push(adopt(c.into_desc()).unwrap());
-            } else {
-                handles.push(c);
-            }
-        }
-        prop_assert_eq!(arena.in_use(), 1, "all clones share one slot");
-        while handles.len() > 1 {
-            handles.swap_remove(hop_mask as usize % handles.len());
-            prop_assert_eq!(arena.in_use(), 1, "slot freed while clones live");
-        }
-        drop(handles);
-        arena.reclaim_credits();
-        prop_assert_eq!(arena.available(), 4);
-        let s = arena.stats();
-        prop_assert_eq!(s.frees + s.credit_returns, 1, "slot returned exactly once");
-        prop_assert_eq!(s.foreign_frees, 0);
-    }
-
-    #[test]
     fn random_interleaving_ends_with_zero_leak_census(
         ops in proptest::collection::vec(op_strategy(), 1..200),
         cap in 1usize..16,
@@ -140,11 +108,6 @@ proptest! {
                         live.push((next_id, m));
                         next_id += 1;
                     }
-                }
-                Op::Clone { pick } if !live.is_empty() => {
-                    let (id, m) = &live[pick % live.len()];
-                    let (id, c) = (*id, m.clone_ref());
-                    live.push((id, c));
                 }
                 Op::DescHop { pick } if !live.is_empty() => {
                     let (id, m) = live.swap_remove(pick % live.len());

@@ -1197,6 +1197,47 @@ mod tests {
     }
 
     #[test]
+    fn flooding_an_arena_packet_yields_independent_copies() {
+        let dp = Datapath::new(false);
+        let ports: Vec<Arc<OvsPort>> = (1..=4)
+            .map(|n| {
+                let (sw, _vm) = channel(format!("flood{n}"), 8);
+                dp.add_port(OvsPort::dpdkr(PortNo(n), format!("flood{n}"), sw))
+            })
+            .collect();
+        let arena = dpdk_sim::Arena::new("flood", 8, 512);
+        let mut pkt = Mbuf::from_arena(arena.alloc_from(&[7; 60]).unwrap());
+        pkt.udata = 0x77;
+
+        let mut staged = BTreeMap::new();
+        dp.stage_outputs(pkt, PortNo(1), &[OutputTarget::Flood], &mut staged, &ports);
+        let dests: Vec<PortNo> = staged.keys().copied().collect();
+        assert_eq!(dests, [PortNo(2), PortNo(3), PortNo(4)]);
+        let mut out: Vec<Mbuf> = staged.into_values().flatten().collect();
+        assert!(
+            !out[0].is_arena() && !out[1].is_arena(),
+            "copies are private"
+        );
+        assert!(out[2].is_arena(), "the last port gets the original");
+        assert_eq!(arena.in_use(), 1, "no copy took a slot");
+        for m in &out {
+            assert_eq!((m.data(), m.udata), (&[7; 60][..], 0x77));
+        }
+
+        out[0].data_mut()[0] = 1;
+        assert_eq!(out[1].data(), &[7; 60]);
+        assert_eq!(out[2].data(), &[7; 60], "the original is unchanged");
+        out[2].data_mut()[1] = 2;
+        assert_eq!(out[0].data()[..2], [1, 7]);
+        assert_eq!(out[1].data(), &[7; 60]);
+        assert_eq!(out[2].data()[..2], [7, 2]);
+
+        assert_eq!(arena.stats().cow_copies, 0);
+        drop(out);
+        assert!(arena.census_clean(), "census: {:?}", arena.stats());
+    }
+
+    #[test]
     fn controller_action_punts_and_still_forwards() {
         let (dp, mut vm1, mut vm2) = two_port_dp(false);
         dp.table_apply(&FlowMod::add(

@@ -134,7 +134,7 @@ impl OvsPort {
             self.counters
                 .odropped
                 .fetch_add(pkts.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            pkts.clear(); // dropped mbufs recycle to their pools
+            pkts.clear(); // dropped arena mbufs return their slots
         }
     }
 

@@ -152,7 +152,7 @@ impl PacketBuilder {
     }
 
     /// Writes the frame into an existing buffer (must be ≥ the frame length);
-    /// returns the number of bytes written. Lets mempools avoid realloc.
+    /// returns the number of bytes written. Lets buffer owners avoid realloc.
     pub fn build_into(&self, buf: &mut [u8]) -> usize {
         assert!(buf.len() >= self.frame_len);
         let buf = &mut buf[..self.frame_len];

@@ -65,8 +65,9 @@ pub struct ChannelEndStats {
     pub desc_sent: u64,
     /// Packets sent as owned heap mbufs (copy/move path).
     pub boxed_sent: u64,
-    /// Received descriptors whose segment was no longer mapped — the
-    /// packet is lost, exactly like traffic in flight across an unmap.
+    /// Received descriptors that did not adopt: the segment was no longer
+    /// mapped — the packet is lost, exactly like traffic in flight across
+    /// an unmap — or the descriptor did not fit inside its segment.
     pub unmapped_drops: u64,
 }
 

@@ -2,9 +2,9 @@
 //! over real channels. An owner thread allocates; three consumer stages
 //! relay the descriptors down a chain of channels and each frees a third
 //! of them through the credit stack; a fifth thread allocates from a
-//! consumer mapping and churns `clone_ref`/drop. So the freelist is popped
-//! by two threads and the credit stack pushed by four while allocators
-//! detach and splice it.
+//! consumer mapping, writes each buffer and drops it. So the freelist is
+//! popped by two threads and the credit stack pushed by four while
+//! allocators detach and splice it.
 //!
 //! A per-slot `held` table proves no slot is ever issued while it is live.
 //! The main thread samples `available()` and `credit_pending()` mid-run:
@@ -141,23 +141,24 @@ fn stage(
     (input, relay)
 }
 
-/// Allocates from a consumer mapping beside the owner and churns
-/// `clone_ref`/drop on each buffer until `done`.
-fn cloner(consumer: Arena, done: Arc<AtomicBool>, shared: Arc<Shared>) -> u64 {
+/// Allocates from a consumer mapping beside the owner, writes each buffer,
+/// reads it back and drops it, until `done`.
+fn churner(consumer: Arena, done: Arc<AtomicBool>, shared: Arc<Shared>) -> u64 {
     let _guard = StopOnPanic(Arc::clone(&shared));
     let mut rounds = 0u64;
     while !done.load(Ordering::Acquire) && !shared.stopped() {
-        let Some(am) = consumer.alloc_from(&rounds.to_le_bytes()) else {
+        let Some(mut am) = consumer.alloc() else {
             thread::yield_now();
             continue;
         };
         shared.issue(am.slot());
-        let clones: Vec<_> = (0..1 + rounds % 3).map(|_| am.clone_ref()).collect();
-        for c in &clones {
-            assert_eq!(c.data(), &rounds.to_le_bytes(), "clone reads another slot");
-        }
-        drop(clones);
-        assert!(am.is_unique());
+        am.set_len(8);
+        am.data_mut().copy_from_slice(&rounds.to_le_bytes());
+        assert_eq!(
+            am.data(),
+            &rounds.to_le_bytes(),
+            "slot written by another holder"
+        );
         shared.retire(am.slot());
         drop(am); // consumer mapping: the credit path
         rounds += 1;
@@ -188,9 +189,9 @@ fn arena_stacks_survive_five_threads_over_channels() {
         spawn_stage(1, s1_in, Some(s1_out)),
         spawn_stage(2, s2_in, None),
     ];
-    let cloner = {
+    let churner = {
         let (consumer, done, shared) = (arena.consumer(), owner_done.clone(), shared.clone());
-        thread::spawn(move || cloner(consumer, done, shared))
+        thread::spawn(move || churner(consumer, done, shared))
     };
     let owner = {
         let (arena, shared) = (arena.clone(), shared.clone());
@@ -218,7 +219,7 @@ fn arena_stacks_survive_five_threads_over_channels() {
         .into_iter()
         .map(|s| s.join().expect("consumer stage"))
         .collect();
-    let cloned = cloner.join().expect("clone thread");
+    let churned = churner.join().expect("churn thread");
     assert!(
         !shared.stopped(),
         "stalled past {WATCHDOG:?}: {:?}",
@@ -237,7 +238,7 @@ fn arena_stacks_survive_five_threads_over_channels() {
     let s = arena.stats();
     assert!(arena.census_clean(), "census: {s:?}");
     assert_eq!(s.allocs, s.frees + s.credit_returns, "census: {s:?}");
-    assert_eq!(s.allocs, PKTS + cloned, "census: {s:?}");
+    assert_eq!(s.allocs, PKTS + churned, "census: {s:?}");
     assert!(shared.held.iter().all(|h| !h.load(Ordering::Relaxed)));
     assert!(samples > 0, "the sampler never ran");
 }

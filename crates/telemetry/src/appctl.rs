@@ -42,7 +42,7 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
         out.push_str("no pmd threads registered\n");
     }
     for p in &snap.pools {
-        out.push_str(&format!("{} \"{}\":\n", p.kind.label(), p.name));
+        out.push_str(&format!("arena \"{}\":\n", p.name));
         out.push_str(&format!(
             "  capacity: {}  available: {}  in use: {}  high water: {}\n",
             p.capacity, p.available, p.in_use, p.high_water
@@ -51,12 +51,10 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
             "  allocs: {}  alloc failures: {}  frees: {}  foreign frees: {}\n",
             p.allocs, p.alloc_failures, p.frees, p.foreign_frees
         ));
-        if p.kind == crate::pools::PoolKind::Arena {
-            out.push_str(&format!(
-                "  credit returns: {}  credits reclaimed: {}  cow copies: {}  slab writes: {}\n",
-                p.credit_returns, p.credits_reclaimed, p.cow_copies, p.slab_writes
-            ));
-        }
+        out.push_str(&format!(
+            "  credit returns: {}  credits reclaimed: {}  slab writes: {}\n",
+            p.credit_returns, p.credits_reclaimed, p.slab_writes
+        ));
     }
     let d = &snap.doorbells;
     if d.rings + d.suppressed > 0 {
@@ -293,7 +291,7 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
         out.push_str("# TYPE highway_pool_foreign_frees_total counter\n");
         out.push_str("# TYPE highway_pool_slab_writes_total counter\n");
         for p in &snap.pools {
-            let labels = format!("pool=\"{}\",kind=\"{}\"", p.name, p.kind.label());
+            let labels = format!("pool=\"{}\"", p.name);
             out.push_str(&format!("highway_pool_in_use{{{labels}}} {}\n", p.in_use));
             out.push_str(&format!(
                 "highway_pool_high_water{{{labels}}} {}\n",
@@ -381,7 +379,6 @@ mod tests {
             trace_groups_observed: 2,
             pools: vec![crate::pools::PoolStats {
                 name: "hw-arena".into(),
-                kind: crate::pools::PoolKind::Arena,
                 capacity: 32,
                 available: 30,
                 in_use: 2,
@@ -392,7 +389,6 @@ mod tests {
                 foreign_frees: 0,
                 credit_returns: 18,
                 credits_reclaimed: 16,
-                cow_copies: 0,
                 slab_writes: 41,
             }],
             doorbells: crate::pools::DoorbellTotals {
@@ -418,7 +414,7 @@ mod tests {
         assert!(s.contains("arena \"hw-arena\":"), "missing arena row:\n{s}");
         assert!(s.contains("high water: 7"));
         assert!(s.contains("foreign frees: 0"));
-        assert!(s.contains("credit returns: 18"));
+        assert!(s.contains("credit returns: 18  credits reclaimed: 16  slab writes: 41\n"));
         assert!(s.contains("doorbells: rings: 3"));
         assert!(s.contains("pkts/ring: 32.0"));
     }
@@ -447,8 +443,10 @@ mod tests {
         assert!(s.contains("highway_datapath_drops_total{reason=\"tx_no_port\"} 2"));
         assert!(s.contains("highway_stage_cycles{stage=\"classify\",quantile=\"0.99\"}"));
         assert!(s.contains("highway_coverage_total{event=\"emc_insert\"} 3"));
-        assert!(s.contains("highway_pool_high_water{pool=\"hw-arena\",kind=\"arena\"} 7"));
-        assert!(s.contains("highway_pool_alloc_failures_total{pool=\"hw-arena\",kind=\"arena\"} 1"));
+        assert!(s.contains("highway_pool_high_water{pool=\"hw-arena\"} 7"));
+        assert!(s.contains("highway_pool_alloc_failures_total{pool=\"hw-arena\"} 1"));
+        assert!(s.contains("highway_pool_slab_writes_total{pool=\"hw-arena\"} 41"));
+        assert!(!s.contains("kind="), "pool rows carry only the pool label");
         assert!(s.contains("highway_doorbell_rings_total 3"));
         assert!(s.contains("highway_doorbell_coalescing_ratio 32.000"));
         // Every non-comment line is "name{labels} value" or "name value".

@@ -12,7 +12,7 @@
 //!   merged exactly across PMDs for whole-datapath views.
 //! - [`TraceRing`] — 1-in-N sampled packet [`TraceSpan`]s with the full
 //!   stage path, ring-buffered for `trace/show`-style dumps.
-//! - [`pools`] — weak-registered mempool/arena rows (exhaustion, high
+//! - [`pools`] — weak-registered arena rows (exhaustion, high
 //!   water, foreign frees, slab writes), process-wide doorbell coalescing
 //!   totals, and the `dpdk_sim::events` → coverage bridge.
 //! - [`TelemetrySnapshot`] — the structured point-in-time view behind the
@@ -30,6 +30,6 @@ pub mod trace;
 
 pub use hist::LatencyHistogram;
 pub use pmd_perf::{PmdPerf, Stage, Tier};
-pub use pools::{DoorbellTotals, PoolKind, PoolStats};
+pub use pools::{DoorbellTotals, PoolStats};
 pub use snapshot::{DatapathTotals, HistSummary, TelemetrySnapshot};
 pub use trace::{TraceRing, TraceSpan, DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SAMPLE};

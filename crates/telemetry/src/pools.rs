@@ -1,143 +1,83 @@
 //! Buffer-pool and doorbell telemetry.
 //!
-//! Mempools and arenas register weakly here ([`register_mempool`] /
-//! [`register_arena`]); [`snapshot_pools`] walks the registry, prunes dead
-//! pools, and returns one [`PoolStats`] row per live pool — the data behind
-//! the `pmd-stats-show` arena section and the `highway_pool_*` Prometheus
-//! series. Doorbells (batched ring notifications in `shmem`) report their
-//! ring/suppress counts into process-wide totals ([`note_doorbell_ring`] /
+//! Arenas register weakly here ([`register_arena`]); [`snapshot_pools`]
+//! walks the registry, prunes dead arenas, and returns one [`PoolStats`]
+//! row per live one — the data behind the `pmd-stats-show` arena section
+//! and the `highway_pool_*` Prometheus series. Doorbells (batched ring
+//! notifications in `shmem`) report their ring/suppress counts into
+//! process-wide totals ([`note_doorbell_ring`] /
 //! [`note_doorbell_suppressed`]), from which the coalescing ratio —
 //! packets-per-notification — is derived.
 //!
 //! [`install_event_bridge`] closes the layering gap downward: `dpdk-sim`
 //! sits below this crate, so its exceptional-path events (alloc failures,
-//! foreign frees, COW detaches) are emitted through `dpdk_sim::events` and
-//! forwarded here into [`crate::coverage`](mod@crate::coverage) counters.
+//! foreign frees, rejected descriptors) are emitted through
+//! `dpdk_sim::events` and forwarded here into
+//! [`crate::coverage`](mod@crate::coverage) counters.
 
-use dpdk_sim::{Arena, Mempool, WeakArena, WeakMempool};
+use dpdk_sim::{Arena, WeakArena};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// What kind of pool a [`PoolStats`] row describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolKind {
-    /// Heap-buffer mempool (`dpdk_sim::Mempool`).
-    Mempool,
-    /// Shared-arena segment (`dpdk_sim::Arena`).
-    Arena,
-}
-
-impl PoolKind {
-    /// Lower-case label used in appctl/Prometheus output.
-    pub fn label(self) -> &'static str {
-        match self {
-            PoolKind::Mempool => "mempool",
-            PoolKind::Arena => "arena",
-        }
-    }
-}
-
-/// Point-in-time counters of one registered pool.
+/// Point-in-time counters of one registered arena.
 #[derive(Debug, Clone)]
 pub struct PoolStats {
     pub name: String,
-    pub kind: PoolKind,
     pub capacity: usize,
-    /// Buffers immediately allocatable (arena: freelist plus never-issued
-    /// slots, excludes unreclaimed credits).
+    /// Slots immediately allocatable: freelist plus never-issued slots
+    /// (excludes unreclaimed credits).
     pub available: usize,
     pub in_use: usize,
-    /// Highest `in_use` ever observed (mempools derive it as capacity
-    /// minus the observed minimum, so it is 0 until first exhaustion-free
-    /// snapshot support lands; arenas track it exactly).
+    /// Highest `in_use` ever observed.
     pub high_water: usize,
     pub allocs: u64,
     pub alloc_failures: u64,
     pub frees: u64,
     pub foreign_frees: u64,
-    /// Arena-only: frees routed through the credit-return stack.
+    /// Frees routed through the credit-return stack.
     pub credit_returns: u64,
-    /// Arena-only: credits the owner folded back into the freelist.
+    /// Credits the owner folded back into the freelist.
     pub credits_reclaimed: u64,
-    /// Arena-only: copy-on-write slot copies.
-    pub cow_copies: u64,
-    /// Arena-only: mutable-byte accesses to the slab.
+    /// Mutable-byte accesses to the slab.
     pub slab_writes: u64,
 }
 
-enum PoolSource {
-    Mempool(WeakMempool),
-    Arena(WeakArena),
-}
-
-fn registry() -> &'static Mutex<Vec<PoolSource>> {
-    static REG: OnceLock<Mutex<Vec<PoolSource>>> = OnceLock::new();
+fn registry() -> &'static Mutex<Vec<WeakArena>> {
+    static REG: OnceLock<Mutex<Vec<WeakArena>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Registers a mempool for inclusion in [`snapshot_pools`]. The registry
-/// holds only a weak reference; dropped pools are pruned on snapshot.
-pub fn register_mempool(pool: &Mempool) {
-    registry().lock().push(PoolSource::Mempool(pool.weak()));
-}
-
-/// Registers an arena for inclusion in [`snapshot_pools`].
+/// Registers an arena for inclusion in [`snapshot_pools`]. The registry
+/// holds only a weak reference; dropped arenas are pruned on snapshot.
 pub fn register_arena(arena: &Arena) {
-    registry().lock().push(PoolSource::Arena(arena.weak()));
+    registry().lock().push(arena.weak());
 }
 
-/// Snapshots every live registered pool, pruning dead entries.
+/// Snapshots every live registered arena, pruning dead entries.
 pub fn snapshot_pools() -> Vec<PoolStats> {
     let mut reg = registry().lock();
     let mut out = Vec::with_capacity(reg.len());
-    reg.retain(|src| match src {
-        PoolSource::Mempool(w) => match w.upgrade() {
-            Some(pool) => {
-                let s = pool.stats();
-                out.push(PoolStats {
-                    name: pool.name().to_string(),
-                    kind: PoolKind::Mempool,
-                    capacity: pool.capacity(),
-                    available: pool.available(),
-                    in_use: pool.in_use(),
-                    high_water: 0,
-                    allocs: s.allocs,
-                    alloc_failures: s.alloc_failures,
-                    frees: s.frees,
-                    foreign_frees: s.foreign_frees,
-                    credit_returns: 0,
-                    credits_reclaimed: 0,
-                    cow_copies: 0,
-                    slab_writes: 0,
-                });
-                true
-            }
-            None => false,
-        },
-        PoolSource::Arena(w) => match w.upgrade() {
-            Some(arena) => {
-                let s = arena.stats();
-                out.push(PoolStats {
-                    name: arena.name().to_string(),
-                    kind: PoolKind::Arena,
-                    capacity: s.capacity,
-                    available: s.available,
-                    in_use: s.in_use,
-                    high_water: s.high_water,
-                    allocs: s.allocs,
-                    alloc_failures: s.alloc_failures,
-                    frees: s.frees,
-                    foreign_frees: s.foreign_frees,
-                    credit_returns: s.credit_returns,
-                    credits_reclaimed: s.credits_reclaimed,
-                    cow_copies: s.cow_copies,
-                    slab_writes: s.slab_writes,
-                });
-                true
-            }
-            None => false,
-        },
+    reg.retain(|w| match w.upgrade() {
+        Some(arena) => {
+            let s = arena.stats();
+            out.push(PoolStats {
+                name: arena.name().to_string(),
+                capacity: s.capacity,
+                available: s.available,
+                in_use: s.in_use,
+                high_water: s.high_water,
+                allocs: s.allocs,
+                alloc_failures: s.alloc_failures,
+                frees: s.frees,
+                foreign_frees: s.foreign_frees,
+                credit_returns: s.credit_returns,
+                credits_reclaimed: s.credits_reclaimed,
+                slab_writes: s.slab_writes,
+            });
+            true
+        }
+        None => false,
     });
     out
 }
@@ -199,8 +139,8 @@ fn event_bridge(name: &'static str, n: u64) {
 
 /// Installs the `dpdk_sim::events` → [`crate::coverage`](mod@crate::coverage)
 /// bridge, so
-/// exceptional pool events ("mempool_foreign_free", "arena_alloc_failure",
-/// "arena_cow_detach", ...) show up as coverage counters. Idempotent —
+/// exceptional pool events ("arena_alloc_failure", "arena_foreign_free",
+/// "arena_adopt_failure") show up as coverage counters. Idempotent —
 /// the hook is first-set-wins and this always offers the same function.
 pub fn install_event_bridge() {
     dpdk_sim::events::set_event_hook(event_bridge);
@@ -212,22 +152,17 @@ mod tests {
 
     #[test]
     fn registry_snapshots_live_pools_and_prunes_dead() {
-        let pool = Mempool::new("pool-snap-live", 4, 256);
         let arena = Arena::new("arena-snap-live", 8, 512);
-        register_mempool(&pool);
         register_arena(&arena);
         let _held = arena.alloc().unwrap();
 
         let rows = snapshot_pools();
-        let p = rows.iter().find(|r| r.name == "pool-snap-live").unwrap();
-        assert_eq!((p.kind, p.capacity, p.in_use), (PoolKind::Mempool, 4, 0));
         let a = rows.iter().find(|r| r.name == "arena-snap-live").unwrap();
-        assert_eq!((a.kind, a.capacity, a.in_use), (PoolKind::Arena, 8, 1));
-        assert_eq!(a.high_water, 1);
+        assert_eq!((a.capacity, a.available, a.in_use), (8, 7, 1));
+        assert_eq!((a.high_water, a.allocs, a.slab_writes), (1, 1, 0));
 
-        drop((pool, arena, _held));
+        drop((arena, _held));
         let rows = snapshot_pools();
-        assert!(rows.iter().all(|r| r.name != "pool-snap-live"));
         assert!(rows.iter().all(|r| r.name != "arena-snap-live"));
     }
 

@@ -79,7 +79,7 @@ pub struct TelemetrySnapshot {
     pub traces_retained: usize,
     /// Groups observed by the trace sampler (sampled or not).
     pub trace_groups_observed: u64,
-    /// One row per registered mempool/arena (see [`crate::pools`]).
+    /// One row per registered arena (see [`crate::pools`]).
     pub pools: Vec<PoolStats>,
     /// Process-wide doorbell coalescing totals.
     pub doorbells: DoorbellTotals,
@@ -170,12 +170,11 @@ impl TelemetrySnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"capacity\":{},\"available\":{},\
+                "{{\"name\":\"{}\",\"capacity\":{},\"available\":{},\
                  \"in_use\":{},\"high_water\":{},\"allocs\":{},\"alloc_failures\":{},\
                  \"frees\":{},\"foreign_frees\":{},\"credit_returns\":{},\
-                 \"credits_reclaimed\":{},\"cow_copies\":{},\"slab_writes\":{}}}",
+                 \"credits_reclaimed\":{},\"slab_writes\":{}}}",
                 p.name,
-                p.kind.label(),
                 p.capacity,
                 p.available,
                 p.in_use,
@@ -186,7 +185,6 @@ impl TelemetrySnapshot {
                 p.foreign_frees,
                 p.credit_returns,
                 p.credits_reclaimed,
-                p.cow_copies,
                 p.slab_writes,
             ));
         }
@@ -290,7 +288,6 @@ mod tests {
             trace_groups_observed: 10,
             pools: vec![PoolStats {
                 name: "hw-arena".into(),
-                kind: crate::pools::PoolKind::Arena,
                 capacity: 64,
                 available: 60,
                 in_use: 4,
@@ -301,7 +298,6 @@ mod tests {
                 foreign_frees: 0,
                 credit_returns: 46,
                 credits_reclaimed: 40,
-                cow_copies: 2,
                 slab_writes: 102,
             }],
             doorbells: DoorbellTotals {
@@ -349,11 +345,13 @@ mod tests {
         );
         let pools = v.get("pools").and_then(|p| p.as_array()).unwrap();
         assert_eq!(pools.len(), 1);
-        assert_eq!(pools[0].get("high_water").and_then(|x| x.as_u64()), Some(9));
-        assert_eq!(
-            pools[0].get("credit_returns").and_then(|x| x.as_u64()),
-            Some(46)
-        );
+        let row = |key: &str| pools[0].get(key).and_then(|x| x.as_u64());
+        assert_eq!(row("high_water"), Some(9));
+        assert_eq!(row("credit_returns"), Some(46));
+        assert_eq!(row("slab_writes"), Some(102));
+        for gone in ["kind", "cow_copies"] {
+            assert!(pools[0].get(gone).is_none(), "{gone} still rendered");
+        }
         assert_eq!(
             v.get("doorbells")
                 .and_then(|d| d.get("notified_pkts"))

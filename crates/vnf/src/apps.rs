@@ -54,8 +54,8 @@ impl VnfApp for L2Forwarder {
 
     fn process(&mut self, pkt: &mut Mbuf, _in_port_idx: usize) -> Verdict {
         // Read — don't write — the last payload byte: a real forwarder at
-        // least reads the frame, but a write would copy-on-write shared
-        // arena slots and take the packet off the zero-copy highway.
+        // least reads the frame, but a write would count as a slab write and
+        // break the one-write-per-packet zero-copy census.
         std::hint::black_box(pkt.data().last().copied());
         self.forwarded += 1;
         Verdict::Forward

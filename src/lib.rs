@@ -13,7 +13,7 @@
 //! * [`openflow`] — the OpenFlow 1.0 subset + wire codec;
 //! * [`vnf`] — guest-side PMD and VNF applications;
 //! * [`vm`] — VM/QEMU host model, compute agent, orchestrator;
-//! * [`dpdk`] — rings, mbufs, mempools;
+//! * [`dpdk`] — rings, mbufs, the shared arena;
 //! * [`shmem`] — shared-memory channels, virtio-serial, stats region;
 //! * [`packet`] — wire formats;
 //! * [`nic`] — simulated 10 G NICs and traffic generation;
@@ -120,7 +120,7 @@ pub use vnf_apps as vnf;
 
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {
-    pub use dpdk_sim::{EthDev, Mbuf, Mempool};
+    pub use dpdk_sim::{Arena, EthDev, Mbuf};
     pub use highway_core::{HighwayNode, HighwayNodeConfig};
     pub use openflow::{Action, FlowMatch, OfpMessage, PortNo};
     pub use ovs_dp::{VSwitchd, VSwitchdConfig};

@@ -20,7 +20,7 @@ fn prelude_types_resolve() {
     // any of these into a compile error.
     assert!(resolves::<dyn EthDev>().contains("dpdk_sim"));
     assert!(resolves::<Mbuf>().contains("dpdk_sim"));
-    assert!(resolves::<Mempool>().contains("dpdk_sim"));
+    assert!(resolves::<Arena>().contains("dpdk_sim"));
     assert!(resolves::<HighwayNode>().contains("highway_core"));
     assert!(resolves::<HighwayNodeConfig>().contains("highway_core"));
     assert!(resolves::<Action>().contains("openflow"));
