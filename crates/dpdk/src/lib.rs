@@ -2,8 +2,8 @@
 //!
 //! A faithful, process-local substitute for the slice of DPDK that the paper's
 //! system depends on: packet buffers ([`Mbuf`]) on the heap or in a shared
-//! [`Arena`], rings with DPDK burst semantics ([`ring`]), a poll-mode device
-//! trait ([`EthDev`]) and a TSC-style cycle clock ([`cycles`]).
+//! [`Arena`], single-producer/single-consumer rings with DPDK burst
+//! semantics ([`ring`]) and a TSC-style cycle clock ([`cycles`]).
 //!
 //! ## Fidelity notes
 //!
@@ -11,13 +11,8 @@
 //!   single-consumer* ring pairs in shared memory. The bespoke
 //!   [`ring::spsc_ring`] reproduces exactly that topology with an ownership-
 //!   typed API (`SpscProducer` / `SpscConsumer` handles), so misuse is a
-//!   compile error rather than a data race.
-//! * Where DPDK offers multi-producer rings (e.g. several PMD threads feeding
-//!   one port) the [`ring::MpmcRing`] wrapper delegates to
-//!   `crossbeam::queue::ArrayQueue` rather than re-deriving the rte_ring CAS
-//!   protocol. The vendored `ArrayQueue` (`shims/crossbeam`) is a
-//!   `Mutex<VecDeque>`, not the lock-free original: same contract, but a
-//!   lock per operation, so nothing on a per-packet path uses it.
+//!   compile error rather than a data race. It is the one ring family: a
+//!   NIC port is the same channel as a VM's, paced at its wire end.
 //! * Mbufs carry the few metadata fields the reproduction needs (input port,
 //!   a 64-bit user scratch word and a timestamp). Each owns its buffer
 //!   exclusively and releases it on drop, like `rte_pktmbuf_free`.
@@ -29,15 +24,13 @@
 
 pub mod arena;
 pub mod cycles;
-pub mod ethdev;
 pub mod events;
 pub mod mbuf;
 pub mod ring;
 
 pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, WeakArena};
-pub use ethdev::{DevStats, EthDev, LoopbackDev};
 pub use mbuf::Mbuf;
-pub use ring::{spsc_ring, MpmcRing, RingError, SpscConsumer, SpscProducer};
+pub use ring::{spsc_ring, RingError, SpscConsumer, SpscProducer};
 
 /// Default mbuf data room, matching DPDK's `RTE_MBUF_DEFAULT_BUF_SIZE` minus
 /// headroom — big enough for a 1500 B MTU frame plus slack.

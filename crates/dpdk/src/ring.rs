@@ -7,12 +7,9 @@
 //! single-producer/single-consumer discipline is enforced by the type system
 //! instead of by convention.
 //!
-//! [`MpmcRing`] covers the remaining multi-producer cases (e.g. several PMD
-//! threads injecting `packet-out`s into one port) by wrapping crossbeam's
-//! `ArrayQueue`. The vendored one (`shims/crossbeam`) takes a mutex per
-//! operation; swapping in the real crate makes it lock-free.
+//! It is the only ring family: every switch port (a VM's or a NIC's) and
+//! every bypass channel is a pair of them.
 
-use crossbeam::queue::ArrayQueue;
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -270,60 +267,6 @@ impl<T> Drop for SpscConsumer<T> {
     }
 }
 
-/// Multi-producer/multi-consumer bounded ring (crossbeam-backed).
-pub struct MpmcRing<T> {
-    queue: ArrayQueue<T>,
-}
-
-impl<T> MpmcRing<T> {
-    /// Creates a ring with the given capacity (rounded up to ≥ 1).
-    pub fn new(capacity: usize) -> MpmcRing<T> {
-        MpmcRing {
-            queue: ArrayQueue::new(capacity.max(1)),
-        }
-    }
-
-    /// Enqueues one item; hands it back when full.
-    pub fn enqueue(&self, value: T) -> Result<(), T> {
-        self.queue.push(value)
-    }
-
-    /// Dequeues one item.
-    pub fn dequeue(&self) -> Option<T> {
-        self.queue.pop()
-    }
-
-    /// Dequeues up to `max` items into `out`.
-    pub fn dequeue_burst(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.queue.pop() {
-                Some(v) => {
-                    out.push(v);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,51 +413,5 @@ mod tests {
         c.dequeue();
         assert_eq!(p.free_space(), 3);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn mpmc_ring_basics() {
-        let r = MpmcRing::new(4);
-        r.enqueue(1).unwrap();
-        r.enqueue(2).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(r.dequeue_burst(&mut out, 10), 2);
-        assert_eq!(out, vec![1, 2]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn mpmc_ring_multi_thread() {
-        let r = std::sync::Arc::new(MpmcRing::new(128));
-        let total = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let r = r.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u32 {
-                    while r.enqueue(i).is_err() {
-                        std::thread::yield_now();
-                    }
-                }
-            }));
-        }
-        for _ in 0..2 {
-            let r = r.clone();
-            let total = total.clone();
-            handles.push(std::thread::spawn(move || loop {
-                if total.load(Ordering::SeqCst) >= 2000 {
-                    break;
-                }
-                if r.dequeue().is_some() {
-                    total.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    std::thread::yield_now();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(total.load(Ordering::SeqCst), 2000);
     }
 }

@@ -1,11 +1,13 @@
 //! # nic-sim
 //!
-//! The hardware edge of the testbed, simulated: an Intel 82599ES-style
-//! 10 GbE NIC ([`NicModel`]), a PCIe bandwidth budget ([`PcieBus`]), and the
-//! traffic generator / sink pair used by the paper's evaluation
-//! ([`TrafficGen`], [`TrafficSink`]).
+//! The hardware edge of the testbed, simulated. A NIC port is a switch
+//! port like any other, a shared-memory channel; the traffic generator or
+//! sink holds its wire end and paces it with a [`WirePacer`] (line rate
+//! per direction, plus an optional shared [`PcieBus`]). The generator /
+//! sink pair used by the paper's evaluation is [`TrafficGen`] and
+//! [`TrafficSink`].
 //!
-//! The NIC enforces Ethernet framing economics exactly: every frame costs
+//! The pacer enforces Ethernet framing economics exactly: every frame costs
 //! its length plus 20 B of preamble + inter-frame gap on the wire, so a
 //! 10 Gb/s port saturates at 14.88 Mpps with 64 B frames — the ceiling
 //! visible in the paper's Figure 3(b).
@@ -16,7 +18,7 @@ pub mod traffic;
 // The latency histogram was born here for the traffic sink; it now lives
 // in the `telemetry` crate so the datapath's stage/tier histograms share
 // one implementation. Re-exported for source compatibility.
-pub use nic::{LineRate, NicModel, PcieBus};
+pub use nic::{LineRate, PcieBus, WirePacer};
 pub use telemetry::hist;
 pub use telemetry::LatencyHistogram;
 pub use traffic::{TrafficGen, TrafficSink};

@@ -1,10 +1,14 @@
-//! The simulated 10 GbE NIC and the PCIe budget it hangs off.
+//! The wire end of a simulated 10 GbE port and the PCIe budget it hangs off.
+//!
+//! A NIC port is a shared-memory channel like every other switch port: the
+//! switch holds one end, the traffic generator or sink holds the other
+//! (the *wire end*). What a NIC adds over a ring is pacing, and
+//! [`WirePacer`] is exactly that: a line-rate token bucket per direction
+//! plus the optional shared [`PcieBus`], charged once per burst.
 
 use crate::WIRE_OVERHEAD_BYTES;
-use dpdk_sim::ethdev::DevCounters;
-use dpdk_sim::{cycles, DevStats, EthDev, Mbuf, MpmcRing};
+use dpdk_sim::{cycles, Mbuf};
 use parking_lot::Mutex;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A link speed.
@@ -41,24 +45,23 @@ impl TokenBucket {
         }
     }
 
-    fn refill(&mut self) {
+    /// Refills, then returns how many leading `costs` the bucket covers
+    /// and their total. Spends nothing.
+    fn covered(&mut self, costs: impl Iterator<Item = f64>) -> (usize, f64) {
         let now = cycles::now();
         let elapsed = now.saturating_sub(self.last);
         self.last = now;
         self.tokens =
             (self.tokens + elapsed as f64 * self.rate_bytes_per_cycle).min(self.burst_bytes);
-    }
-
-    /// Tries to spend `bytes`; returns false (and spends nothing) when the
-    /// bucket cannot cover them.
-    fn try_consume(&mut self, bytes: f64) -> bool {
-        self.refill();
-        if self.tokens >= bytes {
-            self.tokens -= bytes;
-            true
-        } else {
-            false
+        let (mut n, mut total) = (0, 0.0);
+        for cost in costs {
+            if total + cost > self.tokens {
+                break;
+            }
+            total += cost;
+            n += 1;
         }
+        (n, total)
     }
 }
 
@@ -85,197 +88,68 @@ impl PcieBus {
     pub fn x8_gen2() -> Arc<PcieBus> {
         PcieBus::new(32.0)
     }
-
-    fn admit(&self, bytes: u64) -> bool {
-        self.bucket.lock().try_consume(bytes as f64)
-    }
 }
 
-/// A simulated NIC port.
+/// One direction of a NIC port's wire: line-rate pacing, and DMA across
+/// the optional shared PCIe bus.
 ///
-/// Topology: the *wire side* ([`NicModel::inject`] / [`NicModel::drain`])
-/// is where a traffic generator or sink stands; the *host side* is the
-/// [`EthDev`] implementation the switch polls. Line-rate is enforced on
-/// both wire directions; DMA crosses the optional PCIe budget.
-pub struct NicModel {
-    name: String,
-    rx_queue: MpmcRing<Mbuf>, // wire → host
-    tx_queue: MpmcRing<Mbuf>, // host → wire
-    rx_limiter: Mutex<TokenBucket>,
-    tx_limiter: Mutex<TokenBucket>,
+/// It holds no queue. The wire end of the port's channel asks it how much
+/// of a burst may cross now and moves exactly that prefix; the rest stays
+/// where it was, in order, so a throttled burst can never be reordered.
+pub struct WirePacer {
+    line: TokenBucket,
     pcie: Option<Arc<PcieBus>>,
-    counters: DevCounters,
 }
 
-impl NicModel {
-    /// Creates a NIC with the given queues depth and line rate.
-    pub fn new(
-        name: impl Into<String>,
-        rate: LineRate,
-        queue_depth: usize,
-        pcie: Option<Arc<PcieBus>>,
-    ) -> Arc<NicModel> {
-        let bpc = rate.bytes_per_cycle();
+impl WirePacer {
+    /// A pacer at `rate`, optionally sharing `pcie` with other pacers.
+    pub fn new(rate: LineRate, pcie: Option<Arc<PcieBus>>) -> WirePacer {
         // Burst: one queue's worth of max-size frames, like HW FIFOs.
-        let burst = 64.0 * 1518.0;
-        Arc::new(NicModel {
-            name: name.into(),
-            rx_queue: MpmcRing::new(queue_depth),
-            tx_queue: MpmcRing::new(queue_depth),
-            rx_limiter: Mutex::new(TokenBucket::new(bpc, burst)),
-            tx_limiter: Mutex::new(TokenBucket::new(bpc, burst)),
+        WirePacer {
+            line: TokenBucket::new(rate.bytes_per_cycle(), 64.0 * 1518.0),
             pcie,
-            counters: DevCounters::default(),
-        })
-    }
-
-    /// A 10 G port with sensible defaults.
-    pub fn ten_g(name: impl Into<String>) -> Arc<NicModel> {
-        NicModel::new(name, LineRate::TEN_G, 4096, None)
-    }
-
-    fn wire_bytes(m: &Mbuf) -> u64 {
-        m.len() as u64 + 4 + WIRE_OVERHEAD_BYTES // + FCS + preamble/IFG
-    }
-
-    /// Wire side: frames arriving at the port. Frames beyond line rate or
-    /// a full rx queue are lost (counted in `imissed`), like a real NIC.
-    /// Returns how many frames were accepted.
-    pub fn inject(&self, pkts: &mut Vec<Mbuf>) -> usize {
-        let mut accepted = 0;
-        while !pkts.is_empty() {
-            let bytes = Self::wire_bytes(&pkts[0]) as f64;
-            if !self.rx_limiter.lock().try_consume(bytes) {
-                break; // over line rate: the rest of the burst is lost
-            }
-            let m = pkts.remove(0);
-            match self.rx_queue.enqueue(m) {
-                Ok(()) => accepted += 1,
-                Err(_) => {
-                    self.counters.imissed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
-        let lost = pkts.len() as u64;
-        if lost > 0 {
-            self.counters.imissed.fetch_add(lost, Ordering::Relaxed);
-            pkts.clear();
+    }
+
+    /// How many frames at the front of `burst` the wire admits now; their
+    /// line-rate and bus budget is spent. Each bucket is locked (or
+    /// refilled) once per burst.
+    pub fn admit(&mut self, burst: &[Mbuf]) -> usize {
+        // + FCS + preamble/IFG on the wire; DMA moves the frame alone.
+        let wire_bytes = |m: &Mbuf| (m.len() as u64 + 4 + WIRE_OVERHEAD_BYTES) as f64;
+        let (mut n, _) = self.line.covered(burst.iter().map(wire_bytes));
+        if let Some(pcie) = &self.pcie {
+            let mut bus = pcie.bucket.lock();
+            let (fits, dma_bytes) = bus.covered(burst[..n].iter().map(|m| m.len() as f64));
+            bus.tokens -= dma_bytes;
+            n = fits;
         }
-        accepted
-    }
-
-    /// Wire side: frames leaving the port (towards a sink).
-    pub fn drain(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        self.tx_queue.dequeue_burst(out, max)
-    }
-
-    /// Frames waiting on the wire-out queue.
-    pub fn tx_backlog(&self) -> usize {
-        self.tx_queue.len()
-    }
-}
-
-impl EthDev for NicModel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn rx_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        let before = out.len();
-        let mut got = 0;
-        while got < max {
-            // DMA from NIC to host memory crosses PCIe.
-            let Some(m) = self.rx_queue.dequeue() else {
-                break;
-            };
-            if let Some(pcie) = &self.pcie {
-                if !pcie.admit(m.len() as u64) {
-                    // Bus saturated: the frame waits in the HW queue.
-                    let _ = self.rx_queue.enqueue(m);
-                    break;
-                }
-            }
-            out.push(m);
-            got += 1;
-        }
-        let bytes: u64 = out[before..].iter().map(|m| m.len() as u64).sum();
-        self.counters.rx(got as u64, bytes);
-        got
-    }
-
-    fn tx_burst(&self, pkts: &mut Vec<Mbuf>) -> usize {
-        let mut sent = 0;
-        while !pkts.is_empty() {
-            let bytes = Self::wire_bytes(&pkts[0]);
-            if !self.tx_limiter.lock().try_consume(bytes as f64) {
-                break; // line rate reached: caller keeps the rest
-            }
-            if let Some(pcie) = &self.pcie {
-                if !pcie.admit(pkts[0].len() as u64) {
-                    break;
-                }
-            }
-            let m = pkts.remove(0);
-            let len = m.len() as u64;
-            match self.tx_queue.enqueue(m) {
-                Ok(()) => {
-                    self.counters.tx(1, len);
-                    sent += 1;
-                }
-                Err(m) => {
-                    pkts.insert(0, m);
-                    break;
-                }
-            }
-        }
-        sent
-    }
-
-    fn stats(&self) -> DevStats {
-        self.counters.snapshot()
+        self.line.tokens -= burst[..n].iter().map(wire_bytes).sum::<f64>();
+        n
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn frame() -> Mbuf {
         Mbuf::from_slice(&[0u8; 60]) // 64 B on the wire with FCS
     }
 
     #[test]
-    fn inject_then_host_rx() {
-        let nic = NicModel::ten_g("nic0");
-        let mut pkts = vec![frame(), frame()];
-        assert_eq!(nic.inject(&mut pkts), 2);
-        let mut out = Vec::new();
-        assert_eq!(nic.rx_burst(&mut out, 8), 2);
-        assert_eq!(nic.stats().ipackets, 2);
-    }
-
-    #[test]
-    fn host_tx_then_wire_drain() {
-        let nic = NicModel::ten_g("nic0");
-        let mut pkts = vec![frame()];
-        assert_eq!(nic.tx_burst(&mut pkts), 1);
-        let mut out = Vec::new();
-        assert_eq!(nic.drain(&mut out, 8), 1);
-        assert_eq!(nic.stats().opackets, 1);
-    }
-
-    #[test]
     fn line_rate_caps_sustained_injection() {
         // A deliberately slow link (10 Mb/s ≈ 14.9 kpps at 64 B) so even a
         // debug build overruns it comfortably.
-        let nic = NicModel::new("nic0", LineRate { gbps: 0.01 }, 1 << 20, None);
-        let start = std::time::Instant::now();
+        let mut pacer = WirePacer::new(LineRate { gbps: 0.01 }, None);
+        let burst: Vec<Mbuf> = (0..64).map(|_| frame()).collect();
+        let start = Instant::now();
         let mut accepted = 0u64;
         let mut offered = 0u64;
-        while start.elapsed() < std::time::Duration::from_millis(50) {
-            let mut burst: Vec<Mbuf> = (0..64).map(|_| frame()).collect();
+        while start.elapsed() < Duration::from_millis(50) {
             offered += 64;
-            accepted += nic.inject(&mut burst) as u64;
+            accepted += pacer.admit(&burst) as u64;
         }
         let secs = start.elapsed().as_secs_f64();
         let rate_pps = accepted as f64 / secs;
@@ -289,25 +163,40 @@ mod tests {
     }
 
     #[test]
-    fn full_rx_queue_counts_missed() {
-        let nic = NicModel::new("nic0", LineRate { gbps: 1000.0 }, 2, None);
-        let mut pkts: Vec<Mbuf> = (0..5).map(|_| frame()).collect();
-        nic.inject(&mut pkts);
-        assert!(nic.stats().imissed >= 3);
+    fn shared_pcie_bus_throttles_both_ports() {
+        // A bus so slow almost nothing crosses it: its 1500 B allowance is
+        // 25 frames of 60 B, shared by both ports on the slot.
+        let bus = PcieBus::new(0.000001);
+        let mut a = WirePacer::new(LineRate::TEN_G, Some(Arc::clone(&bus)));
+        let mut b = WirePacer::new(LineRate::TEN_G, Some(bus));
+        let burst: Vec<Mbuf> = (0..32).map(|_| frame()).collect();
+        assert_eq!(a.admit(&burst), 25, "the bus allowance caps port a");
+        assert_eq!(b.admit(&burst), 0, "port a spent the shared bus");
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(
+            a.admit(&burst) + b.admit(&burst),
+            0,
+            "125 B/s refills nothing"
+        );
+        // The same port without the bus is only line-rate paced.
+        assert_eq!(WirePacer::new(LineRate::TEN_G, None).admit(&burst), 32);
     }
 
     #[test]
-    fn pcie_budget_is_shared() {
-        // A bus so slow almost nothing crosses it.
-        let bus = PcieBus::new(0.000001);
-        let nic = NicModel::new("nic0", LineRate::TEN_G, 64, Some(bus));
-        let mut pkts: Vec<Mbuf> = (0..32).map(|_| frame()).collect();
-        nic.inject(&mut pkts);
-        let mut out = Vec::new();
-        // The tiny initial burst allowance lets a few through, then stalls.
-        let first = nic.rx_burst(&mut out, 32);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let second = nic.rx_burst(&mut out, 32);
-        assert!(first + second < 32, "PCIe budget must throttle DMA");
+    fn pcie_throttle_keeps_wire_order() {
+        // 64 numbered frames queued at a 10 G port behind a 1 Mb/s bus,
+        // drained 32 at a time every 200 µs: the bus admits a trickle, and
+        // the frames must still cross in wire order.
+        let mut pacer = WirePacer::new(LineRate::TEN_G, Some(PcieBus::new(0.001)));
+        let mut queued: Vec<Mbuf> = (0..64u8).map(|i| Mbuf::from_slice(&[i; 60])).collect();
+        let mut crossed = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !queued.is_empty() && Instant::now() < deadline {
+            let n = pacer.admit(&queued[..queued.len().min(32)]);
+            crossed.extend(queued.drain(..n));
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let order: Vec<u8> = crossed.iter().map(|m| m.data()[0]).collect();
+        assert_eq!(order, (0..64u8).collect::<Vec<_>>());
     }
 }

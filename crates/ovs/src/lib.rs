@@ -4,8 +4,8 @@
 //! modifies. The moving parts mirror the real architecture closely enough
 //! that the paper's patch points exist here too:
 //!
-//! * [`port`] — switch ports: `dpdkr` shared-memory ports (the kind VMs
-//!   attach to) and generic [`dpdk_sim::EthDev`] ports (simulated NICs).
+//! * [`port`] — switch ports: every one a `dpdkr` shared-memory channel,
+//!   whether a VM's PMD or a NIC's wire end holds the peer.
 //! * [`table`] — the OpenFlow flow table with add/modify/delete (strict and
 //!   loose) semantics, priorities, cookies, timeouts and per-rule counters.
 //! * [`classifier`] — tuple-space search: one hash subtable per wildcard
@@ -53,6 +53,6 @@ pub use pmd::{
     build_fanout_mesh, rss_owner, CacheTier, CacheTierStats, FanoutBatch, PmdCaches, PmdFanout,
     PmdThread,
 };
-pub use port::{OvsPort, PortBackend, PortCounters};
+pub use port::{OvsPort, PortCounters, PortStats};
 pub use table::{FlowTable, RuleEntry, TableChange};
 pub use vswitchd::{VSwitchd, VSwitchdConfig};

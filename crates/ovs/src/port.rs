@@ -1,39 +1,81 @@
 //! Switch ports.
 //!
-//! A port is either a `dpdkr` shared-memory channel to a VM (the switch owns
-//! one [`ChannelEnd`]; the guest PMD owns the other) or a poll-mode device
-//! (simulated NIC). The PMD thread takes short-lived locks on the channel —
-//! uncontended in steady state because only the PMD touches the fast path;
-//! the control plane reads counters through atomics.
+//! Every port is a `dpdkr` shared-memory channel: the switch owns one
+//! [`ChannelEnd`], and the peer (a guest PMD, or the traffic generator or
+//! sink standing at a NIC's wire end) owns the other. The PMD thread takes
+//! short-lived locks on the channel — uncontended in steady state because
+//! only the PMD touches the fast path; the control plane reads counters
+//! through atomics.
 
-use dpdk_sim::ethdev::DevCounters;
-use dpdk_sim::{DevStats, EthDev, Mbuf};
+use dpdk_sim::Mbuf;
 use openflow::PortNo;
 use parking_lot::Mutex;
 use shmem_sim::ChannelEnd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Per-port packet/byte counters, as the switch sees them.
+/// Snapshot of a port's counters, mirroring `rte_eth_stats`.
 ///
 /// `rx` counts packets the switch received *from* the port (VM→switch),
 /// `tx` packets the switch delivered *to* the port (switch→VM) — matching
 /// the OpenFlow port-stats perspective of `ofp_port_stats`.
-pub type PortCounters = DevCounters;
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PortStats {
+    /// Packets successfully received.
+    pub ipackets: u64,
+    /// Packets successfully transmitted.
+    pub opackets: u64,
+    /// Bytes received.
+    pub ibytes: u64,
+    /// Bytes transmitted.
+    pub obytes: u64,
+    /// Packets dropped on the receive side.
+    pub imissed: u64,
+    /// Packets dropped on the transmit side (full ring, port down).
+    pub odropped: u64,
+}
 
-/// The transport behind a port.
-pub enum PortBackend {
-    /// dpdkr: shared-memory channel whose peer is a guest PMD.
-    Dpdkr(Mutex<ChannelEnd>),
-    /// A poll-mode device (e.g. a simulated NIC).
-    Dev(Arc<dyn EthDev>),
+/// The live atomic counters behind [`PortStats`].
+#[derive(Debug, Default)]
+pub struct PortCounters {
+    pub ipackets: AtomicU64,
+    pub opackets: AtomicU64,
+    pub ibytes: AtomicU64,
+    pub obytes: AtomicU64,
+    pub imissed: AtomicU64,
+    pub odropped: AtomicU64,
+}
+
+impl PortCounters {
+    /// Records `n` received packets totalling `bytes`.
+    fn rx(&self, n: u64, bytes: u64) {
+        self.ipackets.fetch_add(n, Ordering::Relaxed);
+        self.ibytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Records `n` transmitted packets totalling `bytes`.
+    fn tx(&self, n: u64, bytes: u64) {
+        self.opackets.fetch_add(n, Ordering::Relaxed);
+        self.obytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Takes a coherent-enough snapshot for reporting.
+    fn snapshot(&self) -> PortStats {
+        PortStats {
+            ipackets: self.ipackets.load(Ordering::Relaxed),
+            opackets: self.opackets.load(Ordering::Relaxed),
+            ibytes: self.ibytes.load(Ordering::Relaxed),
+            obytes: self.obytes.load(Ordering::Relaxed),
+            imissed: self.imissed.load(Ordering::Relaxed),
+            odropped: self.odropped.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A switch port.
 pub struct OvsPort {
     pub no: PortNo,
     pub name: String,
-    pub backend: PortBackend,
+    end: Mutex<ChannelEnd>,
     pub counters: PortCounters,
     /// Administrative state (`OFPPC_PORT_DOWN` cleared). A down port is not
     /// polled and drops everything delivered to it, like a real OVS port
@@ -47,18 +89,7 @@ impl OvsPort {
         OvsPort {
             no,
             name: name.into(),
-            backend: PortBackend::Dpdkr(Mutex::new(end)),
-            counters: PortCounters::default(),
-            admin_up: AtomicBool::new(true),
-        }
-    }
-
-    /// Creates a device-backed port.
-    pub fn device(no: PortNo, name: impl Into<String>, dev: Arc<dyn EthDev>) -> OvsPort {
-        OvsPort {
-            no,
-            name: name.into(),
-            backend: PortBackend::Dev(dev),
+            end: Mutex::new(end),
             counters: PortCounters::default(),
             admin_up: AtomicBool::new(true),
         }
@@ -83,10 +114,7 @@ impl OvsPort {
             return 0;
         }
         let before = out.len();
-        let n = match &self.backend {
-            PortBackend::Dpdkr(end) => end.lock().recv_burst(out, max),
-            PortBackend::Dev(dev) => dev.rx_burst(out, max),
-        };
+        let n = self.end.lock().recv_burst(out, max);
         let mut bytes = 0u64;
         for m in &mut out[before..] {
             m.port = u32::from(self.no.0);
@@ -101,54 +129,30 @@ impl OvsPort {
     /// matching OVS-DPDK's behaviour on a full vhost/dpdkr ring. A down
     /// port drops everything.
     pub fn tx_burst_or_drop(&self, pkts: &mut Vec<Mbuf>) {
-        if !self.is_admin_up() {
-            self.counters
-                .odropped
-                .fetch_add(pkts.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            pkts.clear();
-            return;
+        if self.is_admin_up() {
+            let total: u64 = pkts.iter().map(|m| m.len() as u64).sum();
+            let sent = self.end.lock().send_burst(pkts);
+            // send_burst drained exactly the first `sent` packets, so the
+            // bytes sent are the total less the bytes left behind.
+            let remaining: u64 = pkts.iter().map(|m| m.len() as u64).sum();
+            self.counters.tx(sent as u64, total - remaining);
         }
-        let sent_bytes: u64;
-        let sent: usize;
-        match &self.backend {
-            PortBackend::Dpdkr(end) => {
-                let mut end = end.lock();
-                let total: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-                let n = end.send_burst(pkts);
-                sent = n;
-                // send_burst drained exactly the first n; recompute bytes of
-                // the remainder to know what was sent.
-                let remaining: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-                sent_bytes = total - remaining;
-            }
-            PortBackend::Dev(dev) => {
-                let total: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-                let n = dev.tx_burst(pkts);
-                sent = n;
-                let remaining: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-                sent_bytes = total - remaining;
-            }
-        }
-        self.counters.tx(sent as u64, sent_bytes);
         if !pkts.is_empty() {
             self.counters
                 .odropped
-                .fetch_add(pkts.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                .fetch_add(pkts.len() as u64, Ordering::Relaxed);
             pkts.clear(); // dropped arena mbufs return their slots
         }
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> DevStats {
+    pub fn stats(&self) -> PortStats {
         self.counters.snapshot()
     }
 
-    /// True when the peer endpoint of a dpdkr port has disappeared.
+    /// True when the peer endpoint has disappeared.
     pub fn peer_gone(&self) -> bool {
-        match &self.backend {
-            PortBackend::Dpdkr(end) => end.lock().peer_gone(),
-            PortBackend::Dev(_) => false,
-        }
+        self.end.lock().peer_gone()
     }
 }
 
@@ -157,13 +161,6 @@ impl std::fmt::Debug for OvsPort {
         f.debug_struct("OvsPort")
             .field("no", &self.no)
             .field("name", &self.name)
-            .field(
-                "kind",
-                &match &self.backend {
-                    PortBackend::Dpdkr(_) => "dpdkr",
-                    PortBackend::Dev(_) => "dev",
-                },
-            )
             .finish()
     }
 }
@@ -205,18 +202,6 @@ mod tests {
         let s = port.stats();
         assert_eq!(s.opackets, 2);
         assert_eq!(s.odropped, 3);
-    }
-
-    #[test]
-    fn device_port_wraps_ethdev() {
-        let dev = Arc::new(dpdk_sim::LoopbackDev::new("lo", 8));
-        let port = OvsPort::device(PortNo(3), "nic0", dev);
-        let mut tx = vec![Mbuf::from_slice(&[1, 2, 3])];
-        port.tx_burst_or_drop(&mut tx);
-        let mut rx = Vec::new();
-        assert_eq!(port.rx_burst(&mut rx, 4), 1);
-        assert_eq!(rx[0].port, 3);
-        assert_eq!(rx[0].data(), &[1, 2, 3]);
     }
 
     #[test]

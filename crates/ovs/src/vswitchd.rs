@@ -4,7 +4,6 @@
 use crate::ofproto::{FlowTableObserver, Ofproto, StatsAugmenter};
 use crate::pmd::{build_fanout_mesh, Datapath, PmdThread};
 use crate::port::OvsPort;
-use dpdk_sim::EthDev;
 use openflow::messages::FlowMod;
 use openflow::{PortNo, SwitchLink};
 use shmem_sim::ChannelEnd;
@@ -125,7 +124,8 @@ impl VSwitchd {
         telemetry::appctl::dispatch(&self.telemetry_snapshot(), command)
     }
 
-    /// Adds a dpdkr port backed by the switch side of a shared channel.
+    /// Adds a dpdkr port backed by the switch side of a shared channel; the
+    /// peer is a VM's PMD, or a generator or sink at a NIC's wire end.
     /// Announces the port to the controller (`PortStatus` Add).
     pub fn add_dpdkr_port(
         &self,
@@ -135,19 +135,6 @@ impl VSwitchd {
     ) -> Arc<OvsPort> {
         end.set_doorbell_coalesce(self.doorbell_coalesce);
         let port = self.dp.add_port(OvsPort::dpdkr(no, name, end));
-        self.ofproto
-            .announce_port(no, &port.name, openflow::PortStatusReason::Add);
-        port
-    }
-
-    /// Adds a device-backed port (e.g. a simulated NIC).
-    pub fn add_device_port(
-        &self,
-        no: PortNo,
-        name: impl Into<String>,
-        dev: Arc<dyn EthDev>,
-    ) -> Arc<OvsPort> {
-        let port = self.dp.add_port(OvsPort::device(no, name, dev));
         self.ofproto
             .announce_port(no, &port.name, openflow::PortStatusReason::Add);
         port

@@ -7,9 +7,7 @@
 //! * [`channel`] — MPMC channels with cloneable receivers (`bounded`,
 //!   `unbounded`, `try_send`/`try_recv`/`recv_timeout` and their error
 //!   types), implemented on a `Mutex<VecDeque>` + two condvars;
-//! * [`queue::ArrayQueue`] — a bounded MPMC queue (lock-based here, the
-//!   real one is lock-free; same API, same semantics);
-//! * [`utils::CachePadded`] — 64/128-byte aligned wrapper.
+//! * [`utils::CachePadded`] — a 64-byte aligned wrapper.
 //!
 //! Swap `shims/crossbeam` for the real crates.io `crossbeam` in
 //! `[workspace.dependencies]` once the registry is reachable.
@@ -356,87 +354,6 @@ pub mod channel {
     }
 }
 
-pub mod queue {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::Mutex;
-
-    /// Bounded MPMC queue with the `crossbeam::queue::ArrayQueue` API.
-    ///
-    /// Lock-based stand-in for the lock-free original: identical
-    /// semantics, adequate for the simulated dataplane.
-    pub struct ArrayQueue<T> {
-        inner: Mutex<VecDeque<T>>,
-        cap: usize,
-    }
-
-    impl<T> ArrayQueue<T> {
-        /// Create a queue with the given capacity.
-        ///
-        /// # Panics
-        /// Panics if `cap` is zero, like the real `ArrayQueue`.
-        pub fn new(cap: usize) -> Self {
-            assert!(cap > 0, "capacity must be non-zero");
-            Self {
-                inner: Mutex::new(VecDeque::with_capacity(cap)),
-                cap,
-            }
-        }
-
-        /// Push an element, returning it back if the queue is full.
-        pub fn push(&self, value: T) -> Result<(), T> {
-            let mut q = self.inner.lock().unwrap();
-            if q.len() >= self.cap {
-                Err(value)
-            } else {
-                q.push_back(value);
-                Ok(())
-            }
-        }
-
-        /// Pop the oldest element, if any.
-        pub fn pop(&self) -> Option<T> {
-            self.inner.lock().unwrap().pop_front()
-        }
-
-        /// Push, evicting the oldest element if full (returns the evictee).
-        pub fn force_push(&self, value: T) -> Option<T> {
-            let mut q = self.inner.lock().unwrap();
-            let evicted = if q.len() >= self.cap {
-                q.pop_front()
-            } else {
-                None
-            };
-            q.push_back(value);
-            evicted
-        }
-
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap().len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        pub fn is_full(&self) -> bool {
-            self.len() >= self.cap
-        }
-
-        pub fn capacity(&self) -> usize {
-            self.cap
-        }
-    }
-
-    impl<T> fmt::Debug for ArrayQueue<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("ArrayQueue")
-                .field("cap", &self.cap)
-                .finish()
-        }
-    }
-}
-
 pub mod utils {
     use std::ops::{Deref, DerefMut};
 
@@ -481,7 +398,6 @@ pub mod utils {
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, unbounded, TryRecvError, TrySendError};
-    use super::queue::ArrayQueue;
     use super::utils::CachePadded;
 
     #[test]
@@ -512,17 +428,6 @@ mod tests {
         let got: Vec<i32> = rx.iter().collect();
         assert!(h.join().unwrap());
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn array_queue_bounds() {
-        let q = ArrayQueue::new(2);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.push(3), Err(3));
-        assert!(q.is_full());
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.capacity(), 2);
     }
 
     #[test]

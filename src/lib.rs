@@ -120,7 +120,7 @@ pub use vnf_apps as vnf;
 
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {
-    pub use dpdk_sim::{Arena, EthDev, Mbuf};
+    pub use dpdk_sim::{Arena, Mbuf};
     pub use highway_core::{HighwayNode, HighwayNodeConfig};
     pub use openflow::{Action, FlowMatch, OfpMessage, PortNo};
     pub use ovs_dp::{VSwitchd, VSwitchdConfig};

@@ -18,7 +18,6 @@ fn resolves<T: ?Sized>() -> &'static str {
 fn prelude_types_resolve() {
     // One line per prelude export; a missing manifest dependency turns
     // any of these into a compile error.
-    assert!(resolves::<dyn EthDev>().contains("dpdk_sim"));
     assert!(resolves::<Mbuf>().contains("dpdk_sim"));
     assert!(resolves::<Arena>().contains("dpdk_sim"));
     assert!(resolves::<HighwayNode>().contains("highway_core"));
