@@ -2,8 +2,7 @@
 //! to carry, and when.
 //!
 //! The paper's prototype accelerates every detected link immediately. In
-//! operation two refinements matter, and both are exposed here as knobs so
-//! the ablation benches can quantify them:
+//! operation two refinements matter, and both are exposed here as knobs:
 //!
 //! * **Debounce** — a controller reshuffling its table (e.g. a routing
 //!   convergence burst) can create and destroy the same p-2-p link many

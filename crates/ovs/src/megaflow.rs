@@ -71,7 +71,7 @@ pub struct Megaflow {
 impl Megaflow {
     /// Creates a cache bounded to `capacity` aggregates. A capacity of 0
     /// disables the tier entirely (every lookup misses, inserts are no-ops)
-    /// — the EMC-only configuration of the cache-tier ablation.
+    /// — an EMC-only configuration.
     pub fn new(capacity: usize) -> Megaflow {
         Megaflow {
             groups: Vec::new(),

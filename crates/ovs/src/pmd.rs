@@ -43,7 +43,7 @@ pub const EMC_PROMOTION_INTERVAL: u64 = 8;
 /// nanoseconds — comparable to an EMC hit — so stamping every flow group
 /// of every burst would dominate the classify fast path; sampled bursts
 /// keep the histograms honest while the unstamped majority pays only a
-/// counter add (the ≤5% overhead gate in the `pmd_scaling` bench).
+/// counter add.
 pub const STAGE_SAMPLE_INTERVAL: u32 = 8;
 
 /// The per-PMD lookup caches in front of the shared classifier: the
@@ -88,7 +88,7 @@ impl PmdCaches {
     }
 
     /// Caches bounded to the given entry counts; a capacity of 0 disables
-    /// the corresponding tier (the ablation configurations).
+    /// the corresponding tier.
     pub fn with_capacity(emc_entries: usize, megaflow_entries: usize) -> PmdCaches {
         PmdCaches {
             emc: Emc::new(emc_entries),
@@ -1401,6 +1401,53 @@ mod tests {
         .unwrap();
         pump_with_caches(&dp, &caches);
         assert_eq!(dp.emc_hits.load(Ordering::Relaxed), 1);
+    }
+
+    /// Once warm, the megaflow tier catches a working set that thrashes
+    /// the EMC: a pass over four times more flows than the EMC holds walks
+    /// the classifier not once.
+    #[test]
+    fn megaflow_absorbs_emc_thrash() {
+        const EMC_ENTRIES: usize = 512;
+        let (dp, mut vm1, mut vm2) = two_port_dp(false);
+        dp.table_apply(&FlowMod::add(
+            FlowMatch::in_port(PortNo(1)),
+            10,
+            vec![Action::Output(PortNo(2))],
+        ));
+        let caches = Mutex::new(PmdCaches::with_capacity(
+            EMC_ENTRIES,
+            DEFAULT_MEGAFLOW_ENTRIES,
+        ));
+        let frames: Vec<Vec<u8>> = (0..4 * EMC_ENTRIES as u16)
+            .map(|f| PacketBuilder::udp_probe(64).ports(10_000 + f, f).build())
+            .collect();
+        let mut pass = || {
+            let mut delivered = 0;
+            for burst in frames.chunks(DEFAULT_BURST) {
+                for frame in burst {
+                    vm1.send(Mbuf::from_slice(frame)).unwrap();
+                }
+                pump_with_caches(&dp, &caches);
+                while vm2.recv().is_some() {
+                    delivered += 1;
+                }
+            }
+            delivered
+        };
+        assert_eq!(pass(), frames.len(), "warm pass");
+        let classifier = dp.classifier_hits.load(Ordering::Relaxed);
+        let megaflow = dp.megaflow_hits.load(Ordering::Relaxed);
+        assert_eq!(pass(), frames.len(), "measured pass");
+        assert_eq!(
+            dp.classifier_hits.load(Ordering::Relaxed),
+            classifier,
+            "warm megaflow: no classifier walks"
+        );
+        assert!(
+            dp.megaflow_hits.load(Ordering::Relaxed) > megaflow,
+            "EMC absorbed everything: no thrash?"
+        );
     }
 
     /// Generation-based invalidation: a table change must flush both cache

@@ -34,11 +34,6 @@ pub struct VSwitchdConfig {
     /// busy/idle cycle accounting, sampled packet traces). Counters tick
     /// regardless; this only gates the cycle reads on the hot path.
     pub telemetry: bool,
-    /// Doorbell coalescing threshold applied to the switch side of every
-    /// dpdkr channel: ring the peer's doorbell at most once per this many
-    /// packets (0/1 = per-packet). Interrupt-suppression-style batching;
-    /// delivery is poll-based either way, this bounds notification cost.
-    pub doorbell_coalesce: usize,
 }
 
 impl Default for VSwitchdConfig {
@@ -54,18 +49,7 @@ impl Default for VSwitchdConfig {
                 .and_then(|v| v.parse::<usize>().ok())
                 .filter(|&n| n >= 1)
                 .unwrap_or(1),
-            // `HIGHWAY_TELEMETRY=0` disables the cycle-stamping half of the
-            // telemetry layer (the overhead-gate configuration of the
-            // pmd_scaling bench); anything else leaves it on.
-            telemetry: std::env::var("HIGHWAY_TELEMETRY")
-                .map(|v| v != "0" && !v.eq_ignore_ascii_case("off"))
-                .unwrap_or(true),
-            // `HIGHWAY_DOORBELL` overrides the packets-per-notification
-            // threshold (e.g. 1 to measure the per-packet baseline).
-            doorbell_coalesce: std::env::var("HIGHWAY_DOORBELL")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(shmem_sim::DEFAULT_DOORBELL_COALESCE),
+            telemetry: true,
         }
     }
 }
@@ -81,7 +65,6 @@ pub struct VSwitchd {
     /// from `threads` so a listener can be opened before or after `start`.
     listeners: parking_lot::Mutex<Vec<(std::net::SocketAddr, JoinHandle<()>)>>,
     pmd_threads: usize,
-    doorbell_coalesce: usize,
 }
 
 impl VSwitchd {
@@ -97,7 +80,6 @@ impl VSwitchd {
             threads: parking_lot::Mutex::new(Vec::new()),
             listeners: parking_lot::Mutex::new(Vec::new()),
             pmd_threads: config.pmd_threads.max(1),
-            doorbell_coalesce: config.doorbell_coalesce,
         }
     }
 
@@ -126,14 +108,16 @@ impl VSwitchd {
 
     /// Adds a dpdkr port backed by the switch side of a shared channel; the
     /// peer is a VM's PMD, or a generator or sink at a NIC's wire end.
-    /// Announces the port to the controller (`PortStatus` Add).
+    /// The switch side rings the peer's doorbell at most once per
+    /// [`shmem_sim::DEFAULT_DOORBELL_COALESCE`] packets. Announces the port
+    /// to the controller (`PortStatus` Add).
     pub fn add_dpdkr_port(
         &self,
         no: PortNo,
         name: impl Into<String>,
         mut end: ChannelEnd,
     ) -> Arc<OvsPort> {
-        end.set_doorbell_coalesce(self.doorbell_coalesce);
+        end.set_doorbell_coalesce(shmem_sim::DEFAULT_DOORBELL_COALESCE);
         let port = self.dp.add_port(OvsPort::dpdkr(no, name, end));
         self.ofproto
             .announce_port(no, &port.name, openflow::PortStatusReason::Add);

@@ -17,7 +17,6 @@
 //!   sequence numbers and timestamps, matching the paper's workload);
 //! * [`checksum`] — Internet checksum helpers shared by IPv4/UDP/TCP.
 
-pub mod arp;
 pub mod builder;
 pub mod checksum;
 pub mod ethernet;
@@ -27,7 +26,6 @@ pub mod ipv4;
 pub mod tcp;
 pub mod udp;
 
-pub use arp::{ArpOperation, ArpPacket};
 pub use builder::{PacketBuilder, ProbeHeader, PROBE_WIRE_LEN};
 pub use ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 pub use flow::FlowKey;

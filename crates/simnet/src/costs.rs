@@ -3,9 +3,9 @@
 //! Quoted at the testbed's nominal 3 GHz. Derived from two sources, in this
 //! order of authority:
 //!
-//! 1. the `highway-bench` Criterion microbenchmarks of *this repository's*
-//!    real code (ring ops, EMC lookups, classifier misses, PMD mux) — run
-//!    `cargo bench -p highway-bench` and compare;
+//! 1. the per-layer costs `benchmark/run --trace 1` measures on *this
+//!    repository's* real code (`shmem.hop_desc_ns`, `ovs.classify_*_ns`,
+//!    `ovs.traversal_ns`);
 //! 2. the OVS-DPDK performance literature for the absolute anchors the
 //!    simulation cannot reproduce (≈ 250–300 cycles per EMC-hit switch
 //!    traversal ⇒ 10–12 Mpps per PMD core; single-core l2fwd VMs around
@@ -33,11 +33,11 @@ pub struct CostModel {
     pub classifier_extra: f64,
     /// EMC hit probability in steady state (chains: stable flows ⇒ ~1.0).
     pub emc_hit_rate: f64,
-    /// Megaflow hit probability *among EMC misses*; cache-tier experiments
-    /// raise it. At the default 0.0 every EMC miss still pays the megaflow
-    /// *probe* (`megaflow_extra`) before the classifier walk — the datapath
-    /// always consults the tier — so EMC-miss costs are `megaflow_extra`
-    /// higher than the pre-megaflow two-tier model. The published-figure
+    /// Megaflow hit probability *among EMC misses*. At the default 0.0
+    /// every EMC miss still pays the megaflow *probe* (`megaflow_extra`)
+    /// before the classifier walk — the datapath always consults the tier
+    /// — so EMC-miss costs are `megaflow_extra` higher than the
+    /// pre-megaflow two-tier model. The published-figure
     /// calibrations are unaffected: they run at the steady state
     /// `emc_hit_rate = 1.0`, where neither term contributes.
     pub megaflow_hit_rate: f64,
@@ -55,12 +55,6 @@ pub struct CostModel {
     pub sink_cost: f64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::paper_testbed()
-    }
-}
-
 impl CostModel {
     /// Overrides the number of PMD cores dedicated to the vSwitch.
     ///
@@ -75,13 +69,12 @@ impl CostModel {
 
     /// Calibration for the paper's testbed (E5-2690 v2 @ 3 GHz).
     ///
-    /// The ring and tier costs are re-anchored against the measured
-    /// `highway_showdown` bench of this repository's real datapath
-    /// (see `BENCH_highway_showdown.json`): a descriptor ring hop measures
+    /// The ring and tier costs are anchored to measurements of this
+    /// repository's real datapath: a descriptor ring hop measured
     /// ≈ 98 cycles (⇒ 50/50 enqueue/dequeue), and the classifier walk past
-    /// the decoy subtables costs ≈ 7.5× the warm-cache extra — far steeper
-    /// than the pre-measurement guess — scaled here to the literature's
-    /// absolute EMC-hit anchor (≈ 10–12 Mpps/core).
+    /// decoy subtables ≈ 7.5× the warm-cache extra — far steeper than the
+    /// pre-measurement guess — scaled here to the literature's absolute
+    /// EMC-hit anchor (≈ 10–12 Mpps/core).
     pub fn paper_testbed() -> CostModel {
         CostModel {
             cpu_hz: 3.0e9,
@@ -100,14 +93,6 @@ impl CostModel {
             gen_cost: 90.0,
             sink_cost: 60.0,
         }
-    }
-
-    /// Overrides the cache-tier hit rates (EMC overall, megaflow among
-    /// EMC misses) — the knob the cache-tier experiments sweep.
-    pub fn with_cache_hit_rates(mut self, emc: f64, megaflow: f64) -> CostModel {
-        self.emc_hit_rate = emc;
-        self.megaflow_hit_rate = megaflow;
-        self
     }
 
     /// Switch-side cost of carrying one packet across one seam
@@ -139,12 +124,6 @@ impl CostModel {
     pub fn ovs_capacity_cycles(&self) -> f64 {
         self.ovs_pmd_cores * self.cpu_hz
     }
-
-    /// Implied single-core switch forwarding rate (sanity anchor:
-    /// OVS-DPDK does ≈10–12 Mpps/core phy-phy with EMC hits).
-    pub fn implied_ovs_mpps_per_core(&self) -> f64 {
-        self.cpu_hz / self.ovs_crossing() / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +133,7 @@ mod tests {
     #[test]
     fn calibration_matches_known_anchors() {
         let c = CostModel::paper_testbed();
-        let per_core = c.implied_ovs_mpps_per_core();
+        let per_core = c.cpu_hz / c.ovs_crossing() / 1e6;
         assert!(
             (9.0..=13.0).contains(&per_core),
             "OVS-DPDK per-core rate {per_core:.1} Mpps out of the known 10-12 band"
@@ -176,9 +155,14 @@ mod tests {
 
     #[test]
     fn megaflow_tier_sits_between_emc_and_classifier() {
-        let emc_only = CostModel::paper_testbed().with_cache_hit_rates(1.0, 0.0);
-        let megaflow = CostModel::paper_testbed().with_cache_hit_rates(0.0, 1.0);
-        let classifier = CostModel::paper_testbed().with_cache_hit_rates(0.0, 0.0);
+        let tiers = |emc_hit_rate, megaflow_hit_rate| CostModel {
+            emc_hit_rate,
+            megaflow_hit_rate,
+            ..CostModel::paper_testbed()
+        };
+        let emc_only = tiers(1.0, 0.0);
+        let megaflow = tiers(0.0, 1.0);
+        let classifier = tiers(0.0, 0.0);
         assert!(emc_only.ovs_crossing() < megaflow.ovs_crossing());
         assert!(megaflow.ovs_crossing() < classifier.ovs_crossing());
         // A megaflow hit dodges the whole classifier walk.

@@ -1,17 +1,12 @@
 //! A packet-level discrete-event cross-check of the bottleneck solver.
 //!
-//! The figures are produced by the closed-form solver in [`crate::solver`];
+//! The prediction comes from the closed-form solver in [`crate::solver`];
 //! this module re-derives the same numbers the slow way — individual
 //! packets visiting FIFO stations in virtual time — so the reproduction
 //! does not rest on one analytic shortcut. The two models share only the
 //! [`CostModel`] inputs; agreement (within a few percent at saturation) is
-//! asserted by tests and by `tests/chain_functional.rs`-style CI runs.
-//!
-//! The DES also yields *latency under load* directly (sojourn times),
-//! providing an independent check on the M/M/1 approximation behind the
-//! §3 latency experiment: with deterministic service the queueing is
-//! M/D/1-like, so DES latencies must sit at or below the analytic curve
-//! while preserving its shape.
+//! asserted by the tests below and by `tests/properties.rs` over random
+//! cost models.
 
 use crate::costs::CostModel;
 use crate::topology::{ChainSpec, EdgeKind, Mode};
@@ -25,8 +20,6 @@ use std::collections::BinaryHeap;
 struct Station {
     /// When each server next becomes free (cycles).
     free_at: Vec<u64>,
-    /// Packets served (diagnostics).
-    served: u64,
 }
 
 impl Station {
@@ -38,7 +31,6 @@ impl Station {
         let start = t.max(self.free_at[idx]);
         let done = start + service;
         self.free_at[idx] = done;
-        self.served += 1;
         done
     }
 }
@@ -49,7 +41,6 @@ type Route = Vec<(usize, u64)>;
 /// The simulated chain: stations plus one route per direction.
 pub struct ChainSim {
     stations: Vec<Station>,
-    names: Vec<&'static str>,
     forward: Route,
     reverse: Route,
     cpu_hz: f64,
@@ -60,10 +51,6 @@ pub struct ChainSim {
 pub struct SimResult {
     /// Delivered aggregate throughput (Mpps, both directions).
     pub aggregate_mpps: f64,
-    /// Mean one-way sojourn (µs) over the steady-state half of the run.
-    pub mean_latency_us: f64,
-    /// 99th-percentile one-way sojourn (µs).
-    pub p99_latency_us: f64,
     /// Packets delivered.
     pub delivered: u64,
 }
@@ -77,19 +64,16 @@ impl ChainSim {
     /// station at its line rate.
     pub fn new(spec: &ChainSpec, cost: &CostModel) -> ChainSim {
         let mut stations = Vec::new();
-        let mut names = Vec::new();
-        let mut add = |name: &'static str, servers: usize| {
+        let mut add = |servers: usize| {
             stations.push(Station {
                 free_at: vec![0; servers.max(1)],
-                served: 0,
             });
-            names.push(name);
             stations.len() - 1
         };
 
         let cyc = |cycles: f64| cycles.max(1.0).round() as u64;
         // The PMD pool: one server per core, full per-packet service.
-        let ovs = add("ovs-pmd", cost.ovs_pmd_cores.round() as usize);
+        let ovs = add(cost.ovs_pmd_cores.round() as usize);
         let ovs_service = cyc(cost.ovs_crossing());
         let ovs_nic_service = cyc(cost.ovs_nic_crossing());
 
@@ -98,12 +82,12 @@ impl ChainSim {
 
         match spec.edge {
             EdgeKind::Memory => {
-                let src = add("vm-endpoint-a", 1);
+                let src = add(1);
                 let mut mids = Vec::new();
                 for _ in 0..spec.forwarding_vms() {
-                    mids.push(add("vm-forwarder", 1));
+                    mids.push(add(1));
                 }
-                let dst = add("vm-endpoint-b", 1);
+                let dst = add(1);
 
                 let gen = cyc(cost.gen_cost + cost.ring_enqueue);
                 let sink = cyc(cost.ring_dequeue + cost.sink_cost);
@@ -141,13 +125,13 @@ impl ChainSim {
                 reverse.push((src, sink));
             }
             EdgeKind::Nic { gbps, frame_len } => {
-                let nic_a = add("nic-a", 1);
-                let nic_b = add("nic-b", 1);
+                let nic_a = add(1);
+                let nic_b = add(1);
                 let line_pps = gbps * 1e9 / (((frame_len + 20) * 8) as f64);
                 let nic_service = cyc(cost.cpu_hz / line_pps);
                 let mut vms = Vec::new();
                 for _ in 0..spec.n_vms {
-                    vms.push(add("vm-forwarder", 1));
+                    vms.push(add(1));
                 }
                 let fwd = cyc(cost.vm_forward());
                 let inner = match spec.mode {
@@ -185,133 +169,9 @@ impl ChainSim {
 
         ChainSim {
             stations,
-            names,
             forward,
             reverse,
             cpu_hz: cost.cpu_hz,
-        }
-    }
-
-    /// Runs `packets_per_direction` packets per direction with
-    /// *deterministic* interarrivals at `offered_pps_per_direction`.
-    /// Below capacity this behaves like D/D/1 (no queueing): right for
-    /// saturation-throughput questions, wrong for latency-under-load.
-    pub fn run(&mut self, packets_per_direction: u64, offered_pps_per_direction: f64) -> SimResult {
-        let interval = (self.cpu_hz / offered_pps_per_direction).round() as u64;
-        let fwd: Vec<u64> = (0..packets_per_direction).map(|s| s * interval).collect();
-        let rev: Vec<u64> = (0..packets_per_direction)
-            .map(|s| s * interval + interval / 2)
-            .collect();
-        self.run_schedule(&fwd, &rev)
-    }
-
-    /// Runs with *Poisson* arrivals (exponential interarrivals from a
-    /// seeded generator) — the open-system assumption behind the latency
-    /// experiment. Deterministic given the seed.
-    pub fn run_poisson(
-        &mut self,
-        packets_per_direction: u64,
-        offered_pps_per_direction: f64,
-        seed: u64,
-    ) -> SimResult {
-        let mean_interval = self.cpu_hz / offered_pps_per_direction;
-        let schedule = |mut state: u64| {
-            let mut t = 0f64;
-            let mut out = Vec::with_capacity(packets_per_direction as usize);
-            for _ in 0..packets_per_direction {
-                // xorshift64* + inverse-transform exponential sampling.
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                let u = (state.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64;
-                t += -u.max(1e-12).ln() * mean_interval;
-                out.push(t as u64);
-            }
-            out
-        };
-        let fwd = schedule(seed | 1);
-        let rev = schedule(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-        self.run_schedule(&fwd, &rev)
-    }
-
-    /// The event loop proper: two explicit per-direction arrival schedules
-    /// (cycles, ascending).
-    fn run_schedule(&mut self, fwd_arrivals: &[u64], rev_arrivals: &[u64]) -> SimResult {
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct Ev {
-            time: u64,
-            seq: u64,
-            dir: bool,
-            stage: usize,
-        }
-        for s in &mut self.stations {
-            s.free_at.fill(0);
-            s.served = 0;
-        }
-        let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-        for (seq, t) in fwd_arrivals.iter().enumerate() {
-            heap.push(Reverse(Ev {
-                time: *t,
-                seq: seq as u64,
-                dir: false,
-                stage: 0,
-            }));
-        }
-        for (seq, t) in rev_arrivals.iter().enumerate() {
-            heap.push(Reverse(Ev {
-                time: *t,
-                seq: seq as u64,
-                dir: true,
-                stage: 0,
-            }));
-        }
-
-        let packets_per_direction = fwd_arrivals.len() as u64;
-        let mut sojourns_us: Vec<f64> = Vec::with_capacity(2 * fwd_arrivals.len());
-        let mut last_done = 0u64;
-        let mut delivered = 0u64;
-        while let Some(Reverse(ev)) = heap.pop() {
-            let route: &Route = if ev.dir { &self.reverse } else { &self.forward };
-            let (station, service) = route[ev.stage];
-            let done = self.stations[station].admit(ev.time, service);
-            if ev.stage + 1 < route.len() {
-                heap.push(Reverse(Ev {
-                    time: done,
-                    seq: ev.seq,
-                    dir: ev.dir,
-                    stage: ev.stage + 1,
-                }));
-            } else {
-                delivered += 1;
-                last_done = last_done.max(done);
-                let injected = if ev.dir {
-                    rev_arrivals[ev.seq as usize]
-                } else {
-                    fwd_arrivals[ev.seq as usize]
-                };
-                // Steady-state measurement: skip the warm-up half.
-                if ev.seq >= packets_per_direction / 2 {
-                    sojourns_us.push((done - injected) as f64 / self.cpu_hz * 1e6);
-                }
-            }
-        }
-
-        let horizon_s = last_done as f64 / self.cpu_hz;
-        sojourns_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = if sojourns_us.is_empty() {
-            0.0
-        } else {
-            sojourns_us.iter().sum::<f64>() / sojourns_us.len() as f64
-        };
-        let p99 = sojourns_us
-            .get((sojourns_us.len().saturating_sub(1)) * 99 / 100)
-            .copied()
-            .unwrap_or(0.0);
-        SimResult {
-            aggregate_mpps: delivered as f64 / horizon_s / 1e6,
-            mean_latency_us: mean,
-            p99_latency_us: p99,
-            delivered,
         }
     }
 
@@ -332,7 +192,7 @@ impl ChainSim {
     /// completion injects the next until `packets_per_direction` have been
     /// delivered per direction. Throughput is measured over the second
     /// half of completions (steady state).
-    pub fn run_closed(&mut self, packets_per_direction: u64, window: u64) -> SimResult {
+    fn run_closed(&mut self, packets_per_direction: u64, window: u64) -> SimResult {
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         struct Ev {
             time: u64,
@@ -342,7 +202,6 @@ impl ChainSim {
         }
         for s in &mut self.stations {
             s.free_at.fill(0);
-            s.served = 0;
         }
         let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
         let window = window.min(packets_per_direction).max(1);
@@ -407,21 +266,8 @@ impl ChainSim {
             } else {
                 0.0
             },
-            // Closed-loop sojourn reflects the window size, not the open
-            // system the latency experiment models — not reported.
-            mean_latency_us: 0.0,
-            p99_latency_us: 0.0,
             delivered,
         }
-    }
-
-    /// Per-station packets served in the last run (diagnostics).
-    pub fn served(&self) -> Vec<(&'static str, u64)> {
-        self.names
-            .iter()
-            .zip(&self.stations)
-            .map(|(n, s)| (*n, s.served))
-            .collect()
     }
 }
 
@@ -494,79 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn low_load_latency_is_the_service_sum() {
-        let cost = mem_cost();
-        let spec = ChainSpec::memory(4, Mode::Highway);
-        let mut sim = ChainSim::new(&spec, &cost);
-        // 1 kpps per direction: queues never form.
-        let r = sim.run(2_000, 1_000.0);
-        let service_sum_us: f64 = sim
-            .forward
-            .iter()
-            .map(|(_, s)| *s as f64 / cost.cpu_hz * 1e6)
-            .sum();
-        assert!(
-            (r.mean_latency_us - service_sum_us).abs() < 0.05 * service_sum_us + 0.01,
-            "mean {:.3} µs vs unloaded path {:.3} µs",
-            r.mean_latency_us,
-            service_sum_us
-        );
-        assert_eq!(r.delivered, 4_000);
-    }
-
-    #[test]
-    fn latency_gap_under_poisson_load_matches_the_claim() {
-        let cost = nic_cost();
-        // Load both modes at 90 % of VANILLA capacity (the experiment's
-        // operating point) with Poisson arrivals: the vanilla chain queues
-        // hard at its bottleneck, the highway cruises — the paper's ~80 %
-        // latency improvement at N=8. (Service here is deterministic, so
-        // queueing is M/D/1-like: somewhat milder than the analytic M/M/1
-        // curve; the shape and the large improvement must survive.)
-        let spec_v = ChainSpec::nic(8, Mode::Vanilla);
-        let spec_h = ChainSpec::nic(8, Mode::Highway);
-        let cap_v = solve(&spec_v, &cost).per_direction_pps;
-        let mut sim_v = ChainSim::new(&spec_v, &cost);
-        let mut sim_h = ChainSim::new(&spec_h, &cost);
-        let lat_v = sim_v.run_poisson(60_000, 0.9 * cap_v, 42).mean_latency_us;
-        let lat_h = sim_h.run_poisson(60_000, 0.9 * cap_v, 42).mean_latency_us;
-        let improvement = 1.0 - lat_h / lat_v;
-        assert!(
-            improvement > 0.5,
-            "DES improvement {improvement:.2} at N=8 (paper: ~0.80)"
-        );
-
-        // And latency is monotone in load for the vanilla chain.
-        let l50 = sim_v.run_poisson(60_000, 0.5 * cap_v, 7).mean_latency_us;
-        let l90 = sim_v.run_poisson(60_000, 0.9 * cap_v, 7).mean_latency_us;
-        assert!(l90 > l50);
-    }
-
-    #[test]
-    fn poisson_arrivals_are_seed_deterministic() {
-        let cost = mem_cost();
-        let spec = ChainSpec::memory(3, Mode::Vanilla);
-        let a = ChainSim::new(&spec, &cost)
-            .run_poisson(5_000, 1.0e6, 99)
-            .mean_latency_us;
-        let b = ChainSim::new(&spec, &cost)
-            .run_poisson(5_000, 1.0e6, 99)
-            .mean_latency_us;
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn served_accounting_is_conserved() {
+    fn packets_and_station_visits_are_conserved() {
         let cost = mem_cost();
         let mut sim = ChainSim::new(&ChainSpec::memory(3, Mode::Vanilla), &cost);
-        let r = sim.saturate(1_000);
-        assert_eq!(r.delivered, 2_000);
-        let served = sim.served();
-        // The single forwarder carries every packet of both directions.
-        let fwd = served.iter().find(|(n, _)| *n == "vm-forwarder").unwrap().1;
-        assert_eq!(fwd, 2_000);
-        // The switch carries 2 seams × both directions.
-        let ovs = served.iter().find(|(n, _)| *n == "ovs-pmd").unwrap().1;
-        assert_eq!(ovs, 4_000);
+        assert_eq!(sim.saturate(1_000).delivered, 2_000);
+        // Either direction crosses the switch (station 0) at both seams
+        // and visits the single forwarder once.
+        for route in [&sim.forward, &sim.reverse] {
+            assert_eq!(route.iter().filter(|(s, _)| *s == 0).count(), 2);
+            assert_eq!(route.len(), 5, "source, switch, forwarder, switch, sink");
+        }
     }
 }

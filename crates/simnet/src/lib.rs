@@ -1,14 +1,13 @@
 //! # simnet
 //!
-//! The calibrated performance model that regenerates the paper's evaluation
-//! on a machine that is not a 10-core Xeon with two 10 G NICs.
+//! The calibrated performance model the benchmark checks its measured
+//! chain speed-up against (`simnet.pred_speedup_chain4` beside
+//! `simnet.measured_speedup_chain4`).
 //!
 //! The *functional* reproduction (crates `ovs-dp`, `vnf-apps`,
-//! `highway-core`) really moves packets between threads; it proves the
-//! architecture works, end to end, and its microbenchmarks calibrate this
-//! model. But multi-core *throughput scaling* cannot be measured honestly
-//! on the single-core CI box this reproduction targets, so the figures are
-//! produced by an explicit, documented model instead:
+//! `highway-core`) really moves packets between threads; its measured
+//! per-layer costs calibrate this model. The model predicts what those
+//! costs imply on the paper's 10-core testbed:
 //!
 //! * [`costs`] — per-packet cycle costs of every component on the path
 //!   (ring ops, EMC hit, classifier miss, action execution, VNF work, NIC
@@ -19,32 +18,16 @@
 //!   demand × symmetric bidirectional rate ≤ capacity; the binding
 //!   resource sets the throughput (how one reasons about poll-mode
 //!   dataplanes, cf. the OVS-DPDK performance literature).
-//! * [`latency`] — an M/M/1-style sojourn model on top of the solver's
-//!   utilisations, for the paper's §3 latency claim.
-//! * [`experiments`] — one function per table/figure, returning printable
-//!   series (used by the `highway-bench` binaries and EXPERIMENTS.md).
-//! * [`ablation`] — the sweeps *around* the published figures: frame-size,
-//!   EMC degradation, VNF-cost crossover and PMD-core parity.
-
 //! * [`des`] — a packet-level discrete-event twin of the solver: same
 //!   inputs, independent mechanics; tests assert the two agree, so the
-//!   figures do not rest on one analytic shortcut.
+//!   prediction does not rest on one analytic shortcut.
 
-pub mod ablation;
 pub mod costs;
 pub mod des;
-pub mod experiments;
-pub mod latency;
 pub mod solver;
 pub mod topology;
 
-pub use ablation::{
-    cores_for_parity, crossover_point, emc_sweep, frame_size_sweep, megaflow_sweep,
-    pmd_core_scaling, vnf_cost_crossover, SweepRow,
-};
 pub use costs::CostModel;
 pub use des::{ChainSim, SimResult};
-pub use experiments::{fig3a, fig3b, latency_vs_chain, setup_time_model, FigureRow};
-pub use latency::LatencyEstimate;
 pub use solver::{solve, Solution};
 pub use topology::{ChainSpec, EdgeKind, Mode};

@@ -15,29 +15,13 @@
 use crate::costs::CostModel;
 use crate::topology::{ChainSpec, EdgeKind, Mode};
 
-/// One resource's demand/capacity and resulting utilisation at `x*`.
-#[derive(Debug, Clone)]
-pub struct ResourceLoad {
-    pub name: String,
-    /// Cycles (or pps-equivalents) consumed per packet-pair.
-    pub demand_per_pair: f64,
-    /// Capacity in the same unit per second.
-    pub capacity: f64,
-    /// Utilisation at the solved throughput (1.0 = the bottleneck).
-    pub utilisation: f64,
-}
-
 /// A solved chain.
 #[derive(Debug, Clone)]
 pub struct Solution {
-    /// Sustained rate per direction (pps).
-    pub per_direction_pps: f64,
-    /// Aggregate bidirectional rate (pps) — the figures' y-axis.
+    /// Aggregate bidirectional rate (Mpps) — the figures' y-axis.
     pub aggregate_mpps: f64,
     /// Name of the binding resource.
     pub bottleneck: String,
-    /// Every resource's load at the solution.
-    pub resources: Vec<ResourceLoad>,
 }
 
 /// Builds the per-resource demand table for a chain.
@@ -101,53 +85,16 @@ fn nic_sim_line_rate(gbps: f64, frame_len: usize) -> f64 {
 
 /// Solves a chain for its sustained bidirectional throughput.
 pub fn solve(spec: &ChainSpec, cost: &CostModel) -> Solution {
-    let demand_table = demands(spec, cost);
-    let mut best: Option<(f64, &str)> = None;
-    for (name, demand, capacity) in &demand_table {
-        if *demand <= 0.0 {
-            continue;
-        }
-        let x = capacity / demand;
-        match best {
-            Some((bx, _)) if bx <= x => {}
-            _ => best = Some((x, name)),
-        }
-    }
-    let (x, bottleneck) = best.expect("chain has at least one resource");
-    let resources = demand_table
-        .iter()
-        .map(|(name, demand, capacity)| ResourceLoad {
-            name: name.clone(),
-            demand_per_pair: *demand,
-            capacity: *capacity,
-            utilisation: if *capacity > 0.0 {
-                (x * demand / capacity).min(1.0)
-            } else {
-                0.0
-            },
-        })
-        .collect();
+    let (x, bottleneck) = demands(spec, cost)
+        .into_iter()
+        .filter(|(_, demand, _)| *demand > 0.0)
+        .map(|(name, demand, capacity)| (capacity / demand, name))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("chain has at least one resource");
     Solution {
-        per_direction_pps: x,
         aggregate_mpps: 2.0 * x / 1e6,
-        bottleneck: bottleneck.to_string(),
-        resources,
+        bottleneck,
     }
-}
-
-/// Utilisation of a named resource when the chain is offered
-/// `offered_pps_per_direction` (for the latency model).
-pub fn utilisation_at(
-    spec: &ChainSpec,
-    cost: &CostModel,
-    resource: &str,
-    offered_pps_per_direction: f64,
-) -> f64 {
-    demands(spec, cost)
-        .iter()
-        .find(|(name, _, _)| name == resource)
-        .map(|(_, demand, capacity)| (offered_pps_per_direction * demand / capacity).min(0.999))
-        .unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -227,16 +174,5 @@ mod tests {
     fn nic_line_rate_constant() {
         let pps = nic_sim_line_rate(10.0, 64);
         assert!((pps / 1e6 - 14.88).abs() < 0.01);
-    }
-
-    #[test]
-    fn utilisation_at_tracks_offered_load() {
-        let cost = CostModel::paper_testbed();
-        let spec = ChainSpec::memory(4, Mode::Vanilla);
-        let sol = solve(&spec, &cost);
-        let half = utilisation_at(&spec, &cost, "ovs-pmd", sol.per_direction_pps / 2.0);
-        assert!((half - 0.5).abs() < 0.05, "got {half}");
-        let full = utilisation_at(&spec, &cost, "ovs-pmd", sol.per_direction_pps);
-        assert!(full > 0.95);
     }
 }

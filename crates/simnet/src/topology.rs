@@ -74,14 +74,6 @@ impl ChainSpec {
             EdgeKind::Nic { .. } => self.n_vms,
         }
     }
-
-    /// Seams the switch must carry in this mode.
-    pub fn switch_seams(&self) -> usize {
-        match self.mode {
-            Mode::Vanilla => self.vm_seams() + self.nic_seams(),
-            Mode::Highway => self.nic_seams(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,8 +86,6 @@ mod tests {
         assert_eq!(spec.vm_seams(), 7);
         assert_eq!(spec.nic_seams(), 0);
         assert_eq!(spec.forwarding_vms(), 6);
-        assert_eq!(spec.switch_seams(), 7);
-        assert_eq!(ChainSpec::memory(8, Mode::Highway).switch_seams(), 0);
     }
 
     #[test]
@@ -104,15 +94,13 @@ mod tests {
         assert_eq!(spec.vm_seams(), 3);
         assert_eq!(spec.nic_seams(), 2);
         assert_eq!(spec.forwarding_vms(), 4);
-        assert_eq!(spec.switch_seams(), 5);
-        assert_eq!(ChainSpec::nic(4, Mode::Highway).switch_seams(), 2);
     }
 
     #[test]
     fn single_vm_nic_chain() {
         let spec = ChainSpec::nic(1, Mode::Vanilla);
         assert_eq!(spec.vm_seams(), 0);
-        assert_eq!(spec.switch_seams(), 2);
-        assert_eq!(ChainSpec::nic(1, Mode::Highway).switch_seams(), 2);
+        assert_eq!(spec.nic_seams(), 2);
+        assert_eq!(spec.forwarding_vms(), 1);
     }
 }

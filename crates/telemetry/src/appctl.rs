@@ -3,7 +3,7 @@
 //! `coverage/show`, plus a Prometheus text-format exporter.
 //!
 //! The renderers take a snapshot (not live state) so every surface —
-//! vswitchd appctl, HighwayNode appctl, benches — prints from the same
+//! vswitchd appctl, HighwayNode appctl, the benchmark — prints from the same
 //! consistent copy.
 
 use crate::pmd_perf::{PmdPerf, Stage, Tier};

@@ -1,6 +1,6 @@
 //! A minimal, dependency-free JSON parser.
 //!
-//! Exists so tests and benches can assert that
+//! Exists so tests and the benchmark can assert that
 //! [`crate::snapshot::TelemetrySnapshot::to_json`] output actually parses
 //! and carries the pinned invariants, without pulling serde into a
 //! registry-less build. Supports the full JSON value grammar; numbers are

@@ -17,7 +17,8 @@
 //!   totals, and the `dpdk_sim::events` → coverage bridge.
 //! - [`TelemetrySnapshot`] — the structured point-in-time view behind the
 //!   [`appctl`] text renderings, the Prometheus exporter and the JSON
-//!   consumed by benches and the CI smoke test (parseable with [`json`]).
+//!   consumed by the benchmark and the CI smoke test (parseable with
+//!   [`json`]).
 
 pub mod appctl;
 pub mod coverage;

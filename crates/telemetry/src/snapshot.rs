@@ -3,8 +3,8 @@
 //! [`TelemetrySnapshot`] is the single structured view of everything the
 //! telemetry layer knows — per-PMD perf blocks, datapath-wide totals,
 //! coverage counters and trace-ring occupancy — consumed by the appctl
-//! renderers, the Prometheus exporter, the benches (`BENCH_*.json`
-//! embedding) and the CI smoke test. [`TelemetrySnapshot::to_json`] emits
+//! renderers, the Prometheus exporter, the repo benchmark and the CI
+//! smoke test. [`TelemetrySnapshot::to_json`] emits
 //! dependency-free JSON that [`crate::json::parse`] round-trips.
 
 use crate::hist::LatencyHistogram;
