@@ -7,7 +7,7 @@
 //! production:
 //!
 //! 1. **observability** — `ovs-appctl`-style introspection of what the
-//!    highway did and when (see `examples/failure_recovery.rs`);
+//!    highway did and when (see `tests/failure_injection.rs`);
 //! 2. **experiment probes** — the setup-time experiment (§3's ~100 ms
 //!    claim) measures `Detected → Active` gaps straight from the journal;
 //! 3. **test oracles** — integration tests assert on exact event sequences

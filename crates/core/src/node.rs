@@ -295,7 +295,7 @@ impl HighwayNode {
 
     /// A structured [`telemetry::TelemetrySnapshot`] of the node's
     /// datapath: per-PMD perf blocks, stage/tier latency histograms,
-    /// coverage counters and sampled traces. Serialise with `.to_json()`.
+    /// and coverage counters. Serialise with `.to_json()`.
     pub fn telemetry_snapshot(&self) -> telemetry::TelemetrySnapshot {
         self.switch.telemetry_snapshot()
     }

@@ -217,7 +217,7 @@ pub fn dump_ports(dp: &Datapath) -> String {
     for port in ports.values() {
         let s = port.stats();
         out.push_str(&format!(
-            "  port {:>4} ({}){}: rx pkts={}, bytes={}, drop={} | tx pkts={}, bytes={}, drop={}\n",
+            "  port {:>4} ({}){}: rx pkts={}, bytes={} | tx pkts={}, bytes={}, drop={}\n",
             port.no.0,
             port.name,
             if port.is_admin_up() {
@@ -227,7 +227,6 @@ pub fn dump_ports(dp: &Datapath) -> String {
             },
             s.ipackets,
             s.ibytes,
-            s.imissed,
             s.opackets,
             s.obytes,
             s.odropped,

@@ -28,9 +28,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use telemetry::{
-    coverage, DatapathTotals, PmdPerf, Stage, TelemetrySnapshot, Tier, TraceRing, TraceSpan,
-};
+use telemetry::{coverage, DatapathTotals, PmdPerf, Stage, TelemetrySnapshot, Tier};
 
 /// Megaflow hits promote their exact flow into the EMC once per this many
 /// hits (OVS's `emc-insert-inv-prob` idea): frequent flows converge into
@@ -209,8 +207,6 @@ pub struct Datapath {
     /// update (packet/tier counters still tick — they are plain adds on
     /// state already held). Flippable at runtime.
     telemetry_enabled: AtomicBool,
-    /// Ring of 1-in-N sampled packet trace spans (`trace/show`).
-    pub trace: TraceRing,
 }
 
 impl Datapath {
@@ -240,17 +236,16 @@ impl Datapath {
             packet_in_drops: AtomicU64::new(0),
             pmd_caches: RwLock::new(Vec::new()),
             telemetry_enabled: AtomicBool::new(true),
-            trace: TraceRing::default(),
         })
     }
 
-    /// Whether cycle-stamped telemetry (histograms, traces) is on.
+    /// Whether cycle-stamped telemetry (histograms) is on.
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry_enabled.load(Ordering::Relaxed)
     }
 
     /// Enables or disables cycle-stamped telemetry at runtime. Counters
-    /// keep ticking either way; only histogram/trace stamping is gated.
+    /// keep ticking either way; only histogram stamping is gated.
     pub fn set_telemetry_enabled(&self, enabled: bool) {
         self.telemetry_enabled.store(enabled, Ordering::Relaxed);
     }
@@ -322,9 +317,9 @@ impl Datapath {
 
     /// Builds the full structured telemetry view: datapath-wide totals,
     /// one cloned perf block per registered PMD (registration order),
-    /// process-wide coverage counters and the trace-ring occupancy. This
-    /// is the single source every rendering surface (appctl text, JSON,
-    /// Prometheus) formats from.
+    /// and the process-wide coverage counters. This is the single source
+    /// every rendering surface (appctl text, JSON, Prometheus) formats
+    /// from.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let s = self.cache_stats();
         let pmds: Vec<PmdPerf> = self
@@ -356,8 +351,6 @@ impl Datapath {
                 packet_in_drops: self.packet_in_drops.load(Ordering::Relaxed),
             },
             coverage: coverage::snapshot(),
-            traces_retained: self.trace.len(),
-            trace_groups_observed: self.trace.observed(),
             pools: telemetry::pools::snapshot_pools(),
             doorbells: telemetry::pools::doorbell_totals(),
         }
@@ -597,9 +590,7 @@ impl Datapath {
                     }
                 }
             }
-            let group_start = cursor;
             let mut classify_cyc = 0u64;
-            let mut pmd_idx = None;
             let (rule, tier) = match caches {
                 Some(m) => {
                     let mut guard = m.lock();
@@ -628,19 +619,11 @@ impl Datapath {
                             guard.carry_pkts += n;
                         }
                     }
-                    pmd_idx = Some(guard.perf.pmd);
                     (rule, tier)
                 }
                 None => self.classify(in_port, &key, None, n, bytes),
             };
             self.lookups.fetch_add(n, Ordering::Relaxed);
-            let tracing = sampled && pmd_idx.is_some() && self.trace.should_sample();
-            let tier_name = match (&rule, tier) {
-                (None, _) => "miss",
-                (Some(_), CacheTier::Emc) => "emc",
-                (Some(_), CacheTier::Megaflow) => "megaflow",
-                (Some(_), CacheTier::Classifier) => "classifier",
-            };
             match rule {
                 Some(rule) => {
                     self.matched.fetch_add(n, Ordering::Relaxed);
@@ -679,23 +662,11 @@ impl Datapath {
             }
             if sampled {
                 let t = cycles::now();
-                let group_exec = t.saturating_sub(cursor);
+                exec_cycles += t.saturating_sub(cursor);
                 cursor = t;
-                exec_cycles += group_exec;
                 exec_packets += n;
                 classify_cycles += classify_cyc;
                 groups += 1;
-                if tracing {
-                    self.trace.push(TraceSpan {
-                        start_cycles: group_start,
-                        pmd: pmd_idx.unwrap_or(0),
-                        in_port: in_port.0,
-                        packets: n,
-                        flow: format!("{key:?}"),
-                        tier: tier_name,
-                        stages: vec![("classify", classify_cyc), ("execute", group_exec)],
-                    });
-                }
             }
         }
         if sampled && exec_packets > 0 {

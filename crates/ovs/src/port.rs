@@ -28,8 +28,6 @@ pub struct PortStats {
     pub ibytes: u64,
     /// Bytes transmitted.
     pub obytes: u64,
-    /// Packets dropped on the receive side.
-    pub imissed: u64,
     /// Packets dropped on the transmit side (full ring, port down).
     pub odropped: u64,
 }
@@ -41,7 +39,6 @@ pub struct PortCounters {
     pub opackets: AtomicU64,
     pub ibytes: AtomicU64,
     pub obytes: AtomicU64,
-    pub imissed: AtomicU64,
     pub odropped: AtomicU64,
 }
 
@@ -65,7 +62,6 @@ impl PortCounters {
             opackets: self.opackets.load(Ordering::Relaxed),
             ibytes: self.ibytes.load(Ordering::Relaxed),
             obytes: self.obytes.load(Ordering::Relaxed),
-            imissed: self.imissed.load(Ordering::Relaxed),
             odropped: self.odropped.load(Ordering::Relaxed),
         }
     }

@@ -31,8 +31,8 @@ pub struct VSwitchdConfig {
     /// mesh so each flow is classified by its owner PMD's caches.
     pub pmd_threads: usize,
     /// Collect cycle-denominated telemetry (stage/tier latency histograms,
-    /// busy/idle cycle accounting, sampled packet traces). Counters tick
-    /// regardless; this only gates the cycle reads on the hot path.
+    /// busy/idle cycle accounting). Counters tick regardless; this only
+    /// gates the cycle reads on the hot path.
     pub telemetry: bool,
 }
 
@@ -94,7 +94,7 @@ impl VSwitchd {
     }
 
     /// A structured snapshot of every telemetry surface: per-PMD perf
-    /// blocks, datapath totals, coverage counters and trace-ring state.
+    /// blocks, datapath totals and coverage counters.
     pub fn telemetry_snapshot(&self) -> telemetry::TelemetrySnapshot {
         self.dp.telemetry_snapshot()
     }

@@ -21,7 +21,6 @@ pub mod builder;
 pub mod checksum;
 pub mod ethernet;
 pub mod flow;
-pub mod icmp;
 pub mod ipv4;
 pub mod tcp;
 pub mod udp;
@@ -29,7 +28,6 @@ pub mod udp;
 pub use builder::{PacketBuilder, ProbeHeader, PROBE_WIRE_LEN};
 pub use ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 pub use flow::FlowKey;
-pub use icmp::{IcmpPacket, IcmpType, ICMP_HEADER_LEN};
 pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
 pub use tcp::TcpSegment;
 pub use udp::{UdpDatagram, UDP_HEADER_LEN};

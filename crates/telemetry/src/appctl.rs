@@ -375,8 +375,6 @@ mod tests {
                 ..Default::default()
             },
             coverage,
-            traces_retained: 0,
-            trace_groups_observed: 2,
             pools: vec![crate::pools::PoolStats {
                 name: "hw-arena".into(),
                 capacity: 32,

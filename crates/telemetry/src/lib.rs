@@ -10,8 +10,6 @@
 //! - [`PmdPerf`] — one per-PMD block of counters plus cycle-denominated
 //!   [`LatencyHistogram`]s per pipeline [`Stage`] and cache [`Tier`],
 //!   merged exactly across PMDs for whole-datapath views.
-//! - [`TraceRing`] — 1-in-N sampled packet [`TraceSpan`]s with the full
-//!   stage path, ring-buffered for `trace/show`-style dumps.
 //! - [`pools`] — weak-registered arena rows (exhaustion, high
 //!   water, foreign frees, slab writes), process-wide doorbell coalescing
 //!   totals, and the `dpdk_sim::events` → coverage bridge.
@@ -27,10 +25,8 @@ pub mod json;
 pub mod pmd_perf;
 pub mod pools;
 pub mod snapshot;
-pub mod trace;
 
 pub use hist::LatencyHistogram;
 pub use pmd_perf::{PmdPerf, Stage, Tier};
 pub use pools::{DoorbellTotals, PoolStats};
 pub use snapshot::{DatapathTotals, HistSummary, TelemetrySnapshot};
-pub use trace::{TraceRing, TraceSpan, DEFAULT_TRACE_CAPACITY, DEFAULT_TRACE_SAMPLE};

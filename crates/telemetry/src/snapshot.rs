@@ -2,10 +2,10 @@
 //!
 //! [`TelemetrySnapshot`] is the single structured view of everything the
 //! telemetry layer knows — per-PMD perf blocks, datapath-wide totals,
-//! coverage counters and trace-ring occupancy — consumed by the appctl
-//! renderers, the Prometheus exporter, the repo benchmark and the CI
-//! smoke test. [`TelemetrySnapshot::to_json`] emits
-//! dependency-free JSON that [`crate::json::parse`] round-trips.
+//! coverage counters, arena pools and doorbell totals — consumed by the
+//! appctl renderers, the Prometheus exporter, the repo benchmark and the
+//! CI smoke test. [`TelemetrySnapshot::to_json`] emits dependency-free
+//! JSON that [`crate::json::parse`] round-trips.
 
 use crate::hist::LatencyHistogram;
 use crate::pmd_perf::{PmdPerf, Stage, Tier};
@@ -75,10 +75,6 @@ pub struct TelemetrySnapshot {
     pub totals: DatapathTotals,
     /// Coverage counter totals at snapshot time.
     pub coverage: BTreeMap<&'static str, u64>,
-    /// Sampled trace spans retained in the ring at snapshot time.
-    pub traces_retained: usize,
-    /// Groups observed by the trace sampler (sampled or not).
-    pub trace_groups_observed: u64,
     /// One row per registered arena (see [`crate::pools`]).
     pub pools: Vec<PoolStats>,
     /// Process-wide doorbell coalescing totals.
@@ -191,15 +187,11 @@ impl TelemetrySnapshot {
         out.push_str("],");
         out.push_str(&format!(
             "\"doorbells\":{{\"rings\":{},\"notified_pkts\":{},\"suppressed\":{},\
-             \"coalescing_ratio\":{:.3}}},",
+             \"coalescing_ratio\":{:.3}}}",
             self.doorbells.rings,
             self.doorbells.notified_pkts,
             self.doorbells.suppressed,
             self.doorbells.coalescing_ratio(),
-        ));
-        out.push_str(&format!(
-            "\"traces\":{{\"retained\":{},\"groups_observed\":{}}}",
-            self.traces_retained, self.trace_groups_observed
         ));
         out.push('}');
         out
@@ -284,8 +276,6 @@ mod tests {
                 ..Default::default()
             },
             coverage,
-            traces_retained: 1,
-            trace_groups_observed: 10,
             pools: vec![PoolStats {
                 name: "hw-arena".into(),
                 capacity: 64,

@@ -3,12 +3,11 @@
 //! The paper's control choreography (OVS → compute agent → QEMU → guest
 //! PMD) has several hops that fail in production: QEMU `device_add` can be
 //! rejected, a guest can wedge and stop answering virtio-serial. The
-//! [`FaultPlan`] lets tests and the `failure_recovery` example arm such
-//! failures deterministically, and the [`crate::ComputeAgent`] consults it
-//! before each hypervisor operation. The interesting property under test is
-//! *atomicity*: a failed setup must leave no half-plugged devices, no
-//! leaked shared-memory segments and no guest PMD stuck in a half-enabled
-//! state.
+//! [`FaultPlan`] lets tests arm such failures deterministically, and the
+//! [`crate::ComputeAgent`] consults it before each hypervisor operation.
+//! The interesting property under test is *atomicity*: a failed setup
+//! must leave no half-plugged devices, no leaked shared-memory segments
+//! and no guest PMD stuck in a half-enabled state.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;

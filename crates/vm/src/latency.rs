@@ -4,9 +4,9 @@
 //! operations (QEMU ivshmem hot-plug, virtio-serial scheduling) are where
 //! the simulation substitutes sleeps for hypervisor work. The defaults are
 //! calibrated so a full one-direction bypass setup lands near the ~100 ms
-//! the paper reports (two hot-plugs plus a handful of serial round-trips),
-//! with ±20 % uniform jitter so distributions look like measurements, not
-//! constants.
+//! the paper reports (two hot-plugs plus a handful of serial round-trips).
+//! The delays are constants: any spread in a measured setup time comes
+//! from the code under test, not from the model.
 
 use std::time::Duration;
 
@@ -19,8 +19,6 @@ pub struct LatencyModel {
     pub ivshmem_unplug: Duration,
     /// One virtio-serial request/ack round-trip (scheduling + guest apply).
     pub serial_rtt: Duration,
-    /// Relative jitter applied to every delay (0.0 = deterministic).
-    pub jitter: f64,
 }
 
 impl LatencyModel {
@@ -31,7 +29,6 @@ impl LatencyModel {
             ivshmem_plug: Duration::from_millis(35),
             ivshmem_unplug: Duration::from_millis(15),
             serial_rtt: Duration::from_millis(7),
-            jitter: 0.2,
         }
     }
 
@@ -41,36 +38,26 @@ impl LatencyModel {
             ivshmem_plug: Duration::ZERO,
             ivshmem_unplug: Duration::ZERO,
             serial_rtt: Duration::ZERO,
-            jitter: 0.0,
         }
     }
 
-    fn jittered(&self, base: Duration) -> Duration {
-        if self.jitter == 0.0 || base.is_zero() {
-            return base;
-        }
-        let spread = self.jitter.clamp(0.0, 1.0);
-        let factor = 1.0 - spread + 2.0 * spread * rand::random::<f64>();
-        base.mul_f64(factor)
-    }
-
-    /// Sleeps for a jittered hot-plug delay.
+    /// Sleeps for one hot-plug delay.
     pub fn sleep_plug(&self) {
-        sleep_nonzero(self.jittered(self.ivshmem_plug));
+        sleep_nonzero(self.ivshmem_plug);
     }
 
-    /// Sleeps for a jittered unplug delay.
+    /// Sleeps for one unplug delay.
     pub fn sleep_unplug(&self) {
-        sleep_nonzero(self.jittered(self.ivshmem_unplug));
+        sleep_nonzero(self.ivshmem_unplug);
     }
 
-    /// Sleeps for a jittered serial round-trip delay.
+    /// Sleeps for one serial round-trip delay.
     pub fn sleep_serial(&self) {
-        sleep_nonzero(self.jittered(self.serial_rtt));
+        sleep_nonzero(self.serial_rtt);
     }
 
-    /// The deterministic (jitter-free) expected setup time for one bypass
-    /// direction on a fresh segment: 2 plugs + 4 serial round-trips.
+    /// The expected setup time for one bypass direction on a fresh
+    /// segment: 2 plugs + 4 serial round-trips.
     pub fn nominal_setup(&self) -> Duration {
         self.ivshmem_plug * 2 + self.serial_rtt * 4
     }
@@ -103,19 +90,5 @@ mod tests {
         m.sleep_serial();
         m.sleep_unplug();
         assert!(start.elapsed() < Duration::from_millis(5));
-    }
-
-    #[test]
-    fn jitter_stays_within_bounds() {
-        let m = LatencyModel {
-            ivshmem_plug: Duration::from_millis(100),
-            ivshmem_unplug: Duration::ZERO,
-            serial_rtt: Duration::ZERO,
-            jitter: 0.2,
-        };
-        for _ in 0..100 {
-            let d = m.jittered(m.ivshmem_plug);
-            assert!(d >= Duration::from_millis(80) && d <= Duration::from_millis(120));
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! * [`latency`] — the latency model for QEMU device hot-plug and
 //!   virtio-serial round-trips. The paper reports ≈100 ms from p-2-p rule
 //!   detection to an active bypass; essentially all of it is these control
-//!   operations, so they carry calibrated (and jittered) delays that the
+//!   operations, so they carry calibrated constant delays that the
 //!   setup-time experiment measures end-to-end.
 //! * [`agent`] — the **modified compute agent**: receives bypass requests
 //!   from the vSwitch side, creates the shared segment, hot-plugs it into

@@ -2,11 +2,13 @@
 //!
 //! The paper evaluates chains of single-core DPDK applications that move
 //! packets between their two ports ([`L2Forwarder`]); its motivating service
-//! graph (Figure 1) composes a firewall, a network monitor and a web cache —
-//! all implemented here against the same [`VnfApp`] trait the runner drives.
+//! graph (Figure 1) composes a firewall, a network monitor and a web cache.
+//! [`Nat44`] rewrites headers, so the transparency tests can check that a
+//! rewrite is byte-identical over a bypass channel. All implement the same
+//! [`VnfApp`] trait the runner drives.
 
 use dpdk_sim::Mbuf;
-use packet_wire::{FlowKey, IpProtocol};
+use packet_wire::{FlowKey, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -17,7 +19,7 @@ pub enum Verdict {
     Forward,
     /// Drop the packet.
     Drop,
-    /// Send back out the port it arrived on (e.g. an ICMP echo reply).
+    /// Send back out the port it arrived on (a hairpin).
     Reflect,
 }
 
@@ -273,13 +275,179 @@ impl VnfApp for WebCache {
     }
 }
 
+/// Rewrites the L3/L4 headers of a frame in place, fixing checksums.
+/// `None` fields keep the packet's current value.
+fn rewrite(
+    pkt: &mut Mbuf,
+    key: &FlowKey,
+    src: Option<Ipv4Addr>,
+    dst: Option<Ipv4Addr>,
+    l4_src: Option<u16>,
+    l4_dst: Option<u16>,
+) -> bool {
+    let l3_off = key.l3_offset();
+    let data = pkt.data_mut();
+    if data.len() <= l3_off {
+        return false;
+    }
+    let Ok(mut ip) = Ipv4Packet::new_checked(&mut data[l3_off..]) else {
+        return false;
+    };
+    if let Some(a) = src {
+        ip.set_src_addr(a);
+    }
+    if let Some(a) = dst {
+        ip.set_dst_addr(a);
+    }
+    ip.fill_checksum();
+    let (new_src, new_dst) = (ip.src_addr(), ip.dst_addr());
+    let header_len = ip.header_len();
+    let proto = ip.protocol();
+    let l4 = &mut data[l3_off + header_len..];
+    match proto {
+        IpProtocol::Udp => {
+            let Ok(mut udp) = UdpDatagram::new_checked(l4) else {
+                return false;
+            };
+            if let Some(p) = l4_src {
+                udp.set_src_port(p);
+            }
+            if let Some(p) = l4_dst {
+                udp.set_dst_port(p);
+            }
+            udp.fill_checksum(new_src, new_dst);
+        }
+        IpProtocol::Tcp => {
+            let Ok(mut tcp) = TcpSegment::new_checked(l4) else {
+                return false;
+            };
+            if let Some(p) = l4_src {
+                tcp.set_src_port(p);
+            }
+            if let Some(p) = l4_dst {
+                tcp.set_dst_port(p);
+            }
+            tcp.fill_checksum(new_src, new_dst);
+        }
+        _ => {}
+    }
+    true
+}
+
+/// Source NAT (NAPT): inside traffic (port 0) leaves with the public
+/// address and a translated source port; return traffic (port 1) is
+/// translated back. Unknown inbound flows are dropped, like a real NAT.
+pub struct Nat44 {
+    public_ip: Ipv4Addr,
+    next_port: u16,
+    /// (proto, inside ip, inside port) → translated port.
+    outbound: HashMap<(u8, Ipv4Addr, u16), u16>,
+    /// (proto, translated port) → (inside ip, inside port).
+    inbound: HashMap<(u8, u16), (Ipv4Addr, u16)>,
+    /// Outbound packets translated.
+    pub translated_out: u64,
+    /// Inbound packets translated back.
+    pub translated_in: u64,
+    /// Inbound packets with no mapping (dropped).
+    pub rejected: u64,
+}
+
+impl Nat44 {
+    /// A NAT translating to `public_ip`, allocating ports from 40000 up.
+    pub fn new(public_ip: Ipv4Addr) -> Nat44 {
+        Nat44 {
+            public_ip,
+            next_port: 40_000,
+            outbound: HashMap::new(),
+            inbound: HashMap::new(),
+            translated_out: 0,
+            translated_in: 0,
+            rejected: 0,
+        }
+    }
+
+    /// Live translation entries.
+    pub fn table_size(&self) -> usize {
+        self.outbound.len()
+    }
+}
+
+impl VnfApp for Nat44 {
+    fn name(&self) -> &str {
+        "nat44"
+    }
+
+    fn process(&mut self, pkt: &mut Mbuf, in_port_idx: usize) -> Verdict {
+        let key = FlowKey::extract(pkt.data());
+        if key.ip_proto != IpProtocol::Udp.to_u8() && key.ip_proto != IpProtocol::Tcp.to_u8() {
+            return Verdict::Forward; // non-L4 traffic passes untranslated
+        }
+        if in_port_idx == 0 {
+            // Inside → outside.
+            let map_key = (key.ip_proto, key.ipv4_src, key.l4_src);
+            let translated = match self.outbound.get(&map_key) {
+                Some(p) => *p,
+                None => {
+                    let p = self.next_port;
+                    self.next_port = self.next_port.wrapping_add(1).max(40_000);
+                    self.outbound.insert(map_key, p);
+                    self.inbound
+                        .insert((key.ip_proto, p), (key.ipv4_src, key.l4_src));
+                    p
+                }
+            };
+            if rewrite(
+                pkt,
+                &key,
+                Some(self.public_ip),
+                None,
+                Some(translated),
+                None,
+            ) {
+                self.translated_out += 1;
+                Verdict::Forward
+            } else {
+                self.rejected += 1;
+                Verdict::Drop
+            }
+        } else {
+            // Outside → inside: only established mappings come back.
+            match self.inbound.get(&(key.ip_proto, key.l4_dst)) {
+                Some((ip, port)) => {
+                    let (ip, port) = (*ip, *port);
+                    if rewrite(pkt, &key, None, Some(ip), None, Some(port)) {
+                        self.translated_in += 1;
+                        Verdict::Forward
+                    } else {
+                        self.rejected += 1;
+                        Verdict::Drop
+                    }
+                }
+                None => {
+                    self.rejected += 1;
+                    Verdict::Drop
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use packet_wire::{checksum, EthernetFrame, Ipv4Packet, MacAddr, PacketBuilder};
+    use packet_wire::{checksum, EthernetFrame, MacAddr, PacketBuilder};
 
     fn probe(dst_port: u16) -> Mbuf {
         Mbuf::from_slice(&PacketBuilder::udp_probe(64).ports(1000, dst_port).build())
+    }
+
+    fn probe_from(src: Ipv4Addr, sport: u16, dport: u16) -> Mbuf {
+        Mbuf::from_slice(
+            &PacketBuilder::udp_probe(64)
+                .ip(src, Ipv4Addr::new(8, 8, 8, 8))
+                .ports(sport, dport)
+                .build(),
+        )
     }
 
     #[test]
@@ -381,5 +549,68 @@ mod tests {
         cache.process(&mut probe(53), 0);
         assert_eq!(cache.passthrough, 1);
         assert_eq!((cache.hits, cache.misses), (0, 0));
+    }
+
+    #[test]
+    fn nat_translates_and_reverses() {
+        let public = Ipv4Addr::new(203, 0, 113, 1);
+        let mut nat = Nat44::new(public);
+        let mut out = probe_from(Ipv4Addr::new(10, 0, 0, 5), 5555, 80);
+        assert_eq!(nat.process(&mut out, 0), Verdict::Forward);
+        let key = FlowKey::extract(out.data());
+        assert_eq!(key.ipv4_src, public);
+        assert_eq!(key.l4_src, 40_000);
+        assert_eq!(nat.table_size(), 1);
+
+        // Craft the reply: swap src/dst of the translated packet.
+        let mut reply = Mbuf::from_slice(
+            &PacketBuilder::udp_probe(64)
+                .ip(Ipv4Addr::new(8, 8, 8, 8), public)
+                .ports(80, 40_000)
+                .build(),
+        );
+        assert_eq!(nat.process(&mut reply, 1), Verdict::Forward);
+        let rkey = FlowKey::extract(reply.data());
+        assert_eq!(rkey.ipv4_dst, Ipv4Addr::new(10, 0, 0, 5));
+        assert_eq!(rkey.l4_dst, 5555);
+        assert_eq!((nat.translated_out, nat.translated_in), (1, 1));
+    }
+
+    #[test]
+    fn nat_is_stable_per_flow_and_distinct_across_flows() {
+        let mut nat = Nat44::new(Ipv4Addr::new(203, 0, 113, 1));
+        let mut a1 = probe_from(Ipv4Addr::new(10, 0, 0, 5), 1111, 80);
+        let mut a2 = probe_from(Ipv4Addr::new(10, 0, 0, 5), 1111, 80);
+        let mut b = probe_from(Ipv4Addr::new(10, 0, 0, 6), 1111, 80);
+        nat.process(&mut a1, 0);
+        nat.process(&mut a2, 0);
+        nat.process(&mut b, 0);
+        let pa1 = FlowKey::extract(a1.data()).l4_src;
+        let pa2 = FlowKey::extract(a2.data()).l4_src;
+        let pb = FlowKey::extract(b.data()).l4_src;
+        assert_eq!(pa1, pa2, "same flow keeps its port");
+        assert_ne!(pa1, pb, "different flows get different ports");
+        assert_eq!(nat.table_size(), 2);
+    }
+
+    #[test]
+    fn nat_drops_unsolicited_inbound() {
+        let mut nat = Nat44::new(Ipv4Addr::new(203, 0, 113, 1));
+        let mut stray = probe_from(Ipv4Addr::new(8, 8, 8, 8), 80, 40_000);
+        assert_eq!(nat.process(&mut stray, 1), Verdict::Drop);
+        assert_eq!(nat.rejected, 1);
+    }
+
+    #[test]
+    fn nat_rewrites_keep_checksums_valid() {
+        let mut nat = Nat44::new(Ipv4Addr::new(203, 0, 113, 1));
+        let mut pkt = probe_from(Ipv4Addr::new(10, 0, 0, 5), 5555, 80);
+        nat.process(&mut pkt, 0);
+        let key = FlowKey::extract(pkt.data());
+        let l3 = &pkt.data()[key.l3_offset()..];
+        let ip = Ipv4Packet::new_checked(l3).unwrap();
+        assert!(ip.verify_checksum());
+        let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
+        assert!(udp.verify_checksum(ip.src_addr(), ip.dst_addr()));
     }
 }

@@ -15,19 +15,18 @@
 //!   forwards between the VM's two ports (the paper's test application
 //!   shape) and services control messages between bursts.
 //! * [`apps`] — VNF applications: the plain forwarder used in the paper's
-//!   evaluation plus the firewall / network monitor / web cache from its
-//!   motivating service graph (Figure 1).
+//!   evaluation, the firewall / network monitor / web cache from its
+//!   motivating service graph (Figure 1), and a NAT whose header rewrites
+//!   must be identical over a bypass channel.
 
 pub mod apps;
 pub mod control;
-pub mod middlebox;
 pub mod pmd;
 pub mod runner;
 
-pub use apps::{Firewall, FirewallRule, L2Forwarder, NetworkMonitor, Verdict, VnfApp, WebCache};
-pub use control::{PmdAck, PmdCtrl};
-pub use middlebox::{
-    DpiClassifier, DpiSignature, IcmpResponder, Nat44, RoundRobinBalancer, TokenBucketPolicer,
+pub use apps::{
+    Firewall, FirewallRule, L2Forwarder, Nat44, NetworkMonitor, Verdict, VnfApp, WebCache,
 };
+pub use control::{PmdAck, PmdCtrl};
 pub use pmd::DpdkrPmd;
 pub use runner::{GuestConfig, VnfRunner};

@@ -2,8 +2,9 @@
 //! xorshift64* generator.
 //!
 //! The build image has no access to a cargo registry, so the workspace
-//! vendors the external APIs it uses as tiny shims. Not cryptographic;
-//! good enough for jittering simulated latencies.
+//! vendors the external APIs it uses as tiny shims. Not cryptographic.
+//! No workspace crate calls it any more; it stays only because the
+//! benchmark harness lockfile still lists it.
 //!
 //! Swap `shims/rand` for the real crates.io `rand` in
 //! `[workspace.dependencies]` once the registry is reachable.

@@ -12,7 +12,7 @@ use vnf_highway::highway::AccelerationPolicy;
 use vnf_highway::prelude::*;
 use vnf_highway::shmem::{ChannelEnd, SegmentKind};
 use vnf_highway::vm::{AppKind, GraphDeployment, GraphEdgeSpec, GraphPort, GraphSpec};
-use vnf_highway::vnf::Nat44;
+use vnf_highway::vnf::{Nat44, Verdict, VnfApp};
 
 struct World {
     node: HighwayNode,
@@ -185,16 +185,24 @@ fn split_behaviour_is_mode_invariant() {
     assert_eq!(observe(false), observe(true));
 }
 
+/// Sends every packet back out the port it arrived on: the hairpin an
+/// ICMP echo responder makes, without the ICMP.
+struct Reflector;
+
+impl VnfApp for Reflector {
+    fn name(&self) -> &str {
+        "reflector"
+    }
+
+    fn process(&mut self, _pkt: &mut Mbuf, _in_port_idx: usize) -> Verdict {
+        Verdict::Reflect
+    }
+}
+
 #[test]
 fn icmp_reply_rides_the_reverse_bypass() {
-    use vnf_highway::packet::{
-        EtherType, EthernetFrame, IcmpPacket, IcmpType, Ipv4Packet, MacAddr, ETHERNET_HEADER_LEN,
-        ICMP_HEADER_LEN, IPV4_HEADER_LEN,
-    };
-    use vnf_highway::vnf::IcmpResponder;
-
-    // entry → forwarder ⇄ responder. The request crosses the bypassed
-    // middle seam; the responder reflects it, so the reply rides the
+    // entry → forwarder ⇄ reflector. The request crosses the bypassed
+    // middle seam; the reflector sends it back, so the reply rides the
     // *reverse* bypass and must emerge back at the entry port.
     let node = HighwayNode::new(HighwayNodeConfig {
         policy: AccelerationPolicy::paper().exclude_port(1),
@@ -206,14 +214,13 @@ fn icmp_reply_rides_the_reverse_bypass() {
     assert_eq!(node.orchestrator().alloc_port(), 1);
     node.switch().add_dpdkr_port(PortNo(1), "entry", sw_end);
 
-    let me = Ipv4Addr::new(10, 0, 0, 200);
     let dep = node.orchestrator().deploy_graph(GraphSpec {
         vnfs: vec![
             (VnfSpec::forwarder("fwd"), 2),
             (
                 VnfSpec {
-                    name: "ping-target".into(),
-                    app: AppKind::Custom(Box::new(IcmpResponder::new(me))),
+                    name: "reflector".into(),
+                    app: AppKind::Custom(Box::new(Reflector)),
                 },
                 2,
             ),
@@ -244,64 +251,47 @@ fn icmp_reply_rides_the_reverse_bypass() {
         "middle seam bypassed both ways"
     );
 
-    // Build an echo request to the responder's address.
-    let payload = b"hello?";
-    let total = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + ICMP_HEADER_LEN + payload.len();
-    let mut buf = vec![0u8; total];
-    {
-        let mut eth = EthernetFrame::new_unchecked(&mut buf[..]);
-        eth.set_src_addr(MacAddr::local(1));
-        eth.set_dst_addr(MacAddr::local(2));
-        eth.set_ethertype(EtherType::Ipv4);
-    }
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[ETHERNET_HEADER_LEN..]);
-        ip.set_version_and_header_len(IPV4_HEADER_LEN);
-        ip.set_total_len((total - ETHERNET_HEADER_LEN) as u16);
-        ip.set_ttl(64);
-        ip.set_protocol(vnf_highway::packet::IpProtocol::Icmp);
-        ip.set_src_addr(Ipv4Addr::new(10, 0, 0, 1));
-        ip.set_dst_addr(me);
-        ip.set_flags_frag(0x4000);
-        ip.fill_checksum();
-    }
-    {
-        let off = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
-        let mut icmp = IcmpPacket::new_unchecked(&mut buf[off..]);
-        icmp.set_icmp_type(IcmpType::EchoRequest);
-        icmp.set_echo_ident(77);
-        icmp.set_echo_seq(1);
-        icmp.payload_mut().copy_from_slice(payload);
-        icmp.fill_checksum();
-    }
-    entry.send(Mbuf::from_slice(&buf)).unwrap();
+    let request = PacketBuilder::udp_probe(64)
+        .ip(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 200))
+        .build();
+    entry.send(Mbuf::from_slice(&request)).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let reply = loop {
         if let Some(m) = entry.recv() {
             break m;
         }
-        assert!(Instant::now() < deadline, "no echo reply");
+        assert!(Instant::now() < deadline, "no reply");
         std::thread::yield_now();
     };
-    let key = FlowKey::extract(reply.data());
-    assert_eq!(key.ipv4_src, me);
-    assert_eq!(key.ipv4_dst, Ipv4Addr::new(10, 0, 0, 1));
-    let l3 = &reply.data()[key.l3_offset()..];
-    let ip = Ipv4Packet::new_checked(l3).unwrap();
-    let icmp = IcmpPacket::new_checked(ip.payload()).unwrap();
-    assert_eq!(icmp.icmp_type(), IcmpType::EchoReply);
-    assert_eq!(icmp.echo_ident(), 77);
-    assert!(icmp.verify_checksum());
+    assert_eq!(reply.data(), &request[..], "reflected byte for byte");
+
     // Both directions of the middle seam carried exactly one packet,
-    // without the switch seeing either.
-    assert_eq!(
-        dep.vms[1]
-            .counters()
-            .reflected
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    // without the switch seeing either. The reflector's counters tick
+    // just after its send, so let them land before comparing.
+    let (there, back) = (dep.cookies[1], dep.cookies[2]);
+    let carried = || {
+        (
+            node.stats().rule_totals(there).0,
+            node.stats().rule_totals(back).0,
+            dep.vms[1].counters().reflected.load(Ordering::Relaxed),
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while carried() != (1, 1, 1) && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(carried(), (1, 1, 1), "(there, back, reflected)");
+    for port in [dep.vnf_ports[0][1], dep.vnf_ports[1][0]] {
+        let seen = node
+            .switch()
+            .datapath()
+            .port(PortNo(port as u16))
+            .expect("port exists")
+            .stats()
+            .ipackets;
+        assert_eq!(seen, 0, "switch must not see bypassed seam port {port}");
+    }
 
     node.stop();
     for vm in &dep.vms {

@@ -133,10 +133,6 @@ fn snapshot_invariants_hold_on_a_live_multi_pmd_datapath() {
         "≤ one resolution per packet"
     );
 
-    // The trace sampler probed the stamped groups and retained a span.
-    assert!(snap.trace_groups_observed > 0);
-    assert!(snap.traces_retained >= 1, "1-in-N sampling caught group 0");
-
     // Coverage counters from the cache layer fired during the run.
     assert!(*snap.coverage.get("emc_insert").unwrap_or(&0) > 0);
     assert!(*snap.coverage.get("upcall_miss").unwrap_or(&0) > 0);
