@@ -149,24 +149,6 @@ impl<T> SpscProducer<T> {
         Ok(())
     }
 
-    /// Enqueues one item, yielding to the scheduler and retrying up to
-    /// `retries` times on a full ring before handing the item back — the
-    /// bounded-backpressure push a PMD fan-out uses so one slow peer can
-    /// stall a sender only briefly, never indefinitely.
-    pub fn enqueue_yielding(&mut self, value: T, retries: usize) -> Result<(), T> {
-        let mut value = value;
-        for _ in 0..retries {
-            match self.enqueue(value) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    value = back;
-                    std::thread::yield_now();
-                }
-            }
-        }
-        self.enqueue(value)
-    }
-
     /// Enqueues as many items as fit, draining them from the front of
     /// `items`; returns how many were enqueued (DPDK burst semantics).
     pub fn enqueue_burst(&mut self, items: &mut Vec<T>) -> usize {
@@ -301,18 +283,6 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(c.dequeue_burst(&mut out, 16), 4);
         assert_eq!(out, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn enqueue_yielding_retries_then_returns_item() {
-        let (mut p, mut c) = spsc_ring::<u32>(2);
-        p.enqueue(1).unwrap();
-        p.enqueue(2).unwrap();
-        // Full ring, nobody draining: the item comes back after the
-        // bounded retries instead of blocking forever.
-        assert_eq!(p.enqueue_yielding(3, 4), Err(3));
-        c.dequeue();
-        assert_eq!(p.enqueue_yielding(3, 4), Ok(()));
     }
 
     #[test]

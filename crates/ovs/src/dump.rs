@@ -186,7 +186,7 @@ pub fn format_megaflow_row(row: &MegaflowRow) -> String {
 
 /// Renders the datapath-wide counters like `ovs-dpctl show`'s stats block:
 /// the tier-split lookup identities plus every drop class (miss, tx to a
-/// vanished port, fan-out ring overflow, packet-in queue overflow).
+/// vanished port, packet-in queue overflow).
 pub fn dump_datapath_stats(dp: &Datapath) -> String {
     use std::sync::atomic::Ordering;
     let s = dp.cache_stats();
@@ -200,10 +200,9 @@ pub fn dump_datapath_stats(dp: &Datapath) -> String {
         s.emc_hits, s.megaflow_hits, s.classifier_hits
     ));
     out.push_str(&format!(
-        "  drops: miss:{} tx_no_port:{} fanout:{} packet_in:{}\n",
+        "  drops: miss:{} tx_no_port:{} packet_in:{}\n",
         dp.miss_drops.load(Ordering::Relaxed),
         s.tx_no_port_drops,
-        dp.fanout_drops.load(Ordering::Relaxed),
         dp.packet_in_drops.load(Ordering::Relaxed),
     ));
     out
@@ -322,8 +321,6 @@ mod tests {
         dp.miss_drops.store(2, std::sync::atomic::Ordering::Relaxed);
         dp.tx_no_port_drops
             .store(3, std::sync::atomic::Ordering::Relaxed);
-        dp.fanout_drops
-            .store(4, std::sync::atomic::Ordering::Relaxed);
         let dump = dump_datapath_stats(&dp);
         assert!(dump.contains("lookups: hit:8 missed:2 total:10"), "{dump}");
         assert!(
@@ -331,7 +328,7 @@ mod tests {
             "{dump}"
         );
         assert!(
-            dump.contains("drops: miss:2 tx_no_port:3 fanout:4 packet_in:0"),
+            dump.contains("drops: miss:2 tx_no_port:3 packet_in:0"),
             "{dump}"
         );
     }

@@ -18,9 +18,9 @@
 //!   same table generation.
 //! * [`actions`] — action execution: header rewrites and output.
 //! * [`pmd`] — the poll-mode datapath: N PMD threads, each owning private
-//!   caches and a share of the ports, resharding rx bursts to the flow's
-//!   RSS owner over SPSC rings and classifying against the one flow
-//!   table, which a cache hit validates without locking.
+//!   caches and a share of the ports, running every packet it polls to
+//!   completion against the one flow table, which a cache hit validates
+//!   without locking.
 //! * [`ofproto`] — the OpenFlow agent: decodes controller messages, applies
 //!   flow_mods, answers statistics (optionally *augmented* by an external
 //!   provider — the hook the paper's shared-memory stats use), and emits
@@ -49,10 +49,7 @@ pub mod vswitchd;
 pub use dump::{dump_datapath_stats, dump_flows, dump_megaflows, dump_ports};
 pub use megaflow::{Megaflow, MegaflowRow};
 pub use ofproto::{FlowTableObserver, Ofproto, RuleSnapshot, StatsAugmenter};
-pub use pmd::{
-    build_fanout_mesh, rss_owner, CacheTier, CacheTierStats, FanoutBatch, PmdCaches, PmdFanout,
-    PmdThread,
-};
+pub use pmd::{rss_owner, CacheTier, CacheTierStats, PmdCaches, PmdThread};
 pub use port::{OvsPort, PortCounters, PortStats};
 pub use table::{FlowTable, RuleEntry, TableChange};
 pub use vswitchd::{VSwitchd, VSwitchdConfig};

@@ -7,13 +7,13 @@
 //! 32-packet burst of one flow costs one lookup, not thirty-two.
 //!
 //! The datapath shards across N PMD threads (see `docs/datapath.md`):
-//! every polled burst is re-sharded by an RSS-style flow hash
-//! ([`rss_owner`]) over per-PMD SPSC rings ([`build_fanout_mesh`]), so
-//! each flow is always classified by the same PMD against that PMD's own
-//! caches. The one shared [`FlowTable`] is updated in place behind a
-//! reader/writer lock: a flow_mod takes the write side for the rules it
-//! touches, a cache hit validates against one atomic load of the table
-//! generation and takes no lock, and only a cache miss takes the read side.
+//! every port is polled by exactly one PMD, which runs each packet it
+//! polls to completion against its own caches, so a flow (whose key
+//! includes its in-port) has one home cache and keeps its order. The one
+//! shared [`FlowTable`] is updated in place behind a reader/writer lock: a
+//! flow_mod takes the write side for the rules it touches, a cache hit
+//! validates against one atomic load of the table generation and takes no
+//! lock, and only a cache miss takes the read side.
 
 use crate::actions::{execute, OutputTarget};
 use crate::emc::{Emc, DEFAULT_EMC_ENTRIES};
@@ -21,7 +21,7 @@ use crate::megaflow::{Megaflow, MegaflowRow, DEFAULT_MEGAFLOW_ENTRIES};
 use crate::port::OvsPort;
 use crate::table::{FlowTable, RuleEntry, TableChange};
 use crossbeam::channel::{Receiver, Sender, TrySendError};
-use dpdk_sim::{cycles, spsc_ring, Mbuf, SpscConsumer, SpscProducer, DEFAULT_BURST};
+use dpdk_sim::{cycles, Mbuf, DEFAULT_BURST};
 use openflow::messages::{FlowMod, PacketIn, PacketInReason};
 use openflow::PortNo;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -187,8 +187,9 @@ pub struct Datapath {
     /// Packets dropped at transmit because the staged destination port had
     /// been removed by the time [`Datapath::flush_staged`] ran.
     pub tx_no_port_drops: AtomicU64,
-    /// Packets dropped because an RSS fan-out ring toward a peer PMD
-    /// stayed full past the bounded retry budget.
+    /// Always 0: no packet passes between PMDs, so none is dropped there.
+    /// Kept because the benchmark harness reads it; the benchmark-side
+    /// change (ROADMAP item 10) retires it.
     pub fanout_drops: AtomicU64,
     /// Punt misses to the controller instead of dropping.
     pub miss_to_controller: bool,
@@ -200,8 +201,8 @@ pub struct Datapath {
     pub(crate) control_wake: Arc<openflow::Event>,
     /// Packet-ins dropped because the controller queue was full.
     pub packet_in_drops: AtomicU64,
-    /// Cache handles registered by running PMD threads, so operator paths
-    /// (`dump_megaflows`) can observe the per-PMD caches.
+    /// Cache handles of the live PMD threads, in PMD order, so operator
+    /// paths (`dump_megaflows`, snapshots) can observe the per-PMD caches.
     pmd_caches: RwLock<Vec<Arc<Mutex<PmdCaches>>>>,
     /// When false, the hot path skips every cycle read and histogram
     /// update (packet/tier counters still tick — they are plain adds on
@@ -347,7 +348,6 @@ impl Datapath {
                 misses: s.misses,
                 miss_drops: self.miss_drops.load(Ordering::Relaxed),
                 tx_no_port_drops: s.tx_no_port_drops,
-                fanout_drops: self.fanout_drops.load(Ordering::Relaxed),
                 packet_in_drops: self.packet_in_drops.load(Ordering::Relaxed),
             },
             coverage: coverage::snapshot(),
@@ -537,10 +537,9 @@ impl Datapath {
     /// packets then execute the matched actions in sequence (relative order
     /// within a flow is preserved; the burst drains completely).
     ///
-    /// `caches` is locked once *per lookup group*, never across the whole
-    /// burst, so an operator snapshot (`dump_megaflows`, `status_report`)
-    /// contends for at most one cache resolution instead of stalling the
-    /// hot path for an entire burst.
+    /// `caches` is locked once for the whole burst. In the threaded
+    /// datapath each PMD owns its caches, so the lock is uncontended except
+    /// by an operator snapshot, which waits for at most one burst.
     pub fn process_burst(
         &self,
         burst: &mut Vec<Mbuf>,
@@ -560,21 +559,25 @@ impl Datapath {
             .map(|pkt| packet_wire::FlowKey::extract(pkt.data()))
             .collect();
         let mut slots: Vec<Option<Mbuf>> = burst.drain(..).map(Some).collect();
+        let mut guard = caches.map(|m| m.lock());
         let telemetry = self.telemetry_enabled();
         // Cycle stamping is *burst-sampled* (1-in-STAGE_SAMPLE_INTERVAL):
-        // the sampling decision is made under the first group's cache
-        // guard, stamps chain through the group loop (each group's
-        // execute-end stamp is the next group's classify-start), and
-        // execute costs are accumulated and recorded with a single lock at
-        // the end — so a stamped burst pays two TSC reads per flow group
-        // and an unstamped burst pays one for the whole burst.
+        // stamps chain through the group loop (each group's execute-end
+        // stamp is the next group's classify-start), so a stamped burst
+        // pays two TSC reads per flow group and an unstamped burst none.
+        let sampled = match guard.as_deref_mut() {
+            Some(c) if telemetry => {
+                let tick = c.stage_sample_tick;
+                c.stage_sample_tick = tick.wrapping_add(1);
+                tick % STAGE_SAMPLE_INTERVAL == 0
+            }
+            _ => false,
+        };
         let mut exec_cycles = 0u64;
         let mut exec_packets = 0u64;
         let mut classify_cycles = 0u64;
         let mut groups = 0u64;
-        let mut sampled = false;
-        let mut decided = !telemetry;
-        let mut cursor = if telemetry { cycles::now() } else { 0 };
+        let mut cursor = if sampled { cycles::now() } else { 0 };
         for leader in 0..keys.len() {
             if slots[leader].is_none() {
                 continue; // consumed with an earlier leader's group
@@ -591,15 +594,9 @@ impl Datapath {
                 }
             }
             let mut classify_cyc = 0u64;
-            let (rule, tier) = match caches {
-                Some(m) => {
-                    let mut guard = m.lock();
-                    if !decided {
-                        decided = true;
-                        sampled = guard.stage_sample_tick % STAGE_SAMPLE_INTERVAL == 0;
-                        guard.stage_sample_tick = guard.stage_sample_tick.wrapping_add(1);
-                    }
-                    let (rule, tier) = self.classify(in_port, &key, Some(&mut guard), n, bytes);
+            let (rule, tier) = match guard.as_deref_mut() {
+                Some(c) => {
+                    let (rule, tier) = self.classify(in_port, &key, Some(&mut *c), n, bytes);
                     // Misses are attributed with `None`: they walked the
                     // whole hierarchy but hit no tier.
                     let resolved = rule.as_ref().map(|_| match tier {
@@ -611,12 +608,12 @@ impl Datapath {
                         let t = cycles::now();
                         classify_cyc = t.saturating_sub(cursor);
                         cursor = t;
-                        guard.perf.record_lookup(resolved, classify_cyc, n);
-                        guard.perf.record_stage(Stage::Classify, classify_cyc, n);
+                        c.perf.record_lookup(resolved, classify_cyc, n);
+                        c.perf.record_stage(Stage::Classify, classify_cyc, n);
                     } else {
-                        guard.perf.count_lookup(resolved, n);
+                        c.perf.count_lookup(resolved, n);
                         if telemetry {
-                            guard.carry_pkts += n;
+                            c.carry_pkts += n;
                         }
                     }
                     (rule, tier)
@@ -670,16 +667,14 @@ impl Datapath {
             }
         }
         if sampled && exec_packets > 0 {
-            if let Some(m) = caches {
-                let mut guard = m.lock();
-                guard
-                    .perf
+            if let Some(c) = guard.as_deref_mut() {
+                c.perf
                     .record_stage(Stage::Execute, exec_cycles, exec_packets);
                 // Remember this burst's costs as the representative value
                 // for packets carried from the unstamped bursts around it.
-                guard.last_classify_cyc = classify_cycles / groups.max(1);
-                guard.last_exec_cyc = exec_cycles;
-                guard.flush_stage_carry();
+                c.last_classify_cyc = classify_cycles / groups.max(1);
+                c.last_exec_cyc = exec_cycles;
+                c.flush_stage_carry();
             }
         }
     }
@@ -722,12 +717,13 @@ impl Datapath {
     }
 }
 
-/// The PMD that owns a flow under RSS sharding: a deterministic hash of
-/// `(in_port, 5-tuple key)` modulo the PMD count. Every dispatching PMD
-/// must agree on the owner, so this uses `DefaultHasher::new()` (fixed
-/// keys — identical across threads) rather than a per-instance-randomised
-/// hasher. Flow→PMD affinity keeps per-flow packet order and gives each
-/// flow one home cache.
+/// A deterministic hash of `(in_port, 5-tuple key)` modulo `total`. Every
+/// caller must agree on the result, so this uses `DefaultHasher::new()`
+/// (fixed keys, identical across threads) rather than a per-instance
+/// randomised hasher. The live datapath assigns flows by port, not by
+/// this hash; the stepped benchmark twin still models a per-flow spread
+/// with it, and the coherence tests use it to spread flows over several
+/// cache sets.
 pub fn rss_owner(in_port: PortNo, key: &packet_wire::FlowKey, total: usize) -> usize {
     use std::hash::{Hash, Hasher};
     if total <= 1 {
@@ -739,92 +735,11 @@ pub fn rss_owner(in_port: PortNo, key: &packet_wire::FlowKey, total: usize) -> u
     (h.finish() % total as u64) as usize
 }
 
-/// Capacity (in batches) of each PMD→PMD fan-out ring.
-pub const FANOUT_RING_BATCHES: usize = 1024;
-
-/// Bounded enqueue retries toward a full peer ring before the batch is
-/// dropped (counted in [`Datapath::fanout_drops`]). Bounded so two PMDs
-/// flooding each other's full rings cannot livelock the dispatch loops.
-const FANOUT_ENQUEUE_RETRIES: usize = 1024;
-
-/// Batches drained from the fan-out inbox per PMD iteration, so a flood
-/// from one peer cannot starve the PMD's own port polling.
-const FANOUT_INBOX_BATCHES_PER_ITER: usize = 64;
-
-/// One RSS-dispatched unit: packets of flows owned by the receiving PMD,
-/// all received on `in_port`.
-pub struct FanoutBatch {
-    pub in_port: PortNo,
-    pub pkts: Vec<Mbuf>,
-}
-
-/// One PMD's endpoints of the N×N SPSC fan-out mesh built by
-/// [`build_fanout_mesh`]: a producer toward every peer and a consumer from
-/// every peer.
-pub struct PmdFanout {
-    /// `producers[j]` feeds PMD `j`; `None` at this PMD's own index.
-    producers: Vec<Option<SpscProducer<FanoutBatch>>>,
-    consumers: Vec<SpscConsumer<FanoutBatch>>,
-    /// Round-robin drain cursor over `consumers` (fairness across peers).
-    next: usize,
-}
-
-impl PmdFanout {
-    /// Hands a batch to its owner PMD's ring, yielding on a full ring for
-    /// a bounded number of retries before dropping (counted on `dp`).
-    fn send(&mut self, owner: usize, batch: FanoutBatch, dp: &Datapath) {
-        let producer = self.producers[owner]
-            .as_mut()
-            .expect("fan-out send to own index");
-        if let Err(dropped) = producer.enqueue_yielding(batch, FANOUT_ENQUEUE_RETRIES) {
-            dp.fanout_drops
-                .fetch_add(dropped.pkts.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// The next queued batch from any peer, round-robin across consumers.
-    fn recv(&mut self) -> Option<FanoutBatch> {
-        let n = self.consumers.len();
-        for _ in 0..n {
-            let idx = self.next;
-            self.next = (self.next + 1) % n;
-            if let Some(batch) = self.consumers[idx].dequeue() {
-                return Some(batch);
-            }
-        }
-        None
-    }
-}
-
-/// Builds the N×N mesh of SPSC rings connecting `total` PMDs; element `i`
-/// of the result belongs to PMD `i`. Each ordered pair of distinct PMDs
-/// gets its own single-producer/single-consumer ring, so no fan-out path
-/// ever shares an endpoint between threads.
-pub fn build_fanout_mesh(total: usize) -> Vec<PmdFanout> {
-    let mut producers: Vec<Vec<Option<SpscProducer<FanoutBatch>>>> = (0..total)
-        .map(|_| (0..total).map(|_| None).collect())
-        .collect();
-    let mut consumers: Vec<Vec<SpscConsumer<FanoutBatch>>> =
-        (0..total).map(|_| Vec::with_capacity(total)).collect();
-    for (from, row) in producers.iter_mut().enumerate() {
-        for (to, slot) in row.iter_mut().enumerate() {
-            if from == to {
-                continue;
-            }
-            let (tx, rx) = spsc_ring(FANOUT_RING_BATCHES);
-            *slot = Some(tx);
-            consumers[to].push(rx);
-        }
-    }
-    producers
-        .into_iter()
-        .zip(consumers)
-        .map(|(producers, consumers)| PmdFanout {
-            producers,
-            consumers,
-            next: 0,
-        })
-        .collect()
+/// The ports PMD `index` of `total` polls: those whose position in the
+/// ascending port order is `index` modulo `total` (OVS's `roundrobin` rxq
+/// assignment). Every port has exactly one owner.
+fn owned_ports(ports: &[Arc<OvsPort>], index: usize, total: usize) -> Vec<Arc<OvsPort>> {
+    ports.iter().skip(index).step_by(total).cloned().collect()
 }
 
 /// One synchronous burst-batched PMD iteration over every port — the body
@@ -844,12 +759,11 @@ pub(crate) fn pump_once(dp: &Datapath, caches: Option<&Mutex<PmdCaches>>) {
     dp.flush_staged(&mut staged);
 }
 
-/// A PMD thread: polls its share of the ports in round-robin. With one
-/// thread (the default) this is a single-core OVS-DPDK deployment; with
-/// several, ports are partitioned round-robin like default
-/// `pmd-rxq-affinity`, and — when a fan-out mesh is attached — polled
-/// bursts are re-sharded by flow hash so every flow is classified by its
-/// owner PMD against that PMD's caches.
+/// A PMD thread: polls its share of the ports and runs every packet it
+/// polls to completion — classify against its own caches, execute, stage,
+/// flush. With one thread (the default) this is a single-core OVS-DPDK
+/// deployment; with several, each port is polled by exactly one PMD (see
+/// [`PmdThread::with_share`]).
 pub struct PmdThread {
     dp: Arc<Datapath>,
     stop: Arc<AtomicBool>,
@@ -857,11 +771,10 @@ pub struct PmdThread {
     index: usize,
     /// Total PMD threads sharing the ports.
     total: usize,
-    /// RSS fan-out endpoints; `None` means this PMD keeps every flow it
-    /// polls (single-PMD deployments and port-partitioned legacy shares).
-    fanout: Option<PmdFanout>,
-    /// Polling iterations performed (idle or not).
-    pub iterations: Arc<AtomicU64>,
+    /// This PMD's caches and perf block. Registered with the datapath from
+    /// construction until the thread is dropped, so a snapshot taken once
+    /// the PMD exists shows its block, polled or not.
+    caches: Arc<Mutex<PmdCaches>>,
 }
 
 impl PmdThread {
@@ -871,8 +784,8 @@ impl PmdThread {
     }
 
     /// Creates PMD `index` of `total`, polling ports whose position in the
-    /// ascending port order is `index` modulo `total`. Without a fan-out
-    /// mesh, flows stay on whichever PMD polls their ingress port.
+    /// ascending port order is `index` modulo `total`, and registers its
+    /// caches with the datapath.
     pub fn with_share(
         dp: Arc<Datapath>,
         stop: Arc<AtomicBool>,
@@ -880,46 +793,22 @@ impl PmdThread {
         total: usize,
     ) -> PmdThread {
         assert!(total >= 1 && index < total, "bad PMD share {index}/{total}");
+        let caches = Arc::new(Mutex::new(PmdCaches::new()));
+        caches.lock().perf.pmd = index;
+        dp.register_pmd_caches(&caches);
         PmdThread {
             dp,
             stop,
             index,
             total,
-            fanout: None,
-            iterations: Arc::new(AtomicU64::new(0)),
+            caches,
         }
-    }
-
-    /// Creates PMD `index` of `total` with its endpoints of the RSS
-    /// fan-out mesh (element `index` of [`build_fanout_mesh`]`(total)`):
-    /// polled bursts are partitioned by [`rss_owner`], remote flows ride
-    /// the SPSC rings to their owner, and batches re-sharded here by peers
-    /// are drained each iteration.
-    pub fn with_fanout(
-        dp: Arc<Datapath>,
-        stop: Arc<AtomicBool>,
-        index: usize,
-        total: usize,
-        fanout: PmdFanout,
-    ) -> PmdThread {
-        let mut pmd = PmdThread::with_share(dp, stop, index, total);
-        pmd.fanout = Some(fanout);
-        pmd
     }
 
     /// Runs until the stop flag is raised. Yields when fully idle so the
     /// reproduction behaves on machines with fewer cores than the testbed.
-    pub fn run(mut self) {
-        // Per-PMD caches, shared with the datapath for operator dumps. The
-        // lock is taken per lookup group (inside process_burst), never
-        // across a whole burst, so an operator snapshot cannot stall the
-        // hot path for more than one cache resolution.
-        let caches = Arc::new(Mutex::new(PmdCaches::new()));
-        caches.lock().perf.pmd = self.index;
-        self.dp.register_pmd_caches(&caches);
+    pub fn run(self) {
         let mut rx_buf: Vec<Mbuf> = Vec::with_capacity(DEFAULT_BURST);
-        let mut local: Vec<Mbuf> = Vec::with_capacity(DEFAULT_BURST);
-        let mut remote: Vec<Vec<Mbuf>> = (0..self.total).map(|_| Vec::new()).collect();
         let mut staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
         let mut snapshot: Vec<Arc<OvsPort>> = Vec::new();
         let mut mine: Vec<Arc<OvsPort>> = Vec::new();
@@ -927,121 +816,47 @@ impl PmdThread {
 
         while !self.stop.load(Ordering::Acquire) {
             // Per-iteration telemetry accumulators, folded into the perf
-            // block with one lock at the end of the iteration so the poll
-            // loop itself takes no extra locks.
+            // block with one lock at the end of the iteration.
             let telemetry = self.dp.telemetry_enabled();
             let mut it_rx_packets = 0u64;
             let mut it_rx_batches = 0u64;
             let mut it_rx_cycles = 0u64;
-            let mut it_fanout_sent = 0u64;
-            let mut it_fanout_recv = 0u64;
-            let mut it_fanout_cycles = 0u64;
-            let mut it_fanout_pkts_resharded = 0u64;
             let gen = self.dp.ports_generation.load(Ordering::Acquire);
             if gen != snapshot_gen {
                 snapshot = self.dp.ports.read().values().cloned().collect();
-                mine = snapshot
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % self.total == self.index)
-                    .map(|(_, p)| Arc::clone(p))
-                    .collect();
+                mine = owned_ports(&snapshot, self.index, self.total);
                 snapshot_gen = gen;
             }
-            let mut idle = true;
             let now = cycles::now();
             for port in &mine {
-                rx_buf.clear();
                 let t_rx = if telemetry { cycles::now() } else { 0 };
                 let n = port.rx_burst(&mut rx_buf, DEFAULT_BURST);
                 if n == 0 {
                     continue;
                 }
-                idle = false;
                 if telemetry {
                     it_rx_cycles += cycles::now().saturating_sub(t_rx);
                 }
                 it_rx_packets += n as u64;
                 it_rx_batches += 1;
-                match &mut self.fanout {
-                    Some(fanout) => {
-                        // RSS dispatch: partition the burst by owner PMD.
-                        // The owner re-extracts the key during its own
-                        // grouped classification — the extra extraction
-                        // buys lock-free per-flow cache affinity.
-                        let t_fanout = if telemetry { cycles::now() } else { 0 };
-                        local.clear();
-                        for pkt in rx_buf.drain(..) {
-                            let key = packet_wire::FlowKey::extract(pkt.data());
-                            let owner = rss_owner(port.no, &key, self.total);
-                            if owner == self.index {
-                                local.push(pkt);
-                            } else {
-                                remote[owner].push(pkt);
-                            }
-                        }
-                        for (owner, pkts) in remote.iter_mut().enumerate() {
-                            if !pkts.is_empty() {
-                                it_fanout_sent += pkts.len() as u64;
-                                let batch = FanoutBatch {
-                                    in_port: port.no,
-                                    pkts: std::mem::take(pkts),
-                                };
-                                fanout.send(owner, batch, &self.dp);
-                            }
-                        }
-                        if telemetry {
-                            it_fanout_cycles += cycles::now().saturating_sub(t_fanout);
-                            it_fanout_pkts_resharded += n as u64;
-                        }
-                        if !local.is_empty() {
-                            self.dp.process_burst(
-                                &mut local,
-                                port.no,
-                                Some(&*caches),
-                                &mut staged,
-                                &snapshot,
-                                now,
-                            );
-                        }
-                    }
-                    None => {
-                        self.dp.process_burst(
-                            &mut rx_buf,
-                            port.no,
-                            Some(&*caches),
-                            &mut staged,
-                            &snapshot,
-                            now,
-                        );
-                    }
-                }
+                // Drains `rx_buf` for the next port.
+                self.dp.process_burst(
+                    &mut rx_buf,
+                    port.no,
+                    Some(&*self.caches),
+                    &mut staged,
+                    &snapshot,
+                    now,
+                );
             }
-            if let Some(fanout) = &mut self.fanout {
-                for _ in 0..FANOUT_INBOX_BATCHES_PER_ITER {
-                    let Some(mut batch) = fanout.recv() else {
-                        break;
-                    };
-                    idle = false;
-                    it_fanout_recv += batch.pkts.len() as u64;
-                    self.dp.process_burst(
-                        &mut batch.pkts,
-                        batch.in_port,
-                        Some(&*caches),
-                        &mut staged,
-                        &snapshot,
-                        now,
-                    );
-                }
-            }
+            let idle = it_rx_packets == 0;
             let tx_pkts: u64 = staged.values().map(|v| v.len() as u64).sum();
             let t_tx = if telemetry { cycles::now() } else { 0 };
             self.dp.flush_staged(&mut staged);
-            self.iterations.fetch_add(1, Ordering::Relaxed);
             {
                 // One fold per iteration: counters always, histograms and
                 // cycle attribution only when telemetry is enabled.
-                let mut guard = caches.lock();
+                let mut guard = self.caches.lock();
                 let perf = &mut guard.perf;
                 perf.iterations += 1;
                 if idle {
@@ -1049,20 +864,11 @@ impl PmdThread {
                 }
                 perf.rx_packets += it_rx_packets;
                 perf.rx_batches += it_rx_batches;
-                perf.fanout_sent += it_fanout_sent;
-                perf.fanout_recv += it_fanout_recv;
                 perf.tx_packets += tx_pkts;
                 if telemetry {
                     let t_end = cycles::now();
                     if it_rx_packets > 0 {
                         perf.record_stage(Stage::RxBurst, it_rx_cycles, it_rx_packets);
-                    }
-                    if it_fanout_pkts_resharded > 0 {
-                        perf.record_stage(
-                            Stage::Fanout,
-                            it_fanout_cycles,
-                            it_fanout_pkts_resharded,
-                        );
                     }
                     if tx_pkts > 0 {
                         perf.record_stage(Stage::TxFlush, t_end.saturating_sub(t_tx), tx_pkts);
@@ -1079,7 +885,12 @@ impl PmdThread {
                 std::thread::yield_now();
             }
         }
-        self.dp.deregister_pmd_caches(&caches);
+    }
+}
+
+impl Drop for PmdThread {
+    fn drop(&mut self) {
+        self.dp.deregister_pmd_caches(&self.caches);
     }
 }
 
@@ -1524,86 +1335,45 @@ mod tests {
         assert_eq!(owners.len(), 4, "256 flows must cover all 4 PMDs");
     }
 
+    /// Round-robin port ownership: for every PMD count, each port is
+    /// polled by exactly one PMD, and that still holds after the port set
+    /// changes (a port added, another removed).
     #[test]
-    fn fanout_mesh_routes_batches_between_pmds() {
+    fn every_port_has_exactly_one_owner_pmd() {
         let dp = Datapath::new(false);
-        let mut mesh = build_fanout_mesh(3);
-        let mut c = mesh.pop().unwrap(); // PMD 2
-        let mut b = mesh.pop().unwrap(); // PMD 1
-        let mut a = mesh.pop().unwrap(); // PMD 0
-        a.send(
-            2,
-            FanoutBatch {
-                in_port: PortNo(7),
-                pkts: vec![probe()],
-            },
-            &dp,
-        );
-        b.send(
-            2,
-            FanoutBatch {
-                in_port: PortNo(8),
-                pkts: vec![probe(), probe()],
-            },
-            &dp,
-        );
-        let mut got: Vec<(PortNo, usize)> = Vec::new();
-        while let Some(batch) = c.recv() {
-            got.push((batch.in_port, batch.pkts.len()));
+        let mut ends = Vec::new();
+        for no in [1u16, 2, 3, 5, 8] {
+            let (sw, vm) = channel(format!("p{no}"), 8);
+            dp.add_port(OvsPort::dpdkr(PortNo(no), format!("p{no}"), sw));
+            ends.push(vm);
         }
-        got.sort();
-        assert_eq!(got, vec![(PortNo(7), 1), (PortNo(8), 2)]);
-        assert!(a.recv().is_none(), "nothing was sent toward PMD 0");
-        assert_eq!(dp.fanout_drops.load(Ordering::Relaxed), 0);
-    }
-
-    /// Four PMDs with an RSS fan-out mesh move a many-flow workload
-    /// losslessly, and flows cached on remote PMDs still observe table
-    /// changes — end to end through real threads.
-    #[test]
-    fn fanout_pmds_move_traffic_end_to_end() {
-        let (dp, mut vm1, mut vm2) = two_port_dp(false);
-        dp.table_apply(&FlowMod::add(
-            FlowMatch::in_port(PortNo(1)),
-            10,
-            vec![Action::Output(PortNo(2))],
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let total = 4;
-        let mut handles = Vec::new();
-        for (i, fanout) in build_fanout_mesh(total).into_iter().enumerate() {
-            let pmd = PmdThread::with_fanout(Arc::clone(&dp), Arc::clone(&stop), i, total, fanout);
-            handles.push(std::thread::spawn(move || pmd.run()));
-        }
-
-        let n = 96u16;
-        for i in 0..n {
-            // Distinct 5-tuples so the RSS hash spreads flows across PMDs.
-            let mut m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).ports(1000 + i, 80).build());
-            m.udata = u64::from(i);
-            while vm1.send(m).is_err() {
-                m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).ports(1000 + i, 80).build());
-                m.udata = u64::from(i);
-                std::thread::yield_now();
+        let owners_of = |total: usize| {
+            let ports: Vec<Arc<OvsPort>> = dp.ports.read().values().cloned().collect();
+            let mut owners: BTreeMap<PortNo, Vec<usize>> =
+                ports.iter().map(|p| (p.no, Vec::new())).collect();
+            for index in 0..total {
+                for p in owned_ports(&ports, index, total) {
+                    owners.get_mut(&p.no).unwrap().push(index);
+                }
             }
-        }
-        let mut got = 0;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while got < usize::from(n) && std::time::Instant::now() < deadline {
-            if vm2.recv().is_some() {
-                got += 1;
-            } else {
-                std::thread::yield_now();
+            owners
+        };
+        let check = |stage: &str| {
+            for total in 1..=4 {
+                for (port, owners) in owners_of(total) {
+                    assert_eq!(
+                        owners.len(),
+                        1,
+                        "{stage}: {port} under {total} PMDs: {owners:?}"
+                    );
+                }
             }
-        }
-        stop.store(true, Ordering::Release);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(got, usize::from(n));
-        assert_eq!(dp.fanout_drops.load(Ordering::Relaxed), 0);
-        let s = dp.cache_stats();
-        assert_eq!(s.lookups, u64::from(n));
-        assert_eq!(s.matched, u64::from(n));
+        };
+        check("initial");
+        let (sw, _vm) = channel("p13", 8);
+        dp.add_port(OvsPort::dpdkr(PortNo(13), "p13", sw));
+        dp.remove_port(PortNo(2));
+        check("after add + remove");
+        assert_eq!(owners_of(4).len(), 5);
     }
 }

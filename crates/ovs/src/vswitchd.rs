@@ -2,7 +2,7 @@
 //! PMD thread(s) into a runnable vSwitch.
 
 use crate::ofproto::{FlowTableObserver, Ofproto, StatsAugmenter};
-use crate::pmd::{build_fanout_mesh, Datapath, PmdThread};
+use crate::pmd::{Datapath, PmdThread};
 use crate::port::OvsPort;
 use openflow::messages::FlowMod;
 use openflow::{PortNo, SwitchLink};
@@ -26,9 +26,8 @@ pub struct VSwitchdConfig {
     /// PMD threads polling the ports. One (the default) mirrors a
     /// single-core OVS-DPDK deployment; the paper's testbed dedicates
     /// several cores. Ports are partitioned round-robin across threads
-    /// (like `pmd-rxq-affinity` defaults) and, with more than one PMD,
-    /// polled bursts are RSS-resharded by flow hash over an SPSC fan-out
-    /// mesh so each flow is classified by its owner PMD's caches.
+    /// (OVS's `roundrobin` rxq assignment); each PMD runs every packet it
+    /// polls to completion against its own caches.
     pub pmd_threads: usize,
     /// Collect cycle-denominated telemetry (stage/tier latency histograms,
     /// busy/idle cycle accounting). Counters tick regardless; this only
@@ -201,26 +200,19 @@ impl VSwitchd {
         assert!(threads.is_empty(), "vswitchd already started");
         self.stop.store(false, Ordering::Release);
 
-        // With one PMD there is nothing to reshard; with several, each PMD
-        // gets its endpoints of the RSS fan-out mesh so flows polled on
-        // any port land on their owner PMD's caches.
-        let pmds: Vec<PmdThread> = if self.pmd_threads > 1 {
-            build_fanout_mesh(self.pmd_threads)
-                .into_iter()
-                .enumerate()
-                .map(|(i, fanout)| {
-                    PmdThread::with_fanout(
-                        Arc::clone(&self.dp),
-                        Arc::clone(&self.stop),
-                        i,
-                        self.pmd_threads,
-                        fanout,
-                    )
-                })
-                .collect()
-        } else {
-            vec![PmdThread::new(Arc::clone(&self.dp), Arc::clone(&self.stop))]
-        };
+        // Every PMD (and so its perf block) is registered with the
+        // datapath before any thread starts: a snapshot taken once `start`
+        // returns shows all of them, whether or not they own a port.
+        let pmds: Vec<PmdThread> = (0..self.pmd_threads)
+            .map(|i| {
+                PmdThread::with_share(
+                    Arc::clone(&self.dp),
+                    Arc::clone(&self.stop),
+                    i,
+                    self.pmd_threads,
+                )
+            })
+            .collect();
         for (i, pmd) in pmds.into_iter().enumerate() {
             threads.push(
                 std::thread::Builder::new()
@@ -415,63 +407,84 @@ mod tests {
         sw.stop();
     }
 
-    /// Four PMDs with the RSS fan-out mesh: a many-flow workload is
-    /// resharded across all PMDs yet delivered losslessly and in order
-    /// within each flow.
+    /// Four PMDs over four in-ports: round-robin ownership gives each PMD
+    /// one in-port, and it runs that port's 64 flows to completion. Every
+    /// packet is delivered, each flow in order, every PMD carries traffic
+    /// and no packet passes between PMDs.
     #[test]
-    fn four_pmd_rss_fanout_is_lossless_across_many_flows() {
+    fn four_pmds_each_own_an_in_port_and_deliver_every_flow_in_order() {
+        const PORTS: u16 = 4;
+        const FLOWS: u64 = 64;
+        const PER_PORT: u64 = 256;
         let sw = VSwitchd::new(VSwitchdConfig {
             pmd_threads: 4,
             ..VSwitchdConfig::default()
         });
-        let (sw1, mut vm1) = channel("dpdkr1", 512);
-        let (sw2, mut vm2) = channel("dpdkr2", 512);
-        sw.add_dpdkr_port(PortNo(1), "dpdkr1", sw1);
-        sw.add_dpdkr_port(PortNo(2), "dpdkr2", sw2);
-        sw.inject_flow_mod(&FlowMod::add(
-            FlowMatch::in_port(PortNo(1)),
-            10,
-            vec![Action::Output(PortNo(2))],
-        ));
+        // In-ports 1..=4 and out-ports 11..=14: by position, PMD i polls
+        // in-port i + 1 and out-port i + 11.
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
+        for k in 1..=PORTS {
+            let (sw_in, vm_in) = channel(format!("in{k}"), 512);
+            let (sw_out, vm_out) = channel(format!("out{k}"), 512);
+            sw.add_dpdkr_port(PortNo(k), format!("in{k}"), sw_in);
+            sw.add_dpdkr_port(PortNo(10 + k), format!("out{k}"), sw_out);
+            sw.inject_flow_mod(&FlowMod::add(
+                FlowMatch::in_port(PortNo(k)),
+                10,
+                vec![Action::Output(PortNo(10 + k))],
+            ));
+            ins.push(vm_in);
+            outs.push(vm_out);
+        }
         sw.start();
 
-        const N: u64 = 256;
-        for i in 0..N {
-            // 64 distinct flows so the RSS hash spreads across the PMDs.
-            let build = || {
-                let mut m = Mbuf::from_slice(
-                    &PacketBuilder::udp_probe(64)
-                        .ports(1000 + (i % 64) as u16, 80)
-                        .build(),
-                );
+        for i in 0..PER_PORT {
+            for vm in &mut ins {
+                let frame = PacketBuilder::udp_probe(64)
+                    .ports(1000 + (i % FLOWS) as u16, 80)
+                    .build();
+                let mut m = Mbuf::from_slice(&frame);
                 m.udata = i;
-                m
-            };
-            let mut m = build();
-            while vm1.send(m).is_err() {
-                m = build();
-                std::thread::yield_now();
+                assert!(vm.send(m).is_ok(), "in-port ring has room");
             }
         }
+        let total = u64::from(PORTS) * PER_PORT;
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let mut got = 0u64;
         let mut last_per_flow = std::collections::BTreeMap::new();
-        while got < N && std::time::Instant::now() < deadline {
-            match vm2.recv() {
-                Some(m) => {
+        while got < total {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "delivered {got}/{total}"
+            );
+            let mut idle = true;
+            for (port, vm) in outs.iter_mut().enumerate() {
+                while let Some(m) = vm.recv() {
+                    idle = false;
                     // Per-flow order: udata is monotonic within each flow.
-                    let flow = m.udata % 64;
+                    let flow = (port, m.udata % FLOWS);
                     if let Some(prev) = last_per_flow.insert(flow, m.udata) {
-                        assert!(prev < m.udata, "flow {flow} reordered");
+                        assert!(prev < m.udata, "flow {flow:?} reordered");
                     }
                     got += 1;
                 }
-                None => std::thread::yield_now(),
+            }
+            if idle {
+                std::thread::yield_now();
             }
         }
-        assert_eq!(got, N, "4-PMD RSS datapath must be lossless");
-        assert_eq!(sw.datapath().fanout_drops.load(Ordering::Relaxed), 0);
+        let snap = sw.telemetry_snapshot();
         sw.stop();
+
+        assert_eq!(last_per_flow.len(), usize::from(PORTS) * FLOWS as usize);
+        assert_eq!(snap.pmds.len(), 4);
+        for p in &snap.pmds {
+            assert!(p.rx_packets > 0, "pmd {} polled nothing", p.pmd);
+            assert_eq!(p.fanout_sent, 0, "pmd {} handed packets off", p.pmd);
+        }
+        assert_eq!(sw.datapath().fanout_drops.load(Ordering::Relaxed), 0);
+        let s = sw.datapath().cache_stats();
+        assert_eq!((s.lookups, s.matched), (total, total));
     }
 
     #[test]

@@ -15,11 +15,7 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for p in &snap.pmds {
         out.push_str(&format!("pmd thread numa_id 0 core_id {}:\n", p.pmd));
-        out.push_str(&format!(
-            "  packets received: {}\n",
-            p.rx_packets + p.fanout_recv
-        ));
-        out.push_str(&format!("  packet recirculations: {}\n", p.fanout_recv));
+        out.push_str(&format!("  packets received: {}\n", p.rx_packets));
         out.push_str(&format!("  emc hits: {}\n", p.emc_hits));
         out.push_str(&format!("  megaflow hits: {}\n", p.megaflow_hits));
         out.push_str(&format!("  classifier hits: {}\n", p.classifier_hits));
@@ -96,10 +92,6 @@ pub fn pmd_perf_show(snap: &TelemetrySnapshot) -> String {
             } else {
                 p.rx_packets as f64 / p.rx_batches as f64
             },
-        ));
-        out.push_str(&format!(
-            "  fanout sent: {}  fanout recv: {}\n",
-            p.fanout_sent, p.fanout_recv
         ));
         out.push_str(&render_hist_table(p));
     }
@@ -236,7 +228,6 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
     for (reason, v) in [
         ("miss", t.miss_drops),
         ("tx_no_port", t.tx_no_port_drops),
-        ("fanout", t.fanout_drops),
         ("packet_in", t.packet_in_drops),
     ] {
         out.push_str(&format!(
@@ -420,10 +411,11 @@ mod tests {
     #[test]
     fn perf_show_lists_every_stage() {
         let s = pmd_perf_show(&snap());
-        for name in ["rx_burst", "fanout", "classify", "execute", "tx_flush"] {
+        for name in ["rx_burst", "classify", "execute", "tx_flush"] {
             assert!(s.contains(name), "{name} missing from:\n{s}");
         }
         assert!(s.contains("iterations: 10"));
+        assert!(!s.contains("fanout"), "no fan-out stage or counter:\n{s}");
     }
 
     #[test]

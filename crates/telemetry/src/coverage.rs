@@ -106,7 +106,7 @@ pub fn total(name: &str) -> u64 {
 }
 
 /// Bumps a named coverage counter by 1 (or by an explicit amount):
-/// `coverage!("emc_hit")`, `coverage!("fanout_pkts", n)`. The name must be
+/// `coverage!("emc_hit")`, `coverage!("emc_insert", n)`. The name must be
 /// a string literal (a `&'static str`); counters need no prior declaration.
 #[macro_export]
 macro_rules! coverage {

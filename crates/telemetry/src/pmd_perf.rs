@@ -8,8 +8,7 @@
 //! reads clone the block into a [`crate::snapshot::TelemetrySnapshot`].
 //!
 //! The stage decomposition mirrors Sattar & Matrawy's empirical OVS delay
-//! model (rx → classification tier → actions → tx), extended with the
-//! fan-out reshard stage the sharded datapath adds.
+//! model (rx → classification tier → actions → tx).
 
 use crate::hist::LatencyHistogram;
 
@@ -18,7 +17,10 @@ use crate::hist::LatencyHistogram;
 pub enum Stage {
     /// Polling a port's rx ring into a burst.
     RxBurst,
-    /// RSS partition + SPSC enqueue toward owner PMDs.
+    /// Always empty: a PMD hands no packet to another. Not in
+    /// [`Stage::ALL`], so no surface renders it; kept because the benchmark
+    /// harness reads it, until the benchmark-side change (ROADMAP item 10)
+    /// retires it.
     Fanout,
     /// Flow-key group resolution through EMC/megaflow/classifier.
     Classify,
@@ -29,10 +31,9 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 5] = [
+    /// Every stage a PMD iteration runs, in pipeline order.
+    pub const ALL: [Stage; 4] = [
         Stage::RxBurst,
-        Stage::Fanout,
         Stage::Classify,
         Stage::Execute,
         Stage::TxFlush,
@@ -82,13 +83,15 @@ pub struct PmdPerf {
     pub iterations: u64,
     /// Iterations that moved no packet at all.
     pub idle_iterations: u64,
-    /// Packets polled off this PMD's own ports (pre-reshard).
+    /// Packets polled off this PMD's ports.
     pub rx_packets: u64,
     /// Non-empty rx bursts polled.
     pub rx_batches: u64,
-    /// Packets this PMD handed to a peer over the fan-out mesh.
+    /// Always 0: a PMD hands no packet to another. Kept because the
+    /// benchmark harness reads it, until the benchmark-side change
+    /// (ROADMAP item 10) retires it with [`Stage::Fanout`].
     pub fanout_sent: u64,
-    /// Packets this PMD received from peers over the fan-out mesh.
+    /// Always 0, like [`PmdPerf::fanout_sent`].
     pub fanout_recv: u64,
     /// Packets flushed to destination ports by this PMD.
     pub tx_packets: u64,
@@ -108,8 +111,9 @@ pub struct PmdPerf {
     pub idle_cycles: u64,
     /// Per-stage cycle histograms; counts are in *packets* (a stage
     /// measured once for an n-packet burst records n samples of the same
-    /// burst-level cost via [`LatencyHistogram::record_n`]).
-    stage_hist: [LatencyHistogram; Stage::ALL.len()],
+    /// burst-level cost via [`LatencyHistogram::record_n`]). Indexed by
+    /// the stage's discriminant; the [`Stage::Fanout`] slot stays empty.
+    stage_hist: [LatencyHistogram; Stage::TxFlush as usize + 1],
     /// Per-tier resolution-cost histograms; counts are in *sampled
     /// resolutions* — one per flow-key group (the unit burst-batched
     /// classification actually pays for) in the bursts the caller
@@ -149,17 +153,13 @@ impl PmdPerf {
         }
     }
 
-    fn stage_slot(stage: Stage) -> usize {
-        Stage::ALL.iter().position(|s| *s == stage).expect("stage")
-    }
-
     fn tier_slot(tier: Tier) -> usize {
         Tier::ALL.iter().position(|t| *t == tier).expect("tier")
     }
 
     /// Records `cycles` spent in `stage` on behalf of `packets` packets.
     pub fn record_stage(&mut self, stage: Stage, cycles: u64, packets: u64) {
-        self.stage_hist[Self::stage_slot(stage)].record_n(cycles, packets);
+        self.stage_hist[stage as usize].record_n(cycles, packets);
     }
 
     /// Records one group resolution of `cycles` attributed to `tier`, and
@@ -189,7 +189,7 @@ impl PmdPerf {
 
     /// The histogram of one pipeline stage.
     pub fn stage(&self, stage: Stage) -> &LatencyHistogram {
-        &self.stage_hist[Self::stage_slot(stage)]
+        &self.stage_hist[stage as usize]
     }
 
     /// The resolution-cost histogram of one cache tier.
@@ -219,8 +219,6 @@ impl PmdPerf {
         self.idle_iterations += other.idle_iterations;
         self.rx_packets += other.rx_packets;
         self.rx_batches += other.rx_batches;
-        self.fanout_sent += other.fanout_sent;
-        self.fanout_recv += other.fanout_recv;
         self.tx_packets += other.tx_packets;
         self.lookups += other.lookups;
         self.emc_hits += other.emc_hits;
@@ -266,6 +264,9 @@ mod tests {
         p.record_stage(Stage::Classify, 100, 1);
         assert_eq!(p.stage(Stage::Classify).count(), 33);
         assert_eq!(p.stage(Stage::TxFlush).count(), 0);
+        // The fan-out stage stays readable, always empty, and unlisted.
+        assert_eq!(p.stage(Stage::Fanout).count(), 0);
+        assert!(!Stage::ALL.contains(&Stage::Fanout));
     }
 
     #[test]

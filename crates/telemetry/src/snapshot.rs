@@ -57,7 +57,6 @@ pub struct DatapathTotals {
     pub misses: u64,
     pub miss_drops: u64,
     pub tx_no_port_drops: u64,
-    pub fanout_drops: u64,
     pub packet_in_drops: u64,
 }
 
@@ -113,7 +112,7 @@ impl TelemetrySnapshot {
         out.push_str(&format!(
             "\"totals\":{{\"lookups\":{},\"matched\":{},\"emc_hits\":{},\"megaflow_hits\":{},\
              \"classifier_hits\":{},\"misses\":{},\"miss_drops\":{},\"tx_no_port_drops\":{},\
-             \"fanout_drops\":{},\"packet_in_drops\":{}}},",
+             \"packet_in_drops\":{}}},",
             t.lookups,
             t.matched,
             t.emc_hits,
@@ -122,7 +121,6 @@ impl TelemetrySnapshot {
             t.misses,
             t.miss_drops,
             t.tx_no_port_drops,
-            t.fanout_drops,
             t.packet_in_drops,
         ));
 
@@ -214,7 +212,7 @@ fn pmd_json(p: &PmdPerf) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"pmd\":{},\"iterations\":{},\"idle_iterations\":{},\"rx_packets\":{},\
-         \"rx_batches\":{},\"fanout_sent\":{},\"fanout_recv\":{},\"tx_packets\":{},\
+         \"rx_batches\":{},\"tx_packets\":{},\
          \"lookups\":{},\"emc_hits\":{},\"megaflow_hits\":{},\"classifier_hits\":{},\
          \"misses\":{},\"busy_cycles\":{},\"idle_cycles\":{},\"useful_cycle_ratio\":{:.6},",
         p.pmd,
@@ -222,8 +220,6 @@ fn pmd_json(p: &PmdPerf) -> String {
         p.idle_iterations,
         p.rx_packets,
         p.rx_batches,
-        p.fanout_sent,
-        p.fanout_recv,
         p.tx_packets,
         p.lookups,
         p.emc_hits,

@@ -5,11 +5,12 @@
 //! through `Ofproto` (the path a real controller takes), then pumps the
 //! PMD data path with the same warm per-PMD caches a running thread holds.
 //!
-//! Every scenario runs under 1, 2 and 4 PMDs: packets are RSS-sharded to
-//! their owner PMD exactly as `PmdThread::run` does, so multi-PMD runs
-//! exercise per-PMD snapshot revalidation — each PMD privately caches an
-//! `Arc<FlowTable>` and must notice the shared generation moved before
-//! serving its warm tiers.
+//! Every scenario runs under 1, 2 and 4 cache sets: packets are spread
+//! over them by a flow hash (`rss_owner`), so one in-port's flows warm
+//! several sets and multi-set runs exercise per-PMD revalidation — each
+//! set must notice the shared generation moved before serving its warm
+//! tiers. (The live datapath assigns flows by in-port; the hash only
+//! gives a three-port world enough cache sets to check.)
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -50,8 +51,8 @@ fn three_port_world(npmds: usize) -> World {
 }
 
 /// One synchronous iteration of the sharded datapath: every rx burst is
-/// split by RSS owner and processed against that owner PMD's caches — the
-/// exact code path the fan-out mesh drives, minus the threads and rings.
+/// split by flow hash and each share processed against its own cache set
+/// through `process_burst`, the call a PMD makes for every burst it polls.
 fn pump(w: &mut World) {
     let snapshot: Vec<_> = w.dp.ports.read().values().cloned().collect();
     let mut staged = BTreeMap::new();
@@ -284,8 +285,8 @@ fn multi_pmd_churn_revalidates_every_owner_snapshot() {
         for _ in 0..64 {
             assert!(w.vm[1].recv().is_some(), "warmup packet lost");
         }
-        // With multiple PMDs the RSS hash must actually have spread the
-        // flows: more than one PMD holds warm entries.
+        // With multiple cache sets the flow hash must actually have
+        // spread the flows: more than one set holds warm entries.
         let warm = w
             .pmds
             .iter()

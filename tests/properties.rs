@@ -219,11 +219,10 @@ proptest! {
     /// second lookup exercises the warm tiers, and a mid-sequence flow_mod
     /// exercises generation invalidation.
     ///
-    /// The whole sequence runs under 1-, 2- and 4-PMD sharding: each probe
-    /// is routed to its RSS owner's private caches, so warm hits come from
-    /// per-PMD state validated against the shared RCU-style snapshot
-    /// generation — exactly what `PmdThread::run` does with the fan-out
-    /// mesh.
+    /// The whole sequence runs under 1, 2 and 4 cache sets: each probe is
+    /// routed by flow hash (`rss_owner`) to one set's private caches, so
+    /// warm hits come from per-PMD state validated against the shared
+    /// table generation, as a PMD's are.
     #[test]
     fn cache_tiers_agree_with_cold_classifier(
         rules in proptest::collection::vec((flow_match(), 0u16..8), 1..24),

@@ -43,7 +43,8 @@ fn run_workload() -> telemetry::TelemetrySnapshot {
         vec![Action::Output(PortNo(101))],
     ));
     for i in 0..MATCHED {
-        // 64 distinct flows so the RSS hash spreads work across all PMDs.
+        // 64 distinct flows, all polled and classified by the one PMD
+        // that owns port 1.
         let frame = PacketBuilder::udp_probe(64)
             .ports(1000 + (i % 64) as u16, 80)
             .build();
@@ -184,12 +185,8 @@ fn appctl_surfaces_render_from_a_live_node() {
     let node = HighwayNode::new(cfg);
     node.start();
 
-    // PMD threads register their perf blocks as they come up.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while node.telemetry_snapshot().pmds.len() < 2 {
-        assert!(Instant::now() < deadline, "PMDs never registered");
-        std::thread::yield_now();
-    }
+    // Every PMD's perf block is registered by the time `start` returns.
+    assert_eq!(node.telemetry_snapshot().pmds.len(), 2);
 
     let stats = node.appctl("dpif-netdev/pmd-stats-show");
     assert!(stats.contains("pmd thread numa_id 0 core_id 0:"));
@@ -214,7 +211,11 @@ fn appctl_surfaces_render_from_a_live_node() {
     assert!(report.contains("lookups: hit:"));
     assert!(report.contains("drops: miss:"));
     assert!(report.contains("tx_no_port:"));
-    assert!(report.contains("fanout:"));
+    assert!(report.contains("packet_in:"));
+    assert!(
+        !report.contains("fanout"),
+        "no fan-out drop class:\n{report}"
+    );
 
     node.stop();
 }
