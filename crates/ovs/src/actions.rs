@@ -25,41 +25,89 @@ pub enum OutputTarget {
 }
 
 /// Applies every non-output action to the frame in place and collects the
-/// output targets in order. An empty result means drop.
+/// output targets in order. An empty result means drop. The datapath runs
+/// the [`OutputPlan`] a rule compiled at install instead; this is for
+/// one-off action lists (ofproto's packet-out).
 pub fn execute(pkt: &mut Mbuf, actions: &[Action]) -> Vec<OutputTarget> {
-    let mut outputs = Vec::new();
-    for action in actions {
-        match action {
-            Action::Output(p) => {
-                let target = match *p {
-                    PortNo::FLOOD | PortNo::ALL => OutputTarget::Flood,
-                    PortNo::CONTROLLER => OutputTarget::Controller,
-                    PortNo::IN_PORT => OutputTarget::InPort,
-                    other if other.is_physical() => OutputTarget::Port(other),
-                    _ => continue, // TABLE/NORMAL/LOCAL unsupported: ignore
-                };
-                outputs.push(target);
-            }
-            Action::SetEthSrc(mac) => {
-                if pkt.len() >= ETHERNET_HEADER_LEN {
-                    EthernetFrame::new_unchecked(pkt.data_mut()).set_src_addr(*mac);
+    let plan = OutputPlan::compile(actions);
+    plan.rewrite(pkt);
+    plan.outputs
+}
+
+/// An action list compiled once: the frame rewrites in order, then the
+/// resolved outputs. Running every rewrite before any output is what the
+/// action list means here, because a packet is staged only after its
+/// whole list ran.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OutputPlan {
+    rewrites: Vec<Action>,
+    outputs: Vec<OutputTarget>,
+}
+
+impl OutputPlan {
+    /// Splits `actions` into rewrites and output targets. Outputs to the
+    /// reserved ports the datapath does not implement (TABLE, NORMAL,
+    /// LOCAL) are ignored.
+    pub fn compile(actions: &[Action]) -> OutputPlan {
+        let mut plan = OutputPlan::default();
+        for action in actions {
+            let target = match *action {
+                Action::Output(PortNo::FLOOD | PortNo::ALL) => OutputTarget::Flood,
+                Action::Output(PortNo::CONTROLLER) => OutputTarget::Controller,
+                Action::Output(PortNo::IN_PORT) => OutputTarget::InPort,
+                Action::Output(p) if p.is_physical() => OutputTarget::Port(p),
+                Action::Output(_) => continue,
+                rewrite => {
+                    plan.rewrites.push(rewrite);
+                    continue;
                 }
-            }
-            Action::SetEthDst(mac) => {
-                if pkt.len() >= ETHERNET_HEADER_LEN {
-                    EthernetFrame::new_unchecked(pkt.data_mut()).set_dst_addr(*mac);
+            };
+            plan.outputs.push(target);
+        }
+        plan
+    }
+
+    /// Applies the rewrites to one packet (nothing for a pure forwarder).
+    pub fn rewrite(&self, pkt: &mut Mbuf) {
+        for action in &self.rewrites {
+            match *action {
+                Action::Output(_) => {} // compiled into `outputs`
+                Action::SetEthSrc(mac) => {
+                    if pkt.len() >= ETHERNET_HEADER_LEN {
+                        EthernetFrame::new_unchecked(pkt.data_mut()).set_src_addr(mac);
+                    }
                 }
+                Action::SetEthDst(mac) => {
+                    if pkt.len() >= ETHERNET_HEADER_LEN {
+                        EthernetFrame::new_unchecked(pkt.data_mut()).set_dst_addr(mac);
+                    }
+                }
+                Action::SetIpv4Src(a) => rewrite_ipv4(pkt, |ip| ip.set_src_addr(a)),
+                Action::SetIpv4Dst(a) => rewrite_ipv4(pkt, |ip| ip.set_dst_addr(a)),
+                Action::SetIpTos(t) => rewrite_ipv4(pkt, |ip| ip.set_tos(t)),
+                Action::SetL4Src(p) => rewrite_l4(pkt, p, true),
+                Action::SetL4Dst(p) => rewrite_l4(pkt, p, false),
+                Action::SetVlanId(vid) => set_vlan(pkt, vid),
+                Action::StripVlan => strip_vlan(pkt),
             }
-            Action::SetIpv4Src(a) => rewrite_ipv4(pkt, |ip| ip.set_src_addr(*a)),
-            Action::SetIpv4Dst(a) => rewrite_ipv4(pkt, |ip| ip.set_dst_addr(*a)),
-            Action::SetIpTos(t) => rewrite_ipv4(pkt, |ip| ip.set_tos(*t)),
-            Action::SetL4Src(p) => rewrite_l4(pkt, *p, true),
-            Action::SetL4Dst(p) => rewrite_l4(pkt, *p, false),
-            Action::SetVlanId(vid) => set_vlan(pkt, *vid),
-            Action::StripVlan => strip_vlan(pkt),
         }
     }
-    outputs
+
+    /// The output targets, in action order; empty means drop.
+    pub fn outputs(&self) -> &[OutputTarget] {
+        &self.outputs
+    }
+
+    /// The one port every packet goes to, when the outputs are exactly one
+    /// physical port or `IN_PORT`: such a packet is staged as it is, with
+    /// no duplicate and no flood expansion.
+    pub fn single_port(&self, in_port: PortNo) -> Option<PortNo> {
+        match self.outputs[..] {
+            [OutputTarget::Port(p)] => Some(p),
+            [OutputTarget::InPort] => Some(in_port),
+            _ => None,
+        }
+    }
 }
 
 fn ipv4_offset(pkt: &Mbuf) -> Option<usize> {
@@ -133,18 +181,14 @@ fn refresh_l4_checksum(pkt: &mut Mbuf, ip_off: usize) {
     let (src, dst, proto, hl) = (ip.src_addr(), ip.dst_addr(), ip.protocol(), ip.header_len());
     let l4 = &mut data[ip_off + hl..];
     match proto {
-        IpProtocol::Udp => {
-            if UdpDatagram::new_checked(&*l4).is_ok() {
-                let mut udp = UdpDatagram::new_unchecked(l4);
-                if udp.checksum_field() != 0 {
-                    udp.fill_checksum(src, dst);
-                }
+        IpProtocol::Udp if UdpDatagram::new_checked(&*l4).is_ok() => {
+            let mut udp = UdpDatagram::new_unchecked(l4);
+            if udp.checksum_field() != 0 {
+                udp.fill_checksum(src, dst);
             }
         }
-        IpProtocol::Tcp => {
-            if TcpSegment::new_checked(&*l4).is_ok() {
-                TcpSegment::new_unchecked(l4).fill_checksum(src, dst);
-            }
+        IpProtocol::Tcp if TcpSegment::new_checked(&*l4).is_ok() => {
+            TcpSegment::new_unchecked(l4).fill_checksum(src, dst);
         }
         _ => {}
     }
@@ -222,6 +266,21 @@ mod tests {
                 OutputTarget::InPort,
             ]
         );
+    }
+
+    #[test]
+    fn single_port_plans() {
+        let plan = |actions: &[Action]| OutputPlan::compile(actions).single_port(PortNo(5));
+        assert_eq!(plan(&[Action::Output(PortNo(3))]), Some(PortNo(3)));
+        let hairpin = [Action::SetL4Src(1), Action::Output(PortNo::IN_PORT)];
+        assert_eq!(plan(&hairpin), Some(PortNo(5)));
+        let ignored = [Action::Output(PortNo::NORMAL), Action::Output(PortNo(3))];
+        assert_eq!(plan(&ignored), Some(PortNo(3)));
+        assert_eq!(plan(&[]), None, "drop");
+        assert_eq!(plan(&[Action::Output(PortNo::FLOOD)]), None);
+        assert_eq!(plan(&[Action::Output(PortNo::CONTROLLER)]), None);
+        let two = [Action::Output(PortNo(3)), Action::Output(PortNo(4))];
+        assert_eq!(plan(&two), None);
     }
 
     #[test]

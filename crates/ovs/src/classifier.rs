@@ -252,6 +252,7 @@ mod tests {
             fmatch: fmatch.canonicalise(),
             priority,
             actions: vec![Action::Output(PortNo(out))],
+            plan: crate::actions::OutputPlan::compile(&[Action::Output(PortNo(out))]),
             cookie: 0,
             idle_timeout: 0,
             hard_timeout: 0,

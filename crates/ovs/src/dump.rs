@@ -308,6 +308,86 @@ mod tests {
         assert!(dump.contains("packets:1, bytes:64"), "{dump}");
     }
 
+    /// `dump_megaflows` over a fixed table and fixed traffic is pinned
+    /// byte for byte: the packed megaflow keys must render exactly what
+    /// the field-wise projected keys did. Five masks (in-port only, a /16
+    /// prefix, L2 pairs with a ToS, a hairpin with a rewrite, a drop), with
+    /// flows that resolve in every tier over three bursts.
+    #[test]
+    fn dump_megaflows_output_is_pinned() {
+        use crate::pmd::PmdCaches;
+        use packet_wire::{MacAddr, PacketBuilder};
+        use parking_lot::Mutex;
+        use std::sync::Arc;
+
+        let dp = Datapath::new(false);
+        let mut ends = Vec::new();
+        for n in 1..=3u16 {
+            let (sw, vm) = shmem_sim::channel(format!("g{n}"), 64);
+            dp.add_port(crate::port::OvsPort::dpdkr(PortNo(n), format!("g{n}"), sw));
+            ends.push(vm);
+        }
+        let mut web = FlowMatch::in_port(PortNo(1));
+        web.eth_type = Some(0x0800);
+        web.l4_dst = Some(80);
+        dp.table_apply(&FlowMod::add(web, 30, vec![Action::Output(PortNo(2))]));
+        let mut net = FlowMatch::in_port(PortNo(1));
+        net.eth_type = Some(0x0800);
+        net.ipv4_dst = Some((Ipv4Addr::new(10, 9, 0, 0), 16));
+        dp.table_apply(&FlowMod::add(net, 20, vec![Action::Output(PortNo(3))]));
+        let mut l2 = FlowMatch::eth_pair(MacAddr::local(5), MacAddr::local(6));
+        l2.ip_tos = Some(0);
+        dp.table_apply(&FlowMod::add(l2, 15, vec![Action::Output(PortNo::FLOOD)]));
+        dp.table_apply(&FlowMod::add(
+            FlowMatch::in_port(PortNo(2)),
+            10,
+            vec![Action::SetL4Dst(9), Action::Output(PortNo::IN_PORT)],
+        ));
+        dp.table_apply(&FlowMod::add(FlowMatch::any(), 1, vec![]));
+
+        let caches = Arc::new(Mutex::new(PmdCaches::new()));
+        dp.register_pmd_caches(&caches);
+        // (sending end, l4 src, l4 dst, ipv4 dst, eth src, eth dst)
+        let frames: [(usize, u16, u16, [u8; 4], u8, u8); 9] = [
+            (0, 1000, 80, [10, 0, 0, 2], 1, 2),
+            (0, 1001, 80, [10, 0, 0, 2], 1, 2),
+            (0, 1000, 81, [10, 9, 1, 1], 1, 2),
+            (0, 1000, 81, [10, 9, 2, 1], 1, 2),
+            (0, 1000, 82, [10, 8, 2, 1], 5, 6),
+            (0, 1000, 83, [10, 7, 2, 1], 1, 2),
+            (1, 7, 8, [10, 0, 0, 1], 1, 2),
+            (1, 7, 9, [10, 0, 0, 1], 1, 2),
+            (2, 7, 9, [10, 0, 0, 1], 5, 6),
+        ];
+        for round in 0..3 {
+            for (i, &(end, src, dst, ip, ms, md)) in frames.iter().enumerate() {
+                if i % 3 == round || round == 2 {
+                    let f = PacketBuilder::udp_probe(64 + 4 * i)
+                        .eth(MacAddr::local(ms), MacAddr::local(md))
+                        .ip(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::from(ip))
+                        .ports(src, dst)
+                        .build();
+                    ends[end].send(dpdk_sim::Mbuf::from_slice(&f)).unwrap();
+                }
+            }
+            crate::pmd::pump_once(&dp, Some(&*caches));
+            for e in &mut ends {
+                while e.recv().is_some() {}
+            }
+        }
+        let expected = "\
+pmd 0: 7 megaflows
+ in_port(1),eth_type(0x0800),l4(dst=80), packets:2, bytes:132, rule:1, actions:output:2
+ in_port(1),eth_type(0x0800),ipv4(dst=10.9.0.0/16),l4(dst=81), packets:2, bytes:148, rule:2, actions:output:3
+ in_port(3),eth(src=02:00:00:00:00:05),eth(dst=02:00:00:00:00:06),eth_type(0x0800),ipv4(tos=0),ipv4(dst=10.0.0.0/16),l4(dst=9), packets:1, bytes:96, rule:3, actions:FLOOD
+ in_port(1),eth(src=02:00:00:00:00:05),eth(dst=02:00:00:00:00:06),eth_type(0x0800),ipv4(tos=0),ipv4(dst=10.8.0.0/16),l4(dst=82), packets:1, bytes:80, rule:3, actions:FLOOD
+ in_port(2),eth(src=02:00:00:00:00:01),eth(dst=02:00:00:00:00:02),eth_type(0x0800),ipv4(tos=0),ipv4(dst=10.0.0.0/16),l4(dst=9), packets:1, bytes:92, rule:4, actions:mod_tp_dst:9,IN_PORT
+ in_port(2),eth(src=02:00:00:00:00:01),eth(dst=02:00:00:00:00:02),eth_type(0x0800),ipv4(tos=0),ipv4(dst=10.0.0.0/16),l4(dst=8), packets:1, bytes:88, rule:4, actions:mod_tp_dst:9,IN_PORT
+ in_port(1),eth(src=02:00:00:00:00:01),eth(dst=02:00:00:00:00:02),eth_type(0x0800),ipv4(tos=0),ipv4(dst=10.7.0.0/16),l4(dst=83), packets:1, bytes:84, rule:5, actions:drop
+";
+        assert_eq!(dump_megaflows(&dp), expected);
+    }
+
     #[test]
     fn dump_datapath_stats_reports_drop_classes() {
         let dp = Datapath::new(false);

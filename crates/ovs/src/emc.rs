@@ -1,13 +1,13 @@
 //! Exact-match cache (EMC).
 //!
 //! The first-level lookup of the OVS-DPDK datapath: a small per-PMD hash
-//! table from `(in_port, full flow key)` to the rule that handled the last
-//! packet of that flow. Entries are validated against the flow table
-//! generation, so any table change invalidates the whole cache at zero cost.
+//! table from `(in_port, full flow key)`, packed into four words (see
+//! [`PackedKey`]), to the rule that handled the last packet of that flow.
+//! Entries are validated against the flow table generation, so any table
+//! change invalidates the whole cache at zero cost.
 
 use crate::table::RuleEntry;
-use openflow::PortNo;
-use packet_wire::FlowKey;
+use packet_wire::PackedKey;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ struct EmcEntry {
 
 /// A per-PMD exact-match cache.
 pub struct Emc {
-    map: HashMap<(PortNo, FlowKey), EmcEntry>,
+    map: HashMap<PackedKey, EmcEntry>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -38,14 +38,10 @@ impl Emc {
         }
     }
 
-    /// Looks up a flow; only entries from `generation` are valid.
-    pub fn lookup(
-        &mut self,
-        port: PortNo,
-        key: &FlowKey,
-        generation: u64,
-    ) -> Option<Arc<RuleEntry>> {
-        match self.map.get(&(port, *key)) {
+    /// Looks up a flow (its key packed with its in-port); only entries
+    /// from `generation` are valid.
+    pub fn lookup(&mut self, key: &PackedKey, generation: u64) -> Option<Arc<RuleEntry>> {
+        match self.map.get(key) {
             Some(e) if e.generation == generation => {
                 self.hits += 1;
                 Some(Arc::clone(&e.rule))
@@ -59,11 +55,11 @@ impl Emc {
 
     /// Installs a flow → rule binding for `generation`. A capacity of 0
     /// disables the tier entirely (inserts are no-ops, lookups miss).
-    pub fn insert(&mut self, port: PortNo, key: FlowKey, rule: Arc<RuleEntry>, generation: u64) {
+    pub fn insert(&mut self, key: PackedKey, rule: Arc<RuleEntry>, generation: u64) {
         if self.capacity == 0 {
             return;
         }
-        if self.map.len() >= self.capacity && !self.map.contains_key(&(port, key)) {
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             // Cheap eviction: drop stale entries; if none are stale, clear.
             // (Real OVS probabilistically replaces; the effect — bounded
             // memory, occasional re-classification — is the same.)
@@ -74,7 +70,7 @@ impl Emc {
             }
         }
         telemetry::coverage!("emc_insert");
-        self.map.insert((port, key), EmcEntry { generation, rule });
+        self.map.insert(key, EmcEntry { generation, rule });
     }
 
     /// `(hits, misses)` since creation.
@@ -96,7 +92,8 @@ impl Emc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::{Action, FlowMatch};
+    use openflow::{Action, FlowMatch, PortNo};
+    use packet_wire::FlowKey;
     use std::sync::atomic::AtomicU64;
 
     fn rule(id: u64) -> Arc<RuleEntry> {
@@ -104,6 +101,7 @@ mod tests {
             id,
             fmatch: FlowMatch::any(),
             priority: 1,
+            plan: crate::actions::OutputPlan::compile(&[Action::Output(PortNo(2))]),
             actions: vec![Action::Output(PortNo(2))],
             cookie: 0,
             idle_timeout: 0,
@@ -118,39 +116,39 @@ mod tests {
     #[test]
     fn hit_after_insert_same_generation() {
         let mut emc = Emc::new(16);
-        let key = FlowKey::default();
-        assert!(emc.lookup(PortNo(1), &key, 0).is_none());
-        emc.insert(PortNo(1), key, rule(1), 0);
-        assert_eq!(emc.lookup(PortNo(1), &key, 0).unwrap().id, 1);
+        let key = FlowKey::default().pack(1);
+        assert!(emc.lookup(&key, 0).is_none());
+        emc.insert(key, rule(1), 0);
+        assert_eq!(emc.lookup(&key, 0).unwrap().id, 1);
         assert_eq!(emc.stats(), (1, 1));
     }
 
     #[test]
     fn generation_change_invalidates() {
         let mut emc = Emc::new(16);
-        let key = FlowKey::default();
-        emc.insert(PortNo(1), key, rule(1), 0);
-        assert!(emc.lookup(PortNo(1), &key, 1).is_none());
+        let key = FlowKey::default().pack(1);
+        emc.insert(key, rule(1), 0);
+        assert!(emc.lookup(&key, 1).is_none());
         // Reinsert under the new generation works.
-        emc.insert(PortNo(1), key, rule(2), 1);
-        assert_eq!(emc.lookup(PortNo(1), &key, 1).unwrap().id, 2);
+        emc.insert(key, rule(2), 1);
+        assert_eq!(emc.lookup(&key, 1).unwrap().id, 2);
     }
 
     #[test]
     fn different_ports_are_different_flows() {
         let mut emc = Emc::new(16);
-        let key = FlowKey::default();
-        emc.insert(PortNo(1), key, rule(1), 0);
-        assert!(emc.lookup(PortNo(2), &key, 0).is_none());
+        let key = FlowKey::default().pack(1);
+        emc.insert(key, rule(1), 0);
+        assert!(emc.lookup(&FlowKey::default().pack(2), 0).is_none());
     }
 
     #[test]
     fn capacity_zero_disables_the_tier() {
         let mut emc = Emc::new(0);
-        let key = FlowKey::default();
-        emc.insert(PortNo(1), key, rule(1), 0);
+        let key = FlowKey::default().pack(1);
+        emc.insert(key, rule(1), 0);
         assert!(emc.is_empty());
-        assert!(emc.lookup(PortNo(1), &key, 0).is_none());
+        assert!(emc.lookup(&key, 0).is_none());
     }
 
     #[test]
@@ -160,8 +158,9 @@ mod tests {
             let key = FlowKey {
                 l4_dst: i,
                 ..FlowKey::default()
-            };
-            emc.insert(PortNo(1), key, rule(u64::from(i)), 0);
+            }
+            .pack(1);
+            emc.insert(key, rule(u64::from(i)), 0);
         }
         assert!(emc.len() <= 5);
     }

@@ -7,7 +7,9 @@
 //! while resolving it (see [`crate::classifier::Classifier::lookup_staged`]).
 //! Every packet agreeing on the masked fields — any source port, any
 //! un-consulted header — resolves through one hash probe per cached mask
-//! instead of a full classifier walk.
+//! instead of a full classifier walk. An entry is keyed by the packet's
+//! [`PackedKey`] with every bit its group's mask leaves wild zeroed: four
+//! words to hash, and the mask is stored once per group, not per entry.
 //!
 //! Invalidation mirrors the EMC's scheme: entries are stamped with the flow
 //! table generation and the whole cache flushes the moment a lookup or
@@ -18,7 +20,9 @@
 use crate::table::RuleEntry;
 use openflow::fmatch::{FlowMatch, MatchMask, ProjectedKey};
 use openflow::{Action, PortNo};
+use packet_wire::{FlowKey, MacAddr, PackedKey};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// Default megaflow capacity. Real OVS's dpcls is unbounded; we bound it
@@ -41,7 +45,43 @@ struct MegaflowEntry {
 /// Entries sharing one wildcard mask (one hash probe per group at lookup).
 struct MaskGroup {
     mask: MatchMask,
-    entries: HashMap<ProjectedKey, MegaflowEntry>,
+    /// `mask` in packed form: all-ones in every bit it pins.
+    bits: PackedKey,
+    entries: HashMap<PackedKey, MegaflowEntry>,
+}
+
+impl MaskGroup {
+    fn new(mask: MatchMask) -> MaskGroup {
+        let prefix = |len: u8| match len {
+            0 => Ipv4Addr::UNSPECIFIED,
+            len => Ipv4Addr::from(u32::MAX << (32 - u32::from(len.min(32)))),
+        };
+        let mac = |on: bool| {
+            if on {
+                MacAddr::BROADCAST
+            } else {
+                MacAddr::ZERO
+            }
+        };
+        let ones = |on: bool| if on { u16::MAX } else { 0 };
+        let pinned = FlowKey {
+            eth_src: mac(mask.eth_src),
+            eth_dst: mac(mask.eth_dst),
+            eth_type: ones(mask.eth_type),
+            vlan_id: ones(mask.vlan_id),
+            ipv4_src: prefix(mask.ipv4_src_len),
+            ipv4_dst: prefix(mask.ipv4_dst_len),
+            ip_proto: ones(mask.ip_proto) as u8,
+            ip_tos: ones(mask.ip_tos) as u8,
+            l4_src: ones(mask.l4_src),
+            l4_dst: ones(mask.l4_dst),
+        };
+        MaskGroup {
+            mask,
+            bits: pinned.pack(ones(mask.in_port)),
+            entries: HashMap::new(),
+        }
+    }
 }
 
 /// One row of a megaflow dump: the masked key, its traffic counters and the
@@ -89,28 +129,41 @@ impl Megaflow {
             if self.len > 0 {
                 self.flushes += 1;
             }
-            self.groups.clear();
-            self.len = 0;
+            self.clear();
             self.generation = generation;
         }
     }
 
-    /// Looks up a packet, validating the cache against `generation` first.
-    /// `pkts`/`bytes` are the burst share this resolution stands for, folded
-    /// into the hit entry's dump counters (burst-batched classification
-    /// resolves once per flow group, not once per packet).
+    /// Empties the cache. A group keeps its table's allocation for the
+    /// next fill: under churn the cache empties and refills many times a
+    /// second, and growing a fresh table through every doubling each time
+    /// left the allocator holding the freed ones. A group that gained no
+    /// entry since the last clear is dropped, so unused masks do not
+    /// accumulate.
+    fn clear(&mut self) {
+        self.groups.retain_mut(|g| {
+            let used = !g.entries.is_empty();
+            g.entries.clear();
+            used
+        });
+        self.len = 0;
+    }
+
+    /// Looks up a packet (its key packed with its in-port), validating the
+    /// cache against `generation` first. `pkts`/`bytes` are the burst share
+    /// this resolution stands for, folded into the hit entry's dump
+    /// counters (burst-batched classification resolves once per flow
+    /// group, not once per packet).
     pub fn lookup(
         &mut self,
-        port: PortNo,
-        key: &packet_wire::FlowKey,
+        key: &PackedKey,
         generation: u64,
         pkts: u64,
         bytes: u64,
     ) -> Option<Arc<RuleEntry>> {
         self.revalidate(generation);
         for group in &mut self.groups {
-            let proj = FlowMatch::project(&group.mask, port, key);
-            if let Some(entry) = group.entries.get_mut(&proj) {
+            if let Some(entry) = group.entries.get_mut(&key.masked(&group.bits)) {
                 entry.n_packets += pkts;
                 entry.n_bytes += bytes;
                 self.hits += 1;
@@ -126,11 +179,9 @@ impl Megaflow {
     /// share (`pkts`/`bytes`). The mask must be the staged-unwildcarding
     /// mask the classifier returned for this very resolution — anything
     /// narrower wastes coverage, anything wider is unsound.
-    #[allow(clippy::too_many_arguments)] // mirrors Emc::insert + burst share
     pub fn insert(
         &mut self,
-        port: PortNo,
-        key: &packet_wire::FlowKey,
+        key: &PackedKey,
         mask: MatchMask,
         rule: Arc<RuleEntry>,
         generation: u64,
@@ -143,27 +194,22 @@ impl Megaflow {
         self.revalidate(generation);
         if self.len >= self.capacity {
             // Same cheap bound as the EMC's last resort: flush and refill.
-            self.groups.clear();
-            self.len = 0;
+            self.clear();
             self.flushes += 1;
             telemetry::coverage!("megaflow_flush");
         }
         telemetry::coverage!("megaflow_insert");
-        let proj = FlowMatch::project(&mask, port, key);
         let group = match self.groups.iter_mut().position(|g| g.mask == mask) {
             Some(i) => &mut self.groups[i],
             None => {
-                self.groups.push(MaskGroup {
-                    mask,
-                    entries: HashMap::new(),
-                });
+                self.groups.push(MaskGroup::new(mask));
                 self.groups.last_mut().expect("just pushed")
             }
         };
         if group
             .entries
             .insert(
-                proj,
+                key.masked(&group.bits),
                 MegaflowEntry {
                     rule,
                     n_packets: pkts,
@@ -188,7 +234,7 @@ impl Megaflow {
 
     /// Distinct wildcard masks currently cached.
     pub fn mask_count(&self) -> usize {
-        self.groups.len()
+        self.groups.iter().filter(|g| !g.entries.is_empty()).count()
     }
 
     /// Aggregates currently cached.
@@ -202,14 +248,16 @@ impl Megaflow {
     }
 
     /// Snapshot of every cached aggregate, for `dpctl dump-flows`-style
-    /// rendering (see [`crate::dump::dump_megaflows`]).
+    /// rendering (see [`crate::dump::dump_megaflows`]). Each row's key is
+    /// rebuilt from the packed entry key.
     pub fn rows(&self) -> Vec<MegaflowRow> {
         let mut out = Vec::with_capacity(self.len);
         for group in &self.groups {
             for (key, entry) in &group.entries {
+                let (port, key) = key.unpack();
                 out.push(MegaflowRow {
                     mask: group.mask,
-                    key: *key,
+                    key: FlowMatch::project(&group.mask, PortNo(port), &key),
                     n_packets: entry.n_packets,
                     n_bytes: entry.n_bytes,
                     rule_id: entry.rule.id,
@@ -243,7 +291,7 @@ impl Megaflow {
 mod tests {
     use super::*;
     use openflow::FlowMatch;
-    use packet_wire::{FlowKey, PacketBuilder};
+    use packet_wire::PacketBuilder;
     use std::sync::atomic::AtomicU64;
 
     fn rule(id: u64, fmatch: FlowMatch) -> Arc<RuleEntry> {
@@ -251,6 +299,7 @@ mod tests {
             id,
             fmatch: fmatch.canonicalise(),
             priority: 10,
+            plan: crate::actions::OutputPlan::compile(&[Action::Output(PortNo(2))]),
             actions: vec![Action::Output(PortNo(2))],
             cookie: id,
             idle_timeout: 0,
@@ -274,8 +323,7 @@ mod tests {
         let r = rule(1, m);
         // Install under a mask that pins only l4_dst.
         mf.insert(
-            PortNo(1),
-            &key_to(80),
+            &key_to(80).pack(1),
             r.fmatch.mask(),
             Arc::clone(&r),
             0,
@@ -285,9 +333,9 @@ mod tests {
         // Any port, any source port: still a hit — the aggregate, not the flow.
         let mut other = key_to(80);
         other.l4_src = 9999;
-        assert_eq!(mf.lookup(PortNo(7), &other, 0, 1, 64).unwrap().id, 1);
+        assert_eq!(mf.lookup(&other.pack(7), 0, 1, 64).unwrap().id, 1);
         // A packet differing in a masked field misses.
-        assert!(mf.lookup(PortNo(7), &key_to(81), 0, 1, 64).is_none());
+        assert!(mf.lookup(&key_to(81).pack(7), 0, 1, 64).is_none());
         assert_eq!(mf.stats(), (1, 1));
     }
 
@@ -295,10 +343,11 @@ mod tests {
     fn generation_change_flushes_everything() {
         let mut mf = Megaflow::new(1024);
         let r = rule(1, FlowMatch::any());
-        mf.insert(PortNo(1), &key_to(80), MatchMask::empty(), r, 0, 0, 0);
+        mf.insert(&key_to(80).pack(1), MatchMask::empty(), r, 0, 0, 0);
         assert_eq!(mf.len(), 1);
-        assert!(mf.lookup(PortNo(1), &key_to(80), 1, 1, 64).is_none());
+        assert!(mf.lookup(&key_to(80).pack(1), 1, 1, 64).is_none());
         assert!(mf.is_empty());
+        assert_eq!(mf.mask_count(), 0);
         assert_eq!(mf.flushes(), 1);
     }
 
@@ -306,9 +355,9 @@ mod tests {
     fn capacity_zero_disables_the_tier() {
         let mut mf = Megaflow::new(0);
         let r = rule(1, FlowMatch::any());
-        mf.insert(PortNo(1), &key_to(80), MatchMask::empty(), r, 0, 0, 0);
+        mf.insert(&key_to(80).pack(1), MatchMask::empty(), r, 0, 0, 0);
         assert!(mf.is_empty());
-        assert!(mf.lookup(PortNo(1), &key_to(80), 0, 1, 64).is_none());
+        assert!(mf.lookup(&key_to(80).pack(1), 0, 1, 64).is_none());
     }
 
     #[test]
@@ -319,7 +368,7 @@ mod tests {
             m.l4_dst = Some(i);
             let r = rule(u64::from(i), m);
             let mask = r.fmatch.mask();
-            mf.insert(PortNo(1), &key_to(i), mask, r, 0, 0, 0);
+            mf.insert(&key_to(i).pack(1), mask, r, 0, 0, 0);
         }
         assert!(mf.len() <= 4);
     }
@@ -330,8 +379,8 @@ mod tests {
         let mut m = FlowMatch::any();
         m.l4_dst = Some(80);
         let r = rule(7, m);
-        mf.insert(PortNo(1), &key_to(80), r.fmatch.mask(), r, 0, 0, 0);
-        mf.lookup(PortNo(1), &key_to(80), 0, 3, 192);
+        mf.insert(&key_to(80).pack(1), r.fmatch.mask(), r, 0, 0, 0);
+        mf.lookup(&key_to(80).pack(1), 0, 3, 192);
         let rows = mf.rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].n_packets, 3);

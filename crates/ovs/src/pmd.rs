@@ -2,9 +2,13 @@
 //! that services every port, classifies packets through the three-tier
 //! cache hierarchy (EMC → megaflow → classifier) and executes actions.
 //!
-//! Classification is *burst-batched*: a received burst is grouped by flow
-//! key and each group resolves through the cache hierarchy once, so a
-//! 32-packet burst of one flow costs one lookup, not thirty-two.
+//! A received burst runs in three stages over fixed, stack-held arrays
+//! ([`Datapath::process_burst`]): each packet's key is extracted, packed
+//! and grouped once; each distinct key resolves through the cache
+//! hierarchy once, so a 32-packet burst of one flow costs one lookup, not
+//! thirty-two; then every packet, in burst order, runs the output plan its
+//! rule compiled at install. The hot path allocates nothing, and the
+//! datapath's lookup counters move once per burst.
 //!
 //! The datapath shards across N PMD threads (see `docs/datapath.md`):
 //! every port is polled by exactly one PMD, which runs each packet it
@@ -15,7 +19,7 @@
 //! validates against one atomic load of the table generation and takes no
 //! lock, and only a cache miss takes the read side.
 
-use crate::actions::{execute, OutputTarget};
+use crate::actions::OutputTarget;
 use crate::emc::{Emc, DEFAULT_EMC_ENTRIES};
 use crate::megaflow::{Megaflow, MegaflowRow, DEFAULT_MEGAFLOW_ENTRIES};
 use crate::port::OvsPort;
@@ -24,6 +28,7 @@ use crossbeam::channel::{Receiver, Sender, TrySendError};
 use dpdk_sim::{cycles, Mbuf, DEFAULT_BURST};
 use openflow::messages::{FlowMod, PacketIn, PacketInReason};
 use openflow::PortNo;
+use packet_wire::PackedKey;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -411,8 +416,10 @@ impl Datapath {
         }
     }
 
-    /// Resolves output targets for one packet and queues it (or duplicates)
-    /// on the destination ports' staging queues.
+    /// Queues one (already rewritten) packet on the staging queue of every
+    /// port `targets` resolves to: a duplicate for each destination but
+    /// the last, which takes the original. Controller targets punt a copy
+    /// first. Builds no list: the destinations are counted, then staged.
     pub fn stage_outputs(
         &self,
         pkt: Mbuf,
@@ -421,44 +428,31 @@ impl Datapath {
         staged: &mut BTreeMap<PortNo, Vec<Mbuf>>,
         port_snapshot: &[Arc<OvsPort>],
     ) {
-        if targets.is_empty() {
-            return; // drop
-        }
-        // Expand flood/in-port into a concrete port list.
-        let mut concrete: Vec<PortNo> = Vec::with_capacity(targets.len());
+        let flood = || port_snapshot.iter().filter(|p| p.no != in_port);
+        let mut left = 0usize;
         for t in targets {
             match t {
-                OutputTarget::Port(p) => concrete.push(*p),
-                OutputTarget::InPort => concrete.push(in_port),
-                OutputTarget::Flood => {
-                    for port in port_snapshot {
-                        if port.no != in_port {
-                            concrete.push(port.no);
-                        }
-                    }
-                }
-                OutputTarget::Controller => {
-                    self.punt(&pkt, in_port, PacketInReason::Action);
-                }
+                OutputTarget::Port(_) | OutputTarget::InPort => left += 1,
+                OutputTarget::Flood => left += flood().count(),
+                OutputTarget::Controller => self.punt(&pkt, in_port, PacketInReason::Action),
             }
         }
-        let n = concrete.len();
-        for (i, dest) in concrete.into_iter().enumerate() {
-            let m = if i + 1 == n {
-                // Move the original into the last destination.
-                // (Loop consumes pkt; a placeholder keeps borrowck happy.)
-                None
-            } else {
-                Some(pkt.duplicate())
+        let mut pkt = Some(pkt);
+        let mut stage = |dest: PortNo| {
+            left -= 1;
+            let m = match left {
+                0 => pkt.take(),
+                _ => pkt.as_ref().map(Mbuf::duplicate),
             };
-            let m = match m {
-                Some(d) => d,
-                None => {
-                    staged.entry(dest).or_default().push(pkt);
-                    return;
-                }
-            };
-            staged.entry(dest).or_default().push(m);
+            staged.entry(dest).or_default().extend(m);
+        };
+        for t in targets {
+            match *t {
+                OutputTarget::Port(p) => stage(p),
+                OutputTarget::InPort => stage(in_port),
+                OutputTarget::Flood => flood().for_each(|p| stage(p.no)),
+                OutputTarget::Controller => {}
+            }
         }
     }
 
@@ -476,29 +470,37 @@ impl Datapath {
         pkts: u64,
         bytes: u64,
     ) -> (Option<Arc<RuleEntry>>, CacheTier) {
+        self.resolve(in_port, &key.pack(in_port.0), caches, pkts, bytes)
+    }
+
+    /// [`Datapath::classify`] for a key already packed with its in-port.
+    fn resolve(
+        &self,
+        in_port: PortNo,
+        key: &PackedKey,
+        caches: Option<&mut PmdCaches>,
+        pkts: u64,
+        bytes: u64,
+    ) -> (Option<Arc<RuleEntry>>, CacheTier) {
         let Some(caches) = caches else {
-            return (self.table().lookup(in_port, key), CacheTier::Classifier);
+            let (_, key) = key.unpack();
+            return (self.table().lookup(in_port, &key), CacheTier::Classifier);
         };
         // A hit takes no lock: an entry is served only if it was stamped
         // with the generation this one atomic load returns.
         let generation = self.table_generation();
         caches.resolved_at = Some(generation);
-        if let Some(rule) = caches.emc.lookup(in_port, key, generation) {
+        if let Some(rule) = caches.emc.lookup(key, generation) {
             return (Some(rule), CacheTier::Emc);
         }
-        if let Some(rule) = caches
-            .megaflow
-            .lookup(in_port, key, generation, pkts, bytes)
-        {
+        if let Some(rule) = caches.megaflow.lookup(key, generation, pkts, bytes) {
             // A megaflow hit promotes the exact flow into the EMC only
             // 1-in-N, like OVS's probabilistic EMC insertion on the dpcls
             // path: when the working set exceeds the EMC, unconditional
             // promotion would keep clearing the hot flows it just cached.
             caches.emc_promotion_tick = caches.emc_promotion_tick.wrapping_add(1);
             if caches.emc_promotion_tick % EMC_PROMOTION_INTERVAL == 1 {
-                caches
-                    .emc
-                    .insert(in_port, *key, Arc::clone(&rule), generation);
+                caches.emc.insert(*key, Arc::clone(&rule), generation);
             }
             return (Some(rule), CacheTier::Megaflow);
         }
@@ -510,36 +512,37 @@ impl Datapath {
         // with a new stamp, which is the stale-action bug.
         let (found, staged_mask, generation) = {
             let table = self.table();
-            let (found, staged_mask) = table.lookup_staged(in_port, key);
+            let (found, staged_mask) = table.lookup_staged(in_port, &key.unpack().1);
             (found, staged_mask, table.generation())
         };
         caches.resolved_at = Some(generation);
         if let Some(rule) = &found {
-            caches.megaflow.insert(
-                in_port,
-                key,
-                staged_mask,
-                Arc::clone(rule),
-                generation,
-                pkts,
-                bytes,
-            );
             caches
-                .emc
-                .insert(in_port, *key, Arc::clone(rule), generation);
+                .megaflow
+                .insert(key, staged_mask, Arc::clone(rule), generation, pkts, bytes);
+            caches.emc.insert(*key, Arc::clone(rule), generation);
         }
         (found, CacheTier::Classifier)
     }
 
-    /// Runs one received burst through grouped classification + action
-    /// execution, staging the results. The burst is grouped by flow key;
-    /// each group resolves through [`Datapath::classify`] once and its
-    /// packets then execute the matched actions in sequence (relative order
-    /// within a flow is preserved; the burst drains completely).
+    /// Runs one received burst through the three-stage pipeline (see
+    /// `docs/datapath.md`, "Burst pipeline"), in chunks of at most
+    /// [`DEFAULT_BURST`] packets:
     ///
-    /// `caches` is locked once for the whole burst. In the threaded
-    /// datapath each PMD owns its caches, so the lock is uncontended except
-    /// by an operator snapshot, which waits for at most one burst.
+    /// 1. **group** — extract and pack every packet's key once, and group
+    ///    equal keys through a small in-burst hash table;
+    /// 2. **resolve** — resolve each distinct key once through
+    ///    [`Datapath::classify`], and count each rule's hits once per run
+    ///    of groups that share it;
+    /// 3. **stage** — in burst order, run each packet's rule plan (its
+    ///    [`OutputPlan`](crate::actions::OutputPlan), compiled at install)
+    ///    and queue it on `staged`.
+    ///
+    /// Per-flow order is kept and the burst drains completely. The lookup
+    /// counters are added to the datapath once per call. `caches` is
+    /// locked once for the whole burst: in the threaded datapath each PMD
+    /// owns its caches, so the lock is uncontended except by an operator
+    /// snapshot, which waits for at most one burst.
     pub fn process_burst(
         &self,
         burst: &mut Vec<Mbuf>,
@@ -549,22 +552,11 @@ impl Datapath {
         port_snapshot: &[Arc<OvsPort>],
         now: u64,
     ) {
-        // Group by flow key in place: extract every key once, then walk
-        // the burst per group leader (first packet of each distinct key).
-        // Bursts are small (≤ DEFAULT_BURST), so the linear rescans beat
-        // both hashing and per-group buffers — two bounded allocations per
-        // burst instead of one per flow group.
-        let keys: Vec<packet_wire::FlowKey> = burst
-            .iter()
-            .map(|pkt| packet_wire::FlowKey::extract(pkt.data()))
-            .collect();
-        let mut slots: Vec<Option<Mbuf>> = burst.drain(..).map(Some).collect();
         let mut guard = caches.map(|m| m.lock());
         let telemetry = self.telemetry_enabled();
         // Cycle stamping is *burst-sampled* (1-in-STAGE_SAMPLE_INTERVAL):
-        // stamps chain through the group loop (each group's execute-end
-        // stamp is the next group's classify-start), so a stamped burst
-        // pays two TSC reads per flow group and an unstamped burst none.
+        // a stamped burst reads the clock once per flow group (classify)
+        // plus twice per chunk (execute), an unstamped burst never.
         let sampled = match guard.as_deref_mut() {
             Some(c) if telemetry => {
                 let tick = c.stage_sample_tick;
@@ -573,108 +565,118 @@ impl Datapath {
             }
             _ => false,
         };
-        let mut exec_cycles = 0u64;
-        let mut exec_packets = 0u64;
-        let mut classify_cycles = 0u64;
-        let mut groups = 0u64;
-        let mut cursor = if sampled { cycles::now() } else { 0 };
-        for leader in 0..keys.len() {
-            if slots[leader].is_none() {
-                continue; // consumed with an earlier leader's group
-            }
-            let key = keys[leader];
-            let mut n = 0u64;
-            let mut bytes = 0u64;
-            for (k, pkt) in keys.iter().zip(&slots).skip(leader) {
-                if *k == key {
-                    if let Some(pkt) = pkt {
-                        n += 1;
-                        bytes += pkt.len() as u64;
-                    }
-                }
-            }
-            let mut classify_cyc = 0u64;
-            let (rule, tier) = match guard.as_deref_mut() {
-                Some(c) => {
-                    let (rule, tier) = self.classify(in_port, &key, Some(&mut *c), n, bytes);
+        let mut chunk = Chunk::new();
+        let mut counts = BurstCounts::default();
+        let (mut classify_cycles, mut exec_cycles, mut groups) = (0u64, 0u64, 0u64);
+        while !burst.is_empty() {
+            let len = burst.len().min(DEFAULT_BURST);
+            chunk.group(&burst[..len], in_port);
+            let mut cursor = if sampled { cycles::now() } else { 0 };
+            for g in 0..chunk.groups {
+                let (n, bytes) = (chunk.packets[g], chunk.bytes[g]);
+                let (rule, tier) =
+                    self.resolve(in_port, &chunk.keys[g], guard.as_deref_mut(), n, bytes);
+                let resolved = rule.as_ref().map(|_| tier);
+                if let Some(c) = guard.as_deref_mut() {
                     // Misses are attributed with `None`: they walked the
                     // whole hierarchy but hit no tier.
-                    let resolved = rule.as_ref().map(|_| match tier {
+                    let tier = resolved.map(|t| match t {
                         CacheTier::Emc => Tier::Emc,
                         CacheTier::Megaflow => Tier::Megaflow,
                         CacheTier::Classifier => Tier::Classifier,
                     });
                     if sampled {
                         let t = cycles::now();
-                        classify_cyc = t.saturating_sub(cursor);
+                        let cyc = t.saturating_sub(cursor);
                         cursor = t;
-                        c.perf.record_lookup(resolved, classify_cyc, n);
-                        c.perf.record_stage(Stage::Classify, classify_cyc, n);
+                        classify_cycles += cyc;
+                        c.perf.record_lookup(tier, cyc, n);
+                        c.perf.record_stage(Stage::Classify, cyc, n);
                     } else {
-                        c.perf.count_lookup(resolved, n);
+                        c.perf.count_lookup(tier, n);
                         if telemetry {
                             c.carry_pkts += n;
                         }
                     }
-                    (rule, tier)
                 }
-                None => self.classify(in_port, &key, None, n, bytes),
-            };
-            self.lookups.fetch_add(n, Ordering::Relaxed);
-            match rule {
-                Some(rule) => {
-                    self.matched.fetch_add(n, Ordering::Relaxed);
-                    let tier_counter = match tier {
-                        CacheTier::Emc => &self.emc_hits,
-                        CacheTier::Megaflow => &self.megaflow_hits,
-                        CacheTier::Classifier => &self.classifier_hits,
-                    };
-                    tier_counter.fetch_add(n, Ordering::Relaxed);
-                    for i in leader..keys.len() {
-                        if keys[i] != key {
-                            continue;
-                        }
-                        if let Some(mut pkt) = slots[i].take() {
-                            rule.hit(pkt.len() as u64, now);
-                            let targets = execute(&mut pkt, &rule.actions);
-                            self.stage_outputs(pkt, in_port, &targets, staged, port_snapshot);
-                        }
-                    }
-                }
-                None => {
+                if rule.is_none() {
                     coverage!("upcall_miss");
-                    for i in leader..keys.len() {
-                        if keys[i] != key {
-                            continue;
-                        }
-                        if let Some(pkt) = slots[i].take() {
-                            if self.miss_to_controller {
-                                self.punt(&pkt, in_port, PacketInReason::NoMatch);
-                            } else {
-                                self.miss_drops.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
                 }
+                counts.add(resolved, n);
+                chunk.rules[g] = rule;
             }
+            groups += chunk.groups as u64;
+            chunk.count_rule_hits(now);
+            self.stage_chunk(
+                &chunk,
+                burst.drain(..len),
+                in_port,
+                staged,
+                port_snapshot,
+                &mut counts,
+            );
             if sampled {
-                let t = cycles::now();
-                exec_cycles += t.saturating_sub(cursor);
-                cursor = t;
-                exec_packets += n;
-                classify_cycles += classify_cyc;
-                groups += 1;
+                exec_cycles += cycles::now().saturating_sub(cursor);
             }
         }
-        if sampled && exec_packets > 0 {
+        counts.publish(self);
+        if sampled && counts.lookups > 0 {
             if let Some(c) = guard.as_deref_mut() {
                 c.perf
-                    .record_stage(Stage::Execute, exec_cycles, exec_packets);
+                    .record_stage(Stage::Execute, exec_cycles, counts.lookups);
                 // Remember this burst's costs as the representative value
                 // for packets carried from the unstamped bursts around it.
                 c.last_classify_cyc = classify_cycles / groups.max(1);
                 c.last_exec_cyc = exec_cycles;
                 c.flush_stage_carry();
+            }
+        }
+    }
+
+    /// Stage 3 of [`Datapath::process_burst`] for one chunk: every packet,
+    /// in burst order, runs its rule's plan. A miss is punted or dropped.
+    /// A run of packets bound for one port without duplication shares one
+    /// `staged` lookup; anything else goes through
+    /// [`Datapath::stage_outputs`].
+    fn stage_chunk(
+        &self,
+        chunk: &Chunk,
+        pkts: impl Iterator<Item = Mbuf>,
+        in_port: PortNo,
+        staged: &mut BTreeMap<PortNo, Vec<Mbuf>>,
+        port_snapshot: &[Arc<OvsPort>],
+        counts: &mut BurstCounts,
+    ) {
+        let plan_of = |i: usize| {
+            chunk.rules[usize::from(chunk.group_of[i])]
+                .as_deref()
+                .map(|r| &r.plan)
+        };
+        let mut pkts = pkts.enumerate().peekable();
+        while let Some((i, mut pkt)) = pkts.next() {
+            let Some(plan) = plan_of(i) else {
+                if self.miss_to_controller {
+                    self.punt(&pkt, in_port, PacketInReason::NoMatch);
+                } else {
+                    counts.miss_drops += 1;
+                }
+                continue;
+            };
+            plan.rewrite(&mut pkt);
+            let Some(dest) = plan.single_port(in_port) else {
+                self.stage_outputs(pkt, in_port, plan.outputs(), staged, port_snapshot);
+                continue;
+            };
+            let queue = staged.entry(dest).or_default();
+            queue.push(pkt);
+            let same_dest = |(j, _): &(usize, Mbuf)| {
+                plan_of(*j).and_then(|p| p.single_port(in_port)) == Some(dest)
+            };
+            while let Some((j, mut pkt)) = pkts.next_if(same_dest) {
+                if let Some(plan) = plan_of(j) {
+                    plan.rewrite(&mut pkt);
+                }
+                queue.push(pkt);
             }
         }
     }
@@ -698,8 +700,11 @@ impl Datapath {
     /// Packets staged for a port that vanished since classification are
     /// counted in [`Datapath::tx_no_port_drops`] and their key is removed
     /// from `staged` — dead ports must not pin map entries forever across
-    /// PMD iterations.
+    /// PMD iterations. With nothing staged it takes no lock at all.
     pub fn flush_staged(&self, staged: &mut BTreeMap<PortNo, Vec<Mbuf>>) {
+        if staged.values().all(Vec::is_empty) {
+            return;
+        }
         let ports = self.ports.read();
         staged.retain(|dest, pkts| match ports.get(dest) {
             Some(port) => {
@@ -714,6 +719,129 @@ impl Datapath {
                 false
             }
         });
+    }
+}
+
+/// Slots of the in-burst grouping table: a power of two, twice the burst,
+/// so probe sequences stay short.
+const GROUP_SLOTS: usize = 2 * DEFAULT_BURST;
+
+/// One chunk (at most [`DEFAULT_BURST`] packets) of a burst between the
+/// stages of [`Datapath::process_burst`]; fixed arrays, held on the stack.
+struct Chunk {
+    /// Group of each packet, in burst order.
+    group_of: [u8; DEFAULT_BURST],
+    /// Distinct keys in the chunk; the arrays below hold one entry per
+    /// group, in order of first appearance.
+    groups: usize,
+    keys: [PackedKey; DEFAULT_BURST],
+    packets: [u64; DEFAULT_BURST],
+    bytes: [u64; DEFAULT_BURST],
+    rules: [Option<Arc<RuleEntry>>; DEFAULT_BURST],
+}
+
+impl Chunk {
+    fn new() -> Chunk {
+        Chunk {
+            group_of: [0; DEFAULT_BURST],
+            groups: 0,
+            keys: [PackedKey::default(); DEFAULT_BURST],
+            packets: [0; DEFAULT_BURST],
+            bytes: [0; DEFAULT_BURST],
+            rules: std::array::from_fn(|_| None),
+        }
+    }
+
+    /// Stage 1: extracts and packs each packet's key once and groups equal
+    /// keys through an open-addressed table. Its hash is unkeyed, which is
+    /// safe: the table holds one chunk at most, so a collision costs at
+    /// worst a probe over [`DEFAULT_BURST`] slots.
+    fn group(&mut self, pkts: &[Mbuf], in_port: PortNo) {
+        let mut slots = [0u8; GROUP_SLOTS];
+        self.groups = 0;
+        for (i, pkt) in pkts.iter().enumerate() {
+            let key = packet_wire::FlowKey::extract(pkt.data()).pack(in_port.0);
+            let [a, b, c, d] = key.0;
+            let h = (a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48))
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut slot = (h >> (64 - GROUP_SLOTS.trailing_zeros())) as usize;
+            let g = loop {
+                match usize::from(slots[slot]) {
+                    0 => {
+                        let g = self.groups;
+                        self.groups += 1;
+                        slots[slot] = self.groups as u8;
+                        (self.keys[g], self.packets[g], self.bytes[g]) = (key, 0, 0);
+                        break g;
+                    }
+                    id if self.keys[id - 1] == key => break id - 1,
+                    _ => slot = (slot + 1) % GROUP_SLOTS,
+                }
+            };
+            self.group_of[i] = g as u8;
+            self.packets[g] += 1;
+            self.bytes[g] += pkt.len() as u64;
+        }
+    }
+
+    /// Counts each resolved rule's hits: one [`RuleEntry::hit_n`] per run
+    /// of consecutive groups that share the rule.
+    fn count_rule_hits(&self, now: u64) {
+        let mut g = 0;
+        while g < self.groups {
+            let Some(rule) = &self.rules[g] else {
+                g += 1;
+                continue;
+            };
+            let (mut packets, mut bytes) = (0, 0);
+            while g < self.groups && self.rules[g].as_ref().is_some_and(|r| Arc::ptr_eq(r, rule)) {
+                packets += self.packets[g];
+                bytes += self.bytes[g];
+                g += 1;
+            }
+            rule.hit_n(packets, bytes, now);
+        }
+    }
+}
+
+/// The datapath's lookup counters for one burst, added to its atomics
+/// once per [`Datapath::process_burst`] call.
+#[derive(Default)]
+struct BurstCounts {
+    lookups: u64,
+    emc: u64,
+    megaflow: u64,
+    classifier: u64,
+    misses: u64,
+    miss_drops: u64,
+}
+
+impl BurstCounts {
+    /// Counts `n` packets resolved in `tier` (`None`: missed).
+    fn add(&mut self, tier: Option<CacheTier>, n: u64) {
+        self.lookups += n;
+        match tier {
+            Some(CacheTier::Emc) => self.emc += n,
+            Some(CacheTier::Megaflow) => self.megaflow += n,
+            Some(CacheTier::Classifier) => self.classifier += n,
+            None => self.misses += n,
+        }
+    }
+
+    fn publish(&self, dp: &Datapath) {
+        let matched = self.lookups - self.misses;
+        for (counter, n) in [
+            (&dp.lookups, self.lookups),
+            (&dp.matched, matched),
+            (&dp.emc_hits, self.emc),
+            (&dp.megaflow_hits, self.megaflow),
+            (&dp.classifier_hits, self.classifier),
+            (&dp.miss_drops, self.miss_drops),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -754,14 +882,14 @@ pub(crate) fn pump_once(dp: &Datapath, caches: Option<&Mutex<PmdCaches>>) {
         port.rx_burst(&mut rx, DEFAULT_BURST);
         if !rx.is_empty() {
             dp.process_burst(&mut rx, port.no, caches, &mut staged, &snapshot, now);
+            dp.flush_staged(&mut staged);
         }
     }
-    dp.flush_staged(&mut staged);
 }
 
 /// A PMD thread: polls its share of the ports and runs every packet it
 /// polls to completion — classify against its own caches, execute, stage,
-/// flush. With one thread (the default) this is a single-core OVS-DPDK
+/// flush, burst by burst. With one thread (the default) this is a single-core OVS-DPDK
 /// deployment; with several, each port is polled by exactly one PMD (see
 /// [`PmdThread::with_share`]).
 pub struct PmdThread {
@@ -821,6 +949,7 @@ impl PmdThread {
             let mut it_rx_packets = 0u64;
             let mut it_rx_batches = 0u64;
             let mut it_rx_cycles = 0u64;
+            let (mut tx_pkts, mut tx_cycles) = (0u64, 0u64);
             let gen = self.dp.ports_generation.load(Ordering::Acquire);
             if gen != snapshot_gen {
                 snapshot = self.dp.ports.read().values().cloned().collect();
@@ -828,14 +957,18 @@ impl PmdThread {
                 snapshot_gen = gen;
             }
             let now = cycles::now();
+            // The clock is read only after a non-empty poll: the time since
+            // the previous stamp (empty polls included) counts as rx.
+            let mut stamp = now;
             for port in &mine {
-                let t_rx = if telemetry { cycles::now() } else { 0 };
                 let n = port.rx_burst(&mut rx_buf, DEFAULT_BURST);
                 if n == 0 {
                     continue;
                 }
                 if telemetry {
-                    it_rx_cycles += cycles::now().saturating_sub(t_rx);
+                    let t = cycles::now();
+                    it_rx_cycles += t.saturating_sub(stamp);
+                    stamp = t;
                 }
                 it_rx_packets += n as u64;
                 it_rx_batches += 1;
@@ -848,11 +981,18 @@ impl PmdThread {
                     &snapshot,
                     now,
                 );
+                // The burst's outputs leave at once, as OVS-DPDK flushes
+                // after each rx batch: no packet waits while the PMD polls
+                // and processes its other ports.
+                let t_tx = if telemetry { cycles::now() } else { 0 };
+                tx_pkts += staged.values().map(|v| v.len() as u64).sum::<u64>();
+                self.dp.flush_staged(&mut staged);
+                if telemetry {
+                    stamp = cycles::now();
+                    tx_cycles += stamp.saturating_sub(t_tx);
+                }
             }
             let idle = it_rx_packets == 0;
-            let tx_pkts: u64 = staged.values().map(|v| v.len() as u64).sum();
-            let t_tx = if telemetry { cycles::now() } else { 0 };
-            self.dp.flush_staged(&mut staged);
             {
                 // One fold per iteration: counters always, histograms and
                 // cycle attribution only when telemetry is enabled.
@@ -871,7 +1011,7 @@ impl PmdThread {
                         perf.record_stage(Stage::RxBurst, it_rx_cycles, it_rx_packets);
                     }
                     if tx_pkts > 0 {
-                        perf.record_stage(Stage::TxFlush, t_end.saturating_sub(t_tx), tx_pkts);
+                        perf.record_stage(Stage::TxFlush, tx_cycles, tx_pkts);
                     }
                     let iter_cycles = t_end.saturating_sub(now);
                     if idle {

@@ -102,7 +102,8 @@ impl OvsPort {
     }
 
     /// Polls up to `max` packets from the port into `out`; stamps their
-    /// ingress port metadata and updates rx counters. A down port is never
+    /// ingress port metadata and updates rx counters (an empty poll
+    /// touches none). A down port is never
     /// polled (its peer blocks on a full ring, like a real dpdkr port whose
     /// vSwitch side stopped servicing it).
     pub fn rx_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
@@ -111,6 +112,9 @@ impl OvsPort {
         }
         let before = out.len();
         let n = self.end.lock().recv_burst(out, max);
+        if n == 0 {
+            return 0;
+        }
         let mut bytes = 0u64;
         for m in &mut out[before..] {
             m.port = u32::from(self.no.0);

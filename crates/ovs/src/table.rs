@@ -6,6 +6,7 @@
 //! returns a [`TableChange`] describing what happened so the ofproto layer
 //! can notify observers (the p-2-p detector) and emit `FlowRemoved`s.
 
+use crate::actions::OutputPlan;
 use crate::classifier::Classifier;
 use dpdk_sim::cycles;
 use openflow::messages::{FlowMod, FlowModCommand};
@@ -24,6 +25,8 @@ pub struct RuleEntry {
     pub fmatch: FlowMatch,
     pub priority: u16,
     pub actions: Vec<Action>,
+    /// `actions` compiled at install: what the datapath executes.
+    pub plan: OutputPlan,
     pub cookie: u64,
     pub idle_timeout: u16,
     pub hard_timeout: u16,
@@ -39,9 +42,10 @@ pub struct RuleEntry {
 }
 
 impl RuleEntry {
-    /// Records a datapath hit of `bytes` at cycle time `now`.
-    pub fn hit(&self, bytes: u64, now: u64) {
-        self.n_packets.fetch_add(1, Ordering::Relaxed);
+    /// Records `packets` datapath hits totalling `bytes` at cycle time
+    /// `now`: the datapath calls it once per burst run of the rule.
+    pub fn hit_n(&self, packets: u64, bytes: u64, now: u64) {
+        self.n_packets.fetch_add(packets, Ordering::Relaxed);
         self.n_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.last_used.store(now, Ordering::Relaxed);
     }
@@ -244,6 +248,7 @@ impl FlowTable {
             fmatch,
             priority: fm.priority,
             actions: fm.actions.clone(),
+            plan: OutputPlan::compile(&fm.actions),
             cookie: fm.cookie,
             idle_timeout: fm.idle_timeout,
             hard_timeout: fm.hard_timeout,
@@ -275,6 +280,7 @@ impl FlowTable {
                         fmatch: rule.fmatch,
                         priority: rule.priority,
                         actions: fm.actions.clone(),
+                        plan: OutputPlan::compile(&fm.actions),
                         cookie: if fm.cookie != 0 {
                             fm.cookie
                         } else {
@@ -377,7 +383,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.apply(&FlowMod::add(FlowMatch::in_port(PortNo(1)), 5, out(2)));
         let rule = t.lookup(PortNo(1), &key_to(1)).unwrap();
-        rule.hit(64, cycles::now());
+        rule.hit_n(1, 64, cycles::now());
         assert_eq!(rule.counters().0, 1);
 
         let change = t.apply(&FlowMod::add(FlowMatch::in_port(PortNo(1)), 5, out(3)));
@@ -440,7 +446,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.apply(&FlowMod::add(FlowMatch::in_port(PortNo(1)), 5, out(2)));
         let before = t.lookup(PortNo(1), &key_to(1)).unwrap();
-        before.hit(64, cycles::now());
+        before.hit_n(1, 64, cycles::now());
         let old_id = before.id;
 
         let mut fm = FlowMod::add(FlowMatch::in_port(PortNo(1)), 5, out(7));
@@ -509,7 +515,7 @@ mod tests {
         t.apply(&fm);
         let rule = t.lookup(PortNo(1), &key_to(1)).unwrap();
         let later = cycles::now() + 2 * cycles::CPU_HZ;
-        rule.hit(64, later); // activity just before the sweep
+        rule.hit_n(1, 64, later); // activity just before the sweep
         assert!(t.sweep_timeouts(later).is_empty());
         let much_later = later + 2 * cycles::CPU_HZ;
         assert_eq!(t.sweep_timeouts(much_later).removed.len(), 1);

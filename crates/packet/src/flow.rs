@@ -5,6 +5,7 @@ use crate::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 use crate::ipv4::{IpProtocol, Ipv4Packet};
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// The parsed L2–L4 header tuple of one packet.
@@ -14,7 +15,9 @@ use std::net::Ipv4Addr;
 /// can arrive on different ports). Fields that do not apply to the packet
 /// (e.g. L4 ports of a non-TCP/UDP packet) are zeroed — exactly as OVS
 /// canonicalises its miniflows, so the key is well-defined and hashable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// It hashes as its [`PackedKey`] (four word writes), not field by field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowKey {
     pub eth_src: MacAddr,
     pub eth_dst: MacAddr,
@@ -47,7 +50,85 @@ impl Default for FlowKey {
     }
 }
 
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.pack(0).hash(state);
+    }
+}
+
+/// A [`FlowKey`] and an ingress port packed into four words, the form the
+/// datapath's caches key and hash on: one word write per word instead of
+/// one write per field. The packing is injective, so two packed keys are
+/// equal exactly when their keys and ports are.
+///
+/// | word | bits 0..48 | bits 48..64 |
+/// |---|---|---|
+/// | 0 | `eth_src` | `eth_type` |
+/// | 1 | `eth_dst` | `vlan_id` |
+/// | 2 | `ipv4_src` (0..32), `ipv4_dst` (32..64) | |
+/// | 3 | `ip_proto` (0..8), `ip_tos` (8..16), `l4_src` (16..32), `l4_dst` (32..48) | in-port |
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PackedKey(pub [u64; 4]);
+
+impl Hash for PackedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for w in self.0 {
+            state.write_u64(w);
+        }
+    }
+}
+
+impl PackedKey {
+    /// Keeps the bits `mask` has set: a wildcard mask packed the same way
+    /// (all-ones in the fields it pins) projects a key onto it.
+    pub fn masked(&self, mask: &PackedKey) -> PackedKey {
+        let [a, b, c, d] = self.0;
+        let [ma, mb, mc, md] = mask.0;
+        PackedKey([a & ma, b & mb, c & mc, d & md])
+    }
+
+    /// The ingress port and key this was packed from.
+    pub fn unpack(&self) -> (u16, FlowKey) {
+        let [w0, w1, w2, w3] = self.0;
+        let mac = |w: u64| {
+            let b = w.to_be_bytes();
+            MacAddr([b[2], b[3], b[4], b[5], b[6], b[7]])
+        };
+        let key = FlowKey {
+            eth_src: mac(w0),
+            eth_dst: mac(w1),
+            eth_type: (w0 >> 48) as u16,
+            vlan_id: (w1 >> 48) as u16,
+            ipv4_src: Ipv4Addr::from(w2 as u32),
+            ipv4_dst: Ipv4Addr::from((w2 >> 32) as u32),
+            ip_proto: w3 as u8,
+            ip_tos: (w3 >> 8) as u8,
+            l4_src: (w3 >> 16) as u16,
+            l4_dst: (w3 >> 32) as u16,
+        };
+        ((w3 >> 48) as u16, key)
+    }
+}
+
 impl FlowKey {
+    /// Packs the key with its ingress port (see [`PackedKey`]).
+    pub fn pack(&self, in_port: u16) -> PackedKey {
+        let mac = |m: MacAddr| {
+            let [a, b, c, d, e, f] = m.0;
+            u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+        };
+        PackedKey([
+            mac(self.eth_src) | u64::from(self.eth_type) << 48,
+            mac(self.eth_dst) | u64::from(self.vlan_id) << 48,
+            u64::from(u32::from(self.ipv4_src)) | u64::from(u32::from(self.ipv4_dst)) << 32,
+            u64::from(self.ip_proto)
+                | u64::from(self.ip_tos) << 8
+                | u64::from(self.l4_src) << 16
+                | u64::from(self.l4_dst) << 32
+                | u64::from(in_port) << 48,
+        ])
+    }
+
     /// Parses the headers of a raw Ethernet frame into a key.
     ///
     /// Malformed inner layers degrade gracefully: the key keeps the fields
@@ -175,5 +256,105 @@ mod tests {
         assert_eq!(key.l4_src, 7);
         assert_eq!(key.l4_dst, 8);
         assert_eq!(key.l3_offset(), 18);
+    }
+
+    fn sample_key() -> FlowKey {
+        FlowKey {
+            eth_src: MacAddr([0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc]),
+            eth_dst: MacAddr([0xde, 0xf0, 0x11, 0x22, 0x33, 0x44]),
+            eth_type: 0x0800,
+            vlan_id: 0x0abc,
+            ipv4_src: Ipv4Addr::new(10, 1, 2, 3),
+            ipv4_dst: Ipv4Addr::new(192, 168, 7, 9),
+            ip_proto: 17,
+            ip_tos: 0x2e,
+            l4_src: 40000,
+            l4_dst: 443,
+        }
+    }
+
+    /// Every field (and the port), altered alone at its lowest and its
+    /// highest bit, gives a different packed key; and unpacking restores
+    /// the key and port exactly, which makes the packing injective.
+    #[test]
+    fn packing_is_injective() {
+        let base = sample_key();
+        type Edit = fn(&mut FlowKey, bool);
+        let edits: [(&str, Edit); 10] = [
+            ("eth_src", |k, hi| {
+                k.eth_src.0[if hi { 0 } else { 5 }] ^= if hi { 0x80 } else { 1 }
+            }),
+            ("eth_dst", |k, hi| {
+                k.eth_dst.0[if hi { 0 } else { 5 }] ^= if hi { 0x80 } else { 1 }
+            }),
+            ("eth_type", |k, hi| {
+                k.eth_type ^= if hi { 0x8000 } else { 1 }
+            }),
+            ("vlan_id", |k, hi| k.vlan_id ^= if hi { 0x8000 } else { 1 }),
+            ("ipv4_src", |k, hi| {
+                k.ipv4_src = Ipv4Addr::from(u32::from(k.ipv4_src) ^ if hi { 1 << 31 } else { 1 })
+            }),
+            ("ipv4_dst", |k, hi| {
+                k.ipv4_dst = Ipv4Addr::from(u32::from(k.ipv4_dst) ^ if hi { 1 << 31 } else { 1 })
+            }),
+            ("ip_proto", |k, hi| k.ip_proto ^= if hi { 0x80 } else { 1 }),
+            ("ip_tos", |k, hi| k.ip_tos ^= if hi { 0x80 } else { 1 }),
+            ("l4_src", |k, hi| k.l4_src ^= if hi { 0x8000 } else { 1 }),
+            ("l4_dst", |k, hi| k.l4_dst ^= if hi { 0x8000 } else { 1 }),
+        ];
+        let mut seen = vec![base.pack(7)];
+        for (name, edit) in edits {
+            for hi in [false, true] {
+                let mut k = base;
+                edit(&mut k, hi);
+                assert_ne!(k, base, "{name}");
+                let packed = k.pack(7);
+                assert!(!seen.contains(&packed), "{name} (hi: {hi}) collides");
+                assert_eq!(packed.unpack(), (7, k), "{name}");
+                seen.push(packed);
+            }
+        }
+        for port in [0u16, 1, 0x8000] {
+            let packed = base.pack(7 ^ port);
+            assert!(port == 0 || !seen.contains(&packed), "port {port}");
+            assert_eq!(packed.unpack(), (7 ^ port, base));
+        }
+        assert_eq!(FlowKey::default().pack(0), PackedKey([0; 4]));
+    }
+
+    /// Keys equal under `Eq` hash equally, under any hasher; keys that
+    /// differ in one field hash apart under a fixed-key SipHash.
+    #[test]
+    fn hash_is_consistent_with_eq() {
+        use std::collections::hash_map::{DefaultHasher, RandomState};
+        use std::hash::BuildHasher;
+        let a = FlowKey {
+            vlan_id: 0,
+            ..sample_key()
+        };
+        let b = FlowKey::extract(
+            &PacketBuilder::udp_probe(64)
+                .eth(a.eth_src, a.eth_dst)
+                .ip(a.ipv4_src, a.ipv4_dst)
+                .tos(a.ip_tos)
+                .ports(a.l4_src, a.l4_dst)
+                .build(),
+        );
+        assert_eq!(a, b);
+        let state = RandomState::new();
+        assert_eq!(state.hash_one(a), state.hash_one(b));
+        assert_eq!(state.hash_one(a.pack(3)), state.hash_one(b.pack(3)));
+        let fixed = |k: &FlowKey| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(fixed(&a), fixed(&b));
+        let c = FlowKey {
+            l4_dst: a.l4_dst + 1,
+            ..a
+        };
+        assert_ne!(a, c);
+        assert_ne!(fixed(&a), fixed(&c));
     }
 }

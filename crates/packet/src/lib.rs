@@ -27,7 +27,7 @@ pub mod udp;
 
 pub use builder::{PacketBuilder, ProbeHeader, PROBE_WIRE_LEN};
 pub use ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
-pub use flow::FlowKey;
+pub use flow::{FlowKey, PackedKey};
 pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
 pub use tcp::TcpSegment;
 pub use udp::{UdpDatagram, UDP_HEADER_LEN};

@@ -141,6 +141,7 @@ fn mk_rule(id: u64, fmatch: FlowMatch, priority: u16) -> Arc<RuleEntry> {
         fmatch,
         priority,
         actions: vec![Action::Output(PortNo(1))],
+        plan: vnf_highway::ovs::actions::OutputPlan::compile(&[Action::Output(PortNo(1))]),
         cookie: id,
         idle_timeout: 0,
         hard_timeout: 0,
@@ -781,5 +782,140 @@ proptest! {
                 prop_assert_eq!(got, model.lookup(PortNo(*port), &key), "step {}: lookup", step);
             }
         }
+    }
+}
+
+// ---------- staged burst pipeline vs. a per-packet reference ----------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `process_burst` (group, resolve once per key, stage in burst order
+    /// through compiled plans) is observably the same as running each
+    /// packet alone through `classify(None)` + `execute` + `stage_outputs`:
+    /// the same bytes staged on every port in the same order, the same
+    /// punts in the same order, the same drops, the same per-rule counters
+    /// and `lookups == matched + misses`. Bursts of up to 64 packets run
+    /// through the chunk path; keys repeat within a burst; the rules cover
+    /// a rewrite, flood, `IN_PORT`, the controller, two outputs and a miss.
+    #[test]
+    fn process_burst_matches_per_packet_reference(
+        bursts in proptest::collection::vec(
+            (1u16..4, proptest::collection::vec((0u16..7, 0u16..4), 1..65)),
+            1..4,
+        ),
+        miss_to_controller in any::<bool>(),
+    ) {
+        use parking_lot::Mutex;
+        use std::collections::BTreeMap;
+        use vnf_highway::dpdk::Mbuf;
+        use vnf_highway::openflow::messages::PacketInReason;
+        use vnf_highway::ovs::actions::{execute, OutputTarget};
+        use vnf_highway::ovs::pmd::{Datapath, PmdCaches};
+        use vnf_highway::ovs::OvsPort;
+
+        let rules: [(u16, Vec<Action>); 6] = [
+            (1, vec![Action::SetL4Dst(7), Action::Output(PortNo(2))]),
+            (2, vec![Action::Output(PortNo::FLOOD)]),
+            (3, vec![Action::Output(PortNo::IN_PORT)]),
+            (4, vec![Action::Output(PortNo::CONTROLLER), Action::Output(PortNo(3))]),
+            (5, vec![Action::Output(PortNo(2))]),
+            (6, vec![Action::Output(PortNo(3)), Action::Output(PortNo(1))]),
+        ];
+        let world = || {
+            let dp = Datapath::new(miss_to_controller);
+            let mut ends = Vec::new();
+            for no in 1..=4u16 {
+                let (sw, far) = vnf_highway::shmem::channel(format!("r{no}"), 8);
+                dp.add_port(OvsPort::dpdkr(PortNo(no), format!("r{no}"), sw));
+                ends.push(far);
+            }
+            // l4_dst 0 matches no rule: the miss.
+            for (dst, actions) in &rules {
+                let mut m = FlowMatch::any();
+                m.l4_dst = Some(*dst);
+                dp.table_apply(&FlowMod::add(m, 10, actions.clone()));
+            }
+            let ports: Vec<Arc<OvsPort>> = dp.ports.read().values().cloned().collect();
+            (dp, ports, ends)
+        };
+        let (dp, ports, _ends) = world();
+        let (reference, ref_ports, _ref_ends) = world();
+        let caches = Mutex::new(PmdCaches::new());
+        let mut staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
+        let mut ref_staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
+        let mut ref_punts: Vec<(PortNo, PacketInReason, Vec<u8>)> = Vec::new();
+        let (mut ref_matched, mut ref_miss_drops, mut seq) = (0u64, 0u64, 0u64);
+        let now = vnf_highway::dpdk::cycles::now();
+
+        for (in_port, pkts) in &bursts {
+            let in_port = PortNo(*in_port);
+            let frames: Vec<Vec<u8>> = pkts
+                .iter()
+                .map(|&(dst, src)| {
+                    seq += 1;
+                    PacketBuilder::udp_probe(64 + 4 * usize::from(src))
+                        .ports(1000 + src, dst)
+                        .seq(seq)
+                        .build()
+                })
+                .collect();
+            let mut burst: Vec<Mbuf> = frames.iter().map(|f| Mbuf::from_slice(f)).collect();
+            dp.process_burst(&mut burst, in_port, Some(&caches), &mut staged, &ports, now);
+            prop_assert!(burst.is_empty(), "the burst drains");
+
+            for frame in &frames {
+                let mut pkt = Mbuf::from_slice(frame);
+                let key = FlowKey::extract(pkt.data());
+                let Some(rule) = reference.classify(in_port, &key, None, 1, 0).0 else {
+                    if miss_to_controller {
+                        ref_punts.push((in_port, PacketInReason::NoMatch, frame.clone()));
+                    } else {
+                        ref_miss_drops += 1;
+                    }
+                    continue;
+                };
+                ref_matched += 1;
+                rule.hit_n(1, frame.len() as u64, now);
+                let mut targets = execute(&mut pkt, &rule.actions);
+                for t in &targets {
+                    if *t == OutputTarget::Controller {
+                        ref_punts.push((in_port, PacketInReason::Action, pkt.to_vec()));
+                    }
+                }
+                targets.retain(|t| *t != OutputTarget::Controller);
+                reference.stage_outputs(pkt, in_port, &targets, &mut ref_staged, &ref_ports);
+            }
+        }
+
+        let bytes = |s: &BTreeMap<PortNo, Vec<Mbuf>>| -> BTreeMap<PortNo, Vec<Vec<u8>>> {
+            s.iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|(p, q)| (*p, q.iter().map(Mbuf::to_vec).collect()))
+                .collect()
+        };
+        prop_assert_eq!(bytes(&staged), bytes(&ref_staged), "staged bytes and order");
+        let punts: Vec<(PortNo, PacketInReason, Vec<u8>)> = dp
+            .drain_packet_ins(4096)
+            .into_iter()
+            .map(|pi| (pi.in_port, pi.reason, pi.data))
+            .collect();
+        prop_assert_eq!(punts, ref_punts, "punts and their order");
+        let total: u64 = bursts.iter().map(|(_, p)| p.len() as u64).sum();
+        let s = dp.cache_stats();
+        prop_assert_eq!(s.lookups, total);
+        prop_assert_eq!(s.matched, ref_matched);
+        prop_assert_eq!(s.lookups, s.matched + s.misses);
+        prop_assert_eq!(s.matched, s.emc_hits + s.megaflow_hits + s.classifier_hits);
+        prop_assert_eq!(
+            dp.miss_drops.load(std::sync::atomic::Ordering::Relaxed),
+            ref_miss_drops
+        );
+        let counters = |dp: &Datapath| -> Vec<(u64, (u64, u64))> {
+            let mut c: Vec<_> = dp.table().rules().iter().map(|r| (r.id, r.counters())).collect();
+            c.sort_unstable();
+            c
+        };
+        prop_assert_eq!(counters(&dp), counters(&reference), "per-rule n_packets/n_bytes");
     }
 }
