@@ -30,7 +30,7 @@ pub mod ring;
 
 pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, WeakArena};
 pub use mbuf::Mbuf;
-pub use ring::{spsc_ring, RingError, SpscConsumer, SpscProducer};
+pub use ring::{spsc_ring, SpscConsumer, SpscProducer};
 
 /// Default mbuf data room, matching DPDK's `RTE_MBUF_DEFAULT_BUF_SIZE` minus
 /// headroom — big enough for a 1500 B MTU frame plus slack.

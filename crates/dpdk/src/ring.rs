@@ -7,6 +7,10 @@
 //! single-producer/single-consumer discipline is enforced by the type system
 //! instead of by convention.
 //!
+//! A burst pays per burst, the shape of `rte_ring_enqueue_burst`: it
+//! reserves n slots, moves n items and publishes them with one Release
+//! store of `head` (or `tail`). Single-item operations are one-item bursts.
+//!
 //! It is the only ring family: every switch port (a VM's or a NIC's) and
 //! every bypass channel is a pair of them.
 
@@ -15,15 +19,6 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Errors reported by ring operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingError {
-    /// The ring is full; the rejected value is returned to the caller.
-    Full,
-    /// The other endpoint has been dropped.
-    Disconnected,
-}
 
 struct SpscInner<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -67,7 +62,7 @@ impl<T> Drop for SpscInner<T> {
 pub struct SpscProducer<T> {
     inner: Arc<SpscInner<T>>,
     /// Cached consumer tail to avoid reading the shared atomic on every
-    /// enqueue (the classic SPSC optimisation DPDK also performs).
+    /// burst that fits (the classic SPSC optimisation DPDK also performs).
     cached_tail: usize,
 }
 
@@ -75,6 +70,9 @@ pub struct SpscProducer<T> {
 pub struct SpscConsumer<T> {
     inner: Arc<SpscInner<T>>,
     cached_head: usize,
+    /// Next slot to read, advanced per item before the item is handed
+    /// out; `inner.tail` publishes it once per burst.
+    tail: usize,
 }
 
 /// Creates an SPSC ring with capacity rounded up to a power of two
@@ -100,6 +98,7 @@ pub fn spsc_ring<T>(capacity: usize) -> (SpscProducer<T>, SpscConsumer<T>) {
         SpscConsumer {
             inner,
             cached_head: 0,
+            tail: 0,
         },
     )
 }
@@ -125,61 +124,50 @@ impl<T> SpscProducer<T> {
         self.len() == 0
     }
 
-    /// Free slots currently available to this producer.
-    pub fn free_space(&mut self) -> usize {
+    /// Free slots, at most `want`. The consumer's `tail` is read only when
+    /// the cached view shows fewer than `want` free. Free space only grows
+    /// under the one producer, so a burst of this size will fit.
+    pub fn room(&mut self, want: usize) -> usize {
         let head = self.inner.head.load(Ordering::Relaxed);
-        self.cached_tail = self.inner.tail.load(Ordering::Acquire);
-        self.capacity() - head.wrapping_sub(self.cached_tail)
+        if self.capacity() - head.wrapping_sub(self.cached_tail) < want {
+            self.cached_tail = self.inner.tail.load(Ordering::Acquire);
+        }
+        (self.capacity() - head.wrapping_sub(self.cached_tail)).min(want)
+    }
+
+    /// Moves items from `items` into free slots in order and publishes
+    /// them with one Release store of `head`; returns how many moved. An
+    /// item that does not fit is not taken from `items`.
+    pub fn push_burst(&mut self, items: impl ExactSizeIterator<Item = T>) -> usize {
+        let head = self.inner.head.load(Ordering::Relaxed);
+        let (room, mut n) = (self.room(items.len()), 0);
+        for item in items.take(room) {
+            let slot = &self.inner.buf[head.wrapping_add(n) & self.inner.mask];
+            // SAFETY: `room` counted this slot free: the consumer published
+            // a `tail` past it (Acquire), so nothing reads or owns it.
+            unsafe { (*slot.get()).write(item) };
+            n += 1;
+        }
+        if n > 0 {
+            self.inner
+                .head
+                .store(head.wrapping_add(n), Ordering::Release);
+        }
+        n
     }
 
     /// Enqueues one item; on a full ring the item is handed back.
     pub fn enqueue(&mut self, value: T) -> Result<(), T> {
-        let head = self.inner.head.load(Ordering::Relaxed);
-        if head.wrapping_sub(self.cached_tail) == self.capacity() {
-            self.cached_tail = self.inner.tail.load(Ordering::Acquire);
-            if head.wrapping_sub(self.cached_tail) == self.capacity() {
-                return Err(value);
-            }
-        }
-        let slot = &self.inner.buf[head & self.inner.mask];
-        unsafe { (*slot.get()).write(value) };
-        self.inner
-            .head
-            .store(head.wrapping_add(1), Ordering::Release);
-        Ok(())
+        let mut item = Some(value).into_iter();
+        self.push_burst(&mut item);
+        item.next().map_or(Ok(()), Err)
     }
 
     /// Enqueues as many items as fit, draining them from the front of
     /// `items`; returns how many were enqueued (DPDK burst semantics).
     pub fn enqueue_burst(&mut self, items: &mut Vec<T>) -> usize {
-        let mut sent = 0;
-        // drain() would be O(n) per item removed from the front; instead
-        // enqueue in order and split off the remainder once.
-        for item in items.iter() {
-            // Check space without moving the item yet.
-            let head = self.inner.head.load(Ordering::Relaxed);
-            if head.wrapping_sub(self.cached_tail) == self.capacity() {
-                self.cached_tail = self.inner.tail.load(Ordering::Acquire);
-                if head.wrapping_sub(self.cached_tail) == self.capacity() {
-                    break;
-                }
-            }
-            let slot = &self.inner.buf[head & self.inner.mask];
-            unsafe { (*slot.get()).write(std::ptr::read(item)) };
-            self.inner
-                .head
-                .store(head.wrapping_add(1), Ordering::Release);
-            sent += 1;
-        }
-        // The first `sent` items were moved out by ptr::read; forget them.
-        unsafe {
-            let remaining = items.len() - sent;
-            let src = items.as_ptr().add(sent);
-            let dst = items.as_mut_ptr();
-            std::ptr::copy(src, dst, remaining);
-            items.set_len(remaining);
-        }
-        sent
+        let n = self.room(items.len());
+        self.push_burst(items.drain(..n))
     }
 }
 
@@ -190,11 +178,6 @@ impl<T> Drop for SpscProducer<T> {
 }
 
 impl<T> SpscConsumer<T> {
-    /// Capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.inner.mask + 1
-    }
-
     /// True when the producer handle has been dropped.
     pub fn is_disconnected(&self) -> bool {
         !self.inner.producer_alive.load(Ordering::Acquire)
@@ -210,41 +193,47 @@ impl<T> SpscConsumer<T> {
         self.len() == 0
     }
 
+    /// Hands up to `max` queued items to `f` in FIFO order and publishes
+    /// them with one Release store of `tail`; returns how many. The
+    /// producer's `head` is read only when the cached view shows fewer
+    /// than `max` queued. Should `f` panic, the items it was given stay
+    /// consumed and the rest stay queued.
+    pub fn pop_burst(&mut self, max: usize, mut f: impl FnMut(T)) -> usize {
+        if self.cached_head.wrapping_sub(self.tail) < max {
+            self.cached_head = self.inner.head.load(Ordering::Acquire);
+        }
+        let n = self.cached_head.wrapping_sub(self.tail).min(max);
+        for _ in 0..n {
+            let slot = &self.inner.buf[self.tail & self.inner.mask];
+            self.tail = self.tail.wrapping_add(1);
+            // SAFETY: the slot is below the `head` loaded with Acquire, so it
+            // holds a written item; `tail` moved past it first, so it is read once.
+            f(unsafe { (*slot.get()).assume_init_read() });
+        }
+        // Also catches up a publish that a panicking `f` skipped.
+        if self.inner.tail.load(Ordering::Relaxed) != self.tail {
+            self.inner.tail.store(self.tail, Ordering::Release);
+        }
+        n
+    }
+
     /// Dequeues one item, or `None` on an empty ring.
     pub fn dequeue(&mut self) -> Option<T> {
-        let tail = self.inner.tail.load(Ordering::Relaxed);
-        if tail == self.cached_head {
-            self.cached_head = self.inner.head.load(Ordering::Acquire);
-            if tail == self.cached_head {
-                return None;
-            }
-        }
-        let slot = &self.inner.buf[tail & self.inner.mask];
-        let value = unsafe { (*slot.get()).assume_init_read() };
-        self.inner
-            .tail
-            .store(tail.wrapping_add(1), Ordering::Release);
-        Some(value)
+        let mut item = None;
+        self.pop_burst(1, |v| item = Some(v));
+        item
     }
 
     /// Dequeues up to `max` items into `out`; returns how many arrived.
     pub fn dequeue_burst(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.dequeue() {
-                Some(v) => {
-                    out.push(v);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
+        self.pop_burst(max, |v| out.push(v))
     }
 }
 
 impl<T> Drop for SpscConsumer<T> {
     fn drop(&mut self) {
+        // Publish what a panicking `pop_burst` consumer took: dropped once.
+        self.inner.tail.store(self.tail, Ordering::Release);
         self.inner.consumer_alive.store(false, Ordering::Release);
     }
 }
@@ -316,6 +305,39 @@ mod tests {
     }
 
     #[test]
+    fn bursts_publish_once() {
+        let (mut p, mut c) = spsc_ring::<u32>(8);
+        let pushed =
+            p.push_burst((0..5).inspect(|_| assert_eq!(c.len(), 0, "nothing visible mid-burst")));
+        assert_eq!((pushed, c.len()), (5, 5));
+        let popped = c.pop_burst(8, |_| assert_eq!(p.len(), 5, "no slot freed mid-burst"));
+        assert_eq!((popped, p.len()), (5, 0));
+    }
+
+    #[test]
+    fn a_panicking_pop_consumer_keeps_the_rest_queued() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct D(u32);
+        impl Drop for D {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (mut p, mut c) = spsc_ring::<D>(8);
+        let mut items: Vec<D> = (0..5).map(D).collect();
+        assert_eq!(p.enqueue_burst(&mut items), 5);
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.pop_burst(5, |d| assert_ne!(d.0, 1, "consumer fault"))
+        }));
+        assert!(fault.is_err());
+        assert_eq!(DROPS.load(Ordering::SeqCst), 2, "items 0 and 1 consumed");
+        assert_eq!(c.dequeue().map(|d| d.0), Some(2));
+        drop(p);
+        drop(c);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 5, "each item dropped once");
+    }
+
+    #[test]
     fn two_thread_stress_preserves_sequence() {
         let (mut p, mut c) = spsc_ring::<u64>(64);
         const N: u64 = 200_000;
@@ -374,14 +396,15 @@ mod tests {
     }
 
     #[test]
-    fn free_space_tracks_occupancy() {
+    fn room_tracks_occupancy() {
         let (mut p, mut c) = spsc_ring::<u8>(4);
-        assert_eq!(p.free_space(), 4);
+        assert_eq!(p.room(4), 4);
         p.enqueue(1).unwrap();
         p.enqueue(2).unwrap();
-        assert_eq!(p.free_space(), 2);
+        assert_eq!(p.room(4), 2);
         c.dequeue();
-        assert_eq!(p.free_space(), 3);
+        assert_eq!(p.room(4), 3);
+        assert_eq!(p.room(1), 1);
         assert_eq!(c.len(), 1);
     }
 }

@@ -38,12 +38,25 @@ pub enum PktSlotKind {
 pub struct PktSlot(Option<PktSlotKind>);
 
 impl PktSlot {
-    fn new(kind: PktSlotKind) -> PktSlot {
-        PktSlot(Some(kind))
+    /// An arena-backed packet travels as its descriptor, any other by value.
+    fn of(pkt: Mbuf) -> PktSlot {
+        PktSlot(Some(match pkt.try_into_desc() {
+            Ok(desc) => PktSlotKind::Desc(desc),
+            Err(m) => PktSlotKind::Boxed(m),
+        }))
     }
 
-    fn take_kind(mut self) -> PktSlotKind {
-        self.0.take().expect("slot consumed exactly once")
+    fn is_desc(&self) -> bool {
+        matches!(self.0, Some(PktSlotKind::Desc(_)))
+    }
+
+    /// The packet, a descriptor adopted through `segments`; `None` when its
+    /// segment is no longer mapped.
+    fn into_mbuf(mut self, segments: &mut Resolver) -> Option<Mbuf> {
+        match self.0.take().expect("slot consumed exactly once") {
+            PktSlotKind::Boxed(m) => Some(m),
+            PktSlotKind::Desc(desc) => segments.adopt(desc).map(Mbuf::from_arena),
+        }
     }
 }
 
@@ -123,65 +136,39 @@ impl ChannelEnd {
         &self.name
     }
 
-    fn slot_of(&mut self, pkt: Mbuf) -> PktSlot {
-        match pkt.try_into_desc() {
-            Ok(desc) => {
-                self.stats.desc_sent += 1;
-                PktSlot::new(PktSlotKind::Desc(desc))
-            }
-            Err(m) => {
-                self.stats.boxed_sent += 1;
-                PktSlot::new(PktSlotKind::Boxed(m))
-            }
-        }
-    }
-
-    fn mbuf_of(&mut self, slot: PktSlot) -> Option<Mbuf> {
-        match slot.take_kind() {
-            PktSlotKind::Boxed(m) => Some(m),
-            PktSlotKind::Desc(desc) => match self.segments.adopt(desc) {
-                Some(am) => Some(Mbuf::from_arena(am)),
-                None => {
-                    self.stats.unmapped_drops += 1;
-                    None
-                }
-            },
-        }
-    }
-
     /// Sends one packet; hands it back when the ring is full. The deferred
     /// doorbell notification is accumulated — call
     /// [`ChannelEnd::flush_doorbell`] at the end of a send loop (burst
     /// sends flush automatically).
     pub fn send(&mut self, pkt: Mbuf) -> Result<(), Mbuf> {
-        // Pre-check keeps the descriptor conversion off the failure path:
-        // we are the only producer, so free space cannot shrink under us.
-        if self.tx.free_space() == 0 {
+        // Checked first: the descriptor conversion is not undone.
+        if self.tx.room(1) == 0 {
             return Err(pkt);
         }
-        let slot = self.slot_of(pkt);
-        self.tx
-            .enqueue(slot)
-            .unwrap_or_else(|_| unreachable!("free slot checked; single producer"));
+        let slot = PktSlot::of(pkt);
+        self.stats.desc_sent += u64::from(slot.is_desc());
+        self.stats.boxed_sent += u64::from(!slot.is_desc());
+        self.tx.push_burst(std::iter::once(slot));
         self.tx_bell.notify(1);
         Ok(())
     }
 
     /// Sends as many packets as fit, draining them from the front of `pkts`;
-    /// returns how many were sent. Rings the doorbell once for the burst.
+    /// returns how many were sent. One ring publish and one doorbell ring
+    /// for the burst.
     pub fn send_burst(&mut self, pkts: &mut Vec<Mbuf>) -> usize {
-        let fits = self.tx.free_space().min(pkts.len());
-        let mut sent = 0;
-        for pkt in pkts.drain(..fits) {
-            let slot = self.slot_of(pkt);
-            self.tx
-                .enqueue(slot)
-                .unwrap_or_else(|_| unreachable!("free space checked; single producer"));
-            sent += 1;
-        }
-        self.tx_bell.notify(sent);
+        let n = self.tx.room(pkts.len());
+        let mut descs = 0;
+        self.tx.push_burst(pkts.drain(..n).map(|pkt| {
+            let slot = PktSlot::of(pkt);
+            descs += u64::from(slot.is_desc());
+            slot
+        }));
+        self.stats.desc_sent += descs;
+        self.stats.boxed_sent += n as u64 - descs;
+        self.tx_bell.notify(n);
         self.tx_bell.flush();
-        sent
+        n
     }
 
     /// Rings the tx doorbell for any notifications deferred by coalescing.
@@ -213,26 +200,32 @@ impl ChannelEnd {
     /// [`ChannelEndStats::unmapped_drops`]) and the next slot is tried.
     pub fn recv(&mut self) -> Option<Mbuf> {
         while let Some(slot) = self.rx.dequeue() {
-            if let Some(m) = self.mbuf_of(slot) {
-                return Some(m);
+            match slot.into_mbuf(&mut self.segments) {
+                Some(m) => return Some(m),
+                None => self.stats.unmapped_drops += 1,
             }
         }
         None
     }
 
-    /// Receives up to `max` packets into `out`; returns how many arrived.
+    /// Receives up to `max` packets into `out` with one ring publish;
+    /// returns how many arrived. A dropped descriptor used a slot of the
+    /// burst, so the burst is topped up after one.
     pub fn recv_burst(&mut self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.recv() {
-                Some(m) => {
-                    out.push(m);
-                    got += 1;
+        let start = out.len();
+        loop {
+            let mut unmapped = 0;
+            self.rx.pop_burst(max - (out.len() - start), |slot| {
+                match slot.into_mbuf(&mut self.segments) {
+                    Some(m) => out.push(m),
+                    None => unmapped += 1,
                 }
-                None => break,
+            });
+            if unmapped == 0 {
+                return out.len() - start;
             }
+            self.stats.unmapped_drops += unmapped;
         }
-        got
     }
 
     /// Packets waiting to be received by *this* endpoint.
@@ -245,14 +238,10 @@ impl ChannelEnd {
         self.tx.len()
     }
 
-    /// Free slots on the transmit ring.
-    pub fn tx_free(&mut self) -> usize {
-        self.tx.free_space()
-    }
-
-    /// Capacity of each direction.
-    pub fn depth(&self) -> usize {
-        self.tx.capacity()
+    /// Free slots on the transmit ring, at most `want`: a burst of that
+    /// many will fit (see [`SpscProducer::room`]).
+    pub fn tx_room(&mut self, want: usize) -> usize {
+        self.tx.room(want)
     }
 
     /// True when the peer endpoint has been dropped.

@@ -31,6 +31,15 @@ pub trait VnfApp: Send {
     /// Processes one packet arriving on port index `in_port_idx`
     /// (0 or 1 for a two-port VM).
     fn process(&mut self, pkt: &mut Mbuf, in_port_idx: usize) -> Verdict;
+
+    /// Processes one burst arriving on `in_port_idx`, writing the verdict
+    /// for `pkts[i]` to `verdicts[i]`. The runner makes one dynamic call
+    /// per burst; this default loops over [`VnfApp::process`] statically.
+    fn process_burst(&mut self, pkts: &mut [Mbuf], in_port_idx: usize, verdicts: &mut [Verdict]) {
+        for (pkt, verdict) in pkts.iter_mut().zip(verdicts) {
+            *verdict = self.process(pkt, in_port_idx);
+        }
+    }
 }
 
 /// The paper's test application: moves packets from one port to the other,

@@ -140,15 +140,12 @@ impl DpdkrPmd {
     /// stopped transmitting) into `out`, then stops polling it.
     /// Returns how many packets were drained.
     pub fn disable_rx_drain(&mut self, out: &mut Vec<Mbuf>) -> u64 {
-        let mut drained = 0;
-        if let Some(bypass) = self.bypass.as_mut() {
-            while let Some(m) = bypass.recv() {
-                out.push(m);
-                drained += 1;
-            }
-        }
+        let drained = self
+            .bypass
+            .as_mut()
+            .map_or(0, |b| b.recv_burst(out, usize::MAX));
         self.rx_active = false;
-        drained
+        drained as u64
     }
 
     /// Drops the bypass channel end. Panics if a direction is still active
@@ -186,10 +183,11 @@ impl DpdkrPmd {
         let total = pkts.len();
         let sent = match (&mut self.bypass, &self.tx_accounting) {
             (Some(bypass), Some(acct)) => {
-                let bytes_before: u64 = pkts.iter().map(|m| m.len() as u64).sum();
+                // Free space cannot shrink under the one producer, so the
+                // prefix that fits is what leaves: sum its bytes once.
+                pkts.truncate(bypass.tx_room(pkts.len()));
+                let bytes = pkts.iter().map(|m| m.len() as u64).sum();
                 let n = bypass.send_burst(pkts);
-                let bytes_after: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-                let bytes = bytes_before - bytes_after;
                 // The vSwitch never sees these packets: account them in the
                 // shared region so its statistics stay truthful.
                 acct.rule_cell.add(n as u64, bytes);
@@ -210,11 +208,6 @@ impl DpdkrPmd {
             pkts.clear();
         }
         sent
-    }
-
-    /// Packets waiting on the normal channel (diagnostics).
-    pub fn normal_pending_rx(&self) -> usize {
-        self.normal.pending_rx()
     }
 }
 

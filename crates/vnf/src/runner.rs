@@ -2,11 +2,13 @@
 //!
 //! A [`VnfRunner`] is what executes on a VM's vCPU: a single-core DPDK-style
 //! application driving the VM's (typically two) dpdkr ports through the
-//! modified PMD, applying a [`VnfApp`] to every packet and forwarding
-//! between the ports — the exact shape of the paper's evaluation VMs.
-//! Between bursts it services PMD control messages arriving over
-//! virtio-serial, which is how bypass reconfiguration happens *without
-//! stopping the application*.
+//! modified PMD, handing each received burst to a [`VnfApp`] in one call and
+//! forwarding between the ports — the exact shape of the paper's evaluation
+//! VMs. A poll pays per burst: the burst buffers belong to the runner, a
+//! burst the app forwards whole goes straight back out, and the counters
+//! are added once. Between bursts it services PMD control messages arriving
+//! over virtio-serial, which is how bypass reconfiguration happens *without
+//! stopping the application*; an idle check of the serial takes no lock.
 
 use crate::apps::{Verdict, VnfApp};
 use crate::control::{PmdAck, PmdCtrl};
@@ -16,7 +18,8 @@ use shmem_sim::{DeviceBoard, SerialPort};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared, externally readable guest counters.
+/// Shared, externally readable guest counters. `forwarded` and `reflected`
+/// count what the egress ring took; a full ring's drops are `tx_drops`.
 #[derive(Debug, Default)]
 pub struct GuestCounters {
     /// Packets forwarded port-to-port.
@@ -55,6 +58,14 @@ pub struct VnfRunner {
     board: Arc<DeviceBoard>,
     stop: Arc<AtomicBool>,
     counters: Arc<GuestCounters>,
+    /// The burst in hand (at most `DEFAULT_BURST` packets) and the app's
+    /// verdicts on it.
+    rx: Vec<Mbuf>,
+    verdicts: [Verdict; DEFAULT_BURST],
+    /// A mixed burst sorted by where it leaves: `out` by the egress port,
+    /// `back` by the ingress port of a two-port guest.
+    out: Vec<Mbuf>,
+    back: Vec<Mbuf>,
 }
 
 impl VnfRunner {
@@ -69,6 +80,10 @@ impl VnfRunner {
             board: config.board,
             stop,
             counters: Arc::new(GuestCounters::default()),
+            rx: Vec::with_capacity(DEFAULT_BURST),
+            verdicts: [Verdict::Drop; DEFAULT_BURST],
+            out: Vec::with_capacity(DEFAULT_BURST),
+            back: Vec::with_capacity(DEFAULT_BURST),
         }
     }
 
@@ -121,11 +136,7 @@ impl VnfRunner {
                 true
             }
             (Some(idx), PmdCtrl::DisableRxDrain { .. }) => {
-                // Drained packets are in-flight traffic: run them through
-                // the application like any received burst.
-                let mut pkts = Vec::new();
-                drained = self.ports[idx].disable_rx_drain(&mut pkts);
-                self.process_burst(idx, pkts);
+                drained = self.drain_through_app(idx);
                 true
             }
             (Some(idx), PmdCtrl::UnmapBypass { .. }) => {
@@ -134,9 +145,7 @@ impl VnfRunner {
                 // contract requires both directions inactive). In-flight
                 // packets still drain through the application.
                 self.ports[idx].disable_tx();
-                let mut pkts = Vec::new();
-                drained = self.ports[idx].disable_rx_drain(&mut pkts);
-                self.process_burst(idx, pkts);
+                drained = self.drain_through_app(idx);
                 self.ports[idx].unmap_bypass();
                 true
             }
@@ -151,40 +160,55 @@ impl VnfRunner {
         });
     }
 
-    /// For a two-port VM, the egress port for traffic arriving on `idx`.
-    fn out_index(&self, idx: usize) -> usize {
-        if self.ports.len() == 1 {
-            idx
-        } else {
-            // Pairwise forwarding: 0↔1, 2↔3, ...
-            idx ^ 1
+    /// Stops the port's bypass rx and runs what was in flight through the
+    /// application like any received traffic, `DEFAULT_BURST` at a time: a
+    /// drain can hold a whole ring.
+    fn drain_through_app(&mut self, idx: usize) -> u64 {
+        let mut pkts = Vec::new();
+        let drained = self.ports[idx].disable_rx_drain(&mut pkts);
+        let mut pkts = pkts.into_iter();
+        while pkts.len() > 0 {
+            self.rx.extend(pkts.by_ref().take(DEFAULT_BURST));
+            self.process_burst(idx);
         }
+        drained
     }
 
-    fn process_burst(&mut self, in_idx: usize, pkts: Vec<Mbuf>) {
-        if pkts.is_empty() {
+    /// Runs the burst in `rx` through the app in one call and transmits
+    /// it. The counters take what the ports accepted, once per burst.
+    fn process_burst(&mut self, in_idx: usize) {
+        // Pairwise forwarding (0↔1, 2↔3, ...); a one-port guest sends back.
+        let out_idx = if self.ports.len() == 1 {
+            in_idx
+        } else {
+            in_idx ^ 1
+        };
+        let (c, verdicts) = (&self.counters, &mut self.verdicts[..self.rx.len()]);
+        self.app.process_burst(&mut self.rx, in_idx, verdicts);
+        if verdicts.iter().all(|v| *v == Verdict::Forward) {
+            let sent = self.ports[out_idx].tx_burst(&mut self.rx);
+            c.forwarded.fetch_add(sent as u64, Ordering::Relaxed);
             return;
         }
-        let out_idx = self.out_index(in_idx);
-        let mut out: Vec<Mbuf> = Vec::with_capacity(pkts.len());
-        let mut back: Vec<Mbuf> = Vec::new();
-        for mut pkt in pkts {
-            match self.app.process(&mut pkt, in_idx) {
-                Verdict::Forward => out.push(pkt),
-                Verdict::Reflect => back.push(pkt),
-                Verdict::Drop => {
-                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+        // A one-port guest reflects by the egress port, in arrival order.
+        let to_out =
+            |v: Verdict| v == Verdict::Forward || (v == Verdict::Reflect && out_idx == in_idx);
+        let mut dropped = 0;
+        for (pkt, &v) in self.rx.drain(..).zip(verdicts.iter()) {
+            match v {
+                Verdict::Drop => dropped += 1,
+                v if to_out(v) => self.out.push(pkt),
+                _ => self.back.push(pkt),
             }
         }
-        let n = out.len() as u64;
-        self.ports[out_idx].tx_burst(&mut out);
-        self.counters.forwarded.fetch_add(n, Ordering::Relaxed);
-        if !back.is_empty() {
-            let n = back.len() as u64;
-            self.ports[in_idx].tx_burst(&mut back);
-            self.counters.reflected.fetch_add(n, Ordering::Relaxed);
-        }
+        let sent = self.ports[out_idx].tx_burst(&mut self.out);
+        let forwarded = (verdicts.iter().filter(|v| to_out(**v)).take(sent))
+            .filter(|v| **v == Verdict::Forward)
+            .count();
+        let reflected = sent - forwarded + self.ports[in_idx].tx_burst(&mut self.back);
+        c.forwarded.fetch_add(forwarded as u64, Ordering::Relaxed);
+        c.reflected.fetch_add(reflected as u64, Ordering::Relaxed);
+        c.dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// One polling iteration: control first, then every port.
@@ -195,10 +219,9 @@ impl VnfRunner {
         }
         let mut moved = false;
         for idx in 0..self.ports.len() {
-            let mut rx = Vec::with_capacity(DEFAULT_BURST);
-            if self.ports[idx].rx_burst(&mut rx, DEFAULT_BURST) > 0 {
+            if self.ports[idx].rx_burst(&mut self.rx, DEFAULT_BURST) > 0 {
                 moved = true;
-                self.process_burst(idx, rx);
+                self.process_burst(idx);
             }
         }
         moved
@@ -258,6 +281,21 @@ mod tests {
             board,
             stats,
         }
+    }
+
+    /// A guest over `ports` whose control channel nobody drives.
+    fn runner_over(ports: Vec<DpdkrPmd>, app: Box<dyn VnfApp>) -> VnfRunner {
+        let (_host_ctrl, guest_ctrl) = serial_pair::<PmdCtrl>("vm");
+        let (guest_ack, _host_ack) = serial_pair::<PmdAck>("vm-ack");
+        let config = GuestConfig {
+            name: "vm".into(),
+            ports,
+            app,
+            serial: guest_ctrl,
+            ack_via: guest_ack,
+            board: Arc::new(DeviceBoard::new()),
+        };
+        VnfRunner::new(config, Arc::new(AtomicBool::new(false)))
     }
 
     fn pkt() -> Mbuf {
@@ -382,21 +420,12 @@ mod tests {
         let stats = StatsRegion::new();
         let (vm0, mut sw0) = channel("dpdkr1", 32);
         let (vm1, mut sw1) = channel("dpdkr2", 32);
-        let (_host_ctrl, guest_ctrl) = serial_pair::<PmdCtrl>("vm");
-        let (guest_ack, _host_ack) = serial_pair::<PmdAck>("vm-ack");
-        let mut runner = VnfRunner::new(
-            GuestConfig {
-                name: "bounce".into(),
-                ports: vec![
-                    DpdkrPmd::new(1, vm0, stats.clone()),
-                    DpdkrPmd::new(2, vm1, stats),
-                ],
-                app: Box::new(Bouncer),
-                serial: guest_ctrl,
-                ack_via: guest_ack,
-                board: Arc::new(DeviceBoard::new()),
-            },
-            Arc::new(AtomicBool::new(false)),
+        let mut runner = runner_over(
+            vec![
+                DpdkrPmd::new(1, vm0, stats.clone()),
+                DpdkrPmd::new(2, vm1, stats),
+            ],
+            Box::new(Bouncer),
         );
         sw0.send(pkt()).unwrap();
         runner.poll_once();
@@ -404,6 +433,55 @@ mod tests {
         assert!(sw1.recv().is_none(), "nothing crossed to port 2");
         assert_eq!(runner.counters().reflected.load(Ordering::Relaxed), 1);
         assert_eq!(runner.counters().forwarded.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn forwarded_counts_what_the_ring_took() {
+        let stats = StatsRegion::new();
+        let (vm0, mut sw0) = channel("dpdkr1", 32);
+        let (vm1, _sw1) = channel("dpdkr2", 2);
+        let mut runner = runner_over(
+            vec![
+                DpdkrPmd::new(1, vm0, stats.clone()),
+                DpdkrPmd::new(2, vm1, stats),
+            ],
+            Box::new(L2Forwarder::new()),
+        );
+        for _ in 0..5 {
+            sw0.send(pkt()).unwrap();
+        }
+        runner.poll_once();
+        assert_eq!(runner.counters().forwarded.load(Ordering::Relaxed), 2);
+        assert_eq!(runner.ports[1].tx_drops, 3);
+    }
+
+    #[test]
+    fn a_rewriting_app_writes_the_slab_once_per_packet() {
+        let arena = dpdk_sim::Arena::new("nat-arena", 64, 256);
+        let stats = StatsRegion::new();
+        let (vm0, mut sw0) = channel("dpdkr1", 64);
+        let (vm1, mut sw1) = channel("dpdkr2", 64);
+        let public = std::net::Ipv4Addr::new(192, 0, 2, 1);
+        let mut runner = runner_over(
+            vec![
+                DpdkrPmd::new(1, vm0, stats.clone()),
+                DpdkrPmd::new(2, vm1, stats),
+            ],
+            Box::new(crate::apps::Nat44::new(public)),
+        );
+        let frame = packet_wire::PacketBuilder::udp_probe(64).build();
+        for _ in 0..40 {
+            let m = Mbuf::from_arena(arena.alloc_from(&frame).unwrap());
+            sw0.send(m).unwrap();
+        }
+        let before = arena.stats().slab_writes;
+        while runner.poll_once() {}
+        assert_eq!(arena.stats().slab_writes - before, 40, "one rewrite each");
+        let out: Vec<Mbuf> = std::iter::from_fn(|| sw1.recv()).collect();
+        assert_eq!(out.len(), 40);
+        assert!(out.iter().all(|m| m.is_arena()));
+        let key = packet_wire::FlowKey::extract(out[0].data());
+        assert_eq!(key.ipv4_src, public);
     }
 
     #[test]

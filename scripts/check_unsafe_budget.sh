@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Fails if the shared arena or the rings gain an `unsafe` site. Each file
-# has a budget: the count of `unsafe` tokens outside `//` comments it was
-# committed with. Those sites are exactly what a checker of the lock-free
-# core has to cover, so adding one is a design decision made in review,
-# not a drive-by. When a count drops, the script says so: lower the budget
-# below in the same change, so the ratchet only turns one way.
+# Fails if the shared arena, the rings or the channels over them gain an
+# `unsafe` site. Each file has a budget: the count of `unsafe` tokens
+# outside `//` comments it was committed with. Those sites are exactly
+# what a checker of the lock-free core has to cover, so adding one is a
+# design decision made in review, not a drive-by. When a count drops, the
+# script says so: lower the budget below in the same change, so the
+# ratchet only turns one way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +20,8 @@ while read -r file budget; do
     fi
 done <<'BUDGETS'
 crates/dpdk/src/arena.rs 10
-crates/dpdk/src/ring.rs 7
+crates/dpdk/src/ring.rs 5
+crates/shmem/src/channel.rs 0
 BUDGETS
 
 if [ "$fail" -ne 0 ]; then

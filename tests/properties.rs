@@ -374,6 +374,90 @@ proptest! {
     }
 }
 
+/// Lets a ring test panic inside a `pop_burst` consumer on purpose
+/// without printing a backtrace for it.
+fn quiet_partial_consume_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<&str>() != Some(&"partial consume") {
+                prev(info);
+            }
+        }));
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Ring bursts behave like the bounded FIFO they batch, across many
+    /// wrap-arounds of an 8-slot ring: a push burst takes exactly the
+    /// prefix that fits and leaves the rest with the caller; a pop burst
+    /// hands out the oldest items; a consumer that panics part-way keeps
+    /// what it was given and leaves the rest queued.
+    #[test]
+    fn ring_bursts_match_fifo_model(
+        ops in proptest::collection::vec((0u8..4, 0usize..12, 0usize..12), 1..200),
+    ) {
+        quiet_partial_consume_panics();
+        const CAP: usize = 8;
+        let (mut p, mut c) = spsc_ring::<u32>(CAP);
+        let mut model: VecDeque<u32> = VecDeque::new();
+        let mut next = 0u32;
+        for (kind, k, j) in ops {
+            match kind {
+                0 | 1 => {
+                    let items: Vec<u32> = (next..next + k as u32).collect();
+                    next += k as u32;
+                    let fits = k.min(CAP - model.len());
+                    model.extend(&items[..fits]);
+                    let left: Vec<u32> = if kind == 0 {
+                        let mut v = items.clone();
+                        prop_assert_eq!(p.enqueue_burst(&mut v), fits);
+                        v
+                    } else {
+                        let mut it = items.clone().into_iter();
+                        prop_assert_eq!(p.push_burst(&mut it), fits);
+                        it.collect()
+                    };
+                    prop_assert_eq!(left, items[fits..].to_vec(), "unsent items stay behind");
+                }
+                2 => {
+                    let mut out = Vec::new();
+                    let n = c.dequeue_burst(&mut out, k);
+                    let want: Vec<u32> = model.drain(..k.min(model.len())).collect();
+                    prop_assert_eq!(n, want.len());
+                    prop_assert_eq!(out, want);
+                }
+                _ => {
+                    let mut got = Vec::new();
+                    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        c.pop_burst(k, |v| {
+                            if got.len() == j {
+                                panic!("partial consume");
+                            }
+                            got.push(v);
+                        })
+                    }));
+                    let seen = k.min(model.len());
+                    prop_assert_eq!(res.is_err(), j < seen);
+                    let want: Vec<u32> = model.drain(..seen.min(j + 1)).collect();
+                    // The item in hand at the panic was consumed and dropped.
+                    prop_assert_eq!(&got[..], &want[..got.len()]);
+                    // A later burst publishes what the panicking one took.
+                    c.pop_burst(0, drop);
+                }
+            }
+            prop_assert_eq!(p.len(), model.len());
+            prop_assert_eq!(c.len(), model.len());
+        }
+        let mut rest = Vec::new();
+        c.dequeue_burst(&mut rest, CAP);
+        prop_assert_eq!(rest, Vec::from(model));
+    }
+}
+
 // ---------- stats region ----------
 
 proptest! {
@@ -917,5 +1001,133 @@ proptest! {
             c
         };
         prop_assert_eq!(counters(&dp), counters(&reference), "per-rule n_packets/n_bytes");
+    }
+}
+
+// ---------- guest burst runner vs. a per-packet reference ----------
+
+/// Returns the verdict each frame names in its first byte, so the runner
+/// and the reference follow the same script.
+struct Scripted;
+
+impl vnf_highway::vnf::VnfApp for Scripted {
+    fn name(&self) -> &str {
+        "scripted"
+    }
+
+    fn process(
+        &mut self,
+        pkt: &mut vnf_highway::dpdk::Mbuf,
+        _in_port_idx: usize,
+    ) -> vnf_highway::vnf::Verdict {
+        use vnf_highway::vnf::Verdict;
+        [Verdict::Forward, Verdict::Reflect, Verdict::Drop][usize::from(pkt.data()[0])]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The burst `VnfRunner` is observably a runner that handles one packet
+    /// at a time: each port emits the same packets in the same order, and
+    /// forwarded / reflected / dropped / ctrl_applied agree. One- and
+    /// two-port guests; up to 80 packets per input, so bursts cross
+    /// `DEFAULT_BURST`; and up to 80 in flight on a bypass when it is
+    /// drained through the app.
+    #[test]
+    fn burst_runner_matches_per_packet_reference(
+        two_ports in any::<bool>(),
+        drained in proptest::collection::vec(0u8..3, 0..81),
+        inputs in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..81), 2..3),
+    ) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use vnf_highway::dpdk::{Mbuf, DEFAULT_BURST};
+        use vnf_highway::shmem::{channel, serial_pair, DeviceBoard, IvshmemDevice, StatsRegion};
+        use vnf_highway::vnf::{DpdkrPmd, GuestConfig, PmdAck, PmdCtrl, VnfRunner};
+
+        let ports = if two_ports { 2 } else { 1 };
+        let frame = |code: u8, id: u16| Mbuf::from_slice(&[code, (id >> 8) as u8, id as u8]);
+        let stats = StatsRegion::new();
+        let (mut pmds, mut switch) = (Vec::new(), Vec::new());
+        for p in 0..ports {
+            let (vm, sw) = channel(format!("dpdkr{p}"), 256);
+            pmds.push(DpdkrPmd::new(p as u32 + 1, vm, stats.clone()));
+            switch.push(sw);
+        }
+        let (host_ctrl, guest_ctrl) = serial_pair::<PmdCtrl>("vm");
+        let (guest_ack, _host_ack) = serial_pair::<PmdAck>("vm-ack");
+        let board = Arc::new(DeviceBoard::new());
+        let (bypass, mut peer) = channel("bypass", 128);
+        board.plug(IvshmemDevice::new("bypass", bypass));
+        let config = GuestConfig {
+            name: "vm".into(),
+            ports: pmds,
+            app: Box::new(Scripted),
+            serial: guest_ctrl,
+            ack_via: guest_ack,
+            board,
+        };
+        let mut runner = VnfRunner::new(config, Arc::new(AtomicBool::new(false)));
+        let segment = "bypass".to_string();
+        host_ctrl.send(PmdCtrl::MapBypass { seq: 1, of_port: 1, segment }).unwrap();
+        host_ctrl.send(PmdCtrl::EnableRx { seq: 2, of_port: 1 }).unwrap();
+        runner.poll_once();
+
+        // Ids: the bypass's in-flight packets 0.., port p's 1000 * (p + 1)...
+        for (id, &code) in (0u16..).zip(&drained) {
+            peer.send(frame(code, id)).unwrap();
+        }
+        for (p, codes) in inputs.iter().take(ports).enumerate() {
+            for (i, &code) in (0u16..).zip(codes) {
+                switch[p].send(frame(code, 1000 * (p as u16 + 1) + i)).unwrap();
+            }
+        }
+        host_ctrl.send(PmdCtrl::DisableRxDrain { seq: 3, of_port: 1 }).unwrap();
+        while runner.poll_once() {}
+
+        // The reference: one packet at a time; the drain first (control is
+        // served first in a poll), then DEFAULT_BURST per port per poll.
+        let mut expect: Vec<Vec<u16>> = vec![Vec::new(); ports];
+        let (mut forwarded, mut reflected, mut dropped) = (0u64, 0u64, 0u64);
+        let mut one = |in_idx: usize, code: u8, id: u16| match code {
+            0 => {
+                expect[if ports == 1 { in_idx } else { in_idx ^ 1 }].push(id);
+                forwarded += 1;
+            }
+            1 => {
+                expect[in_idx].push(id);
+                reflected += 1;
+            }
+            _ => dropped += 1,
+        };
+        for (id, &code) in (0u16..).zip(&drained) {
+            one(0, code, id);
+        }
+        let mut queues: Vec<VecDeque<(u8, u16)>> = (0..ports)
+            .map(|p| {
+                let ids = (0u16..).map(|i| 1000 * (p as u16 + 1) + i);
+                inputs[p].iter().copied().zip(ids).collect()
+            })
+            .collect();
+        while queues.iter().any(|q| !q.is_empty()) {
+            for (p, queue) in queues.iter_mut().enumerate() {
+                for (code, id) in queue.drain(..DEFAULT_BURST.min(queue.len())) {
+                    one(p, code, id);
+                }
+            }
+        }
+
+        for (p, sw) in switch.iter_mut().enumerate() {
+            let got: Vec<u16> = std::iter::from_fn(|| sw.recv())
+                .map(|m| u16::from_be_bytes([m.data()[1], m.data()[2]]))
+                .collect();
+            prop_assert_eq!(&got, &expect[p], "port {} output order", p);
+        }
+        let c = runner.counters();
+        let read = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+        prop_assert_eq!(
+            (read(&c.forwarded), read(&c.reflected), read(&c.dropped), read(&c.ctrl_applied)),
+            (forwarded, reflected, dropped, 3)
+        );
     }
 }
