@@ -1,15 +1,14 @@
 //! Built-in controller applications for the highway node.
 //!
-//! [`ChainSteering`] is the reproduction's "ordinary OpenFlow controller":
-//! it knows nothing about the highway and simply installs the service-chain
-//! steering rules (`in_port → output`) the paper's §2 scenario assumes. It
-//! runs behind the same [`ControllerApp`] trait as any other app (e.g. the
-//! ported learning switch), so one byte-identical OpenFlow stream can drive
-//! either.
+//! [`FabricChainSteering`] is the reproduction's "ordinary OpenFlow
+//! controller": it knows nothing about the highway and simply installs the
+//! service-chain steering rules (`in_port → output`) the paper's §2
+//! scenario assumes, one rule set per switch. It runs behind the same
+//! [`FabricApp`] trait as any other app (e.g. the ported learning
+//! switch), so one byte-identical OpenFlow stream can drive either.
 
 use openflow::{
-    Action, Connection, ControllerApp, FabricApp, FlowMatch, FlowMod, OfpMessage, PortNo,
-    SwitchFeatures,
+    Action, Connection, FabricApp, FlowMatch, FlowMod, OfpMessage, PortNo, SwitchFeatures,
 };
 use std::collections::HashMap;
 
@@ -34,144 +33,85 @@ impl Seam {
     }
 }
 
-/// The built-in highway controller app: installs a fixed set of
-/// point-to-point steering rules whenever the connection (re)reaches the
-/// ready state, batched into one write and fenced by an asynchronous
-/// barrier.
-pub struct ChainSteering {
+/// One switch's steering state.
+struct SwitchSteering {
     seams: Vec<Seam>,
-    priority: u16,
     barrier_xid: Option<u32>,
     settled: bool,
     connects: u64,
     packet_ins: u64,
 }
 
-impl ChainSteering {
-    /// A steering app for the given chain seams at flow priority 100.
-    pub fn new(seams: Vec<Seam>) -> ChainSteering {
-        ChainSteering {
-            seams,
-            priority: 100,
-            barrier_xid: None,
-            settled: false,
-            connects: 0,
-            packet_ins: 0,
-        }
-    }
-
-    /// Builds the chain from consecutive `(from, to)` port pairs.
-    pub fn from_pairs(pairs: &[(u16, u16)]) -> ChainSteering {
-        ChainSteering::new(
-            pairs
-                .iter()
-                .enumerate()
-                .map(|(i, &(f, t))| Seam::new(i, PortNo(f), PortNo(t)))
-                .collect(),
-        )
-    }
-
-    /// True once the switch has acknowledged (via barrier reply) that every
-    /// steering rule of the latest (re)connect is committed.
-    pub fn settled(&self) -> bool {
-        self.settled
-    }
-
-    /// How many times the app has pushed its rule set (1 + reconnects).
-    pub fn connects(&self) -> u64 {
-        self.connects
-    }
-
-    /// Packet-ins observed (the steering chain should produce none once
-    /// settled — the counter is a canary for missing rules).
-    pub fn packet_ins(&self) -> u64 {
-        self.packet_ins
-    }
-
-    fn flow_mods(&self) -> Vec<FlowMod> {
-        self.seams
-            .iter()
-            .map(|s| {
-                FlowMod::add(
-                    FlowMatch::in_port(s.from),
-                    self.priority,
-                    vec![Action::Output(s.to)],
-                )
-                .with_cookie(s.cookie)
-            })
-            .collect()
-    }
-}
-
-impl ControllerApp for ChainSteering {
-    fn on_connected(&mut self, conn: &Connection, _features: &SwitchFeatures) {
-        self.connects += 1;
-        self.settled = false;
-        let mods = self.flow_mods();
-        if conn.send_flow_mods(&mods).is_err() {
-            return; // disconnected again; the next reconnect retries
-        }
-        // Fence asynchronously: the reply lands in on_message, so the
-        // runtime's poll loop is never blocked on the switch.
-        self.barrier_xid = conn.send(&OfpMessage::BarrierRequest).ok();
-    }
-
-    fn on_message(&mut self, _conn: &Connection, msg: OfpMessage, xid: u32) {
-        match msg {
-            OfpMessage::BarrierReply if Some(xid) == self.barrier_xid => {
-                self.barrier_xid = None;
-                self.settled = true;
-            }
-            OfpMessage::PacketIn(_) => self.packet_ins += 1,
-            _ => {}
-        }
-    }
-}
-
-/// [`ChainSteering`] generalised to a fabric: one steering rule set per
-/// switch, keyed by datapath id, installed through a single
-/// [`openflow::FabricRuntime`]. A VNF chain spanning several hosts is
+/// The built-in highway controller app: installs a fixed set of
+/// point-to-point steering rules on each switch, keyed by datapath id,
+/// whenever that switch (re)announces, batched into one write and fenced
+/// by an asynchronous barrier. A VNF chain spanning several hosts is
 /// expressed as per-switch seam lists — intra-host seams between VM
 /// ports, inter-host hops via the trunk ports wiring the switches
-/// together — and this app makes each switch converge independently
-/// (batched install + async barrier fence, per switch).
+/// together — and each switch converges independently.
 pub struct FabricChainSteering {
-    per_switch: HashMap<u64, ChainSteering>,
+    per_switch: HashMap<u64, SwitchSteering>,
     /// `FlowRemoved` notifications seen, per cookie — the exactly-once
     /// canary the failover tests read (replay must never trigger one).
     flow_removed: HashMap<u64, u64>,
 }
 
 impl FabricChainSteering {
+    /// Flow priority of every steering rule.
+    const PRIORITY: u16 = 100;
+
     /// A steering app for per-switch seam lists keyed by datapath id.
     pub fn new(seams_by_dpid: HashMap<u64, Vec<Seam>>) -> FabricChainSteering {
         FabricChainSteering {
             per_switch: seams_by_dpid
                 .into_iter()
-                .map(|(dpid, seams)| (dpid, ChainSteering::new(seams)))
+                .map(|(dpid, seams)| {
+                    let steering = SwitchSteering {
+                        seams,
+                        barrier_xid: None,
+                        settled: false,
+                        connects: 0,
+                        packet_ins: 0,
+                    };
+                    (dpid, steering)
+                })
                 .collect(),
             flow_removed: HashMap::new(),
         }
     }
 
-    /// True once every switch has barrier-acknowledged its rule set.
+    /// One switch's chain from consecutive `(from, to)` port pairs.
+    pub fn from_pairs(dpid: u64, pairs: &[(u16, u16)]) -> FabricChainSteering {
+        let seams = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(f, t))| Seam::new(i, PortNo(f), PortNo(t)))
+            .collect();
+        FabricChainSteering::new(HashMap::from([(dpid, seams)]))
+    }
+
+    /// True once every switch has acknowledged (via barrier reply) that
+    /// every steering rule of its latest (re)connect is committed.
     pub fn settled(&self) -> bool {
-        self.per_switch.values().all(ChainSteering::settled)
+        self.per_switch.values().all(|s| s.settled)
     }
 
     /// Whether the switch `dpid` has settled its rules.
     pub fn switch_settled(&self, dpid: u64) -> bool {
-        self.per_switch
-            .get(&dpid)
-            .is_some_and(ChainSteering::settled)
+        self.per_switch.get(&dpid).is_some_and(|s| s.settled)
     }
 
-    /// Total packet-ins across the fabric (should stay 0 once settled).
+    /// How many times the app has pushed `dpid`'s rule set (1 +
+    /// reconnects).
+    pub fn connects(&self, dpid: u64) -> u64 {
+        self.per_switch.get(&dpid).map_or(0, |s| s.connects)
+    }
+
+    /// Total packet-ins across the fabric (the steering chain should
+    /// produce none once settled — the counter is a canary for missing
+    /// rules).
     pub fn packet_ins(&self) -> u64 {
-        self.per_switch
-            .values()
-            .map(ChainSteering::packet_ins)
-            .sum()
+        self.per_switch.values().map(|s| s.packet_ins).sum()
     }
 
     /// `FlowRemoved` tallies per cookie, across every switch.
@@ -181,18 +121,46 @@ impl FabricChainSteering {
 }
 
 impl FabricApp for FabricChainSteering {
-    fn on_switch_ready(&mut self, dpid: u64, conn: &Connection, features: &SwitchFeatures) {
-        if let Some(app) = self.per_switch.get_mut(&dpid) {
-            app.on_connected(conn, features);
+    fn on_switch_ready(&mut self, dpid: u64, conn: &Connection, _features: &SwitchFeatures) {
+        let Some(sw) = self.per_switch.get_mut(&dpid) else {
+            return;
+        };
+        sw.connects += 1;
+        sw.settled = false;
+        let mods: Vec<FlowMod> = sw
+            .seams
+            .iter()
+            .map(|s| {
+                FlowMod::add(
+                    FlowMatch::in_port(s.from),
+                    Self::PRIORITY,
+                    vec![Action::Output(s.to)],
+                )
+                .with_cookie(s.cookie)
+            })
+            .collect();
+        if conn.send_flow_mods(&mods).is_err() {
+            return; // disconnected again; the next reconnect retries
         }
+        // Fence asynchronously: the reply lands in on_switch_message, so
+        // the runtime's poll loop is never blocked on the switch.
+        sw.barrier_xid = conn.send(&OfpMessage::BarrierRequest).ok();
     }
 
-    fn on_switch_message(&mut self, dpid: u64, conn: &Connection, msg: OfpMessage, xid: u32) {
+    fn on_switch_message(&mut self, dpid: u64, _conn: &Connection, msg: OfpMessage, xid: u32) {
         if let OfpMessage::FlowRemoved(fr) = &msg {
             *self.flow_removed.entry(fr.cookie).or_insert(0) += 1;
         }
-        if let Some(app) = self.per_switch.get_mut(&dpid) {
-            app.on_message(conn, msg, xid);
+        let Some(sw) = self.per_switch.get_mut(&dpid) else {
+            return;
+        };
+        match msg {
+            OfpMessage::BarrierReply if Some(xid) == sw.barrier_xid => {
+                sw.barrier_xid = None;
+                sw.settled = true;
+            }
+            OfpMessage::PacketIn(_) => sw.packet_ins += 1,
+            _ => {}
         }
     }
 }
@@ -201,26 +169,26 @@ impl FabricApp for FabricChainSteering {
 mod tests {
     use super::*;
     use crate::node::{HighwayNode, HighwayNodeConfig};
-    use openflow::ControllerRuntime;
+    use openflow::FabricRuntime;
     use std::time::{Duration, Instant};
 
     #[test]
     fn chain_steering_installs_rules_and_settles() {
-        let node = HighwayNode::new(HighwayNodeConfig::default());
+        let config = HighwayNodeConfig::default();
+        let dpid = config.switch.datapath_id;
+        let node = HighwayNode::new(config);
         node.start();
-        let conn = node.connect_controller();
-        let app = ChainSteering::from_pairs(&[(1, 2), (3, 4)]);
-        let mut rt = ControllerRuntime::new(conn, app);
+        let mut rt = FabricRuntime::new(FabricChainSteering::from_pairs(dpid, &[(1, 2), (3, 4)]));
+        rt.add_switch(node.connect_controller());
         rt.run_until_ready(Duration::from_secs(5)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !rt.app().settled() && Instant::now() < deadline {
-            rt.poll();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(rt.app().settled(), "barrier reply never arrived");
-        assert_eq!(rt.app().connects(), 1);
-        let stats = rt.connection().flow_stats(Duration::from_secs(2)).unwrap();
-        assert_eq!(stats.len(), 2);
+        assert!(
+            rt.run_until(|rt| rt.app().settled(), deadline),
+            "barrier reply never arrived"
+        );
+        assert_eq!(rt.app().connects(dpid), 1);
+        let conn = rt.connection(dpid).unwrap();
+        assert_eq!(conn.flow_stats(Duration::from_secs(2)).unwrap().len(), 2);
         node.stop();
     }
 }

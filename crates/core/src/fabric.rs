@@ -304,11 +304,10 @@ mod tests {
         rt.add_switch(fabric.node(1).connect_controller());
         rt.run_until_ready(Duration::from_secs(5)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !rt.app().settled() && Instant::now() < deadline {
-            rt.poll();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(rt.app().settled(), "some switch never settled its seams");
+        assert!(
+            rt.run_until(|rt| rt.app().settled(), deadline),
+            "some switch never settled its seams"
+        );
         assert!(fabric
             .node(0)
             .wait_highway_converged(Duration::from_secs(10)));

@@ -25,6 +25,10 @@
 //!   datapath ids wired by simulated inter-host trunks, plus cross-host
 //!   chain placement; one [`openflow::FabricRuntime`] controller drives
 //!   them all over the framed control channel.
+//! * [`apps`] — [`apps::FabricChainSteering`], the ordinary OpenFlow
+//!   controller the paper assumes: it installs each switch's service-chain
+//!   steering rules through one [`openflow::FabricRuntime`], whether the
+//!   fabric is one switch or many, and knows nothing of the highway.
 //! * [`policy`] — the [`policy::AccelerationPolicy`]: which detected links
 //!   may be accelerated (port exclusions) and when (setup debounce against
 //!   controller rule flapping).
@@ -41,7 +45,7 @@ pub mod node;
 pub mod policy;
 pub mod stats;
 
-pub use apps::{ChainSteering, FabricChainSteering, Seam};
+pub use apps::{FabricChainSteering, Seam};
 pub use detector::{detect_p2p_links, P2pLink};
 pub use events::{BypassEvent, BypassEventKind, EventJournal};
 pub use fabric::{Fabric, FabricChain, Trunk};

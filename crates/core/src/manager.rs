@@ -26,6 +26,7 @@ use crate::policy::AccelerationPolicy;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use ovs_dp::{FlowTableObserver, RuleSnapshot};
 use parking_lot::Mutex;
+use shmem_sim::StatsRegion;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,6 +92,8 @@ struct Shared {
 /// The highway manager. Implements [`FlowTableObserver`]; owns the worker.
 pub struct HighwayManager {
     agent: Arc<ComputeAgent>,
+    /// The region the guests count bypassed traffic into.
+    stats: StatsRegion,
     policy: AccelerationPolicy,
     journal: Arc<EventJournal>,
     shared: Arc<Mutex<Shared>>,
@@ -100,20 +103,24 @@ pub struct HighwayManager {
 }
 
 impl HighwayManager {
-    /// Creates the manager with the paper's accelerate-everything policy.
+    /// Creates the manager with the paper's accelerate-everything policy
+    /// and a statistics region of its own.
     pub fn new(agent: Arc<ComputeAgent>) -> Arc<HighwayManager> {
-        HighwayManager::with_policy(agent, AccelerationPolicy::paper())
+        HighwayManager::with_policy(agent, AccelerationPolicy::paper(), StatsRegion::new())
     }
 
-    /// Creates the manager with an explicit policy and starts its
+    /// Creates the manager with an explicit policy over the statistics
+    /// region the agent's guests count into, and starts its
     /// reconciliation worker.
     pub fn with_policy(
         agent: Arc<ComputeAgent>,
         policy: AccelerationPolicy,
+        stats: StatsRegion,
     ) -> Arc<HighwayManager> {
         let (wake_tx, wake_rx) = bounded::<()>(1);
         let manager = Arc::new(HighwayManager {
             agent,
+            stats,
             policy,
             journal: Arc::new(EventJournal::new()),
             shared: Arc::new(Mutex::new(Shared::default())),
@@ -327,35 +334,35 @@ impl HighwayManager {
             Some(Op::Teardown(link)) => {
                 self.journal
                     .record(BypassEventKind::TeardownStarted, link.src, link.dst, "");
-                match self.agent.teardown_bypass(link.src, link.dst) {
-                    Ok(report) => {
-                        let mut s = self.shared.lock();
-                        s.actual.remove(&link.src);
-                        s.inflight = false;
-                        drop(s);
-                        self.journal.record(
-                            BypassEventKind::Removed,
-                            link.src,
-                            link.dst,
-                            format!("drained {} in-flight packets", report.drained),
-                        );
-                    }
-                    Err(e) => {
-                        let mut s = self.shared.lock();
-                        s.failures.push(format!("teardown {link:?}: {e}"));
-                        // Drop it from actual anyway: the agent state machine
-                        // rejects unknown directions, so retrying forever
-                        // would spin.
-                        s.actual.remove(&link.src);
-                        s.inflight = false;
-                        drop(s);
-                        self.journal.record(
-                            BypassEventKind::TeardownFailed,
-                            link.src,
-                            link.dst,
-                            e.to_string(),
-                        );
-                    }
+                let result = self.agent.teardown_bypass(link.src, link.dst);
+                let mut s = self.shared.lock();
+                // On failure too: the agent state machine rejects unknown
+                // directions, so retrying forever would spin.
+                s.actual.remove(&link.src);
+                // A rule deleted while its set-up was in flight had its
+                // cell retired before the guest's `EnableTx` made it again;
+                // a rule added back with the same cookie keeps its cell.
+                if !s.last_rules.iter().any(|r| r.cookie == link.cookie) {
+                    self.stats.retire_rule(link.cookie);
+                }
+                if let Err(e) = &result {
+                    s.failures.push(format!("teardown {link:?}: {e}"));
+                }
+                s.inflight = false;
+                drop(s);
+                match result {
+                    Ok(report) => self.journal.record(
+                        BypassEventKind::Removed,
+                        link.src,
+                        link.dst,
+                        format!("drained {} in-flight packets", report.drained),
+                    ),
+                    Err(e) => self.journal.record(
+                        BypassEventKind::TeardownFailed,
+                        link.src,
+                        link.dst,
+                        e.to_string(),
+                    ),
                 }
                 true
             }
@@ -452,7 +459,7 @@ impl Drop for HighwayManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shmem_sim::{SegmentKind, ShmRegistry, StatsRegion};
+    use shmem_sim::{SegmentKind, ShmRegistry};
     use std::sync::Arc;
     use vm_host::{LatencyModel, Vm};
     use vnf_apps::L2Forwarder;
@@ -661,8 +668,11 @@ mod tests {
     #[test]
     fn excluded_ports_are_never_accelerated() {
         let (agent, registry, _vms) = agent_world();
-        let manager =
-            HighwayManager::with_policy(agent, AccelerationPolicy::paper().exclude_port(3));
+        let manager = HighwayManager::with_policy(
+            agent,
+            AccelerationPolicy::paper().exclude_port(3),
+            StatsRegion::new(),
+        );
         manager.table_changed(&[p2p_snapshot(2, 3, 1), p2p_snapshot(3, 2, 2)]);
         assert!(manager.wait_converged(Duration::from_secs(5)));
         assert!(manager.active_links().is_empty());
@@ -680,6 +690,7 @@ mod tests {
         let manager = HighwayManager::with_policy(
             Arc::clone(&agent),
             AccelerationPolicy::debounced(Duration::from_millis(80)),
+            StatsRegion::new(),
         );
         // Flap the link rapidly for ~40 ms: the debounce must absorb every
         // cycle without engaging the agent.

@@ -83,7 +83,8 @@ impl HighwayNode {
             Arc::clone(&agent),
         );
         let manager = if config.highway_enabled {
-            let manager = HighwayManager::with_policy(Arc::clone(&agent), config.policy);
+            let manager =
+                HighwayManager::with_policy(Arc::clone(&agent), config.policy, stats.clone());
             switch.register_observer(Arc::clone(&manager) as Arc<dyn ovs_dp::FlowTableObserver>);
             switch.set_stats_augmenter(Arc::new(HighwayStatsAugmenter::new(stats.clone())));
             // Links deferred because an endpoint VM had not registered yet
@@ -479,6 +480,40 @@ mod tests {
         assert!(node.highway_failures().is_empty());
         // Six events a cycle went through the journal; it kept its window.
         assert_eq!(node.journal().unwrap().len(), JOURNAL_CAPACITY);
+        node.stop();
+        vm_a.shutdown();
+        vm_b.shutdown();
+    }
+
+    /// A rule deleted while its bypass set-up is in flight leaves no
+    /// statistics cell behind. The switch retires the cookie's cell at the
+    /// delete, the guest's `EnableTx` then creates it again, and the
+    /// teardown that follows is what must retire it.
+    #[test]
+    fn a_rule_deleted_during_its_setup_leaves_no_stats_cell() {
+        use crate::events::BypassEventKind;
+        use openflow::{Action, FlowMatch};
+        let timeout = Duration::from_secs(10);
+        let node = HighwayNode::new(HighwayNodeConfig::paper_latencies());
+        let vm_a = node.orchestrator().create_vm(VnfSpec::forwarder("vm-a"), 2);
+        let vm_b = node.orchestrator().create_vm(VnfSpec::forwarder("vm-b"), 2);
+        let (src, dst) = (vm_a.of_ports()[1], vm_b.of_ports()[0]);
+        node.start();
+        let ctrl = node.connect_controller();
+        ctrl.handshake(timeout).unwrap();
+
+        let fmatch = FlowMatch::in_port(PortNo(src as u16));
+        let out = vec![Action::Output(PortNo(dst as u16))];
+        ctrl.add_flow(fmatch, 100, out, 0xd00d).unwrap();
+        let journal = node.journal().unwrap();
+        assert!(journal.wait_for(BypassEventKind::SetupStarted, src, dst, timeout));
+        ctrl.del_flow_strict(fmatch, 100).unwrap();
+        ctrl.barrier(timeout).unwrap();
+        assert!(node.wait_highway_converged(timeout));
+
+        assert_eq!(journal.of_kind(BypassEventKind::Active).len(), 1);
+        assert!(node.active_links().is_empty());
+        assert_eq!(node.stats().rule_count(), 0, "the deleted rule's cell");
         node.stop();
         vm_a.shutdown();
         vm_b.shutdown();

@@ -1,26 +1,26 @@
 //! Controller applications over the framed channel.
 //!
-//! A [`ControllerApp`] is the logic half of a controller: it reacts to the
-//! switch connecting and to asynchronous messages, issuing requests through
-//! the [`Connection`] it is handed. [`ControllerRuntime`] is the event loop
-//! half — it drives the handshake, delivers messages and re-announces the
-//! switch after a reconnect. The split is what makes the channel API
-//! controller-agnostic: the built-in highway steering controller and the
-//! [`LearningSwitch`] ported from `rust_ofp` run over byte-identical
-//! streams through exactly this interface.
+//! A [`FabricApp`] is the logic half of a controller: it reacts to a
+//! switch completing its handshake and to asynchronous messages, issuing
+//! requests through the [`Connection`] it is handed, with the switch's
+//! datapath id threaded through every callback. [`FabricRuntime`] is the
+//! event-loop half, over N live connections; one switch is the case
+//! N = 1. It drives each handshake, delivers messages and re-announces a
+//! switch after a reconnect, and it parks once for the whole fabric on
+//! one shared [`Event`] that every connection wakes. It keeps a
+//! datapath-id registry, polls fairly (a chatty switch cannot starve the
+//! rest), leaves barrier/replay state with each [`Connection`], and can
+//! replicate to a standby peer via [`crate::failover::ActivePeer`].
 //!
-//! [`FabricRuntime`] is the multi-switch generalisation: one event loop
-//! multiplexing N live connections — all of them waking one shared
-//! [`Event`], so the runtime parks once for the whole fabric — with a
-//! per-switch datapath-id registry, fair round-robin polling (a chatty
-//! switch cannot starve the rest), per-switch barrier/replay state (each
-//! [`Connection`] already owns its own), and optional replication to a
-//! standby peer via [`crate::failover::ActivePeer`].
+//! The split is what makes the channel API controller-agnostic: the
+//! highway's chain-steering app and the [`LearningSwitch`] ported from
+//! `rust_ofp` run over byte-identical streams through exactly this
+//! interface.
 
 use crate::connection::{Connection, ConnectionState, SwitchFeatures};
 use crate::event::Event;
 use crate::failover::ActivePeer;
-use crate::messages::{FlowMod, OfpMessage, PacketIn};
+use crate::messages::{FlowMod, OfpMessage};
 use crate::types::PortNo;
 use crate::{Action, FlowMatch, OfError, Result};
 use packet_wire::{EthernetFrame, MacAddr};
@@ -28,83 +28,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A controller application: policy over a [`Connection`].
-pub trait ControllerApp: Send {
-    /// Called once per completed handshake — including after each
-    /// reconnect — with the switch's advertised features.
-    fn on_connected(&mut self, conn: &Connection, features: &SwitchFeatures);
-
-    /// Called for every asynchronous or unclaimed message.
-    fn on_message(&mut self, conn: &Connection, msg: OfpMessage, xid: u32);
-}
-
-/// Drives one [`ControllerApp`] over one [`Connection`].
-pub struct ControllerRuntime<A: ControllerApp> {
-    conn: Connection,
-    app: A,
-    announced: bool,
-}
-
-impl<A: ControllerApp> ControllerRuntime<A> {
-    /// Binds `app` to a connection (whose handshake is already in flight).
-    pub fn new(conn: Connection, app: A) -> ControllerRuntime<A> {
-        ControllerRuntime {
-            conn,
-            app,
-            announced: false,
-        }
-    }
-
-    /// The underlying connection, for direct requests alongside the app.
-    pub fn connection(&self) -> &Connection {
-        &self.conn
-    }
-
-    /// The application, for inspecting its state in tests.
-    pub fn app(&self) -> &A {
-        &self.app
-    }
-
-    /// One scheduling round: advance the handshake, announce the switch to
-    /// the app when it completes, deliver queued messages. Returns how
-    /// many messages the app saw.
-    pub fn poll(&mut self) -> usize {
-        if !self.announced && self.conn.state() == ConnectionState::Ready {
-            let features = self.conn.features().expect("Ready implies features");
-            self.app.on_connected(&self.conn, &features);
-            self.announced = true;
-        }
-        let mut delivered = 0;
-        while let Some(res) = self.conn.try_recv() {
-            let Ok((msg, xid)) = res else { break };
-            self.app.on_message(&self.conn, msg, xid);
-            delivered += 1;
-            if self.announced && self.conn.state() != ConnectionState::Ready {
-                break;
-            }
-        }
-        delivered
-    }
-
-    /// Polls until the handshake completes and the app has been announced.
-    pub fn run_until_ready(&mut self, timeout: Duration) -> Result<()> {
-        self.conn.handshake(timeout)?;
-        self.poll();
-        Ok(())
-    }
-
-    /// Moves the session to a fresh transport (controller restart): the
-    /// connection re-handshakes and replays un-barriered flow mods, and the
-    /// app is announced again on the next [`ControllerRuntime::poll`].
-    pub fn reconnect(&mut self, transport: Box<dyn crate::transport::Transport>) {
-        self.conn.reconnect(transport);
-        self.announced = false;
-    }
-}
-
-/// A controller application over a whole fabric of switches: the same
-/// role as [`ControllerApp`], with the switch's datapath id threaded
-/// through every callback so policy can differ per switch.
+/// A controller application: policy over one or more switches, with the
+/// switch's datapath id threaded through every callback so policy can
+/// differ per switch.
 pub trait FabricApp: Send {
     /// Called once per switch per completed handshake (including after a
     /// reconnect or takeover).
@@ -126,7 +52,9 @@ struct FabricSession {
     down_reported: bool,
 }
 
-/// Drives one [`FabricApp`] over N live [`Connection`]s.
+/// Drives one [`FabricApp`] over N live [`Connection`]s. A single-switch
+/// controller is [`FabricRuntime::new`] followed by one
+/// [`FabricRuntime::add_switch`].
 ///
 /// * **datapath-id registry** — switches announce themselves through the
 ///   handshake's `FeaturesReply`; [`FabricRuntime::connection`] resolves
@@ -287,35 +215,49 @@ impl<A: FabricApp> FabricRuntime<A> {
         delivered
     }
 
-    /// Polls until every registered switch has completed its handshake
-    /// and been announced to the app. Fails if any switch disconnects
-    /// first or `timeout` passes.
-    pub fn run_until_ready(&mut self, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
+    /// Polls round after round until `done` holds or `deadline` passes,
+    /// parking on the fabric's shared [`Event`] between rounds that
+    /// delivered nothing. Returns whether `done` held.
+    pub fn run_until(&mut self, mut done: impl FnMut(&Self) -> bool, deadline: Instant) -> bool {
         let event = Arc::clone(&self.event);
         loop {
             // Registered before the round: bytes from any switch that land
             // after it end the park below.
             let waiter = event.prepare();
             let delivered = self.poll();
-            if self.switches.iter().all(|s| s.dpid.is_some()) {
-                return Ok(());
-            }
-            if self
-                .switches
-                .iter()
-                .any(|s| s.conn.state() == ConnectionState::Disconnected)
-            {
-                return Err(OfError::Disconnected);
+            if done(self) {
+                return true;
             }
             if Instant::now() >= deadline {
-                return Err(OfError::Disconnected);
+                return false;
             }
             // A round that delivered something may have stopped at the
             // fairness bound with more queued: go again before parking.
             if delivered == 0 {
                 waiter.park_until(self.next_timer(deadline));
             }
+        }
+    }
+
+    /// Polls until every registered switch has completed its handshake
+    /// and been announced to the app. Fails if any switch disconnects
+    /// first or `timeout` passes.
+    pub fn run_until_ready(&mut self, timeout: Duration) -> Result<()> {
+        let all_ready = |rt: &Self| rt.switches.iter().all(|s| s.dpid.is_some());
+        self.run_until(
+            |rt| {
+                all_ready(rt)
+                    || rt
+                        .switches
+                        .iter()
+                        .any(|s| s.conn.state() == ConnectionState::Disconnected)
+            },
+            Instant::now() + timeout,
+        );
+        if all_ready(self) {
+            Ok(())
+        } else {
+            Err(OfError::Disconnected)
         }
     }
 
@@ -349,14 +291,15 @@ impl<A: FabricApp> FabricRuntime<A> {
     }
 }
 
-/// `rust_ofp`'s learning switch, ported to the [`ControllerApp`] API.
+/// `rust_ofp`'s learning switch, ported to the [`FabricApp`] API.
 ///
-/// Learns the source MAC of every packet-in against its ingress port.
-/// Once both endpoints of a conversation are known it installs the flow in
-/// both directions (so the reply path is covered before the reply leaves)
-/// and re-injects the packet; until then it floods.
+/// Learns the source MAC of every packet-in against its ingress port, in
+/// one table per switch. Once both endpoints of a conversation are known
+/// it installs the flow in both directions (so the reply path is covered
+/// before the reply leaves) and re-injects the packet; until then it
+/// floods.
 pub struct LearningSwitch {
-    known: HashMap<MacAddr, PortNo>,
+    known: HashMap<u64, HashMap<MacAddr, PortNo>>,
     priority: u16,
     installed: u64,
 }
@@ -376,29 +319,38 @@ impl LearningSwitch {
         }
     }
 
-    /// The learned MAC → port table.
-    pub fn known_hosts(&self) -> &HashMap<MacAddr, PortNo> {
-        &self.known
+    /// The MAC → port table learned on switch `dpid`, once it has
+    /// announced.
+    pub fn known_hosts(&self, dpid: u64) -> Option<&HashMap<MacAddr, PortNo>> {
+        self.known.get(&dpid)
     }
 
-    /// How many flow-mod pairs this app has installed.
+    /// How many flow mods this app has installed, across every switch.
     pub fn flows_installed(&self) -> u64 {
         self.installed
     }
+}
 
-    fn learning_packet_in(&mut self, conn: &Connection, pi: &PacketIn) {
+impl FabricApp for LearningSwitch {
+    fn on_switch_ready(&mut self, dpid: u64, _conn: &Connection, _features: &SwitchFeatures) {
+        // A reconnected switch is relearned from scratch; stale entries
+        // from its previous session would steer into moved hosts.
+        self.known.insert(dpid, HashMap::new());
+    }
+
+    fn on_switch_message(&mut self, dpid: u64, conn: &Connection, msg: OfpMessage, _xid: u32) {
+        let OfpMessage::PacketIn(pi) = msg else {
+            return;
+        };
         let Ok(frame) = EthernetFrame::new_checked(&pi.data[..]) else {
             return; // not Ethernet; nothing to learn
         };
-        let src = frame.src_addr();
-        let dst = frame.dst_addr();
+        let (src, dst) = (frame.src_addr(), frame.dst_addr());
+        let known = self.known.entry(dpid).or_default();
         if !src.is_multicast() {
-            self.known.insert(src, pi.in_port);
+            known.insert(src, pi.in_port);
         }
-        match (!dst.is_multicast())
-            .then(|| self.known.get(&dst))
-            .flatten()
-        {
+        match (!dst.is_multicast()).then(|| known.get(&dst)).flatten() {
             Some(&out_port) => {
                 // Both directions in one batched write, then re-inject the
                 // triggering packet so it is not lost while rules settle.
@@ -415,25 +367,11 @@ impl LearningSwitch {
                 if conn.send_flow_mods(&[fwd, rev]).is_ok() {
                     self.installed += 2;
                 }
-                let _ = conn.packet_out(pi.data.clone(), vec![Action::Output(out_port)]);
+                let _ = conn.packet_out(pi.data, vec![Action::Output(out_port)]);
             }
             None => {
-                let _ = conn.packet_out(pi.data.clone(), vec![Action::Output(PortNo::FLOOD)]);
+                let _ = conn.packet_out(pi.data, vec![Action::Output(PortNo::FLOOD)]);
             }
-        }
-    }
-}
-
-impl ControllerApp for LearningSwitch {
-    fn on_connected(&mut self, _conn: &Connection, _features: &SwitchFeatures) {
-        // A restarted learning switch relearns from scratch; stale entries
-        // from the previous session would steer into moved hosts.
-        self.known.clear();
-    }
-
-    fn on_message(&mut self, conn: &Connection, msg: OfpMessage, _xid: u32) {
-        if let OfpMessage::PacketIn(pi) = msg {
-            self.learning_packet_in(conn, &pi);
         }
     }
 }
@@ -442,9 +380,13 @@ impl ControllerApp for LearningSwitch {
 mod tests {
     use super::*;
     use crate::controller::{framed_link, SwitchLink};
+    use crate::messages::{PacketIn, PacketInReason};
+    use crate::transport::loopback;
     use packet_wire::PacketBuilder;
 
-    fn answer_control(sw: &SwitchLink) -> Vec<(OfpMessage, u32)> {
+    /// Plays a switch with datapath id `dpid`: answers handshake, echo and
+    /// barrier traffic and returns every other message it received.
+    fn answer_switch(sw: &SwitchLink, dpid: u64) -> Vec<(OfpMessage, u32)> {
         let mut unhandled = Vec::new();
         while let Some(Ok((msg, xid))) = sw.try_recv() {
             match msg {
@@ -452,44 +394,48 @@ mod tests {
                 OfpMessage::FeaturesRequest => sw
                     .send(
                         &OfpMessage::FeaturesReply {
-                            datapath_id: 7,
+                            datapath_id: dpid,
                             ports: vec![1, 2],
                         },
                         xid,
                     )
                     .unwrap(),
+                OfpMessage::EchoRequest(d) => sw.send(&OfpMessage::EchoReply(d), xid).unwrap(),
+                OfpMessage::BarrierRequest => sw.send(&OfpMessage::BarrierReply, xid).unwrap(),
                 other => unhandled.push((other, xid)),
             }
         }
         unhandled
     }
 
-    fn packet(src: MacAddr, dst: MacAddr) -> Vec<u8> {
-        PacketBuilder::udp_probe(64).eth(src, dst).build()
+    /// A packet-in of an `src → dst` frame arriving on `port`.
+    fn packet_in(port: u16, src: MacAddr, dst: MacAddr) -> OfpMessage {
+        OfpMessage::PacketIn(PacketIn {
+            in_port: PortNo(port),
+            reason: PacketInReason::NoMatch,
+            data: PacketBuilder::udp_probe(64).eth(src, dst).build(),
+        })
+    }
+
+    fn soon() -> Instant {
+        Instant::now() + Duration::from_secs(2)
     }
 
     #[test]
     fn learning_switch_floods_then_installs_both_directions() {
         let (conn, sw) = framed_link();
-        answer_control(&sw);
-        let mut rt = ControllerRuntime::new(conn, LearningSwitch::new());
+        let mut rt = FabricRuntime::new(LearningSwitch::new());
+        rt.add_switch(conn);
+        answer_switch(&sw, 7);
         rt.run_until_ready(Duration::from_secs(1)).unwrap();
 
         let a = MacAddr::local(1);
         let b = MacAddr::local(2);
 
         // a → b: b unknown, expect a flood and a learned entry for a.
-        sw.send(
-            &OfpMessage::PacketIn(PacketIn {
-                in_port: PortNo(1),
-                reason: crate::messages::PacketInReason::NoMatch,
-                data: packet(a, b),
-            }),
-            0,
-        )
-        .unwrap();
+        sw.send(&packet_in(1, a, b), 0).unwrap();
         rt.poll();
-        let out = answer_control(&sw);
+        let out = answer_switch(&sw, 7);
         assert_eq!(out.len(), 1);
         match &out[0].0 {
             OfpMessage::PacketOut(po) => {
@@ -497,20 +443,12 @@ mod tests {
             }
             other => panic!("expected flood packet-out, got {other:?}"),
         }
-        assert_eq!(rt.app().known_hosts().get(&a), Some(&PortNo(1)));
+        assert_eq!(rt.app().known_hosts(7).unwrap().get(&a), Some(&PortNo(1)));
 
         // b → a: both known now — two flow mods + a directed packet-out.
-        sw.send(
-            &OfpMessage::PacketIn(PacketIn {
-                in_port: PortNo(2),
-                reason: crate::messages::PacketInReason::NoMatch,
-                data: packet(b, a),
-            }),
-            0,
-        )
-        .unwrap();
+        sw.send(&packet_in(2, b, a), 0).unwrap();
         rt.poll();
-        let out = answer_control(&sw);
+        let out = answer_switch(&sw, 7);
         let flow_mods: Vec<&FlowMod> = out
             .iter()
             .filter_map(|(m, _)| match m {
@@ -528,27 +466,46 @@ mod tests {
         assert_eq!(rt.app().flows_installed(), 2);
     }
 
-    /// Answers handshake traffic with a chosen dpid and counts flow mods.
-    fn answer_switch(sw: &SwitchLink, dpid: u64) -> Vec<(OfpMessage, u32)> {
-        let mut unhandled = Vec::new();
-        while let Some(Ok((msg, xid))) = sw.try_recv() {
-            match msg {
-                OfpMessage::Hello => sw.send(&OfpMessage::Hello, xid).unwrap(),
-                OfpMessage::FeaturesRequest => sw
-                    .send(
-                        &OfpMessage::FeaturesReply {
-                            datapath_id: dpid,
-                            ports: vec![1],
-                        },
-                        xid,
-                    )
-                    .unwrap(),
-                OfpMessage::EchoRequest(d) => sw.send(&OfpMessage::EchoReply(d), xid).unwrap(),
-                OfpMessage::BarrierRequest => sw.send(&OfpMessage::BarrierReply, xid).unwrap(),
-                other => unhandled.push((other, xid)),
-            }
-        }
-        unhandled
+    /// Two switches keep two tables: a host learned on one is unknown on
+    /// the other, and a reconnect forgets only the reconnected switch's.
+    #[test]
+    fn learning_tables_are_per_switch_and_a_reconnect_clears_only_its_own() {
+        let (c1, sw1) = framed_link();
+        let (c2, sw2) = framed_link();
+        let mut rt = FabricRuntime::new(LearningSwitch::new());
+        rt.add_switch(c1);
+        rt.add_switch(c2);
+        answer_switch(&sw1, 0xa1);
+        answer_switch(&sw2, 0xb2);
+        rt.run_until_ready(Duration::from_secs(2)).unwrap();
+
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        sw1.send(&packet_in(1, a, b), 0).unwrap();
+        sw2.send(&packet_in(3, b, a), 0).unwrap();
+        let learned = |rt: &FabricRuntime<LearningSwitch>, dpid| {
+            rt.app().known_hosts(dpid).map_or(0, HashMap::len)
+        };
+        assert!(rt.run_until(|rt| learned(rt, 0xa1) + learned(rt, 0xb2) == 2, soon()));
+        let (on_a1, on_b2) = (
+            rt.app().known_hosts(0xa1).unwrap(),
+            rt.app().known_hosts(0xb2).unwrap(),
+        );
+        assert_eq!(on_a1.get(&a), Some(&PortNo(1)));
+        assert_eq!(on_b2.get(&b), Some(&PortNo(3)));
+        assert!(!on_a1.contains_key(&b) && !on_b2.contains_key(&a));
+        // Neither switch knew both ends, so neither got a flow.
+        assert_eq!(rt.app().flows_installed(), 0);
+
+        let (c, s) = loopback();
+        assert!(rt.reconnect(0xb2, Box::new(c)));
+        let sw2 = SwitchLink::new(Box::new(s));
+        answer_switch(&sw2, 0xb2);
+        rt.run_until_ready(Duration::from_secs(2)).unwrap();
+        assert!(rt.app().known_hosts(0xb2).unwrap().is_empty());
+        assert_eq!(
+            rt.app().known_hosts(0xa1).unwrap().get(&a),
+            Some(&PortNo(1))
+        );
     }
 
     #[derive(Default)]
@@ -599,10 +556,7 @@ mod tests {
             .unwrap();
         assert_eq!(answer_switch(&sw1, 0xa1).len(), 0);
         drop(sw2); // also: the down event fires exactly once
-        let deadline = std::time::Instant::now() + Duration::from_secs(1);
-        while rt.app().downs.is_empty() && std::time::Instant::now() < deadline {
-            rt.poll();
-        }
+        assert!(rt.run_until(|rt| !rt.app().downs.is_empty(), soon()));
         assert_eq!(rt.app().downs, vec![0xb2]);
         rt.poll();
         assert_eq!(rt.app().downs, vec![0xb2], "down reported once");
@@ -666,31 +620,26 @@ mod tests {
 
     #[test]
     fn runtime_reannounces_after_reconnect() {
-        struct Counting {
-            connects: usize,
-        }
-        impl ControllerApp for Counting {
-            fn on_connected(&mut self, _c: &Connection, _f: &SwitchFeatures) {
-                self.connects += 1;
-            }
-            fn on_message(&mut self, _c: &Connection, _m: OfpMessage, _x: u32) {}
-        }
-
         let (conn, sw) = framed_link();
-        answer_control(&sw);
-        let mut rt = ControllerRuntime::new(conn, Counting { connects: 0 });
+        let mut rt = FabricRuntime::new(FabricProbe::default());
+        rt.add_switch(conn);
+        answer_switch(&sw, 7);
         rt.run_until_ready(Duration::from_secs(1)).unwrap();
-        assert_eq!(rt.app().connects, 1);
+        assert_eq!(rt.app().ready, vec![7]);
 
         drop(sw);
-        let _ = rt.connection().try_recv(); // notice the disconnect
-
-        let (c2, s2) = crate::transport::loopback();
-        rt.reconnect(Box::new(c2));
+        assert!(rt.run_until(|rt| rt.app().downs == [7], soon()));
+        let (c2, s2) = loopback();
+        assert!(rt.reconnect(7, Box::new(c2)));
+        assert!(
+            rt.dpids().is_empty(),
+            "registered again only on re-announce"
+        );
         let sw2 = SwitchLink::new(Box::new(s2));
-        answer_control(&sw2);
-        rt.connection().handshake(Duration::from_secs(1)).unwrap();
-        rt.poll();
-        assert_eq!(rt.app().connects, 2);
+        answer_switch(&sw2, 7);
+        rt.run_until_ready(Duration::from_secs(1)).unwrap();
+        assert_eq!(rt.app().ready, vec![7, 7]);
+        assert_eq!(rt.dpids(), vec![7]);
+        assert!(rt.connection(7).is_some());
     }
 }

@@ -30,10 +30,10 @@
 //! * [`connection`] is the controller-side session state machine:
 //!   handshake, xid pairing, echo keepalive, flow-mod batching, and a
 //!   barrier-fenced replay log that survives reconnects;
-//! * [`app`] splits policy from event loop: a [`ControllerApp`] drives
-//!   one switch via [`ControllerRuntime`]; a [`app::FabricApp`] drives a
-//!   whole fabric of N switches via [`app::FabricRuntime`], with a
-//!   datapath-id registry and fair per-switch polling;
+//! * [`app`] splits policy from event loop: a [`FabricApp`] is driven by
+//!   one [`FabricRuntime`] over one switch or a whole fabric of N, with a
+//!   datapath-id registry, fair per-switch polling and one park for all
+//!   of them;
 //! * [`failover`] is the active/standby role protocol: the active
 //!   controller replicates every replay-log transition to a standby,
 //!   which takes over on dead-peer detection and replays idempotently.
@@ -89,7 +89,7 @@ pub mod types;
 pub mod wire;
 
 pub use action::Action;
-pub use app::{ControllerApp, ControllerRuntime, FabricApp, FabricRuntime, LearningSwitch};
+pub use app::{FabricApp, FabricRuntime, LearningSwitch};
 pub use connection::{Connection, ConnectionState, ReplayObserver, SwitchFeatures};
 pub use controller::{framed_link, SwitchLink};
 pub use event::Event;

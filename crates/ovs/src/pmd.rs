@@ -357,7 +357,7 @@ impl Datapath {
             },
             coverage: coverage::snapshot(),
             pools: telemetry::pools::snapshot_pools(),
-            doorbells: telemetry::pools::doorbell_totals(),
+            doorbells: telemetry::DoorbellTotals::default(),
         }
     }
 

@@ -107,16 +107,13 @@ impl VSwitchd {
 
     /// Adds a dpdkr port backed by the switch side of a shared channel; the
     /// peer is a VM's PMD, or a generator or sink at a NIC's wire end.
-    /// The switch side rings the peer's doorbell at most once per
-    /// [`shmem_sim::DEFAULT_DOORBELL_COALESCE`] packets. Announces the port
-    /// to the controller (`PortStatus` Add).
+    /// Announces the port to the controller (`PortStatus` Add).
     pub fn add_dpdkr_port(
         &self,
         no: PortNo,
         name: impl Into<String>,
-        mut end: ChannelEnd,
+        end: ChannelEnd,
     ) -> Arc<OvsPort> {
-        end.set_doorbell_coalesce(shmem_sim::DEFAULT_DOORBELL_COALESCE);
         let port = self.dp.add_port(OvsPort::dpdkr(no, name, end));
         self.ofproto
             .announce_port(no, &port.name, openflow::PortStatusReason::Add);
@@ -724,7 +721,7 @@ mod tests {
     /// timer's period (timer-paced delivery would centre on half of it).
     #[test]
     fn punted_packet_in_reaches_the_controller_without_a_timer() {
-        use openflow::{ControllerRuntime, LearningSwitch};
+        use openflow::{FabricRuntime, LearningSwitch};
         use packet_wire::MacAddr;
         let sw = VSwitchd::new(VSwitchdConfig {
             miss_to_controller: true,
@@ -735,8 +732,10 @@ mod tests {
         let (ctrl, link) = framed_link();
         sw.attach_controller(link);
         sw.start();
-        let mut rt = ControllerRuntime::new(ctrl, LearningSwitch::new());
+        let mut rt = FabricRuntime::new(LearningSwitch::new());
+        rt.add_switch(ctrl);
         rt.run_until_ready(Duration::from_secs(5)).unwrap();
+        let dpid = VSwitchdConfig::default().datapath_id;
 
         let mut waits = Vec::new();
         for host in 1..=21u8 {
@@ -746,11 +745,15 @@ mod tests {
                 .build();
             let sent = Instant::now();
             vm1.send(Mbuf::from_slice(&frame)).unwrap();
-            while !rt.app().known_hosts().contains_key(&src) {
-                assert!(sent.elapsed() < Duration::from_secs(5), "packet-in lost");
-                rt.poll();
-                std::thread::yield_now();
-            }
+            let learned = |rt: &FabricRuntime<LearningSwitch>| {
+                rt.app()
+                    .known_hosts(dpid)
+                    .is_some_and(|t| t.contains_key(&src))
+            };
+            assert!(
+                rt.run_until(learned, sent + Duration::from_secs(5)),
+                "packet-in lost"
+            );
             waits.push(sent.elapsed());
             while vm1.recv().is_some() {} // the flood comes back out of port 1
         }

@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn default_probe_is_valid_and_64b_capable() {
-        assert!(MIN_PROBE_FRAME <= 64);
+        const { assert!(MIN_PROBE_FRAME <= 64) };
         let pkt = PacketBuilder::udp_probe(64).seq(42).tx_cycles(1234).build();
         assert_eq!(pkt.len(), 64);
         let eth = EthernetFrame::new_checked(&pkt[..]).unwrap();

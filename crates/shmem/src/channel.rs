@@ -12,11 +12,9 @@
 //! (the zero-copy hop). The receiving endpoint resolves a segment id once,
 //! through its own [`Resolver`], and adopts every later descriptor from
 //! that segment without a lock. Heap-backed mbufs still travel by value,
-//! keeping every legacy producer working. Each direction has a batched
-//! [`Doorbell`]: senders accumulate notifications and ring once per burst
-//! instead of once per packet.
+//! keeping every legacy producer working. Both ends poll; nothing
+//! notifies a peer that a ring filled.
 
-use crate::doorbell::Doorbell;
 use dpdk_sim::arena::{adopt, Resolver};
 use dpdk_sim::{spsc_ring, Mbuf, MbufDesc, SpscConsumer, SpscProducer};
 
@@ -89,10 +87,6 @@ pub struct ChannelEnd {
     name: String,
     tx: SpscProducer<PktSlot>,
     rx: SpscConsumer<PktSlot>,
-    /// Doorbell this endpoint rings as it transmits.
-    tx_bell: Doorbell,
-    /// Doorbell the peer rings toward this endpoint (consumer side).
-    rx_bell: Doorbell,
     /// The arena segments this endpoint has received from, each resolved
     /// once (the receiver's BAR mapping).
     segments: Resolver,
@@ -106,15 +100,11 @@ pub fn channel(name: impl Into<String>, depth: usize) -> (ChannelEnd, ChannelEnd
     let name = name.into();
     let (a_tx, b_rx) = spsc_ring(depth);
     let (b_tx, a_rx) = spsc_ring(depth);
-    let ab_bell = Doorbell::default();
-    let ba_bell = Doorbell::default();
     (
         ChannelEnd {
             name: format!("{name}.a"),
             tx: a_tx,
             rx: a_rx,
-            tx_bell: ab_bell.clone(),
-            rx_bell: ba_bell.clone(),
             segments: Resolver::default(),
             stats: ChannelEndStats::default(),
         },
@@ -122,8 +112,6 @@ pub fn channel(name: impl Into<String>, depth: usize) -> (ChannelEnd, ChannelEnd
             name: format!("{name}.b"),
             tx: b_tx,
             rx: b_rx,
-            tx_bell: ba_bell,
-            rx_bell: ab_bell,
             segments: Resolver::default(),
             stats: ChannelEndStats::default(),
         },
@@ -136,10 +124,7 @@ impl ChannelEnd {
         &self.name
     }
 
-    /// Sends one packet; hands it back when the ring is full. The deferred
-    /// doorbell notification is accumulated — call
-    /// [`ChannelEnd::flush_doorbell`] at the end of a send loop (burst
-    /// sends flush automatically).
+    /// Sends one packet; hands it back when the ring is full.
     pub fn send(&mut self, pkt: Mbuf) -> Result<(), Mbuf> {
         // Checked first: the descriptor conversion is not undone.
         if self.tx.room(1) == 0 {
@@ -149,13 +134,11 @@ impl ChannelEnd {
         self.stats.desc_sent += u64::from(slot.is_desc());
         self.stats.boxed_sent += u64::from(!slot.is_desc());
         self.tx.push_burst(std::iter::once(slot));
-        self.tx_bell.notify(1);
         Ok(())
     }
 
     /// Sends as many packets as fit, draining them from the front of `pkts`;
-    /// returns how many were sent. One ring publish and one doorbell ring
-    /// for the burst.
+    /// returns how many were sent, with one ring publish for the burst.
     pub fn send_burst(&mut self, pkts: &mut Vec<Mbuf>) -> usize {
         let n = self.tx.room(pkts.len());
         let mut descs = 0;
@@ -166,33 +149,7 @@ impl ChannelEnd {
         }));
         self.stats.desc_sent += descs;
         self.stats.boxed_sent += n as u64 - descs;
-        self.tx_bell.notify(n);
-        self.tx_bell.flush();
         n
-    }
-
-    /// Rings the tx doorbell for any notifications deferred by coalescing.
-    /// Producers call this at the end of their poll iteration.
-    pub fn flush_doorbell(&mut self) {
-        self.tx_bell.flush();
-    }
-
-    /// Consumes the rx doorbell hint: true when the peer rang since the
-    /// last take. Purely advisory — packets are visible regardless.
-    pub fn take_doorbell(&mut self) -> bool {
-        self.rx_bell.take()
-    }
-
-    /// Sets the tx-side doorbell coalescing threshold (packets per
-    /// notification; 0/1 = per-packet).
-    pub fn set_doorbell_coalesce(&mut self, threshold: usize) {
-        self.tx_bell.set_threshold(threshold);
-    }
-
-    /// The doorbell this endpoint rings when transmitting (shared with the
-    /// peer's rx side).
-    pub fn tx_doorbell(&self) -> &Doorbell {
-        &self.tx_bell
     }
 
     /// Receives one packet if available. Descriptors whose segment has
@@ -412,32 +369,6 @@ mod tests {
         arena.reclaim_credits();
         assert!(arena.census_clean(), "census: {:?}", arena.stats());
         assert_eq!(arena.stats().foreign_frees, 0);
-    }
-
-    #[test]
-    fn doorbell_coalesces_across_a_burst() {
-        let (mut a, mut b) = channel("t", 64);
-        a.set_doorbell_coalesce(32);
-        let mut pkts: Vec<Mbuf> = (0u8..16).map(|i| Mbuf::from_slice(&[i])).collect();
-        a.send_burst(&mut pkts);
-        assert_eq!(a.tx_doorbell().rings(), 1, "one ring for 16 packets");
-        assert!(b.take_doorbell(), "consumer sees the hint");
-        assert!(!b.take_doorbell(), "edge-triggered");
-        let mut out = Vec::new();
-        assert_eq!(b.recv_burst(&mut out, 32), 16);
-    }
-
-    #[test]
-    fn single_sends_defer_until_flush() {
-        let (mut a, _b) = channel("t", 64);
-        a.set_doorbell_coalesce(32);
-        for i in 0u8..5 {
-            a.send(Mbuf::from_slice(&[i])).unwrap();
-        }
-        assert_eq!(a.tx_doorbell().rings(), 0, "below threshold: deferred");
-        a.flush_doorbell();
-        assert_eq!(a.tx_doorbell().rings(), 1);
-        assert_eq!(a.tx_doorbell().notified_pkts(), 5);
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //!   what a bypass connection creates between two VMs. Arena-backed packets
 //!   ride the rings as offset descriptors (zero-copy hops); heap mbufs move
 //!   by value.
-//! * [`mod@doorbell`] — batched ring notifications (interrupt suppression):
-//!   one coalesced ring per burst instead of one per packet, with the
-//!   coalescing ratio exported through telemetry.
 //! * [`registry`] — the host's table of named shared-memory segments, so
 //!   tests and the compute agent can observe segment lifecycle (created on
 //!   bypass setup, released on teardown) exactly as hugepage segments are in
@@ -24,14 +21,12 @@
 //!   traffic.
 
 pub mod channel;
-pub mod doorbell;
 pub mod ivshmem;
 pub mod registry;
 pub mod serial;
 pub mod stats;
 
 pub use channel::{channel, ChannelEnd, ChannelEndStats, PktSlot, PktSlotKind};
-pub use doorbell::{Doorbell, DEFAULT_DOORBELL_COALESCE};
 pub use ivshmem::DeviceBoard;
 pub use ivshmem::IvshmemDevice;
 pub use registry::{SegmentKind, SegmentRecord, ShmRegistry, DEFAULT_ARENA_SLOTS};

@@ -52,15 +52,6 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
             p.credit_returns, p.credits_reclaimed, p.slab_writes
         ));
     }
-    let d = &snap.doorbells;
-    if d.rings + d.suppressed > 0 {
-        out.push_str(&format!(
-            "doorbells: rings: {}  suppressed: {}  pkts/ring: {:.1}\n",
-            d.rings,
-            d.suppressed,
-            d.coalescing_ratio()
-        ));
-    }
     out
 }
 
@@ -302,19 +293,6 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
             ));
         }
     }
-    let d = &snap.doorbells;
-    out.push_str("# TYPE highway_doorbell_rings_total counter\n");
-    out.push_str(&format!("highway_doorbell_rings_total {}\n", d.rings));
-    out.push_str("# TYPE highway_doorbell_suppressed_total counter\n");
-    out.push_str(&format!(
-        "highway_doorbell_suppressed_total {}\n",
-        d.suppressed
-    ));
-    out.push_str("# TYPE highway_doorbell_coalescing_ratio gauge\n");
-    out.push_str(&format!(
-        "highway_doorbell_coalescing_ratio {:.3}\n",
-        d.coalescing_ratio()
-    ));
     out
 }
 
@@ -380,11 +358,7 @@ mod tests {
                 credits_reclaimed: 16,
                 slab_writes: 41,
             }],
-            doorbells: crate::pools::DoorbellTotals {
-                rings: 3,
-                notified_pkts: 96,
-                suppressed: 93,
-            },
+            doorbells: Default::default(),
         }
     }
 
@@ -398,14 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_show_includes_pool_and_doorbell_sections() {
+    fn stats_show_includes_the_pool_section() {
         let s = pmd_stats_show(&snap());
         assert!(s.contains("arena \"hw-arena\":"), "missing arena row:\n{s}");
         assert!(s.contains("high water: 7"));
         assert!(s.contains("foreign frees: 0"));
         assert!(s.contains("credit returns: 18  credits reclaimed: 16  slab writes: 41\n"));
-        assert!(s.contains("doorbells: rings: 3"));
-        assert!(s.contains("pkts/ring: 32.0"));
+        assert!(!s.contains("doorbells"), "no doorbell line:\n{s}");
     }
 
     #[test]
@@ -437,8 +410,7 @@ mod tests {
         assert!(s.contains("highway_pool_alloc_failures_total{pool=\"hw-arena\"} 1"));
         assert!(s.contains("highway_pool_slab_writes_total{pool=\"hw-arena\"} 41"));
         assert!(!s.contains("kind="), "pool rows carry only the pool label");
-        assert!(s.contains("highway_doorbell_rings_total 3"));
-        assert!(s.contains("highway_doorbell_coalescing_ratio 32.000"));
+        assert!(!s.contains("highway_doorbell"), "no doorbell series");
         // Every non-comment line is "name{labels} value" or "name value".
         for line in s.lines().filter(|l| !l.starts_with('#')) {
             let parts: Vec<&str> = line.rsplitn(2, ' ').collect();

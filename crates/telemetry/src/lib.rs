@@ -11,8 +11,8 @@
 //!   [`LatencyHistogram`]s per pipeline [`Stage`] and cache [`Tier`],
 //!   merged exactly across PMDs for whole-datapath views.
 //! - [`pools`] — weak-registered arena rows (exhaustion, high
-//!   water, foreign frees, slab writes), process-wide doorbell coalescing
-//!   totals, and the `dpdk_sim::events` → coverage bridge.
+//!   water, foreign frees, slab writes) and the `dpdk_sim::events` →
+//!   coverage bridge.
 //! - [`TelemetrySnapshot`] — the structured point-in-time view behind the
 //!   [`appctl`] text renderings, the Prometheus exporter and the JSON
 //!   consumed by the benchmark and the CI smoke test (parseable with
@@ -28,5 +28,5 @@ pub mod snapshot;
 
 pub use hist::LatencyHistogram;
 pub use pmd_perf::{PmdPerf, Stage, Tier};
-pub use pools::{DoorbellTotals, PoolStats};
-pub use snapshot::{DatapathTotals, HistSummary, TelemetrySnapshot};
+pub use pools::PoolStats;
+pub use snapshot::{DatapathTotals, DoorbellTotals, HistSummary, TelemetrySnapshot};

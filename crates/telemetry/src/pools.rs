@@ -1,13 +1,9 @@
-//! Buffer-pool and doorbell telemetry.
+//! Buffer-pool telemetry.
 //!
 //! Arenas register weakly here ([`register_arena`]); [`snapshot_pools`]
 //! walks the registry, prunes dead arenas, and returns one [`PoolStats`]
 //! row per live one — the data behind the `pmd-stats-show` arena section
-//! and the `highway_pool_*` Prometheus series. Doorbells (batched ring
-//! notifications in `shmem`) report their ring/suppress counts into
-//! process-wide totals ([`note_doorbell_ring`] /
-//! [`note_doorbell_suppressed`]), from which the coalescing ratio —
-//! packets-per-notification — is derived.
+//! and the `highway_pool_*` Prometheus series.
 //!
 //! [`install_event_bridge`] closes the layering gap downward: `dpdk-sim`
 //! sits below this crate, so its exceptional-path events (alloc failures,
@@ -17,7 +13,6 @@
 
 use dpdk_sim::{Arena, WeakArena};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Point-in-time counters of one registered arena.
@@ -82,55 +77,6 @@ pub fn snapshot_pools() -> Vec<PoolStats> {
     out
 }
 
-// ---- doorbell totals -------------------------------------------------------
-
-static DOORBELL_RINGS: AtomicU64 = AtomicU64::new(0);
-static DOORBELL_NOTIFIED_PKTS: AtomicU64 = AtomicU64::new(0);
-static DOORBELL_SUPPRESSED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide doorbell counters (all channels merged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DoorbellTotals {
-    /// Actual notifications delivered.
-    pub rings: u64,
-    /// Packets covered by those notifications.
-    pub notified_pkts: u64,
-    /// Per-packet notifications elided by batching.
-    pub suppressed: u64,
-}
-
-impl DoorbellTotals {
-    /// Packets per delivered notification (the batching win); 0 when no
-    /// doorbell has rung yet.
-    pub fn coalescing_ratio(&self) -> f64 {
-        if self.rings == 0 {
-            0.0
-        } else {
-            self.notified_pkts as f64 / self.rings as f64
-        }
-    }
-}
-
-/// Records one delivered doorbell covering `pkts` packets.
-pub fn note_doorbell_ring(pkts: u64) {
-    DOORBELL_RINGS.fetch_add(1, Ordering::Relaxed);
-    DOORBELL_NOTIFIED_PKTS.fetch_add(pkts, Ordering::Relaxed);
-}
-
-/// Records `n` per-packet notifications elided by batching.
-pub fn note_doorbell_suppressed(n: u64) {
-    DOORBELL_SUPPRESSED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Current process-wide doorbell totals.
-pub fn doorbell_totals() -> DoorbellTotals {
-    DoorbellTotals {
-        rings: DOORBELL_RINGS.load(Ordering::Relaxed),
-        notified_pkts: DOORBELL_NOTIFIED_PKTS.load(Ordering::Relaxed),
-        suppressed: DOORBELL_SUPPRESSED.load(Ordering::Relaxed),
-    }
-}
-
 // ---- dpdk event bridge -----------------------------------------------------
 
 fn event_bridge(name: &'static str, n: u64) {
@@ -164,19 +110,6 @@ mod tests {
         drop((arena, _held));
         let rows = snapshot_pools();
         assert!(rows.iter().all(|r| r.name != "arena-snap-live"));
-    }
-
-    #[test]
-    fn doorbell_totals_accumulate_and_derive_ratio() {
-        let before = doorbell_totals();
-        note_doorbell_ring(32);
-        note_doorbell_ring(16);
-        note_doorbell_suppressed(46);
-        let after = doorbell_totals();
-        assert_eq!(after.rings, before.rings + 2);
-        assert_eq!(after.notified_pkts, before.notified_pkts + 48);
-        assert_eq!(after.suppressed, before.suppressed + 46);
-        assert!(after.coalescing_ratio() > 0.0);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! [`TelemetrySnapshot`] is the single structured view of everything the
 //! telemetry layer knows — per-PMD perf blocks, datapath-wide totals,
-//! coverage counters, arena pools and doorbell totals — consumed by the
+//! coverage counters and arena pools — consumed by the
 //! appctl renderers, the Prometheus exporter, the repo benchmark and the
 //! CI smoke test. [`TelemetrySnapshot::to_json`] emits dependency-free
 //! JSON that [`crate::json::parse`] round-trips.
 
 use crate::hist::LatencyHistogram;
 use crate::pmd_perf::{PmdPerf, Stage, Tier};
-use crate::pools::{DoorbellTotals, PoolStats};
+use crate::pools::PoolStats;
 use std::collections::BTreeMap;
 
 /// Percentile summary of one histogram.
@@ -76,8 +76,17 @@ pub struct TelemetrySnapshot {
     pub coverage: BTreeMap<&'static str, u64>,
     /// One row per registered arena (see [`crate::pools`]).
     pub pools: Vec<PoolStats>,
-    /// Process-wide doorbell coalescing totals.
+    /// Always zero: the channels ring no doorbell (a poll-mode data plane
+    /// has no interrupt to suppress). Kept only because the repo
+    /// benchmark's harness still reads it.
     pub doorbells: DoorbellTotals,
+}
+
+/// Retired doorbell counters: see [`TelemetrySnapshot::doorbells`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DoorbellTotals {
+    pub rings: u64,
+    pub suppressed: u64,
 }
 
 impl TelemetrySnapshot {
@@ -182,16 +191,7 @@ impl TelemetrySnapshot {
                 p.slab_writes,
             ));
         }
-        out.push_str("],");
-        out.push_str(&format!(
-            "\"doorbells\":{{\"rings\":{},\"notified_pkts\":{},\"suppressed\":{},\
-             \"coalescing_ratio\":{:.3}}}",
-            self.doorbells.rings,
-            self.doorbells.notified_pkts,
-            self.doorbells.suppressed,
-            self.doorbells.coalescing_ratio(),
-        ));
-        out.push('}');
+        out.push_str("]}");
         out
     }
 }
@@ -286,11 +286,7 @@ mod tests {
                 credits_reclaimed: 40,
                 slab_writes: 102,
             }],
-            doorbells: DoorbellTotals {
-                rings: 4,
-                notified_pkts: 128,
-                suppressed: 124,
-            },
+            doorbells: DoorbellTotals::default(),
         }
     }
 
@@ -338,11 +334,6 @@ mod tests {
         for gone in ["kind", "cow_copies"] {
             assert!(pools[0].get(gone).is_none(), "{gone} still rendered");
         }
-        assert_eq!(
-            v.get("doorbells")
-                .and_then(|d| d.get("notified_pkts"))
-                .and_then(|x| x.as_u64()),
-            Some(128)
-        );
+        assert!(v.get("doorbells").is_none(), "doorbells still rendered");
     }
 }

@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn channel_across_threads() {
         let (tx, rx) = bounded(8);
-        let h = std::thread::spawn(move || (0..100).map(|i| tx.send(i).is_ok()).all(|b| b));
+        let h = std::thread::spawn(move || (0..100).all(|i| tx.send(i).is_ok()));
         let got: Vec<i32> = rx.iter().collect();
         assert!(h.join().unwrap());
         assert_eq!(got, (0..100).collect::<Vec<_>>());

@@ -59,16 +59,16 @@
 //!
 //! # Writing a controller app
 //!
-//! Policy plugs in behind [`openflow::ControllerApp`] (or
-//! [`openflow::FabricApp`] for one-controller-N-switches); the runtime
-//! owns the connection, drives the handshake and redelivers
-//! `on_connected` after every reconnect, so an idempotent install there
+//! Policy plugs in behind [`openflow::FabricApp`]; a
+//! [`openflow::FabricRuntime`] owns the connections — one per switch, and
+//! one switch is the common case — drives each handshake and redelivers
+//! `on_switch_ready` after every reconnect, so an idempotent install there
 //! survives controller restarts for free:
 //!
 //! ```
 //! use std::time::Duration;
 //! use vnf_highway::openflow::{
-//!     Connection, ControllerApp, ControllerRuntime, OfpMessage, SwitchFeatures,
+//!     Connection, FabricApp, FabricRuntime, OfpMessage, SwitchFeatures,
 //! };
 //! use vnf_highway::prelude::*;
 //!
@@ -78,9 +78,9 @@
 //!     installs: u32,
 //! }
 //!
-//! impl ControllerApp for PortMirror {
-//!     fn on_connected(&mut self, conn: &Connection, features: &SwitchFeatures) {
-//!         assert_ne!(features.datapath_id, 0, "switch identified itself");
+//! impl FabricApp for PortMirror {
+//!     fn on_switch_ready(&mut self, dpid: u64, conn: &Connection, features: &SwitchFeatures) {
+//!         assert_eq!(features.datapath_id, dpid, "switch identified itself");
 //!         conn.add_flow(
 //!             FlowMatch::in_port(PortNo(1)),
 //!             50,
@@ -92,7 +92,7 @@
 //!         self.installs += 1;
 //!     }
 //!
-//!     fn on_message(&mut self, _conn: &Connection, _msg: OfpMessage, _xid: u32) {
+//!     fn on_switch_message(&mut self, _dpid: u64, _conn: &Connection, _msg: OfpMessage, _xid: u32) {
 //!         // packet-ins, port-status, flow-removed arrive here
 //!     }
 //! }
@@ -100,7 +100,8 @@
 //! let node = HighwayNode::new(HighwayNodeConfig::default());
 //! node.start();
 //!
-//! let mut rt = ControllerRuntime::new(node.connect_controller(), PortMirror { installs: 0 });
+//! let mut rt = FabricRuntime::new(PortMirror { installs: 0 });
+//! rt.add_switch(node.connect_controller());
 //! rt.run_until_ready(Duration::from_secs(5)).expect("handshake");
 //! assert_eq!(rt.app().installs, 1);
 //! node.stop();

@@ -71,15 +71,7 @@ fn pump_census(
 }
 
 fn settle(rt: &mut FabricRuntime<FabricChainSteering>, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    while !rt.app().settled() {
-        rt.poll();
-        if Instant::now() > deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    true
+    rt.run_until(|rt| rt.app().settled(), Instant::now() + timeout)
 }
 
 #[test]
@@ -292,11 +284,10 @@ fn controller_kill_mid_storm_fails_over_exactly_once() {
             .barrier(Duration::from_secs(5))
             .expect("delete barrier");
     }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while rt2.app().flow_removed().len() < STORM && Instant::now() < deadline {
-        rt2.poll();
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    rt2.run_until(
+        |rt| rt.app().flow_removed().len() >= STORM,
+        Instant::now() + Duration::from_secs(5),
+    );
     let removed = rt2.app().flow_removed();
     assert_eq!(removed.len(), STORM, "one FlowRemoved per storm cookie");
     for i in 0..STORM {

@@ -6,17 +6,20 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use vnf_highway::highway::ChainSteering;
+use vnf_highway::highway::FabricChainSteering;
 use vnf_highway::openflow::codec::encode;
 use vnf_highway::openflow::messages::{OfpMessage, PacketIn, PacketInReason};
-use vnf_highway::openflow::{ControllerApp, ControllerRuntime, LearningSwitch, ScriptedTransport};
+use vnf_highway::openflow::{FabricApp, FabricRuntime, LearningSwitch, ScriptedTransport};
 use vnf_highway::packet::{MacAddr, PacketBuilder};
 use vnf_highway::prelude::PortNo;
 
 /// The canned switch→controller stream. Xids 1 and 2 answer the
 /// handshake a fresh `Connection` deterministically emits (hello = xid 1,
 /// features-request = xid 2); xid 5 acknowledges the barrier
-/// `ChainSteering` sends after its two seams (flow-mods take xids 3–4).
+/// `FabricChainSteering` sends after its two seams (flow-mods take xids
+/// 3–4).
+const DPID: u64 = 0xfeed;
+
 fn switch_stream() -> Vec<u8> {
     let a = MacAddr::local(1);
     let b = MacAddr::local(2);
@@ -25,7 +28,7 @@ fn switch_stream() -> Vec<u8> {
     bytes.extend(encode(&OfpMessage::Hello, 1));
     bytes.extend(encode(
         &OfpMessage::FeaturesReply {
-            datapath_id: 0xfeed,
+            datapath_id: DPID,
             ports: vec![1, 2, 3],
         },
         2,
@@ -54,10 +57,11 @@ fn switch_stream() -> Vec<u8> {
 /// Runs `app` against the canned stream (chunked into 5-byte reads to
 /// force reassembly) and returns the app plus the transport handle for
 /// inspecting what the controller wrote back.
-fn drive<A: ControllerApp>(app: A) -> (ControllerRuntime<A>, Arc<ScriptedTransport>) {
+fn drive<A: FabricApp>(app: A) -> (FabricRuntime<A>, Arc<ScriptedTransport>) {
     let transport = Arc::new(ScriptedTransport::new(switch_stream()).with_chunk(5));
     let conn = vnf_highway::openflow::Connection::new(Box::new(Arc::clone(&transport)));
-    let mut rt = ControllerRuntime::new(conn, app);
+    let mut rt = FabricRuntime::new(app);
+    rt.add_switch(conn);
     rt.run_until_ready(Duration::from_secs(2)).expect("ready");
     for _ in 0..50 {
         rt.poll();
@@ -70,16 +74,17 @@ fn one_stream_drives_both_controller_apps() {
     // The stream really is byte-identical, not merely equivalent.
     assert_eq!(switch_stream(), switch_stream());
 
-    let (steering, steer_io) = drive(ChainSteering::from_pairs(&[(1, 2), (2, 3)]));
+    let (steering, steer_io) = drive(FabricChainSteering::from_pairs(DPID, &[(1, 2), (2, 3)]));
     let (learning, learn_io) = drive(LearningSwitch::new());
 
     // Both connections completed the handshake off the same bytes.
-    for rt in [
-        steering.connection().features().expect("steering features"),
-        learning.connection().features().expect("learning features"),
+    for features in [
+        steering.connection(DPID).and_then(|c| c.features()),
+        learning.connection(DPID).and_then(|c| c.features()),
     ] {
-        assert_eq!(rt.datapath_id, 0xfeed);
-        assert_eq!(rt.ports, vec![1, 2, 3]);
+        let features = features.expect("announced with features");
+        assert_eq!(features.datapath_id, DPID);
+        assert_eq!(features.ports, vec![1, 2, 3]);
     }
 
     // Every scripted byte was consumed and framed by both.
@@ -93,7 +98,7 @@ fn one_stream_drives_both_controller_apps() {
 
     // The learning switch learned both hosts and installed the pair of
     // rules once the second packet-in revealed the return path.
-    assert_eq!(learning.app().known_hosts().len(), 2);
+    assert_eq!(learning.app().known_hosts(DPID).map(|t| t.len()), Some(2));
     assert_eq!(learning.app().flows_installed(), 2);
 
     // Both auto-answered the switch's keepalive probe with the echoed
