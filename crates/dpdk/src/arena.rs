@@ -22,15 +22,27 @@
 //!   mappings ([`Arena::consumer`]) free through the credit stack, like a
 //!   guest that must not write the host's freelist head.
 //! * [`ArenaMbuf`] — an RAII packet handle over one slot: offset-based,
-//!   the slot's only owner, and convertible to/from the POD [`MbufDesc`]
-//!   that rides rings between mappings (descriptor-only enqueue — the
-//!   zero-copy hop). Ownership moves with the handle or the descriptor; it
-//!   is never shared, so a packet sent to several ports is copied (see
-//!   `Mbuf::duplicate`).
-//! * [`Resolver`] — a receiver's table of the segments it has mapped: a
-//!   descriptor from a known segment adopts with one `Weak::upgrade`; the
-//!   process-wide segment table behind [`adopt`] is the cold path for an
-//!   id seen for the first time.
+//!   the slot's only owner, and convertible to/from the move-only
+//!   [`MbufDesc`] that rides rings between mappings (descriptor-only
+//!   enqueue — the zero-copy hop). Ownership moves with the handle or the
+//!   descriptor; it is never shared, so a packet sent to several ports is
+//!   copied (see `Mbuf::duplicate`).
+//! * [`Resolver`] — a receiver's table of the segments it has mapped: the
+//!   first descriptor from a segment resolves its id through the
+//!   process-wide segment table behind [`adopt`]; every later one adopts
+//!   with a short scan and no shared write.
+//!
+//! **How long a segment lives.** A handle and an in-flight descriptor each
+//! own one reference to their segment, and a hop *moves* it:
+//! [`ArenaMbuf::into_desc`] keeps the handle's reference in the descriptor
+//! and [`Resolver::adopt`] takes it back, so a hop writes no reference
+//! count that every thread on the chain shares. The segment — slab and
+//! segment-table entry — lives while a mapping, a handle or an in-flight
+//! descriptor names it. *Mapped* is counted apart, in `mappings`: the live
+//! [`Arena`]s. Once the last one is gone, [`WeakArena::upgrade`] returns
+//! `None` and adopt refuses every descriptor still in flight (it frees the
+//! slot and drops the reference), the packet-loss mode a real
+//! unmap-under-traffic has; the last of them frees the segment.
 //!
 //! The slab counts every mutable-byte access in `slab_writes`, which is the
 //! instrument behind the zero-copy acceptance test: across an N-hop chain,
@@ -43,37 +55,64 @@ use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Headroom reserved at the front of every arena slot, mirroring
 /// [`crate::mbuf::MBUF_HEADROOM`] (capped for tiny test slots).
 pub const ARENA_HEADROOM: usize = crate::mbuf::MBUF_HEADROOM;
 
-/// A POD packet descriptor: the only representation that crosses a ring
+/// A packet descriptor: the only representation that crosses a ring
 /// between two mappings of the same segment. Carries the buffer's identity
 /// as offsets plus the mbuf metadata words, never a pointer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// A descriptor is a move-only token. It owns its slot and the segment
+/// reference of the handle it was made from: only [`ArenaMbuf::into_desc`]
+/// makes one, and [`adopt`] or [`Resolver::adopt`] consumes it. It can be
+/// neither copied nor cloned, so no slot is ever adopted twice:
+///
+/// ```compile_fail
+/// fn twice(d: dpdk_sim::MbufDesc) -> (dpdk_sim::MbufDesc, dpdk_sim::MbufDesc) {
+///     (d, d)
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn twice(d: &dpdk_sim::MbufDesc) -> dpdk_sim::MbufDesc {
+///     <dpdk_sim::MbufDesc as Clone>::clone(d)
+/// }
+/// ```
+///
+/// A descriptor dropped without being adopted (a ring torn down with it
+/// queued) is adopted and freed through the process-wide segment table, so
+/// neither its slot nor its segment leaks.
+#[derive(Debug)]
 pub struct MbufDesc {
-    /// Which segment the slot lives in (global, process-unique id).
-    pub segment_id: u64,
-    /// Slot index within the segment's slab.
-    pub slot: u32,
-    /// Offset of the first packet byte within the slot.
-    pub data_off: u32,
-    /// Packet length in bytes.
-    pub len: u32,
-    /// Ingress port metadata (rides along, not part of the buffer).
-    pub port: u32,
-    /// Scratch metadata word.
-    pub udata: u64,
-    /// Cycle timestamp metadata word.
-    pub timestamp: u64,
+    segment_id: u64,
+    slot: u32,
+    data_off: u32,
+    len: u32,
+    port: u32,
+    udata: u64,
+    timestamp: u64,
 }
 
 impl MbufDesc {
-    /// Byte offset of the packet data from the start of the whole slab.
-    pub fn slab_offset(&self, slot_size: usize) -> usize {
-        self.slot as usize * slot_size + self.data_off as usize
+    /// Which segment the slot lives in (global, process-unique id).
+    pub fn segment_id(&self) -> u64 {
+        self.segment_id
+    }
+
+    /// Slot index within the segment's slab.
+    pub fn slot(&self) -> u32 {
+        self.slot
+    }
+}
+
+impl Drop for MbufDesc {
+    fn drop(&mut self) {
+        // Nobody adopted it: take it home like a dropped handle. Cold (ring
+        // teardown), so the global segment table is fine here.
+        drop(claim(lookup_segment(self.segment_id).as_ref(), self));
     }
 }
 
@@ -83,12 +122,14 @@ impl MbufDesc {
 /// ever aliased mutably.
 struct Slab(Box<[UnsafeCell<u8>]>);
 
-// SAFETY: all access goes through ArenaMbuf. A slot's bytes are reachable
-// only through the one handle that holds it, mutably only through `&mut`
-// to that handle; a slot is reissued only after its holder released it.
-// This assumes each descriptor is adopted once (see `adopt`).
+// SAFETY: all access goes through ArenaMbuf. An issued slot has exactly one
+// holder, and the types keep it so: neither `ArenaMbuf` nor `MbufDesc` is
+// `Clone` or `Copy`, a descriptor is made only by consuming the handle
+// (`into_desc`), and a handle only by consuming the descriptor (`adopt`,
+// `Resolver::adopt`). A slot's bytes are reachable only through that one
+// handle, mutably only through `&mut` to it, and a slot is reissued only
+// after its holder released it (the `held` swap in `release`).
 unsafe impl Sync for Slab {}
-unsafe impl Send for Slab {}
 
 impl Slab {
     fn new(len: usize) -> Slab {
@@ -236,17 +277,28 @@ impl SlotStack {
 }
 
 /// One shared-memory arena segment (the thing a hugepage backs).
+///
+/// `repr(C)` keeps the declared order: the fields every hop reads and
+/// almost nothing writes fill the first two cache lines, and the counters
+/// the allocating thread bumps per packet sit behind the padded stacks, so
+/// an adopt on another CPU never pulls a line the allocator writes.
+#[repr(C)]
 pub(crate) struct ArenaSegment {
-    name: String,
     id: u64,
     slab: Slab,
     slot_size: usize,
     capacity: usize,
+    /// Live [`Arena`] mappings. Adopt refuses a descriptor once this is 0.
+    /// `Relaxed` throughout: it publishes no data, it only says whether a
+    /// packet is still wanted (the segment's memory is kept alive by the
+    /// `Arc` count, not by this).
+    mappings: AtomicUsize,
     /// Per-slot ownership: set while a handle or descriptor holds the
     /// slot; clear when it is on a stack or never issued.
     held: Box<[AtomicBool]>,
     /// Stack links: the slot below each slot on whichever stack holds it.
     next: Box<[AtomicU32]>,
+    name: String,
     /// Owner-side freelist.
     free: CachePadded<SlotStack>,
     /// Credit-return stack: consumer mappings push finished slots here.
@@ -341,7 +393,7 @@ impl ArenaSegment {
 
 impl Drop for ArenaSegment {
     fn drop(&mut self) {
-        segment_table().lock().unwrap().remove(&self.id);
+        segment_table().remove(&self.id);
     }
 }
 
@@ -380,14 +432,30 @@ pub struct ArenaStats {
 
 /// A process-local mapping of an arena segment.
 ///
-/// Clone is cheap; clones share the segment. The mapping created by
-/// [`Arena::new`] is the *owner* (frees go straight to the freelist);
-/// [`Arena::consumer`] derives a consumer mapping whose frees take the
-/// credit-return stack, the way a guest recycles a host-owned buffer.
-#[derive(Clone)]
+/// Clone is cheap; clones share the segment and each counts as a mapping.
+/// The mapping created by [`Arena::new`] is the *owner* (frees go straight
+/// to the freelist); [`Arena::consumer`] derives a consumer mapping whose
+/// frees take the credit-return stack, the way a guest recycles a
+/// host-owned buffer.
 pub struct Arena {
     seg: Arc<ArenaSegment>,
     via_credit: bool,
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Arena {
+        self.seg.mappings.fetch_add(1, Ordering::Relaxed);
+        Arena {
+            seg: Arc::clone(&self.seg),
+            via_credit: self.via_credit,
+        }
+    }
+}
+
+impl Drop for Arena {
+    fn drop(&mut self) {
+        self.seg.mappings.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// Non-owning arena reference for registries (telemetry) that must not
@@ -398,18 +466,33 @@ pub struct WeakArena {
 }
 
 impl WeakArena {
-    /// Upgrades to a live mapping, if the segment still exists.
+    /// Upgrades to a live (consumer) mapping, if the segment is still
+    /// mapped: `None` once its last mapping is gone, even while handles or
+    /// descriptors in flight keep the segment itself alive.
     pub fn upgrade(&self) -> Option<Arena> {
-        self.seg.upgrade().map(|seg| Arena {
+        let seg = self.seg.upgrade()?;
+        seg.mappings
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n > 0).then_some(n + 1)
+            })
+            .ok()?;
+        Some(Arena {
             seg,
             via_credit: true,
         })
     }
 }
 
-fn segment_table() -> &'static Mutex<HashMap<u64, Weak<ArenaSegment>>> {
+/// The process-wide segment table, locked. Every update is one insert or
+/// one remove, so the map is whole even if a holder panicked; recovering
+/// the guard keeps the drops that reach it (a segment's, an unadopted
+/// descriptor's) from panicking in turn.
+fn segment_table() -> MutexGuard<'static, HashMap<u64, Weak<ArenaSegment>>> {
     static TABLE: OnceLock<Mutex<HashMap<u64, Weak<ArenaSegment>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
+    TABLE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn next_segment_id() -> u64 {
@@ -417,32 +500,44 @@ fn next_segment_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-fn lookup_segment(segment_id: u64) -> Option<Arc<ArenaSegment>> {
-    segment_table()
-        .lock()
-        .unwrap()
-        .get(&segment_id)
-        .and_then(Weak::upgrade)
+/// The table's entry for `segment_id`. A descriptor's own reference keeps
+/// its segment, and so this entry, alive.
+fn lookup_segment(segment_id: u64) -> Option<Weak<ArenaSegment>> {
+    segment_table().get(&segment_id).cloned()
 }
 
-/// Rebinds `desc` onto its segment; counts `arena_adopt_failure` when the
-/// segment is gone or the descriptor does not lie inside one of its slots.
+/// Takes back the segment reference `desc` owns and rebinds the slot into
+/// a handle — or refuses the descriptor, counting `arena_adopt_failure`.
+/// The caller consumes `desc`: it is forgotten or being dropped.
 ///
-/// A corrupt descriptor is not released either: none of its fields can be
-/// trusted, so the slot it names (if any) stays held and shows up in the
-/// census instead of being freed on a guess.
-fn adopt_from(seg: Option<Arc<ArenaSegment>>, desc: MbufDesc) -> Option<ArenaMbuf> {
-    let fits = |seg: &ArenaSegment| {
-        (desc.slot as usize) < seg.capacity
-            && desc.data_off as usize + desc.len as usize <= seg.slot_size
+/// * The segment is no longer mapped: the slot is freed, the reference
+///   dropped, the packet lost.
+/// * The descriptor does not lie inside one of the segment's slots: the
+///   reference is dropped but the slot is not released. None of a corrupt
+///   descriptor's fields can be trusted, so the slot it names (if any)
+///   stays held and shows up in the census instead of being freed on a
+///   guess.
+fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf> {
+    let Some(seg) = seg else {
+        events::emit("arena_adopt_failure", 1);
+        return None;
     };
-    match seg {
-        Some(seg) if fits(&seg) => Some(ArenaMbuf::rebind(seg, desc, true)),
-        _ => {
-            events::emit("arena_adopt_failure", 1);
-            None
-        }
+    // SAFETY: `desc` came from `into_desc`, which kept its handle's strong
+    // reference instead of dropping it, so the allocation behind `seg` (the
+    // `Weak` for `desc.segment_id`; ids are never reused) is live and this
+    // takes that one reference back. It is taken once: a descriptor is
+    // neither `Copy` nor `Clone`, and the caller consumes it.
+    let seg = unsafe { Arc::from_raw(seg.as_ptr()) };
+    let fits = (desc.slot as usize) < seg.capacity
+        && desc.data_off as usize + desc.len as usize <= seg.slot_size;
+    if fits && seg.mappings.load(Ordering::Relaxed) > 0 {
+        return Some(ArenaMbuf::rebind(seg, desc));
     }
+    if fits {
+        release(&seg, desc.slot, true);
+    }
+    events::emit("arena_adopt_failure", 1);
+    None
 }
 
 /// Resolves a descriptor received from a ring into a live handle.
@@ -451,19 +546,18 @@ fn adopt_from(seg: Option<Arc<ArenaSegment>>, desc: MbufDesc) -> Option<ArenaMbu
 /// process-wide segment table and rebind the offsets. The adopted handle
 /// recycles through the credit stack (the adopter is by definition not the
 /// owner's allocation path). Returns `None` — and counts
-/// `arena_adopt_failure` — when the segment has been torn down, the
+/// `arena_adopt_failure` — when the segment is no longer mapped, the
 /// packet-loss mode a real unmap-under-traffic has, or when the
 /// descriptor's slot and layout do not fit the segment.
 ///
-/// A descriptor carries its slot's ownership, so adopt it once. `MbufDesc`
-/// is `Copy`, and nothing here detects a second adoption of the same
-/// descriptor: the two handles would alias one slot. Only the second
-/// release is caught (a foreign free).
+/// Adopting consumes the descriptor, so its slot and segment reference
+/// move into the one handle this returns.
 ///
 /// The table sits behind a process-wide mutex; per-packet receivers adopt
 /// through a [`Resolver`] instead, which consults it once per segment.
 pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
-    adopt_from(lookup_segment(desc.segment_id), desc)
+    let desc = ManuallyDrop::new(desc);
+    claim(lookup_segment(desc.segment_id).as_ref(), &desc)
 }
 
 /// A receiver's own mapping table, the in-process form of a guest mapping
@@ -471,10 +565,10 @@ pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
 ///
 /// [`Resolver::adopt`] behaves exactly like [`adopt`], but resolves each
 /// segment id through the global table only the first time it is seen;
-/// after that a descriptor costs one `Weak::upgrade` — no lock, no hash.
-/// The cache holds `Weak`s so it never keeps an unmapped segment alive,
-/// and segment ids are never reused, so a dead entry means that segment is
-/// gone for good.
+/// after that a descriptor costs a scan of this table and no shared write:
+/// the descriptor's own segment reference becomes the handle's. The table
+/// holds `Weak`s so it never keeps a segment alive, and segment ids are
+/// never reused, so a dead entry means that segment is gone for good.
 #[derive(Default)]
 pub struct Resolver {
     mapped: Vec<(u64, Weak<ArenaSegment>)>,
@@ -483,20 +577,18 @@ pub struct Resolver {
 impl Resolver {
     /// [`adopt`] through this table.
     pub fn adopt(&mut self, desc: MbufDesc) -> Option<ArenaMbuf> {
-        let seg = match self.mapped.iter().find(|(id, _)| *id == desc.segment_id) {
-            Some((_, seg)) => seg.upgrade(),
-            None => {
-                // Cold path: a segment this receiver has not mapped yet.
-                // Forget any that have since been unmapped while here.
-                self.mapped.retain(|(_, seg)| seg.strong_count() > 0);
-                let seg = lookup_segment(desc.segment_id);
-                if let Some(seg) = &seg {
-                    self.mapped.push((desc.segment_id, Arc::downgrade(seg)));
-                }
-                seg
-            }
-        };
-        adopt_from(seg, desc)
+        let desc = ManuallyDrop::new(desc);
+        if let Some((_, seg)) = self.mapped.iter().find(|(id, _)| *id == desc.segment_id) {
+            return claim(Some(seg), &desc);
+        }
+        // Cold path: a segment this receiver has not mapped yet. Forget any
+        // that have since been freed while here.
+        self.mapped.retain(|(_, seg)| seg.strong_count() > 0);
+        let seg = lookup_segment(desc.segment_id);
+        if let Some(seg) = &seg {
+            self.mapped.push((desc.segment_id, Weak::clone(seg)));
+        }
+        claim(seg.as_ref(), &desc)
     }
 }
 
@@ -509,13 +601,14 @@ impl Arena {
         assert!(capacity < NIL as usize, "arena capacity exceeds slot index");
         assert!(slot_size > 0, "arena slot size must be positive");
         let seg = Arc::new(ArenaSegment {
-            name: name.into(),
             id: next_segment_id(),
             slab: Slab::new(capacity * slot_size),
             slot_size,
             capacity,
+            mappings: AtomicUsize::new(1),
             held: (0..capacity).map(|_| AtomicBool::new(false)).collect(),
             next: (0..capacity).map(|_| AtomicU32::new(NIL)).collect(),
+            name: name.into(),
             free: CachePadded::new(SlotStack::new()),
             credit: CachePadded::new(SlotStack::new()),
             fresh: AtomicUsize::new(0),
@@ -529,10 +622,7 @@ impl Arena {
             in_use: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
         });
-        segment_table()
-            .lock()
-            .unwrap()
-            .insert(seg.id, Arc::downgrade(&seg));
+        segment_table().insert(seg.id, Arc::downgrade(&seg));
         Arena {
             seg,
             via_credit: false,
@@ -542,10 +632,9 @@ impl Arena {
     /// Derives a consumer mapping: same segment, but frees (and frees of
     /// buffers allocated through it) take the credit-return stack.
     pub fn consumer(&self) -> Arena {
-        Arena {
-            seg: Arc::clone(&self.seg),
-            via_credit: true,
-        }
+        let mut mapping = self.clone();
+        mapping.via_credit = true;
+        mapping
     }
 
     /// Non-owning reference for registries.
@@ -689,11 +778,11 @@ pub struct ArenaMbuf {
 }
 
 impl ArenaMbuf {
-    fn rebind(seg: Arc<ArenaSegment>, desc: MbufDesc, via_credit: bool) -> ArenaMbuf {
+    fn rebind(seg: Arc<ArenaSegment>, desc: &MbufDesc) -> ArenaMbuf {
         ArenaMbuf {
             seg,
             slot: desc.slot,
-            via_credit,
+            via_credit: true,
             data_off: desc.data_off as usize,
             data_len: desc.len as usize,
             port: desc.port,
@@ -709,9 +798,13 @@ impl ArenaMbuf {
     /// Converts the handle into its ring descriptor *without* releasing the
     /// slot: ownership moves into the descriptor, to be resurrected by
     /// [`adopt`] on the other side. This is the descriptor-only enqueue.
+    ///
+    /// The handle's segment reference moves too: the handle is forgotten,
+    /// not dropped, so its `Arc` count stays with the descriptor and
+    /// adopt takes it back — no reference count is written per hop.
     pub fn into_desc(self) -> MbufDesc {
-        let mut this = ManuallyDrop::new(self);
-        let desc = MbufDesc {
+        let this = ManuallyDrop::new(self);
+        MbufDesc {
             segment_id: this.seg.id,
             slot: this.slot,
             data_off: this.data_off as u32,
@@ -719,12 +812,7 @@ impl ArenaMbuf {
             port: this.port,
             udata: this.udata,
             timestamp: this.timestamp,
-        };
-        // Release the mapping Arc without running ArenaMbuf::drop — the
-        // slot's ownership travels inside the descriptor, not the Arc.
-        // SAFETY: `this` is ManuallyDrop, so `seg` is dropped exactly once.
-        unsafe { std::ptr::drop_in_place(&mut this.seg) };
-        desc
+        }
     }
 
     /// Packet bytes.
@@ -819,10 +907,11 @@ impl ArenaMbuf {
 
 /// Returns `slot` to a stack, clearing its `held` flag.
 ///
-/// Releasing a slot nobody holds — a stale or duplicated descriptor, since
-/// `MbufDesc` is `Copy` — is counted as a foreign free and touches neither
-/// stack, as is a slot past the segment's end. Pushing it again would link
-/// the slot into a cycle. The `AcqRel` swap pairs with the `Release` store
+/// Releasing a slot nobody holds, or a slot past the segment's end, is
+/// counted as a foreign free and touches neither stack: pushing it again
+/// would link the slot into a cycle. In-process the types rule it out (a
+/// descriptor is move-only); the guard stays for descriptors that a type
+/// cannot guard, such as ones read out of shared memory. The `AcqRel` swap pairs with the `Release` store
 /// that issued the slot, so the holder's writes to the bytes happen before
 /// the slot can be issued again (the stacks' CASes publish them too).
 fn release(seg: &ArenaSegment, slot: u32, via_credit: bool) {
@@ -916,7 +1005,7 @@ mod tests {
         m.udata = 0xfeed;
         m.timestamp = 77;
         let desc = m.into_desc();
-        assert_eq!(desc.len, 3);
+        assert_eq!((desc.len, desc.port, desc.udata), (3, 5, 0xfeed));
         let got = adopt(desc).unwrap();
         assert_eq!(got.data(), &[7, 8, 9]);
         assert_eq!((got.port, got.udata, got.timestamp), (5, 0xfeed, 77));
@@ -934,39 +1023,108 @@ mod tests {
     #[test]
     fn a_descriptor_outside_its_segment_does_not_adopt() {
         // 64 B slots: slot 0 with data_off 32 and len 72 would read into
-        // slot 1; slot 4 of a 4-slot segment would read past the slab.
-        let a = Arena::new("bounds", 4, 64);
+        // slot 1; slot 8 of an 8-slot segment would read past the slab.
+        // Each corrupt descriptor is a genuine one with fields rewritten, so
+        // it still owns its segment reference.
+        let a = Arena::new("bounds", 8, 64);
         let mut resolver = Resolver::default();
-        let good = a.alloc_from(&[1; 16]).unwrap().into_desc();
-        let past_slot = MbufDesc {
-            data_off: 32,
-            len: 72,
-            ..good
+        let genuine = || a.alloc_from(&[1; 16]).unwrap().into_desc();
+        let past_slot = |mut d: MbufDesc| {
+            (d.data_off, d.len) = (32, 72);
+            d
         };
-        let past_slab = MbufDesc { slot: 4, ..good };
-        for bad in [past_slot, past_slab] {
-            assert!(adopt(bad).is_none(), "adopted {bad:?}");
-            assert!(resolver.adopt(bad).is_none(), "resolved {bad:?}");
-        }
-        let edge = MbufDesc {
-            data_off: 32,
-            len: 32,
-            ..good
+        let past_slab = |mut d: MbufDesc| {
+            d.slot = 8;
+            d
         };
+        assert!(adopt(past_slot(genuine())).is_none());
+        assert!(resolver.adopt(past_slot(genuine())).is_none());
+        assert!(adopt(past_slab(genuine())).is_none());
+        assert!(resolver.adopt(past_slab(genuine())).is_none());
+        let mut edge = genuine();
+        (edge.data_off, edge.len) = (32, 32);
         assert_eq!(resolver.adopt(edge).expect("fits exactly").len(), 32);
+        // Each refusal left its slot held but gave its reference back.
         let s = a.stats();
-        assert_eq!((s.foreign_frees, s.in_use), (0, 0), "census: {s:?}");
+        assert_eq!((s.foreign_frees, s.in_use), (0, 4), "census: {s:?}");
+        assert_eq!(
+            Arc::strong_count(&a.seg),
+            1,
+            "a refused descriptor leaked its reference"
+        );
     }
 
     #[test]
     fn a_rejected_descriptor_leaves_its_slot_held() {
         let a = arena(2);
-        let desc = a.alloc_from(&[1]).unwrap().into_desc();
-        assert!(adopt(MbufDesc { len: 1024, ..desc }).is_none());
+        let mut desc = a.alloc_from(&[1]).unwrap().into_desc();
+        let slot = desc.slot();
+        desc.len = 1024;
+        assert!(adopt(desc).is_none());
         assert_eq!(a.in_use(), 1, "nothing released on a corrupt descriptor");
+        assert_eq!(Arc::strong_count(&a.seg), 1, "its reference is dropped");
         assert!(!a.census_clean());
-        drop(adopt(desc).unwrap());
+        // Still held, so releasing it now is no foreign free.
+        release(&a.seg, slot, false);
         assert!(a.census_clean());
+    }
+
+    #[test]
+    fn a_hop_moves_the_reference_it_does_not_count_it() {
+        let a = arena(4);
+        let mut r = Resolver::default();
+        let mut m = a.alloc_from(&[5]).unwrap();
+        let strong = Arc::strong_count(&a.seg); // the owner mapping + the handle
+        assert_eq!(strong, 2);
+        m = r.adopt(m.into_desc()).unwrap(); // the cold path maps the segment
+        let weak = Arc::weak_count(&a.seg);
+        for _ in 0..3 {
+            let desc = m.into_desc();
+            assert_eq!(Arc::strong_count(&a.seg), strong, "the descriptor holds it");
+            m = r.adopt(desc).unwrap();
+            assert_eq!(Arc::strong_count(&a.seg), strong);
+            assert_eq!(Arc::weak_count(&a.seg), weak, "a warm hop maps nothing");
+        }
+        assert_eq!(m.data(), &[5]);
+        drop(m);
+        assert_eq!(Arc::strong_count(&a.seg), 1);
+        assert!(a.census_clean());
+    }
+
+    #[test]
+    fn an_unmapped_segment_lives_until_its_last_descriptor_is_gone() {
+        let a = arena(8);
+        let (id, weak, seg) = (a.segment_id(), a.weak(), Arc::downgrade(&a.seg));
+        let (mut tx, mut rx) = crate::spsc_ring::<MbufDesc>(8);
+        for i in 0u8..3 {
+            tx.enqueue(a.alloc_from(&[i]).unwrap().into_desc()).unwrap();
+        }
+        let mut r = Resolver::default();
+        drop(a); // the owner mapping goes with three descriptors queued
+        assert!(weak.upgrade().is_none(), "no mapping is left");
+        assert_eq!(seg.strong_count(), 3, "the descriptors keep the segment");
+        // A receiver refuses what it dequeues, freeing each slot.
+        let mut unmapped_drops = 0;
+        for _ in 0..2 {
+            unmapped_drops += u32::from(r.adopt(rx.dequeue().unwrap()).is_none());
+        }
+        assert_eq!(unmapped_drops, 2);
+        let live = seg.upgrade().unwrap();
+        assert_eq!(
+            (
+                live.in_use.load(Ordering::Relaxed),
+                live.frees.load(Ordering::Relaxed)
+            ),
+            (1, 0)
+        );
+        drop(live);
+        // The ring dies with the last descriptor still queued.
+        drop((tx, rx));
+        assert_eq!(seg.strong_count(), 0, "freed with its last descriptor");
+        assert!(
+            !segment_table().contains_key(&id),
+            "the segment table still names it"
+        );
     }
 
     #[test]
@@ -1008,14 +1166,17 @@ mod tests {
     }
 
     #[test]
-    fn a_duplicated_descriptor_frees_once_and_counts_the_rest() {
+    fn a_second_release_of_one_slot_is_a_foreign_free() {
+        // A descriptor cannot be duplicated any more; the guard stays for
+        // descriptors no type can guard. Release one slot twice, and one
+        // past the end.
         let a = arena(4);
-        let desc = a.alloc_from(&[1]).unwrap().into_desc();
-        let (first, second) = (adopt(desc).unwrap(), adopt(desc).unwrap());
-        drop(first);
-        drop(second); // the slot was already released
+        let slot = a.seg.take_slot().unwrap();
+        release(&a.seg, slot, false);
+        release(&a.seg, slot, false);
+        release(&a.seg, 4, false);
         let s = a.stats();
-        assert_eq!(s.foreign_frees, 1);
+        assert_eq!(s.foreign_frees, 2);
         assert_eq!(s.in_use, 0);
         assert_eq!(s.available + s.credit_pending, 4, "slot returned once");
         let live: Vec<_> = (0..4).map(|_| a.alloc().expect("no slot lost")).collect();
@@ -1044,7 +1205,7 @@ mod tests {
         for _ in 0..10_000 {
             burst.extend((0..32).map(|_| a.alloc().unwrap().into_desc()));
             for desc in burst.drain(..) {
-                issued.insert(desc.slot);
+                issued.insert(desc.slot());
                 drop(consumer.adopt(desc).unwrap()); // credit-stack free
             }
         }

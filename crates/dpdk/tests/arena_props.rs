@@ -7,10 +7,13 @@
 //!    (owner freelist or consumer credit ring) the frees went through;
 //! 3. a random interleaving of alloc / into_desc→adopt / free / reclaim
 //!    ends with a zero-leak census: `in_use == 0`,
-//!    `available + credit_pending == capacity`, `foreign_frees == 0`.
+//!    `available + credit_pending == capacity`, `foreign_frees == 0`;
+//! 4. adopt succeeds at most once per `into_desc`, whether descriptors are
+//!    adopted through the global table, through a resolver, or dropped
+//!    unadopted — and the census is clean at the end.
 
-use dpdk_sim::arena::adopt;
-use dpdk_sim::{Arena, ArenaMbuf};
+use dpdk_sim::arena::{adopt, Resolver};
+use dpdk_sim::{Arena, ArenaMbuf, MbufDesc};
 use proptest::prelude::*;
 
 /// One step of the random-interleaving machine.
@@ -24,6 +27,40 @@ enum Op {
     Free { pick: usize },
     /// Owner-side credit reclaim.
     Reclaim,
+}
+
+/// One step of the descriptor-lifetime machine.
+#[derive(Debug, Clone, Copy)]
+enum DescOp {
+    Alloc,
+    /// Turn a live handle into an in-flight descriptor.
+    IntoDesc {
+        pick: usize,
+    },
+    /// Adopt an in-flight descriptor (global table or a resolver).
+    Adopt {
+        pick: usize,
+        via_resolver: bool,
+    },
+    /// Drop an in-flight descriptor unadopted.
+    DropDesc {
+        pick: usize,
+    },
+    /// Drop a live handle.
+    Free {
+        pick: usize,
+    },
+}
+
+fn desc_op_strategy() -> impl Strategy<Value = DescOp> {
+    prop_oneof![
+        Just(DescOp::Alloc),
+        (0usize..64).prop_map(|pick| DescOp::IntoDesc { pick }),
+        ((0usize..64), proptest::bool::ANY)
+            .prop_map(|(pick, via_resolver)| DescOp::Adopt { pick, via_resolver }),
+        (0usize..64).prop_map(|pick| DescOp::DropDesc { pick }),
+        (0usize..64).prop_map(|pick| DescOp::Free { pick }),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -130,6 +167,54 @@ proptest! {
             prop_assert_eq!(arena.in_use(), count_distinct_slots(&live));
         }
         drop(live);
+        prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
+    }
+
+    #[test]
+    fn adopt_succeeds_at_most_once_per_into_desc(
+        ops in proptest::collection::vec(desc_op_strategy(), 1..200),
+        cap in 1usize..16,
+    ) {
+        let arena = Arena::new("props", cap, 256);
+        let mut resolver = Resolver::default();
+        let mut live: Vec<ArenaMbuf> = Vec::new();
+        let mut in_flight: Vec<MbufDesc> = Vec::new();
+        let (mut made, mut adopted, mut dropped) = (0usize, 0usize, 0usize);
+        for op in ops {
+            match op {
+                DescOp::Alloc => live.extend(arena.alloc_from(&tag(made))),
+                DescOp::IntoDesc { pick } if !live.is_empty() => {
+                    in_flight.push(live.swap_remove(pick % live.len()).into_desc());
+                    made += 1;
+                }
+                DescOp::Adopt { pick, via_resolver } if !in_flight.is_empty() => {
+                    let desc = in_flight.swap_remove(pick % in_flight.len());
+                    let m = if via_resolver { resolver.adopt(desc) } else { adopt(desc) };
+                    let m = m.expect("a mapped segment adopts its descriptor");
+                    adopted += 1;
+                    live.push(m);
+                }
+                DescOp::DropDesc { pick } if !in_flight.is_empty() => {
+                    drop(in_flight.swap_remove(pick % in_flight.len()));
+                    dropped += 1;
+                }
+                DescOp::Free { pick } if !live.is_empty() => {
+                    live.swap_remove(pick % live.len());
+                }
+                _ => {}
+            }
+            prop_assert!(adopted <= made, "{adopted} adopts for {made} descriptors");
+            prop_assert_eq!(adopted + dropped + in_flight.len(), made);
+            // Every holder — handle or descriptor — names its own slot.
+            let mut slots: Vec<u32> = live.iter().map(ArenaMbuf::slot).collect();
+            slots.extend(in_flight.iter().map(MbufDesc::slot));
+            let held = slots.len();
+            slots.sort_unstable();
+            slots.dedup();
+            prop_assert_eq!(slots.len(), held, "two holders share a slot");
+            prop_assert_eq!(arena.in_use(), held);
+        }
+        drop((live, in_flight));
         prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
     }
 }

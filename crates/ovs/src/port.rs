@@ -129,18 +129,21 @@ impl OvsPort {
     /// matching OVS-DPDK's behaviour on a full vhost/dpdkr ring. A down
     /// port drops everything.
     pub fn tx_burst_or_drop(&self, pkts: &mut Vec<Mbuf>) {
+        let total = pkts.len();
+        let mut sent = 0;
         if self.is_admin_up() {
-            let total: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-            let sent = self.end.lock().send_burst(pkts);
-            // send_burst drained exactly the first `sent` packets, so the
-            // bytes sent are the total less the bytes left behind.
-            let remaining: u64 = pkts.iter().map(|m| m.len() as u64).sum();
-            self.counters.tx(sent as u64, total - remaining);
+            let mut end = self.end.lock();
+            // Free space cannot shrink under the one producer, so the
+            // prefix that fits is what leaves: sum its bytes once.
+            pkts.truncate(end.tx_room(total));
+            let bytes = pkts.iter().map(|m| m.len() as u64).sum();
+            sent = end.send_burst(pkts);
+            self.counters.tx(sent as u64, bytes);
         }
-        if !pkts.is_empty() {
+        if sent < total {
             self.counters
                 .odropped
-                .fetch_add(pkts.len() as u64, Ordering::Relaxed);
+                .fetch_add((total - sent) as u64, Ordering::Relaxed);
             pkts.clear(); // dropped arena mbufs return their slots
         }
     }

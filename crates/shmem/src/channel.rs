@@ -6,65 +6,53 @@
 //! (VM endpoint ↔ VM endpoint).
 //!
 //! The rings carry [`PktSlot`]s, not mbufs: an arena-backed packet is
-//! enqueued as its POD [`MbufDesc`] — segment id plus offsets, the only
+//! enqueued as its [`MbufDesc`] — segment id plus offsets, the only
 //! representation valid on both sides of an ivshmem BAR — so a hop moves
-//! ~32 bytes of descriptor while the payload stays put in the shared slab
-//! (the zero-copy hop). The receiving endpoint resolves a segment id once,
-//! through its own [`Resolver`], and adopts every later descriptor from
-//! that segment without a lock. Heap-backed mbufs still travel by value,
-//! keeping every legacy producer working. Both ends poll; nothing
-//! notifies a peer that a ring filled.
+//! a 40-byte descriptor while the payload stays put in the shared slab
+//! (the zero-copy hop). The descriptor is a move-only token that carries
+//! the sender's reference to the segment; the receiving endpoint resolves
+//! a segment id once, through its own [`Resolver`], and adopts every later
+//! descriptor from that segment by taking that reference back — no lock
+//! and no reference-count write per hop. A descriptor whose segment is no
+//! longer mapped is dropped and counted
+//! ([`ChannelEndStats::unmapped_drops`]). Heap-backed mbufs still travel
+//! by value, keeping every legacy producer working. Both ends poll;
+//! nothing notifies a peer that a ring filled.
 
-use dpdk_sim::arena::{adopt, Resolver};
+use dpdk_sim::arena::Resolver;
 use dpdk_sim::{spsc_ring, Mbuf, MbufDesc, SpscConsumer, SpscProducer};
 
-/// What a ring slot carries: an owned heap mbuf, or an arena descriptor
-/// (the zero-copy representation).
+/// One slot on a channel ring: an owned heap mbuf, or an arena descriptor
+/// (the zero-copy representation). A ring destroyed with descriptors still
+/// in flight (endpoint dropped before the peer drained it) releases each
+/// slot as it drops the descriptor, like a ring freeing its mbufs.
 #[derive(Debug)]
-pub enum PktSlotKind {
+pub enum PktSlot {
     /// Process-private mbuf, moved by value (legacy path).
     Boxed(Mbuf),
     /// Offset-based handle into a shared arena segment.
     Desc(MbufDesc),
 }
 
-/// One slot on a channel ring. The wrapper exists for its `Drop`: a ring
-/// destroyed with descriptors still in flight (endpoint dropped before the
-/// peer drained it) releases each slot's arena reference instead of
-/// leaking it — the shared-arena analogue of a ring freeing its mbufs.
-#[derive(Debug)]
-pub struct PktSlot(Option<PktSlotKind>);
-
 impl PktSlot {
     /// An arena-backed packet travels as its descriptor, any other by value.
     fn of(pkt: Mbuf) -> PktSlot {
-        PktSlot(Some(match pkt.try_into_desc() {
-            Ok(desc) => PktSlotKind::Desc(desc),
-            Err(m) => PktSlotKind::Boxed(m),
-        }))
+        match pkt.try_into_desc() {
+            Ok(desc) => PktSlot::Desc(desc),
+            Err(m) => PktSlot::Boxed(m),
+        }
     }
 
     fn is_desc(&self) -> bool {
-        matches!(self.0, Some(PktSlotKind::Desc(_)))
+        matches!(self, PktSlot::Desc(_))
     }
 
     /// The packet, a descriptor adopted through `segments`; `None` when its
     /// segment is no longer mapped.
-    fn into_mbuf(mut self, segments: &mut Resolver) -> Option<Mbuf> {
-        match self.0.take().expect("slot consumed exactly once") {
-            PktSlotKind::Boxed(m) => Some(m),
-            PktSlotKind::Desc(desc) => segments.adopt(desc).map(Mbuf::from_arena),
-        }
-    }
-}
-
-impl Drop for PktSlot {
-    fn drop(&mut self) {
-        if let Some(PktSlotKind::Desc(desc)) = self.0.take() {
-            // Adopt-and-free: the arena slot travels the credit stack home.
-            // A dead segment yields None, which is already accounted. Ring
-            // teardown only, so the global segment table is fine here.
-            drop(adopt(desc));
+    fn into_mbuf(self, segments: &mut Resolver) -> Option<Mbuf> {
+        match self {
+            PktSlot::Boxed(m) => Some(m),
+            PktSlot::Desc(desc) => segments.adopt(desc).map(Mbuf::from_arena),
         }
     }
 }

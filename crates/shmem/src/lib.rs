@@ -26,7 +26,7 @@ pub mod registry;
 pub mod serial;
 pub mod stats;
 
-pub use channel::{channel, ChannelEnd, ChannelEndStats, PktSlot, PktSlotKind};
+pub use channel::{channel, ChannelEnd, ChannelEndStats, PktSlot};
 pub use ivshmem::DeviceBoard;
 pub use ivshmem::IvshmemDevice;
 pub use registry::{SegmentKind, SegmentRecord, ShmRegistry, DEFAULT_ARENA_SLOTS};
