@@ -3,13 +3,13 @@
 //! A real ivshmem highway cannot move `Box<[u8]>` pointers between
 //! processes: a guest maps the hugepage segment at its own virtual address,
 //! so the only representation of a packet that survives the BAR crossing is
-//! `(segment_id, offset, length)`. This module models exactly that:
+//! `(segment_id, slot)`. This module models exactly that:
 //!
 //! * `ArenaSegment` (internal) — one contiguous slab carved into
-//!   fixed-size slots, one `held` flag per slot (the double-free guard),
-//!   and two lock-free LIFO stacks of slot indices linked through one
-//!   shared `next[]` array: the owner's **freelist** and the **credit
-//!   stack**.
+//!   fixed-size slots, followed by one [`SlotHeader`] per slot; one `held`
+//!   flag per slot (the double-free guard), and two lock-free LIFO stacks
+//!   of slot indices linked through one shared `next[]` array: the owner's
+//!   **freelist** and the **credit stack**.
 //!   Consumers that finish with a buffer push its slot onto the credit
 //!   stack instead of the freelist, so recycling never contends with the
 //!   producer's pops; when the freelist runs dry the producer detaches the
@@ -17,16 +17,25 @@
 //!   one more. Slots never issued yet sit behind a `fresh` watermark, so a
 //!   new segment pushes nothing, and LIFO reuse keeps the slots in use —
 //!   and the pages faulted in — near the in-flight high water.
+//! * [`SlotHeader`] — a packet's metadata (`data_off`, `len`, `port`,
+//!   `udata`, `timestamp`), kept in the slab beside its bytes the way an
+//!   `rte_mbuf` header sits in its buffer. The headers are one region after
+//!   the slots, in the slab's own zero-filled allocation, so a new segment
+//!   writes none of them and a header page faults in with first use. The
+//!   slot's one holder reads and writes its header; a header write is not
+//!   counted as a slab write.
 //! * [`Arena`] — a process-local *mapping* of a segment. The owner mapping
 //!   (created by [`Arena::new`]) frees straight to the freelist; consumer
 //!   mappings ([`Arena::consumer`]) free through the credit stack, like a
 //!   guest that must not write the host's freelist head.
-//! * [`ArenaMbuf`] — an RAII packet handle over one slot: offset-based,
-//!   the slot's only owner, and convertible to/from the move-only
-//!   [`MbufDesc`] that rides rings between mappings (descriptor-only
-//!   enqueue — the zero-copy hop). Ownership moves with the handle or the
-//!   descriptor; it is never shared, so a packet sent to several ports is
-//!   copied (see `Mbuf::duplicate`).
+//! * [`ArenaMbuf`] — a 16-byte RAII handle over one slot (its segment, the
+//!   slot index and which stack frees it): the slot's only owner, and
+//!   convertible to/from the move-only 8-byte [`MbufDesc`] token that rides
+//!   rings between mappings (descriptor-only enqueue — the zero-copy hop).
+//!   A hop moves the token and copies no metadata: the header stays in the
+//!   slot. Ownership moves with the handle or the token; it is never
+//!   shared, so a packet sent to several ports is copied (see
+//!   `Mbuf::duplicate`).
 //! * [`Resolver`] — a receiver's table of the segments it has mapped: the
 //!   first descriptor from a segment resolves its id through the
 //!   process-wide segment table behind [`adopt`]; every later one adopts
@@ -44,16 +53,16 @@
 //! slot and drops the reference), the packet-loss mode a real
 //! unmap-under-traffic has; the last of them frees the segment.
 //!
-//! The slab counts every mutable-byte access in `slab_writes`, which is the
-//! instrument behind the zero-copy acceptance test: across an N-hop chain,
-//! slab writes happen only at generator ingress (and at VNFs that
-//! legitimately mutate payload), never per hop.
+//! The slab counts every mutable access to packet bytes in `slab_writes`,
+//! which is the instrument behind the zero-copy acceptance test: across an
+//! N-hop chain, slab writes happen only at generator ingress (and at VNFs
+//! that legitimately mutate payload), never per hop.
 
 use crate::events;
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::mem::ManuallyDrop;
+use std::mem::{offset_of, ManuallyDrop};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
@@ -62,8 +71,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 pub const ARENA_HEADROOM: usize = crate::mbuf::MBUF_HEADROOM;
 
 /// A packet descriptor: the only representation that crosses a ring
-/// between two mappings of the same segment. Carries the buffer's identity
-/// as offsets plus the mbuf metadata words, never a pointer.
+/// between two mappings of the same segment. One `u64` token, the segment
+/// id above the slot index, never a pointer; the packet's layout and
+/// metadata stay in the slot's [`SlotHeader`].
 ///
 /// A descriptor is a move-only token. It owns its slot and the segment
 /// reference of the handle it was made from: only [`ArenaMbuf::into_desc`]
@@ -86,25 +96,17 @@ pub const ARENA_HEADROOM: usize = crate::mbuf::MBUF_HEADROOM;
 /// queued) is adopted and freed through the process-wide segment table, so
 /// neither its slot nor its segment leaks.
 #[derive(Debug)]
-pub struct MbufDesc {
-    segment_id: u64,
-    slot: u32,
-    data_off: u32,
-    len: u32,
-    port: u32,
-    udata: u64,
-    timestamp: u64,
-}
+pub struct MbufDesc(u64);
 
 impl MbufDesc {
     /// Which segment the slot lives in (global, process-unique id).
     pub fn segment_id(&self) -> u64 {
-        self.segment_id
+        self.0 >> 32
     }
 
     /// Slot index within the segment's slab.
     pub fn slot(&self) -> u32 {
-        self.slot
+        self.0 as u32
     }
 }
 
@@ -112,23 +114,82 @@ impl Drop for MbufDesc {
     fn drop(&mut self) {
         // Nobody adopted it: take it home like a dropped handle. Cold (ring
         // teardown), so the global segment table is fine here.
-        drop(claim(lookup_segment(self.segment_id).as_ref(), self));
+        drop(claim(lookup_segment(self.segment_id()).as_ref(), self));
+    }
+}
+
+/// A packet's metadata, one per slot in the segment's header region: where
+/// the packet starts in its slot, its length, and the `rte_mbuf` words the
+/// dataplane carries with it. `repr(C)` fixes the layout every mapping of
+/// the segment agrees on: 32 bytes, the `u64` words 8-aligned.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotHeader {
+    /// Offset of the first packet byte from the start of the slot.
+    pub data_off: u32,
+    /// Packet length in bytes.
+    pub len: u32,
+    /// Ingress port as understood by whoever received the packet.
+    pub port: u32,
+    /// Free-use scratch word (DPDK's `udata64`).
+    pub udata: u64,
+    /// Cycle timestamp, stamped by generators and NICs for latency probes.
+    pub timestamp: u64,
+}
+
+impl SlotHeader {
+    /// Bytes one header takes in the slab.
+    pub const SIZE: usize = std::mem::size_of::<SlotHeader>();
+
+    /// True when the packet it describes lies inside a slot of `slot_size`.
+    fn fits(&self, slot_size: usize) -> bool {
+        self.data_off as usize + self.len as usize <= slot_size
+    }
+
+    fn load(b: &[u8; SlotHeader::SIZE]) -> SlotHeader {
+        let u32_at = |at: usize| u32::from_ne_bytes(b[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_ne_bytes(b[at..at + 8].try_into().unwrap());
+        SlotHeader {
+            data_off: u32_at(offset_of!(SlotHeader, data_off)),
+            len: u32_at(offset_of!(SlotHeader, len)),
+            port: u32_at(offset_of!(SlotHeader, port)),
+            udata: u64_at(offset_of!(SlotHeader, udata)),
+            timestamp: u64_at(offset_of!(SlotHeader, timestamp)),
+        }
+    }
+
+    fn store(&self, b: &mut [u8; SlotHeader::SIZE]) {
+        let mut put = |at: usize, bytes: &[u8]| b[at..at + bytes.len()].copy_from_slice(bytes);
+        put(
+            offset_of!(SlotHeader, data_off),
+            &self.data_off.to_ne_bytes(),
+        );
+        put(offset_of!(SlotHeader, len), &self.len.to_ne_bytes());
+        put(offset_of!(SlotHeader, port), &self.port.to_ne_bytes());
+        put(offset_of!(SlotHeader, udata), &self.udata.to_ne_bytes());
+        put(
+            offset_of!(SlotHeader, timestamp),
+            &self.timestamp.to_ne_bytes(),
+        );
     }
 }
 
 /// The slab: interior-mutable so multiple handles can address disjoint
 /// slots concurrently. Each issued slot has exactly one owner — the
 /// `ArenaMbuf` (or the in-flight descriptor) that holds it — so no byte is
-/// ever aliased mutably.
+/// ever aliased mutably. The slots come first, then one [`SlotHeader`] per
+/// slot.
 struct Slab(Box<[UnsafeCell<u8>]>);
 
-// SAFETY: all access goes through ArenaMbuf. An issued slot has exactly one
-// holder, and the types keep it so: neither `ArenaMbuf` nor `MbufDesc` is
-// `Clone` or `Copy`, a descriptor is made only by consuming the handle
+// SAFETY: all access goes through ArenaMbuf, and through `claim` reading
+// the header of the slot its descriptor holds. An issued slot has exactly
+// one holder, and the types keep it so: neither `ArenaMbuf` nor `MbufDesc`
+// is `Clone` or `Copy`, a descriptor is made only by consuming the handle
 // (`into_desc`), and a handle only by consuming the descriptor (`adopt`,
-// `Resolver::adopt`). A slot's bytes are reachable only through that one
-// handle, mutably only through `&mut` to it, and a slot is reissued only
-// after its holder released it (the `held` swap in `release`).
+// `Resolver::adopt`). A slot's bytes and its header's bytes belong to the
+// slot: they are reachable only through that one holder, mutably only
+// through `&mut` to the handle, and a slot is reissued only after its
+// holder released it (the `held` swap in `release`).
 unsafe impl Sync for Slab {}
 
 impl Slab {
@@ -281,8 +342,10 @@ impl SlotStack {
 /// `repr(C)` keeps the declared order: the fields every hop reads and
 /// almost nothing writes fill the first two cache lines, and the counters
 /// the allocating thread bumps per packet sit behind the padded stacks, so
-/// an adopt on another CPU never pulls a line the allocator writes.
-#[repr(C)]
+/// an adopt on another CPU never pulls a line the allocator writes. The
+/// 128-byte alignment keeps those lines apart from the `Arc` counts in
+/// front of the segment, which every allocation and last free write.
+#[repr(C, align(128))]
 pub(crate) struct ArenaSegment {
     id: u64,
     slab: Slab,
@@ -323,6 +386,11 @@ pub(crate) struct ArenaSegment {
 }
 
 impl ArenaSegment {
+    /// Slab offset of `slot`'s header: the headers follow the slots.
+    fn header_at(&self, slot: u32) -> usize {
+        self.capacity * self.slot_size + slot as usize * SlotHeader::SIZE
+    }
+
     fn foreign_free(&self) {
         self.foreign_frees.fetch_add(1, Ordering::Relaxed);
         events::emit("arena_foreign_free", 1);
@@ -495,9 +563,13 @@ fn segment_table() -> MutexGuard<'static, HashMap<u64, Weak<ArenaSegment>>> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A process-unique segment id. It fills the upper half of a descriptor
+/// token, so it must fit in 32 bits.
 fn next_segment_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    assert!(id <= u64::from(u32::MAX), "arena segment ids exhausted");
+    id
 }
 
 /// The table's entry for `segment_id`. A descriptor's own reference keeps
@@ -512,11 +584,12 @@ fn lookup_segment(segment_id: u64) -> Option<Weak<ArenaSegment>> {
 ///
 /// * The segment is no longer mapped: the slot is freed, the reference
 ///   dropped, the packet lost.
-/// * The descriptor does not lie inside one of the segment's slots: the
-///   reference is dropped but the slot is not released. None of a corrupt
-///   descriptor's fields can be trusted, so the slot it names (if any)
-///   stays held and shows up in the census instead of being freed on a
-///   guess.
+/// * The token's slot lies past the slab, or the slot's header puts the
+///   packet outside the slot: the reference is dropped but the slot is not
+///   released. A corrupt descriptor cannot be trusted, so the slot it names
+///   (if any) stays held and shows up in the census instead of being freed
+///   on a guess.
+#[inline]
 fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf> {
     let Some(seg) = seg else {
         events::emit("arena_adopt_failure", 1);
@@ -524,17 +597,26 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf>
     };
     // SAFETY: `desc` came from `into_desc`, which kept its handle's strong
     // reference instead of dropping it, so the allocation behind `seg` (the
-    // `Weak` for `desc.segment_id`; ids are never reused) is live and this
+    // `Weak` for `desc`'s segment id; ids are never reused) is live and this
     // takes that one reference back. It is taken once: a descriptor is
     // neither `Copy` nor `Clone`, and the caller consumes it.
     let seg = unsafe { Arc::from_raw(seg.as_ptr()) };
-    let fits = (desc.slot as usize) < seg.capacity
-        && desc.data_off as usize + desc.len as usize <= seg.slot_size;
+    let slot = desc.slot();
+    let fits = (slot as usize) < seg.capacity && {
+        // SAFETY: `desc` holds the slot, so no handle can be writing its
+        // header.
+        let header = unsafe { seg.slab.slice(seg.header_at(slot), SlotHeader::SIZE) };
+        SlotHeader::load(header.try_into().unwrap()).fits(seg.slot_size)
+    };
     if fits && seg.mappings.load(Ordering::Relaxed) > 0 {
-        return Some(ArenaMbuf::rebind(seg, desc));
+        return Some(ArenaMbuf {
+            seg,
+            slot,
+            via_credit: true,
+        });
     }
     if fits {
-        release(&seg, desc.slot, true);
+        release(&seg, slot, true);
     }
     events::emit("arena_adopt_failure", 1);
     None
@@ -557,7 +639,7 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf>
 /// through a [`Resolver`] instead, which consults it once per segment.
 pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
     let desc = ManuallyDrop::new(desc);
-    claim(lookup_segment(desc.segment_id).as_ref(), &desc)
+    claim(lookup_segment(desc.segment_id()).as_ref(), &desc)
 }
 
 /// A receiver's own mapping table, the in-process form of a guest mapping
@@ -576,17 +658,19 @@ pub struct Resolver {
 
 impl Resolver {
     /// [`adopt`] through this table.
+    #[inline]
     pub fn adopt(&mut self, desc: MbufDesc) -> Option<ArenaMbuf> {
         let desc = ManuallyDrop::new(desc);
-        if let Some((_, seg)) = self.mapped.iter().find(|(id, _)| *id == desc.segment_id) {
+        let id = desc.segment_id();
+        if let Some((_, seg)) = self.mapped.iter().find(|(mapped, _)| *mapped == id) {
             return claim(Some(seg), &desc);
         }
         // Cold path: a segment this receiver has not mapped yet. Forget any
         // that have since been freed while here.
         self.mapped.retain(|(_, seg)| seg.strong_count() > 0);
-        let seg = lookup_segment(desc.segment_id);
+        let seg = lookup_segment(id);
         if let Some(seg) = &seg {
-            self.mapped.push((desc.segment_id, Weak::clone(seg)));
+            self.mapped.push((id, Weak::clone(seg)));
         }
         claim(seg.as_ref(), &desc)
     }
@@ -594,15 +678,15 @@ impl Resolver {
 
 impl Arena {
     /// Creates a new segment of `capacity` slots of `slot_size` bytes and
-    /// returns its owner mapping. No slot is touched: all start behind the
-    /// never-issued watermark.
+    /// returns its owner mapping. No slot or header is touched: all start
+    /// behind the never-issued watermark, in one zero-filled allocation.
     pub fn new(name: impl Into<String>, capacity: usize, slot_size: usize) -> Arena {
         assert!(capacity > 0, "arena capacity must be positive");
         assert!(capacity < NIL as usize, "arena capacity exceeds slot index");
         assert!(slot_size > 0, "arena slot size must be positive");
         let seg = Arc::new(ArenaSegment {
             id: next_segment_id(),
-            slab: Slab::new(capacity * slot_size),
+            slab: Slab::new(capacity * (slot_size + SlotHeader::SIZE)),
             slot_size,
             capacity,
             mappings: AtomicUsize::new(1),
@@ -648,17 +732,16 @@ impl Arena {
     /// segment is exhausted (after reclaiming any pending credits).
     pub fn alloc(&self) -> Option<ArenaMbuf> {
         let slot = self.seg.take_slot()?;
-        let data_off = ARENA_HEADROOM.min(self.seg.slot_size / 2);
-        Some(ArenaMbuf {
+        let mut m = ArenaMbuf {
             seg: Arc::clone(&self.seg),
             slot,
             via_credit: self.via_credit,
-            data_off,
-            data_len: 0,
-            port: 0,
-            udata: 0,
-            timestamp: 0,
-        })
+        };
+        m.set_header(SlotHeader {
+            data_off: ARENA_HEADROOM.min(self.seg.slot_size / 2) as u32,
+            ..SlotHeader::default()
+        });
+        Some(m)
     }
 
     /// Allocates and copies `data` into the slot — the single legitimate
@@ -666,10 +749,14 @@ impl Arena {
     /// ingress / NIC rx).
     pub fn alloc_from(&self, data: &[u8]) -> Option<ArenaMbuf> {
         let mut m = self.alloc()?;
-        if data.len() > m.tailroom() {
+        let header = SlotHeader {
+            len: u32::try_from(data.len()).ok()?,
+            ..m.header()
+        };
+        if !header.fits(self.seg.slot_size) {
             return None; // handle drops, slot returns
         }
-        m.set_len(data.len());
+        m.set_header(header);
         m.data_mut().copy_from_slice(data);
         Some(m)
     }
@@ -761,127 +848,114 @@ impl std::fmt::Debug for Arena {
     }
 }
 
-/// An offset-based packet handle that owns one arena slot. It moves; it is
-/// never cloned, so the slot has exactly one holder until it is released.
+/// An offset-based packet handle that owns one arena slot: its segment, the
+/// slot index and the stack a free takes — 16 bytes. The packet's layout and
+/// metadata live in the slot's [`SlotHeader`]. It moves; it is never cloned,
+/// so the slot has exactly one holder until it is released.
 pub struct ArenaMbuf {
     seg: Arc<ArenaSegment>,
     slot: u32,
     via_credit: bool,
-    data_off: usize,
-    data_len: usize,
-    /// Ingress port metadata.
-    pub port: u32,
-    /// Scratch metadata word.
-    pub udata: u64,
-    /// Cycle timestamp metadata word.
-    pub timestamp: u64,
 }
 
 impl ArenaMbuf {
-    fn rebind(seg: Arc<ArenaSegment>, desc: &MbufDesc) -> ArenaMbuf {
-        ArenaMbuf {
-            seg,
-            slot: desc.slot,
-            via_credit: true,
-            data_off: desc.data_off as usize,
-            data_len: desc.len as usize,
-            port: desc.port,
-            udata: desc.udata,
-            timestamp: desc.timestamp,
-        }
-    }
-
     fn slot_base(&self) -> usize {
         self.slot as usize * self.seg.slot_size
     }
 
+    /// Slab bytes `start..start + len`, inside this slot or its header.
+    fn bytes(&self, start: usize, len: usize) -> &[u8] {
+        // SAFETY: this handle is the slot's only owner, so the only `&mut`
+        // to these bytes would need `&mut self`, which `&self` excludes.
+        unsafe { self.seg.slab.slice(start, len) }
+    }
+
+    /// Mutable slab bytes `start..start + len`, inside this slot or its
+    /// header. Not counted: callers that write packet bytes count.
+    fn bytes_mut(&mut self, start: usize, len: usize) -> &mut [u8] {
+        // SAFETY: the slot's only owner, held through `&mut` — exclusive.
+        unsafe { self.seg.slab.slice_mut(start, len) }
+    }
+
     /// Converts the handle into its ring descriptor *without* releasing the
-    /// slot: ownership moves into the descriptor, to be resurrected by
-    /// [`adopt`] on the other side. This is the descriptor-only enqueue.
+    /// slot: ownership moves into the token, to be resurrected by [`adopt`]
+    /// on the other side. This is the descriptor-only enqueue; the header
+    /// stays in the slot, so nothing else is copied.
     ///
     /// The handle's segment reference moves too: the handle is forgotten,
     /// not dropped, so its `Arc` count stays with the descriptor and
     /// adopt takes it back — no reference count is written per hop.
+    #[inline]
     pub fn into_desc(self) -> MbufDesc {
         let this = ManuallyDrop::new(self);
-        MbufDesc {
-            segment_id: this.seg.id,
-            slot: this.slot,
-            data_off: this.data_off as u32,
-            len: this.data_len as u32,
-            port: this.port,
-            udata: this.udata,
-            timestamp: this.timestamp,
-        }
+        MbufDesc(this.seg.id << 32 | u64::from(this.slot))
+    }
+
+    /// The slot's header: the packet's layout and metadata.
+    pub fn header(&self) -> SlotHeader {
+        let at = self.seg.header_at(self.slot);
+        SlotHeader::load(self.bytes(at, SlotHeader::SIZE).try_into().unwrap())
+    }
+
+    /// Rewrites the slot's header. The packet must lie inside the slot. A
+    /// header write is not a slab write: it changes no packet byte.
+    pub fn set_header(&mut self, header: SlotHeader) {
+        assert!(
+            header.fits(self.seg.slot_size),
+            "arena mbuf layout {}+{} exceeds slot",
+            header.data_off,
+            header.len
+        );
+        let at = self.seg.header_at(self.slot);
+        header.store(self.bytes_mut(at, SlotHeader::SIZE).try_into().unwrap());
     }
 
     /// Packet bytes.
     pub fn data(&self) -> &[u8] {
-        // SAFETY: this handle is the slot's only owner, so the only `&mut`
-        // to these bytes would need `&mut self`, which `&self` excludes.
-        unsafe {
-            self.seg
-                .slab
-                .slice(self.slot_base() + self.data_off, self.data_len)
-        }
+        let h = self.header();
+        self.bytes(self.slot_base() + h.data_off as usize, h.len as usize)
     }
 
     /// Mutable packet bytes. Counted as a slab write.
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.seg.slab_writes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the slot's only owner, held through `&mut` — exclusive.
-        unsafe {
-            self.seg
-                .slab
-                .slice_mut(self.slot_base() + self.data_off, self.data_len)
-        }
+        let h = self.header();
+        self.bytes_mut(self.slot_base() + h.data_off as usize, h.len as usize)
     }
 
     /// The whole slot as shared bytes (the `Mbuf` wrapper addresses the
-    /// slot with its own offsets).
+    /// slot with the header's offsets).
     pub fn slot_bytes(&self) -> &[u8] {
-        // SAFETY: as in `data`.
-        unsafe { self.seg.slab.slice(self.slot_base(), self.seg.slot_size) }
+        self.bytes(self.slot_base(), self.seg.slot_size)
     }
 
     /// The whole slot as mutable bytes. Counted as a slab write.
     pub fn slot_bytes_mut(&mut self) -> &mut [u8] {
         self.seg.slab_writes.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as in `data_mut`.
-        unsafe {
-            self.seg
-                .slab
-                .slice_mut(self.slot_base(), self.seg.slot_size)
-        }
+        self.bytes_mut(self.slot_base(), self.seg.slot_size)
     }
 
     /// Current packet length.
     pub fn len(&self) -> usize {
-        self.data_len
+        self.header().len as usize
     }
 
     /// True when the packet is empty.
     pub fn is_empty(&self) -> bool {
-        self.data_len == 0
-    }
-
-    /// Bytes available in front of the packet.
-    pub fn headroom(&self) -> usize {
-        self.data_off
-    }
-
-    /// Bytes available after the packet.
-    pub fn tailroom(&self) -> usize {
-        self.seg.slot_size - self.data_off - self.data_len
+        self.len() == 0
     }
 
     /// Resizes the packet in place (must fit the slot).
     pub fn set_len(&mut self, len: usize) {
+        let h = self.header();
         assert!(
-            self.data_off + len <= self.seg.slot_size,
+            h.data_off as usize + len <= self.seg.slot_size,
             "arena mbuf set_len {len} exceeds slot"
         );
-        self.data_len = len;
+        self.set_header(SlotHeader {
+            len: len as u32,
+            ..h
+        });
     }
 
     /// Segment id (diagnostics; what the descriptor would carry).
@@ -892,16 +966,6 @@ impl ArenaMbuf {
     /// Slot index (diagnostics).
     pub fn slot(&self) -> u32 {
         self.slot
-    }
-
-    pub(crate) fn data_off(&self) -> usize {
-        self.data_off
-    }
-
-    pub(crate) fn set_layout(&mut self, data_off: usize, data_len: usize) {
-        assert!(data_off + data_len <= self.seg.slot_size);
-        self.data_off = data_off;
-        self.data_len = data_len;
     }
 }
 
@@ -932,7 +996,7 @@ impl std::fmt::Debug for ArenaMbuf {
         f.debug_struct("ArenaMbuf")
             .field("segment", &self.seg.id)
             .field("slot", &self.slot)
-            .field("len", &self.data_len)
+            .field("len", &self.len())
             .field("via_credit", &self.via_credit)
             .finish()
     }
@@ -944,6 +1008,18 @@ mod tests {
 
     fn arena(cap: usize) -> Arena {
         Arena::new("t", cap, 512)
+    }
+
+    /// Writes a layout into `m`'s header without the fit check, the way a
+    /// corrupt writer of shared memory could.
+    fn corrupt_layout(m: &mut ArenaMbuf, data_off: u32, len: u32) {
+        let header = SlotHeader {
+            data_off,
+            len,
+            ..m.header()
+        };
+        let at = m.seg.header_at(m.slot);
+        header.store(m.bytes_mut(at, SlotHeader::SIZE).try_into().unwrap());
     }
 
     #[test]
@@ -1001,15 +1077,28 @@ mod tests {
     fn descriptor_roundtrip_preserves_bytes_and_metadata() {
         let a = arena(2);
         let mut m = a.alloc_from(&[7, 8, 9]).unwrap();
-        m.port = 5;
-        m.udata = 0xfeed;
-        m.timestamp = 77;
+        let header = SlotHeader {
+            port: 5,
+            udata: 0xfeed,
+            timestamp: 77,
+            ..m.header()
+        };
+        m.set_header(header);
         let desc = m.into_desc();
-        assert_eq!((desc.len, desc.port, desc.udata), (3, 5, 0xfeed));
+        assert_eq!((desc.segment_id(), desc.slot()), (a.segment_id(), 0));
         let got = adopt(desc).unwrap();
         assert_eq!(got.data(), &[7, 8, 9]);
-        assert_eq!((got.port, got.udata, got.timestamp), (5, 0xfeed, 77));
+        assert_eq!(got.header(), header);
         assert_eq!(a.in_use(), 1, "descriptor held the slot");
+        // The slot comes back with a fresh header, not the last holder's.
+        drop(got);
+        let again = a.alloc().unwrap();
+        assert_eq!(again.slot(), 0);
+        let fresh = SlotHeader {
+            data_off: ARENA_HEADROOM as u32,
+            ..SlotHeader::default()
+        };
+        assert_eq!(again.header(), fresh);
     }
 
     #[test]
@@ -1022,28 +1111,42 @@ mod tests {
 
     #[test]
     fn a_descriptor_outside_its_segment_does_not_adopt() {
-        // 64 B slots: slot 0 with data_off 32 and len 72 would read into
-        // slot 1; slot 8 of an 8-slot segment would read past the slab.
-        // Each corrupt descriptor is a genuine one with fields rewritten, so
-        // it still owns its segment reference.
+        // 64 B slots: a header with data_off 32 and len 72 would read into
+        // the next slot; a token naming slot 8 of an 8-slot segment would
+        // read past the slab. Each corrupt descriptor is a genuine one with
+        // its header or token rewritten, so it still owns its segment
+        // reference.
         let a = Arena::new("bounds", 8, 64);
         let mut resolver = Resolver::default();
-        let genuine = || a.alloc_from(&[1; 16]).unwrap().into_desc();
-        let past_slot = |mut d: MbufDesc| {
-            (d.data_off, d.len) = (32, 72);
+        let genuine = || a.alloc_from(&[1; 16]).unwrap();
+        let past_slot = || {
+            let mut m = genuine();
+            corrupt_layout(&mut m, 32, 72);
+            m.into_desc()
+        };
+        let past_slab = || {
+            let mut d = genuine().into_desc();
+            d.0 = d.0 & !u64::from(u32::MAX) | 8;
             d
         };
-        let past_slab = |mut d: MbufDesc| {
-            d.slot = 8;
-            d
-        };
-        assert!(adopt(past_slot(genuine())).is_none());
-        assert!(resolver.adopt(past_slot(genuine())).is_none());
-        assert!(adopt(past_slab(genuine())).is_none());
-        assert!(resolver.adopt(past_slab(genuine())).is_none());
+        assert!(adopt(past_slot()).is_none());
+        assert!(resolver.adopt(past_slot()).is_none());
+        assert!(adopt(past_slab()).is_none());
+        assert!(resolver.adopt(past_slab()).is_none());
+        // A token naming a segment never made holds no reference: refused,
+        // and nothing else moves.
+        let unknown = || MbufDesc(u64::from(u32::MAX) << 32);
+        assert!(adopt(unknown()).is_none());
+        assert!(resolver.adopt(unknown()).is_none());
         let mut edge = genuine();
-        (edge.data_off, edge.len) = (32, 32);
-        assert_eq!(resolver.adopt(edge).expect("fits exactly").len(), 32);
+        corrupt_layout(&mut edge, 32, 32);
+        assert_eq!(
+            resolver
+                .adopt(edge.into_desc())
+                .expect("fits exactly")
+                .len(),
+            32
+        );
         // Each refusal left its slot held but gave its reference back.
         let s = a.stats();
         assert_eq!((s.foreign_frees, s.in_use), (0, 4), "census: {s:?}");
@@ -1057,9 +1160,10 @@ mod tests {
     #[test]
     fn a_rejected_descriptor_leaves_its_slot_held() {
         let a = arena(2);
-        let mut desc = a.alloc_from(&[1]).unwrap().into_desc();
+        let mut m = a.alloc_from(&[1]).unwrap();
+        corrupt_layout(&mut m, 0, 1024);
+        let desc = m.into_desc();
         let slot = desc.slot();
-        desc.len = 1024;
         assert!(adopt(desc).is_none());
         assert_eq!(a.in_use(), 1, "nothing released on a corrupt descriptor");
         assert_eq!(Arc::strong_count(&a.seg), 1, "its reference is dropped");

@@ -14,10 +14,12 @@
 //!   compile error rather than a data race. It is the one ring family: a
 //!   NIC port is the same channel as a VM's, paced at its wire end.
 //! * Mbufs carry the few metadata fields the reproduction needs (input port,
-//!   a 64-bit user scratch word and a timestamp). Each owns its buffer
-//!   exclusively and releases it on drop, like `rte_pktmbuf_free`.
+//!   a 64-bit user scratch word and a timestamp) in a [`SlotHeader`] beside
+//!   the layout. Each owns its buffer exclusively and releases it on drop,
+//!   like `rte_pktmbuf_free`.
 //! * The shared-memory highway allocates from [`Arena`] segments whose
-//!   handles are **offset-based** ([`MbufDesc`]): valid in any process that
+//!   handles are **offset-based** ([`MbufDesc`], one `u64` of segment id
+//!   and slot; the header stays in the segment): valid in any process that
 //!   maps the segment, moved (never shared) between holders, with lock-free
 //!   LIFO slot stacks (freelist and credit return) for cross-mapping
 //!   recycling — the representation an ivshmem BAR actually permits.
@@ -28,7 +30,7 @@ pub mod events;
 pub mod mbuf;
 pub mod ring;
 
-pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, WeakArena};
+pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, SlotHeader, WeakArena};
 pub use mbuf::Mbuf;
 pub use ring::{spsc_ring, SpscConsumer, SpscProducer};
 

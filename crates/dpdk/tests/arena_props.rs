@@ -10,10 +10,12 @@
 //!    `available + credit_pending == capacity`, `foreign_frees == 0`;
 //! 4. adopt succeeds at most once per `into_desc`, whether descriptors are
 //!    adopted through the global table, through a resolver, or dropped
-//!    unadopted — and the census is clean at the end.
+//!    unadopted — and the census is clean at the end;
+//! 5. adopt returns the layout and metadata written before `into_desc`:
+//!    the slot header travels with the slot, not in the token.
 
 use dpdk_sim::arena::{adopt, Resolver};
-use dpdk_sim::{Arena, ArenaMbuf, MbufDesc};
+use dpdk_sim::{Arena, ArenaMbuf, MbufDesc, SlotHeader};
 use proptest::prelude::*;
 
 /// One step of the random-interleaving machine.
@@ -215,6 +217,37 @@ proptest! {
             prop_assert_eq!(arena.in_use(), held);
         }
         drop((live, in_flight));
+        prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
+    }
+
+    #[test]
+    fn adopt_returns_the_header_written_before_into_desc(
+        headers in proptest::collection::vec(
+            (0u32..=256, 0u32..=256, any::<u32>(), any::<u64>(), any::<u64>()),
+            1..32,
+        ),
+        via_resolver in proptest::bool::ANY,
+    ) {
+        let arena = Arena::new("props", 8, 256);
+        let mut resolver = Resolver::default();
+        let writes = arena.stats().slab_writes;
+        for (data_off, len, port, udata, timestamp) in headers {
+            let header = SlotHeader {
+                data_off: data_off.min(256 - len.min(256)),
+                len: len.min(256),
+                port,
+                udata,
+                timestamp,
+            };
+            let mut m = arena.alloc().unwrap();
+            m.set_header(header);
+            let desc = m.into_desc();
+            let back = if via_resolver { resolver.adopt(desc) } else { adopt(desc) };
+            let back = back.expect("a mapped segment adopts its descriptor");
+            prop_assert_eq!(back.header(), header);
+        }
+        prop_assert_eq!(arena.stats().slab_writes, writes, "a header write counted");
+        arena.reclaim_credits();
         prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
     }
 }

@@ -88,8 +88,8 @@ impl TrafficGen {
                 self.next_seq,
                 now,
             );
-            m.udata = self.next_seq;
-            m.timestamp = now;
+            m.set_udata(self.next_seq);
+            m.set_timestamp(now);
             self.next_seq += 1;
             out.push(m);
         }

@@ -1129,7 +1129,7 @@ mod tests {
             .collect();
         let arena = dpdk_sim::Arena::new("flood", 8, 512);
         let mut pkt = Mbuf::from_arena(arena.alloc_from(&[7; 60]).unwrap());
-        pkt.udata = 0x77;
+        pkt.set_udata(0x77);
 
         let mut staged = BTreeMap::new();
         dp.stage_outputs(pkt, PortNo(1), &[OutputTarget::Flood], &mut staged, &ports);
@@ -1143,7 +1143,7 @@ mod tests {
         assert!(out[2].is_arena(), "the last port gets the original");
         assert_eq!(arena.in_use(), 1, "no copy took a slot");
         for m in &out {
-            assert_eq!((m.data(), m.udata), (&[7; 60][..], 0x77));
+            assert_eq!((m.data(), m.udata()), (&[7; 60][..], 0x77));
         }
 
         out[0].data_mut()[0] = 1;
@@ -1176,8 +1176,13 @@ mod tests {
         assert!(vm2.recv().is_some());
     }
 
+    /// Closed loop, like the benchmark's generator: at most 32 packets in
+    /// flight, so `vm2`'s 64-slot ring never fills however fast the PMD
+    /// runs, and a drop at the out-port is a fault, not a race.
     #[test]
     fn pmd_thread_moves_traffic_end_to_end() {
+        const TOTAL: u64 = 100;
+        const MAX_IN_FLIGHT: u64 = 32;
         let (dp, mut vm1, mut vm2) = two_port_dp(false);
         dp.table_apply(&FlowMod::add(
             FlowMatch::in_port(PortNo(1)),
@@ -1188,18 +1193,17 @@ mod tests {
         let pmd = PmdThread::new(Arc::clone(&dp), Arc::clone(&stop));
         let handle = std::thread::spawn(move || pmd.run());
 
-        for i in 0..100u64 {
-            let mut m = probe();
-            m.udata = i;
-            while vm1.send(m).is_err() {
-                m = probe();
-                m.udata = i;
-                std::thread::yield_now();
-            }
-        }
-        let mut got = 0;
+        let (mut sent, mut got) = (0u64, 0u64);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while got < 100 && std::time::Instant::now() < deadline {
+        while got < TOTAL && std::time::Instant::now() < deadline {
+            if sent < TOTAL && sent - got < MAX_IN_FLIGHT {
+                let mut m = probe();
+                m.set_udata(sent);
+                if vm1.send(m).is_ok() {
+                    sent += 1;
+                    continue;
+                }
+            }
             if vm2.recv().is_some() {
                 got += 1;
             } else {
@@ -1208,7 +1212,8 @@ mod tests {
         }
         stop.store(true, Ordering::Release);
         handle.join().unwrap();
-        assert_eq!(got, 100);
+        assert_eq!(got, TOTAL);
+        assert_eq!(dp.port(PortNo(2)).unwrap().stats().odropped, 0);
     }
 
     /// One synchronous burst-batched PMD iteration with the given caches.

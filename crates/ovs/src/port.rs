@@ -117,7 +117,7 @@ impl OvsPort {
         }
         let mut bytes = 0u64;
         for m in &mut out[before..] {
-            m.port = u32::from(self.no.0);
+            m.set_port(u32::from(self.no.0));
             bytes += m.len() as u64;
         }
         self.counters.rx(n as u64, bytes);
@@ -182,7 +182,7 @@ mod tests {
         vm_end.send(Mbuf::from_slice(&[0u8; 64])).unwrap();
         let mut rx = Vec::new();
         assert_eq!(port.rx_burst(&mut rx, 32), 1);
-        assert_eq!(rx[0].port, 1);
+        assert_eq!(rx[0].port(), 1);
         assert_eq!(port.stats().ipackets, 1);
         assert_eq!(port.stats().ibytes, 64);
 

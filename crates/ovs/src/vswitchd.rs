@@ -375,17 +375,17 @@ mod tests {
         const N: u64 = 200;
         for i in 0..N {
             let mut m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).build());
-            m.udata = i;
+            m.set_udata(i);
             while vm1.send(m).is_err() {
                 m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).build());
-                m.udata = i;
+                m.set_udata(i);
                 std::thread::yield_now();
             }
             let mut m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).build());
-            m.udata = i;
+            m.set_udata(i);
             while vm4.send(m).is_err() {
                 m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).build());
-                m.udata = i;
+                m.set_udata(i);
                 std::thread::yield_now();
             }
         }
@@ -441,7 +441,7 @@ mod tests {
                     .ports(1000 + (i % FLOWS) as u16, 80)
                     .build();
                 let mut m = Mbuf::from_slice(&frame);
-                m.udata = i;
+                m.set_udata(i);
                 assert!(vm.send(m).is_ok(), "in-port ring has room");
             }
         }
@@ -459,9 +459,9 @@ mod tests {
                 while let Some(m) = vm.recv() {
                     idle = false;
                     // Per-flow order: udata is monotonic within each flow.
-                    let flow = (port, m.udata % FLOWS);
-                    if let Some(prev) = last_per_flow.insert(flow, m.udata) {
-                        assert!(prev < m.udata, "flow {flow:?} reordered");
+                    let flow = (port, m.udata() % FLOWS);
+                    if let Some(prev) = last_per_flow.insert(flow, m.udata()) {
+                        assert!(prev < m.udata(), "flow {flow:?} reordered");
                     }
                     got += 1;
                 }

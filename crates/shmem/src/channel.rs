@@ -5,27 +5,29 @@
 //! port (VM endpoint ↔ vSwitch endpoint) and of a bypass connection
 //! (VM endpoint ↔ VM endpoint).
 //!
-//! The rings carry [`PktSlot`]s, not mbufs: an arena-backed packet is
-//! enqueued as its [`MbufDesc`] — segment id plus offsets, the only
-//! representation valid on both sides of an ivshmem BAR — so a hop moves
-//! a 40-byte descriptor while the payload stays put in the shared slab
-//! (the zero-copy hop). The descriptor is a move-only token that carries
-//! the sender's reference to the segment; the receiving endpoint resolves
-//! a segment id once, through its own [`Resolver`], and adopts every later
-//! descriptor from that segment by taking that reference back — no lock
-//! and no reference-count write per hop. A descriptor whose segment is no
-//! longer mapped is dropped and counted
-//! ([`ChannelEndStats::unmapped_drops`]). Heap-backed mbufs still travel
-//! by value, keeping every legacy producer working. Both ends poll;
-//! nothing notifies a peer that a ring filled.
+//! The rings carry 16-byte [`PktSlot`]s: an arena-backed packet is
+//! enqueued as its [`MbufDesc`] — one `u64` of segment id and slot index,
+//! the only representation valid on both sides of an ivshmem BAR — so a
+//! hop moves an 8-byte token while the payload and its slot header (layout
+//! and metadata) stay put in the shared slab (the zero-copy hop). Neither
+//! end copies metadata, and a header write is not a slab write. The
+//! descriptor is a move-only token that carries the sender's reference to
+//! the segment; the receiving endpoint resolves a segment id once, through
+//! its own [`Resolver`], and adopts every later descriptor from that
+//! segment by taking that reference back — no lock and no reference-count
+//! write per hop. A descriptor whose segment is no longer mapped is
+//! dropped and counted ([`ChannelEndStats::unmapped_drops`]). Heap-backed
+//! mbufs still travel by value, keeping every legacy producer working.
+//! Both ends poll; nothing notifies a peer that a ring filled.
 
 use dpdk_sim::arena::Resolver;
 use dpdk_sim::{spsc_ring, Mbuf, MbufDesc, SpscConsumer, SpscProducer};
 
-/// One slot on a channel ring: an owned heap mbuf, or an arena descriptor
-/// (the zero-copy representation). A ring destroyed with descriptors still
-/// in flight (endpoint dropped before the peer drained it) releases each
-/// slot as it drops the descriptor, like a ring freeing its mbufs.
+/// One slot on a channel ring, 16 bytes: an owned heap mbuf, or an arena
+/// descriptor (the zero-copy representation). A ring destroyed with
+/// descriptors still in flight (endpoint dropped before the peer drained
+/// it) releases each slot as it drops the descriptor, like a ring freeing
+/// its mbufs.
 #[derive(Debug)]
 pub enum PktSlot {
     /// Process-private mbuf, moved by value (legacy path).
@@ -262,14 +264,14 @@ mod tests {
         let (mut a, mut b) = channel("t", 8);
         let writes_before = arena.stats().slab_writes;
         let mut m = Mbuf::from_arena(arena.alloc_from(&[9, 8, 7]).unwrap());
-        m.udata = 0x55;
+        m.set_udata(0x55);
         a.send(m).unwrap();
         assert_eq!(a.stats().desc_sent, 1);
         assert_eq!(a.stats().boxed_sent, 0);
         let got = b.recv().unwrap();
         assert!(got.is_arena(), "arrives still arena-backed");
         assert_eq!(got.data(), &[9, 8, 7]);
-        assert_eq!(got.udata, 0x55);
+        assert_eq!(got.udata(), 0x55);
         assert_eq!(
             arena.stats().slab_writes,
             writes_before + 1,
@@ -278,6 +280,52 @@ mod tests {
         drop(got);
         arena.reclaim_credits();
         assert!(arena.census_clean());
+    }
+
+    #[test]
+    fn a_ring_slot_is_two_words() {
+        assert!(std::mem::size_of::<PktSlot>() <= 16);
+    }
+
+    /// Trims the head, prepends into the headroom, trims the tail and sets
+    /// the metadata words: what a hop must carry besides the bytes.
+    fn edit(mut m: Mbuf, tag: u64) -> Mbuf {
+        m.adj(2);
+        m.prepend(1)[0] = 0xAA;
+        m.set_len(m.len() - 1);
+        m.set_port(tag as u32);
+        m.set_udata(tag << 8);
+        m.set_timestamp(tag << 16);
+        m
+    }
+
+    #[test]
+    fn edited_arena_and_heap_packets_arrive_intact() {
+        let arena = Arena::new("chan-edit", 4, 512);
+        let (mut a, mut b) = channel("t", 8);
+        let frame = [1, 2, 3, 4, 5, 6];
+        let mut pkts = vec![
+            edit(Mbuf::from_arena(arena.alloc_from(&frame).unwrap()), 7),
+            edit(Mbuf::from_slice(&frame), 9),
+        ];
+        let headroom: Vec<usize> = pkts.iter().map(Mbuf::headroom).collect();
+        assert_eq!(a.send_burst(&mut pkts), 2);
+        assert_eq!((a.stats().desc_sent, a.stats().boxed_sent), (1, 1));
+        let mut out = Vec::new();
+        assert_eq!(b.recv_burst(&mut out, 8), 2);
+        for ((m, tag), room) in out.iter().zip([7u64, 9]).zip(headroom) {
+            assert_eq!(m.is_arena(), tag == 7);
+            assert_eq!(m.data(), &[0xAA, 3, 4, 5]);
+            assert_eq!(m.headroom(), room);
+            assert_eq!(
+                (m.port(), m.udata(), m.timestamp()),
+                (tag as u32, tag << 8, tag << 16)
+            );
+        }
+        drop(out);
+        arena.reclaim_credits();
+        assert!(arena.census_clean(), "census: {:?}", arena.stats());
+        assert_eq!(arena.stats().slab_writes, 2, "ingress copy and prepend");
     }
 
     #[test]

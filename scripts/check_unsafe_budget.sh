@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Fails if the shared arena, the rings or the channels over them gain an
-# `unsafe` site. Each file has a budget: the count of `unsafe` tokens
-# outside `//` comments it was committed with. Those sites are exactly
+# Fails if the shared arena, the mbufs over it, the rings or the channels
+# over them gain an `unsafe` site. Each file has a budget: the count of
+# `unsafe` tokens outside `//` comments it was committed with. Those sites are exactly
 # what a checker of the lock-free core has to cover, so adding one is a
 # design decision made in review, not a drive-by. When a count drops, the
 # script says so: lower the budget below in the same change, so the
@@ -19,7 +19,8 @@ while read -r file budget; do
         echo "$file: $count unsafe sites, under its budget of $budget: lower the budget in $0"
     fi
 done <<'BUDGETS'
-crates/dpdk/src/arena.rs 9
+crates/dpdk/src/arena.rs 8
+crates/dpdk/src/mbuf.rs 0
 crates/dpdk/src/ring.rs 5
 crates/shmem/src/channel.rs 0
 BUDGETS
