@@ -3,7 +3,8 @@
 //! A faithful, process-local substitute for the slice of DPDK that the paper's
 //! system depends on: packet buffers ([`Mbuf`]) on the heap or in a shared
 //! [`Arena`], single-producer/single-consumer rings with DPDK burst
-//! semantics ([`ring`]) and a TSC-style cycle clock ([`cycles`]).
+//! semantics ([`ring`]), a TSC-style cycle clock ([`cycles`]) and the
+//! lcore workers every polling loop runs on ([`lcore`]).
 //!
 //! ## Fidelity notes
 //!
@@ -27,6 +28,7 @@
 pub mod arena;
 pub mod cycles;
 pub mod events;
+pub mod lcore;
 pub mod mbuf;
 pub mod ring;
 

@@ -17,7 +17,7 @@
 //!   unwildcarding mask the classifier accumulated, invalidated by the
 //!   same table generation.
 //! * [`actions`] — action execution: header rewrites and output.
-//! * [`pmd`] — the poll-mode datapath: N PMD threads, each owning private
+//! * [`pmd`] — the poll-mode datapath: N PMD steppers, each owning private
 //!   caches and a share of the ports, running every packet it polls to
 //!   completion against the one flow table, which a cache hit validates
 //!   without locking.

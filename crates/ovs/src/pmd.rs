@@ -10,7 +10,7 @@
 //! rule compiled at install. The hot path allocates nothing, and the
 //! datapath's lookup counters move once per burst.
 //!
-//! The datapath shards across N PMD threads (see `docs/datapath.md`):
+//! The datapath shards across N PMDs (see `docs/datapath.md`):
 //! every port is polled by exactly one PMD, which runs each packet it
 //! polls to completion against its own caches, so a flow (whose key
 //! includes its in-port) has one home cache and keeps its order. The one
@@ -25,6 +25,7 @@ use crate::megaflow::{Megaflow, MegaflowRow, DEFAULT_MEGAFLOW_ENTRIES};
 use crate::port::OvsPort;
 use crate::table::{FlowTable, RuleEntry, TableChange};
 use crossbeam::channel::{Receiver, Sender, TrySendError};
+use dpdk_sim::lcore::Stepper;
 use dpdk_sim::{cycles, Mbuf, DEFAULT_BURST};
 use openflow::messages::{FlowMod, PacketIn, PacketInReason};
 use openflow::PortNo;
@@ -206,7 +207,7 @@ pub struct Datapath {
     pub(crate) control_wake: Arc<openflow::Event>,
     /// Packet-ins dropped because the controller queue was full.
     pub packet_in_drops: AtomicU64,
-    /// Cache handles of the live PMD threads, in PMD order, so operator
+    /// Cache handles of the live PMDs, in PMD order, so operator
     /// paths (`dump_megaflows`, snapshots) can observe the per-PMD caches.
     pmd_caches: RwLock<Vec<Arc<Mutex<PmdCaches>>>>,
     /// When false, the hot path skips every cycle read and histogram
@@ -285,13 +286,13 @@ impl Datapath {
         self.table.write().sweep_timeouts(now)
     }
 
-    /// Registers a PMD thread's caches for operator observation
+    /// Registers a PMD's caches for operator observation
     /// (megaflow dumps).
     pub fn register_pmd_caches(&self, caches: &Arc<Mutex<PmdCaches>>) {
         self.pmd_caches.write().push(Arc::clone(caches));
     }
 
-    /// Drops a stopped PMD thread's cache registration.
+    /// Drops a retired PMD's cache registration.
     pub fn deregister_pmd_caches(&self, caches: &Arc<Mutex<PmdCaches>>) {
         self.pmd_caches.write().retain(|c| !Arc::ptr_eq(c, caches));
     }
@@ -871,7 +872,8 @@ fn owned_ports(ports: &[Arc<OvsPort>], index: usize, total: usize) -> Vec<Arc<Ov
 }
 
 /// One synchronous burst-batched PMD iteration over every port — the body
-/// of [`PmdThread::run`] minus the thread, for deterministic unit tests.
+/// of [`PmdThread::step`] without the caches' perf block, for deterministic
+/// unit tests.
 #[cfg(test)]
 pub(crate) fn pump_once(dp: &Datapath, caches: Option<&Mutex<PmdCaches>>) {
     let snapshot: Vec<Arc<OvsPort>> = dp.ports.read().values().cloned().collect();
@@ -887,22 +889,30 @@ pub(crate) fn pump_once(dp: &Datapath, caches: Option<&Mutex<PmdCaches>>) {
     }
 }
 
-/// A PMD thread: polls its share of the ports and runs every packet it
-/// polls to completion — classify against its own caches, execute, stage,
-/// flush, burst by burst. With one thread (the default) this is a single-core OVS-DPDK
-/// deployment; with several, each port is polled by exactly one PMD (see
-/// [`PmdThread::with_share`]).
+/// A PMD: polls its share of the ports and runs every packet it polls to
+/// completion — classify against its own caches, execute, stage, flush,
+/// burst by burst. It is a [`Stepper`]: `VSwitchd` places it on an lcore
+/// worker, which calls [`PmdThread::step`] once a round. With one PMD (the
+/// default) this is a single-core OVS-DPDK deployment; with several, each
+/// port is polled by exactly one PMD (see [`PmdThread::with_share`]).
 pub struct PmdThread {
     dp: Arc<Datapath>,
     stop: Arc<AtomicBool>,
-    /// This thread's index within the PMD set.
+    /// This PMD's index within the PMD set.
     index: usize,
-    /// Total PMD threads sharing the ports.
+    /// Total PMDs sharing the ports.
     total: usize,
     /// This PMD's caches and perf block. Registered with the datapath from
-    /// construction until the thread is dropped, so a snapshot taken once
+    /// construction until the PMD is dropped, so a snapshot taken once
     /// the PMD exists shows its block, polled or not.
     caches: Arc<Mutex<PmdCaches>>,
+    /// The burst in hand and the outputs it staged, kept between steps.
+    rx_buf: Vec<Mbuf>,
+    staged: BTreeMap<PortNo, Vec<Mbuf>>,
+    /// The datapath's ports as of `snapshot_gen`, and this PMD's share.
+    snapshot: Vec<Arc<OvsPort>>,
+    mine: Vec<Arc<OvsPort>>,
+    snapshot_gen: u64,
 }
 
 impl PmdThread {
@@ -913,7 +923,7 @@ impl PmdThread {
 
     /// Creates PMD `index` of `total`, polling ports whose position in the
     /// ascending port order is `index` modulo `total`, and registers its
-    /// caches with the datapath.
+    /// caches with the datapath. Raising `stop` retires it from its worker.
     pub fn with_share(
         dp: Arc<Datapath>,
         stop: Arc<AtomicBool>,
@@ -930,101 +940,104 @@ impl PmdThread {
             index,
             total,
             caches,
+            rx_buf: Vec::with_capacity(DEFAULT_BURST),
+            staged: BTreeMap::new(),
+            snapshot: Vec::new(),
+            mine: Vec::new(),
+            snapshot_gen: u64::MAX,
         }
     }
 
-    /// Runs until the stop flag is raised. Yields when fully idle so the
-    /// reproduction behaves on machines with fewer cores than the testbed.
-    pub fn run(self) {
-        let mut rx_buf: Vec<Mbuf> = Vec::with_capacity(DEFAULT_BURST);
-        let mut staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
-        let mut snapshot: Vec<Arc<OvsPort>> = Vec::new();
-        let mut mine: Vec<Arc<OvsPort>> = Vec::new();
-        let mut snapshot_gen = u64::MAX;
-
-        while !self.stop.load(Ordering::Acquire) {
-            // Per-iteration telemetry accumulators, folded into the perf
-            // block with one lock at the end of the iteration.
-            let telemetry = self.dp.telemetry_enabled();
-            let mut it_rx_packets = 0u64;
-            let mut it_rx_batches = 0u64;
-            let mut it_rx_cycles = 0u64;
-            let (mut tx_pkts, mut tx_cycles) = (0u64, 0u64);
-            let gen = self.dp.ports_generation.load(Ordering::Acquire);
-            if gen != snapshot_gen {
-                snapshot = self.dp.ports.read().values().cloned().collect();
-                mine = owned_ports(&snapshot, self.index, self.total);
-                snapshot_gen = gen;
+    /// One iteration: one rx burst from each of its ports, each run to
+    /// completion and flushed. True if a packet moved.
+    pub fn step(&mut self) -> bool {
+        // Per-iteration telemetry accumulators, folded into the perf
+        // block with one lock at the end of the iteration.
+        let telemetry = self.dp.telemetry_enabled();
+        let mut it_rx_packets = 0u64;
+        let mut it_rx_batches = 0u64;
+        let mut it_rx_cycles = 0u64;
+        let (mut tx_pkts, mut tx_cycles) = (0u64, 0u64);
+        let gen = self.dp.ports_generation.load(Ordering::Acquire);
+        if gen != self.snapshot_gen {
+            self.snapshot = self.dp.ports.read().values().cloned().collect();
+            self.mine = owned_ports(&self.snapshot, self.index, self.total);
+            self.snapshot_gen = gen;
+        }
+        let now = cycles::now();
+        // The clock is read only after a non-empty poll: the time since
+        // the previous stamp (empty polls included) counts as rx.
+        let mut stamp = now;
+        for port in &self.mine {
+            let n = port.rx_burst(&mut self.rx_buf, DEFAULT_BURST);
+            if n == 0 {
+                continue;
             }
-            let now = cycles::now();
-            // The clock is read only after a non-empty poll: the time since
-            // the previous stamp (empty polls included) counts as rx.
-            let mut stamp = now;
-            for port in &mine {
-                let n = port.rx_burst(&mut rx_buf, DEFAULT_BURST);
-                if n == 0 {
-                    continue;
-                }
-                if telemetry {
-                    let t = cycles::now();
-                    it_rx_cycles += t.saturating_sub(stamp);
-                    stamp = t;
-                }
-                it_rx_packets += n as u64;
-                it_rx_batches += 1;
-                // Drains `rx_buf` for the next port.
-                self.dp.process_burst(
-                    &mut rx_buf,
-                    port.no,
-                    Some(&*self.caches),
-                    &mut staged,
-                    &snapshot,
-                    now,
-                );
-                // The burst's outputs leave at once, as OVS-DPDK flushes
-                // after each rx batch: no packet waits while the PMD polls
-                // and processes its other ports.
-                let t_tx = if telemetry { cycles::now() } else { 0 };
-                tx_pkts += staged.values().map(|v| v.len() as u64).sum::<u64>();
-                self.dp.flush_staged(&mut staged);
-                if telemetry {
-                    stamp = cycles::now();
-                    tx_cycles += stamp.saturating_sub(t_tx);
-                }
+            if telemetry {
+                let t = cycles::now();
+                it_rx_cycles += t.saturating_sub(stamp);
+                stamp = t;
             }
-            let idle = it_rx_packets == 0;
-            {
-                // One fold per iteration: counters always, histograms and
-                // cycle attribution only when telemetry is enabled.
-                let mut guard = self.caches.lock();
-                let perf = &mut guard.perf;
-                perf.iterations += 1;
-                if idle {
-                    perf.idle_iterations += 1;
-                }
-                perf.rx_packets += it_rx_packets;
-                perf.rx_batches += it_rx_batches;
-                perf.tx_packets += tx_pkts;
-                if telemetry {
-                    let t_end = cycles::now();
-                    if it_rx_packets > 0 {
-                        perf.record_stage(Stage::RxBurst, it_rx_cycles, it_rx_packets);
-                    }
-                    if tx_pkts > 0 {
-                        perf.record_stage(Stage::TxFlush, tx_cycles, tx_pkts);
-                    }
-                    let iter_cycles = t_end.saturating_sub(now);
-                    if idle {
-                        perf.idle_cycles += iter_cycles;
-                    } else {
-                        perf.busy_cycles += iter_cycles;
-                    }
-                }
-            }
-            if idle {
-                std::thread::yield_now();
+            it_rx_packets += n as u64;
+            it_rx_batches += 1;
+            // Drains `rx_buf` for the next port.
+            self.dp.process_burst(
+                &mut self.rx_buf,
+                port.no,
+                Some(&*self.caches),
+                &mut self.staged,
+                &self.snapshot,
+                now,
+            );
+            // The burst's outputs leave at once, as OVS-DPDK flushes
+            // after each rx batch: no packet waits while the PMD polls
+            // and processes its other ports.
+            let t_tx = if telemetry { cycles::now() } else { 0 };
+            tx_pkts += self.staged.values().map(|v| v.len() as u64).sum::<u64>();
+            self.dp.flush_staged(&mut self.staged);
+            if telemetry {
+                stamp = cycles::now();
+                tx_cycles += stamp.saturating_sub(t_tx);
             }
         }
+        let idle = it_rx_packets == 0;
+        // One fold per iteration: counters always, histograms and cycle
+        // attribution only when telemetry is enabled.
+        let mut guard = self.caches.lock();
+        let perf = &mut guard.perf;
+        perf.iterations += 1;
+        if idle {
+            perf.idle_iterations += 1;
+        }
+        perf.rx_packets += it_rx_packets;
+        perf.rx_batches += it_rx_batches;
+        perf.tx_packets += tx_pkts;
+        if telemetry {
+            let t_end = cycles::now();
+            if it_rx_packets > 0 {
+                perf.record_stage(Stage::RxBurst, it_rx_cycles, it_rx_packets);
+            }
+            if tx_pkts > 0 {
+                perf.record_stage(Stage::TxFlush, tx_cycles, tx_pkts);
+            }
+            let iter_cycles = t_end.saturating_sub(now);
+            if idle {
+                perf.idle_cycles += iter_cycles;
+            } else {
+                perf.busy_cycles += iter_cycles;
+            }
+        }
+        !idle
+    }
+}
+
+impl Stepper for PmdThread {
+    fn step(&mut self) -> bool {
+        PmdThread::step(self)
+    }
+
+    fn retired(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
     }
 }
 
@@ -1191,7 +1204,7 @@ mod tests {
         ));
         let stop = Arc::new(AtomicBool::new(false));
         let pmd = PmdThread::new(Arc::clone(&dp), Arc::clone(&stop));
-        let handle = std::thread::spawn(move || pmd.run());
+        let placed = dpdk_sim::lcore::place("ovs-pmd-test", Box::new(pmd));
 
         let (mut sent, mut got) = (0u64, 0u64);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -1211,7 +1224,7 @@ mod tests {
             }
         }
         stop.store(true, Ordering::Release);
-        handle.join().unwrap();
+        placed.join();
         assert_eq!(got, TOTAL);
         assert_eq!(dp.port(PortNo(2)).unwrap().stats().odropped, 0);
     }

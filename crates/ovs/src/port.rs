@@ -2,7 +2,7 @@
 //!
 //! Every port is a `dpdkr` shared-memory channel: the switch owns one
 //! [`ChannelEnd`], and the peer (a guest PMD, or the traffic generator or
-//! sink standing at a NIC's wire end) owns the other. The PMD thread takes
+//! sink standing at a NIC's wire end) owns the other. The PMD takes
 //! short-lived locks on the channel — uncontended in steady state because
 //! only the PMD touches the fast path; the control plane reads counters
 //! through atomics.

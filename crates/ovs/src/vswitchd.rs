@@ -1,9 +1,10 @@
 //! The switch daemon: assembles the datapath, the OpenFlow agent and the
-//! PMD thread(s) into a runnable vSwitch.
+//! PMD stepper(s) into a runnable vSwitch.
 
 use crate::ofproto::{FlowTableObserver, Ofproto, StatsAugmenter};
 use crate::pmd::{Datapath, PmdThread};
 use crate::port::OvsPort;
+use dpdk_sim::lcore::{self, Placement};
 use openflow::messages::FlowMod;
 use openflow::{PortNo, SwitchLink};
 use shmem_sim::ChannelEnd;
@@ -23,11 +24,13 @@ pub struct VSwitchdConfig {
     pub datapath_id: u64,
     /// Punt table misses to the controller (OF 1.0 default) or drop them.
     pub miss_to_controller: bool,
-    /// PMD threads polling the ports. One (the default) mirrors a
+    /// PMD steppers polling the ports. One (the default) mirrors a
     /// single-core OVS-DPDK deployment; the paper's testbed dedicates
-    /// several cores. Ports are partitioned round-robin across threads
+    /// several cores. Ports are partitioned round-robin across PMDs
     /// (OVS's `roundrobin` rxq assignment); each PMD runs every packet it
-    /// polls to completion against its own caches.
+    /// polls to completion against its own caches. Each PMD is placed on
+    /// an lcore worker ([`dpdk_sim::lcore`]): on as many CPUs as PMDs, a
+    /// worker each; on fewer, they share.
     pub pmd_threads: usize,
     /// Collect cycle-denominated telemetry (stage/tier latency histograms,
     /// busy/idle cycle accounting). Counters tick regardless; this only
@@ -58,7 +61,10 @@ pub struct VSwitchd {
     dp: Arc<Datapath>,
     ofproto: Arc<Ofproto>,
     stop: Arc<AtomicBool>,
+    /// `ovs-main`, the one thread `start` spawns.
     threads: parking_lot::Mutex<Vec<JoinHandle<()>>>,
+    /// The PMDs placed on lcore workers by `start`.
+    pmds: parking_lot::Mutex<Vec<Placement>>,
     /// Control-port acceptor threads (see `listen_controller`) with the
     /// address each blocks in `accept` on, joined on `stop` — kept apart
     /// from `threads` so a listener can be opened before or after `start`.
@@ -77,6 +83,7 @@ impl VSwitchd {
             ofproto,
             stop: Arc::new(AtomicBool::new(false)),
             threads: parking_lot::Mutex::new(Vec::new()),
+            pmds: parking_lot::Mutex::new(Vec::new()),
             listeners: parking_lot::Mutex::new(Vec::new()),
             pmd_threads: config.pmd_threads.max(1),
         }
@@ -191,14 +198,15 @@ impl VSwitchd {
         self.ofproto.control_idle()
     }
 
-    /// Starts the PMD thread(s) and the control thread (`ovs-main`).
+    /// Places the PMD(s) on lcore workers of the calling thread's CPUs
+    /// and starts the control thread (`ovs-main`).
     pub fn start(&self) {
         let mut threads = self.threads.lock();
         assert!(threads.is_empty(), "vswitchd already started");
         self.stop.store(false, Ordering::Release);
 
         // Every PMD (and so its perf block) is registered with the
-        // datapath before any thread starts: a snapshot taken once `start`
+        // datapath before any is placed: a snapshot taken once `start`
         // returns shows all of them, whether or not they own a port.
         let pmds: Vec<PmdThread> = (0..self.pmd_threads)
             .map(|i| {
@@ -210,14 +218,10 @@ impl VSwitchd {
                 )
             })
             .collect();
-        for (i, pmd) in pmds.into_iter().enumerate() {
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ovs-pmd-{i}"))
-                    .spawn(move || pmd.run())
-                    .expect("spawn pmd"),
-            );
-        }
+        self.pmds.lock().extend(
+            (pmds.into_iter().enumerate())
+                .map(|(i, pmd)| lcore::place(format!("ovs-pmd-{i}"), Box::new(pmd))),
+        );
 
         let ofproto = Arc::clone(&self.ofproto);
         let stop = Arc::clone(&self.stop);
@@ -252,10 +256,14 @@ impl VSwitchd {
         );
     }
 
-    /// Stops all threads (idempotent).
+    /// Stops all threads and returns once every PMD has been dropped
+    /// (idempotent).
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
         self.dp.control_wake.notify();
+        for pmd in self.pmds.lock().drain(..) {
+            pmd.join();
+        }
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
@@ -270,7 +278,7 @@ impl VSwitchd {
         }
     }
 
-    /// True while the daemon threads run.
+    /// True while the daemon runs.
     pub fn is_running(&self) -> bool {
         !self.threads.lock().is_empty()
     }
@@ -345,7 +353,7 @@ mod tests {
 
     #[test]
     fn multi_pmd_deployment_forwards_across_thread_shares() {
-        // 4 ports, 2 PMD threads: ports 1,3 belong to PMD 0 and 2,4 to
+        // 4 ports, 2 PMDs: ports 1,3 belong to PMD 0 and 2,4 to
         // PMD 1 (round-robin by position), so both rules below cross PMD
         // ownership boundaries — delivery must be thread-safe.
         let sw = VSwitchd::new(VSwitchdConfig {

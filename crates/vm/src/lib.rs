@@ -3,8 +3,8 @@
 //! The host-side machinery around the VMs:
 //!
 //! * [`vm`] — a KVM/QEMU-style VM: a device board for hot-plugged ivshmem
-//!   devices, a virtio-serial control channel, and a vCPU thread running the
-//!   guest [`vnf_apps::VnfRunner`].
+//!   devices, a virtio-serial control channel, and a vCPU stepper, the
+//!   guest [`vnf_apps::VnfRunner`], placed on an lcore worker.
 //! * [`latency`] — the latency model for QEMU device hot-plug and
 //!   virtio-serial round-trips. The paper reports ≈100 ms from p-2-p rule
 //!   detection to an active bypass; essentially all of it is these control

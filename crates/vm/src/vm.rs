@@ -1,12 +1,13 @@
-//! The VM model: device board + virtio-serial + a vCPU thread running the
-//! guest application. From the outside (compute agent, orchestrator) a VM
-//! is a handle for plugging devices and issuing PMD control requests.
+//! The VM model: device board + virtio-serial + a vCPU stepper running the
+//! guest application on an lcore worker. From the outside (compute agent,
+//! orchestrator) a VM is a handle for plugging devices and issuing PMD
+//! control requests.
 
+use dpdk_sim::lcore::{self, Placement};
 use parking_lot::Mutex;
 use shmem_sim::{serial_pair, ChannelEnd, DeviceBoard, IvshmemDevice, SerialPort, StatsRegion};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vnf_apps::runner::GuestCounters;
 use vnf_apps::{DpdkrPmd, GuestConfig, PmdAck, PmdCtrl, VnfApp, VnfRunner};
@@ -34,7 +35,9 @@ impl std::fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// A launched VM.
+/// A launched VM. Its vCPU is a stepper: the guest's [`VnfRunner`],
+/// placed on an lcore worker of the launching thread's CPUs, which it may
+/// share with other guests and the vSwitch's PMDs.
 pub struct Vm {
     name: String,
     board: Arc<DeviceBoard>,
@@ -42,15 +45,15 @@ pub struct Vm {
     acks: SerialPort<PmdAck>,
     of_ports: Vec<u32>,
     stop: Arc<AtomicBool>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    vcpu: Mutex<Option<Placement>>,
     counters: Arc<GuestCounters>,
     next_seq: AtomicU64,
 }
 
 impl Vm {
     /// Boots a VM: builds the guest PMDs over the given `(of_port, channel
-    /// end)` pairs, wires the control serial, and starts the vCPU thread
-    /// running `app` under a [`VnfRunner`].
+    /// end)` pairs, wires the control serial, and places the vCPU, a
+    /// [`VnfRunner`] running `app`, on an lcore worker.
     pub fn launch(
         name: impl Into<String>,
         ports: Vec<(u32, ChannelEnd)>,
@@ -79,10 +82,7 @@ impl Vm {
             Arc::clone(&stop),
         );
         let counters = runner.counters();
-        let thread = std::thread::Builder::new()
-            .name(format!("vm-{name}"))
-            .spawn(move || runner.run())
-            .expect("spawn vCPU thread");
+        let vcpu = lcore::place(format!("vm-{name}"), Box::new(runner));
         Arc::new(Vm {
             name,
             board,
@@ -90,7 +90,7 @@ impl Vm {
             acks: host_ack,
             of_ports,
             stop,
-            thread: Mutex::new(Some(thread)),
+            vcpu: Mutex::new(Some(vcpu)),
             counters,
             next_seq: AtomicU64::new(1),
         })
@@ -172,11 +172,12 @@ impl Vm {
         }
     }
 
-    /// Stops the vCPU thread and waits for it (idempotent).
+    /// Stops the vCPU and returns once its worker has dropped it
+    /// (idempotent). A guest whose app panicked is already dropped.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
+        if let Some(vcpu) = self.vcpu.lock().take() {
+            vcpu.join();
         }
     }
 }

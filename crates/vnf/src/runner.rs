@@ -1,6 +1,6 @@
 //! The guest main loop.
 //!
-//! A [`VnfRunner`] is what executes on a VM's vCPU: a single-core DPDK-style
+//! A [`VnfRunner`] is what a VM's vCPU runs: a single-core DPDK-style
 //! application driving the VM's (typically two) dpdkr ports through the
 //! modified PMD, handing each received burst to a [`VnfApp`] in one call and
 //! forwarding between the ports — the exact shape of the paper's evaluation
@@ -9,10 +9,15 @@
 //! are added once. Between bursts it services PMD control messages arriving
 //! over virtio-serial, which is how bypass reconfiguration happens *without
 //! stopping the application*; an idle check of the serial takes no lock.
+//!
+//! The runner is a [`Stepper`]: its step is [`VnfRunner::poll_once`], and
+//! the VM places it on an lcore worker, which may step other guests and
+//! the vSwitch's PMD between two of its polls.
 
 use crate::apps::{Verdict, VnfApp};
 use crate::control::{PmdAck, PmdCtrl};
 use crate::pmd::DpdkrPmd;
+use dpdk_sim::lcore::Stepper;
 use dpdk_sim::{Mbuf, DEFAULT_BURST};
 use shmem_sim::{DeviceBoard, SerialPort};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,7 +74,7 @@ pub struct VnfRunner {
 }
 
 impl VnfRunner {
-    /// Builds a runner; `stop` terminates [`VnfRunner::run`].
+    /// Builds a runner; raising `stop` retires it from its worker.
     pub fn new(config: GuestConfig, stop: Arc<AtomicBool>) -> VnfRunner {
         VnfRunner {
             name: config.name,
@@ -226,14 +231,15 @@ impl VnfRunner {
         }
         moved
     }
+}
 
-    /// Runs until the stop flag rises; yields when idle.
-    pub fn run(mut self) {
-        while !self.stop.load(Ordering::Acquire) {
-            if !self.poll_once() {
-                std::thread::yield_now();
-            }
-        }
+impl Stepper for VnfRunner {
+    fn step(&mut self) -> bool {
+        self.poll_once()
+    }
+
+    fn retired(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
     }
 }
 

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# Fails if a wait on the control channel's wire path sleeps and polls.
-# Every blocking wait in `openflow` and in the switch's control loop parks
-# on an `openflow::Event` that the thing it waits for notifies
-# (docs/control-channel.md, "Waiting"); a `thread::sleep` there is a
-# latency floor under every barrier, handshake and bypass set-up in the
-# repository, which is what they were before. Test modules may sleep: by
-# the repository's convention they are the `#[cfg(test)]` tail of a file,
-# so each file is checked up to that line.
+# Fails if a wait on the control channel's wire path, or the code an lcore
+# worker steps, sleeps.
+# - Every blocking wait in `openflow` and in the switch's control loop
+#   parks on an `openflow::Event` that the thing it waits for notifies
+#   (docs/control-channel.md, "Waiting"); a `thread::sleep` there is a
+#   latency floor under every barrier, handshake and bypass set-up in the
+#   repository, which is what they were before.
+# - A PMD's or a guest's step runs on a worker it shares with other
+#   steppers (docs/architecture.md, "Threads and placement"): a sleep in
+#   the guest, the switch's ports and PMD loop, the channels and serial
+#   ports they poll, or the worker itself stalls every stepper on it.
+# Test modules may sleep: by the repository's convention they are the
+# `#[cfg(test)]` tail of a file, so each file is checked up to that line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,10 +30,16 @@ done < <(
     find crates/openflow/src -name '*.rs' | sort
     echo crates/ovs/src/ofproto.rs
     echo crates/ovs/src/vswitchd.rs
+    find crates/vnf/src -name '*.rs' | sort
+    echo crates/ovs/src/pmd.rs
+    echo crates/ovs/src/port.rs
+    echo crates/shmem/src/channel.rs
+    echo crates/shmem/src/serial.rs
+    echo crates/dpdk/src/lcore.rs
 )
 
 if [ "$fail" -ne 0 ]; then
-    echo "thread::sleep on a control-channel wait path: park on an Event instead" >&2
+    echo "thread::sleep on a control-channel wait path or in a stepper: park on an Event, or return and let the worker step the rest" >&2
     exit 1
 fi
-echo "no sleep-polling on the control channel"
+echo "no sleep-polling on the control channel or in a stepper"

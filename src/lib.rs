@@ -13,7 +13,8 @@
 //! * [`openflow`] — the OpenFlow 1.0 subset + wire codec;
 //! * [`vnf`] — guest-side PMD and VNF applications;
 //! * [`vm`] — VM/QEMU host model, compute agent, orchestrator;
-//! * [`dpdk`] — rings, mbufs, the shared arena;
+//! * [`dpdk`] — rings, mbufs, the shared arena, and the lcore workers on
+//!   which every PMD and guest vCPU runs as a stepper;
 //! * [`shmem`] — shared-memory channels, virtio-serial, stats region;
 //! * [`packet`] — wire formats;
 //! * [`nic`] — simulated 10 G NICs and traffic generation;
