@@ -3,7 +3,8 @@
 //! A real ivshmem highway cannot move `Box<[u8]>` pointers between
 //! processes: a guest maps the hugepage segment at its own virtual address,
 //! so the only representation of a packet that survives the BAR crossing is
-//! `(segment_id, slot)`. This module models exactly that:
+//! `(segment_id, slot)`. This module models exactly that, and every packet
+//! in the system is one of its slots:
 //!
 //! * `ArenaSegment` (internal) — one contiguous slab carved into
 //!   fixed-size slots, followed by one [`SlotHeader`] per slot; one `held`
@@ -27,15 +28,18 @@
 //! * [`Arena`] — a process-local *mapping* of a segment. The owner mapping
 //!   (created by [`Arena::new`]) frees straight to the freelist; consumer
 //!   mappings ([`Arena::consumer`]) free through the credit stack, like a
-//!   guest that must not write the host's freelist head.
-//! * [`ArenaMbuf`] — a 16-byte RAII handle over one slot (its segment, the
-//!   slot index and which stack frees it): the slot's only owner, and
-//!   convertible to/from the move-only 8-byte [`MbufDesc`] token that rides
-//!   rings between mappings (descriptor-only enqueue — the zero-copy hop).
-//!   A hop moves the token and copies no metadata: the header stays in the
-//!   slot. Ownership moves with the handle or the token; it is never
-//!   shared, so a packet sent to several ports is copied (see
-//!   `Mbuf::duplicate`).
+//!   guest that must not write the host's freelist head. A packet made
+//!   where no shared arena is mapped takes a slot of the process-wide
+//!   [`Arena::private`] segment, which is never unmapped.
+//! * [`Mbuf`] — the packet: a 16-byte RAII handle over one slot (its
+//!   segment, the slot index and which stack frees it), the slot's only
+//!   owner, and convertible to/from the move-only 8-byte [`MbufDesc`] token
+//!   that rides rings between mappings (the zero-copy hop). A hop moves the
+//!   token and copies no metadata: the header stays in the slot. Ownership
+//!   moves with the handle or the token; it is never shared, so a packet
+//!   sent to several ports is copied (see `Mbuf::duplicate`). This module
+//!   holds the slab accessors; [`crate::mbuf`] builds the `rte_mbuf` API
+//!   on them.
 //! * [`Resolver`] — a receiver's table of the segments it has mapped: the
 //!   first descriptor from a segment resolves its id through the
 //!   process-wide segment table behind [`adopt`]; every later one adopts
@@ -43,7 +47,7 @@
 //!
 //! **How long a segment lives.** A handle and an in-flight descriptor each
 //! own one reference to their segment, and a hop *moves* it:
-//! [`ArenaMbuf::into_desc`] keeps the handle's reference in the descriptor
+//! [`Mbuf::into_desc`] keeps the handle's reference in the descriptor
 //! and [`Resolver::adopt`] takes it back, so a hop writes no reference
 //! count that every thread on the chain shares. The segment — slab and
 //! segment-table entry — lives while a mapping, a handle or an in-flight
@@ -58,7 +62,8 @@
 //! N-hop chain, slab writes happen only at generator ingress (and at VNFs
 //! that legitimately mutate payload), never per hop.
 
-use crate::events;
+use crate::mbuf::MBUF_HEADROOM;
+use crate::{events, DEFAULT_BUF_SIZE};
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -66,17 +71,13 @@ use std::mem::{offset_of, ManuallyDrop};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
-/// Headroom reserved at the front of every arena slot, mirroring
-/// [`crate::mbuf::MBUF_HEADROOM`] (capped for tiny test slots).
-pub const ARENA_HEADROOM: usize = crate::mbuf::MBUF_HEADROOM;
-
 /// A packet descriptor: the only representation that crosses a ring
 /// between two mappings of the same segment. One `u64` token, the segment
 /// id above the slot index, never a pointer; the packet's layout and
 /// metadata stay in the slot's [`SlotHeader`].
 ///
 /// A descriptor is a move-only token. It owns its slot and the segment
-/// reference of the handle it was made from: only [`ArenaMbuf::into_desc`]
+/// reference of the handle it was made from: only [`Mbuf::into_desc`]
 /// makes one, and [`adopt`] or [`Resolver::adopt`] consumes it. It can be
 /// neither copied nor cloned, so no slot is ever adopted twice:
 ///
@@ -176,14 +177,14 @@ impl SlotHeader {
 
 /// The slab: interior-mutable so multiple handles can address disjoint
 /// slots concurrently. Each issued slot has exactly one owner — the
-/// `ArenaMbuf` (or the in-flight descriptor) that holds it — so no byte is
+/// [`Mbuf`] (or the in-flight descriptor) that holds it — so no byte is
 /// ever aliased mutably. The slots come first, then one [`SlotHeader`] per
 /// slot.
 struct Slab(Box<[UnsafeCell<u8>]>);
 
-// SAFETY: all access goes through ArenaMbuf, and through `claim` reading
+// SAFETY: all access goes through Mbuf, and through `claim` reading
 // the header of the slot its descriptor holds. An issued slot has exactly
-// one holder, and the types keep it so: neither `ArenaMbuf` nor `MbufDesc`
+// one holder, and the types keep it so: neither `Mbuf` nor `MbufDesc`
 // is `Clone` or `Copy`, a descriptor is made only by consuming the handle
 // (`into_desc`), and a handle only by consuming the descriptor (`adopt`,
 // `Resolver::adopt`). A slot's bytes and its header's bytes belong to the
@@ -590,7 +591,7 @@ fn lookup_segment(segment_id: u64) -> Option<Weak<ArenaSegment>> {
 ///   (if any) stays held and shows up in the census instead of being freed
 ///   on a guess.
 #[inline]
-fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf> {
+fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<Mbuf> {
     let Some(seg) = seg else {
         events::emit("arena_adopt_failure", 1);
         return None;
@@ -609,7 +610,7 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf>
         SlotHeader::load(header.try_into().unwrap()).fits(seg.slot_size)
     };
     if fits && seg.mappings.load(Ordering::Relaxed) > 0 {
-        return Some(ArenaMbuf {
+        return Some(Mbuf {
             seg,
             slot,
             via_credit: true,
@@ -637,7 +638,7 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<ArenaMbuf>
 ///
 /// The table sits behind a process-wide mutex; per-packet receivers adopt
 /// through a [`Resolver`] instead, which consults it once per segment.
-pub fn adopt(desc: MbufDesc) -> Option<ArenaMbuf> {
+pub fn adopt(desc: MbufDesc) -> Option<Mbuf> {
     let desc = ManuallyDrop::new(desc);
     claim(lookup_segment(desc.segment_id()).as_ref(), &desc)
 }
@@ -659,7 +660,7 @@ pub struct Resolver {
 impl Resolver {
     /// [`adopt`] through this table.
     #[inline]
-    pub fn adopt(&mut self, desc: MbufDesc) -> Option<ArenaMbuf> {
+    pub fn adopt(&mut self, desc: MbufDesc) -> Option<Mbuf> {
         let desc = ManuallyDrop::new(desc);
         let id = desc.segment_id();
         if let Some((_, seg)) = self.mapped.iter().find(|(mapped, _)| *mapped == id) {
@@ -728,36 +729,49 @@ impl Arena {
         }
     }
 
+    /// The process-wide private segment: [`DEFAULT_BUF_SIZE`] slots of
+    /// `DEFAULT_BUF_SIZE` bytes, where a packet is made when no shared arena
+    /// is mapped (`Mbuf::from_slice`, a flood copy, a packet-out, the NIC
+    /// generator). Created on first use and never unmapped, so its
+    /// descriptors always adopt; no pool registry lists it.
+    pub fn private() -> &'static Arena {
+        static PRIVATE: OnceLock<Arena> = OnceLock::new();
+        PRIVATE.get_or_init(|| Arena::new("private", DEFAULT_BUF_SIZE, DEFAULT_BUF_SIZE))
+    }
+
     /// Allocates one empty mbuf with standard headroom, or `None` when the
     /// segment is exhausted (after reclaiming any pending credits).
-    pub fn alloc(&self) -> Option<ArenaMbuf> {
-        let slot = self.seg.take_slot()?;
-        let mut m = ArenaMbuf {
-            seg: Arc::clone(&self.seg),
-            slot,
-            via_credit: self.via_credit,
-        };
-        m.set_header(SlotHeader {
-            data_off: ARENA_HEADROOM.min(self.seg.slot_size / 2) as u32,
-            ..SlotHeader::default()
-        });
-        Some(m)
+    pub fn alloc(&self) -> Option<Mbuf> {
+        self.alloc_len(0)
     }
 
     /// Allocates and copies `data` into the slot — the single legitimate
     /// slab write of a packet's life on a zero-copy chain (generator
-    /// ingress / NIC rx).
-    pub fn alloc_from(&self, data: &[u8]) -> Option<ArenaMbuf> {
-        let mut m = self.alloc()?;
+    /// ingress / NIC rx). `None` when the segment is exhausted or `data`
+    /// does not fit behind a slot's headroom.
+    pub fn alloc_from(&self, data: &[u8]) -> Option<Mbuf> {
+        let mut m = self.alloc_len(data.len())?;
+        m.data_mut().copy_from_slice(data);
+        Some(m)
+    }
+
+    /// A slot holding a `len`-byte packet behind the standard headroom
+    /// (capped for tiny test slots); a packet that cannot fit takes none.
+    fn alloc_len(&self, len: usize) -> Option<Mbuf> {
         let header = SlotHeader {
-            len: u32::try_from(data.len()).ok()?,
-            ..m.header()
+            data_off: MBUF_HEADROOM.min(self.seg.slot_size / 2) as u32,
+            len: u32::try_from(len).ok()?,
+            ..SlotHeader::default()
         };
         if !header.fits(self.seg.slot_size) {
-            return None; // handle drops, slot returns
+            return None;
         }
+        let mut m = Mbuf {
+            seg: Arc::clone(&self.seg),
+            slot: self.seg.take_slot()?,
+            via_credit: self.via_credit,
+        };
         m.set_header(header);
-        m.data_mut().copy_from_slice(data);
         Some(m)
     }
 
@@ -848,17 +862,19 @@ impl std::fmt::Debug for Arena {
     }
 }
 
-/// An offset-based packet handle that owns one arena slot: its segment, the
-/// slot index and the stack a free takes — 16 bytes. The packet's layout and
-/// metadata live in the slot's [`SlotHeader`]. It moves; it is never cloned,
-/// so the slot has exactly one holder until it is released.
-pub struct ArenaMbuf {
+/// A packet: the handle of the one arena slot it lives in — its segment,
+/// the slot index and the stack a free takes, 16 bytes. The packet's
+/// layout and metadata live in the slot's [`SlotHeader`]. It moves; it is
+/// never cloned, so the slot has exactly one holder until the handle is
+/// dropped, which returns the slot like `rte_pktmbuf_free`. This is the
+/// slab side of the type; [`crate::mbuf`] holds its `rte_mbuf` API.
+pub struct Mbuf {
     seg: Arc<ArenaSegment>,
     slot: u32,
     via_credit: bool,
 }
 
-impl ArenaMbuf {
+impl Mbuf {
     fn slot_base(&self) -> usize {
         self.slot as usize * self.seg.slot_size
     }
@@ -902,9 +918,10 @@ impl ArenaMbuf {
     pub fn set_header(&mut self, header: SlotHeader) {
         assert!(
             header.fits(self.seg.slot_size),
-            "arena mbuf layout {}+{} exceeds slot",
+            "mbuf layout {}+{} exceeds its {}-byte slot",
             header.data_off,
-            header.len
+            header.len,
+            self.seg.slot_size
         );
         let at = self.seg.header_at(self.slot);
         header.store(self.bytes_mut(at, SlotHeader::SIZE).try_into().unwrap());
@@ -923,42 +940,18 @@ impl ArenaMbuf {
         self.bytes_mut(self.slot_base() + h.data_off as usize, h.len as usize)
     }
 
-    /// The whole slot as shared bytes (the `Mbuf` wrapper addresses the
-    /// slot with the header's offsets).
-    pub fn slot_bytes(&self) -> &[u8] {
-        self.bytes(self.slot_base(), self.seg.slot_size)
-    }
-
     /// The whole slot as mutable bytes. Counted as a slab write.
-    pub fn slot_bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn slot_bytes_mut(&mut self) -> &mut [u8] {
         self.seg.slab_writes.fetch_add(1, Ordering::Relaxed);
         self.bytes_mut(self.slot_base(), self.seg.slot_size)
     }
 
-    /// Current packet length.
-    pub fn len(&self) -> usize {
-        self.header().len as usize
+    /// Bytes in the slot: headroom, packet and tailroom.
+    pub(crate) fn room(&self) -> usize {
+        self.seg.slot_size
     }
 
-    /// True when the packet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Resizes the packet in place (must fit the slot).
-    pub fn set_len(&mut self, len: usize) {
-        let h = self.header();
-        assert!(
-            h.data_off as usize + len <= self.seg.slot_size,
-            "arena mbuf set_len {len} exceeds slot"
-        );
-        self.set_header(SlotHeader {
-            len: len as u32,
-            ..h
-        });
-    }
-
-    /// Segment id (diagnostics; what the descriptor would carry).
+    /// Segment id (what the descriptor would carry).
     pub fn segment_id(&self) -> u64 {
         self.seg.id
     }
@@ -985,19 +978,21 @@ fn release(seg: &ArenaSegment, slot: u32, via_credit: bool) {
     }
 }
 
-impl Drop for ArenaMbuf {
+impl Drop for Mbuf {
     fn drop(&mut self) {
         release(&self.seg, self.slot, self.via_credit);
     }
 }
 
-impl std::fmt::Debug for ArenaMbuf {
+impl std::fmt::Debug for Mbuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArenaMbuf")
+        let h = self.header();
+        f.debug_struct("Mbuf")
             .field("segment", &self.seg.id)
             .field("slot", &self.slot)
-            .field("len", &self.len())
-            .field("via_credit", &self.via_credit)
+            .field("len", &h.len)
+            .field("port", &h.port)
+            .field("udata", &h.udata)
             .finish()
     }
 }
@@ -1012,7 +1007,7 @@ mod tests {
 
     /// Writes a layout into `m`'s header without the fit check, the way a
     /// corrupt writer of shared memory could.
-    fn corrupt_layout(m: &mut ArenaMbuf, data_off: u32, len: u32) {
+    fn corrupt_layout(m: &mut Mbuf, data_off: u32, len: u32) {
         let header = SlotHeader {
             data_off,
             len,
@@ -1095,7 +1090,7 @@ mod tests {
         let again = a.alloc().unwrap();
         assert_eq!(again.slot(), 0);
         let fresh = SlotHeader {
-            data_off: ARENA_HEADROOM as u32,
+            data_off: MBUF_HEADROOM as u32,
             ..SlotHeader::default()
         };
         assert_eq!(again.header(), fresh);
@@ -1236,8 +1231,7 @@ mod tests {
         let a = arena(2);
         let m = a.alloc_from(&[1, 2, 3]).unwrap(); // 1 write (ingress copy)
         assert_eq!(a.stats().slab_writes, 1);
-        let _ = m.data(); // reads are free
-        let _ = m.slot_bytes();
+        let _ = (m.data(), m.header()); // reads are free
         assert_eq!(a.stats().slab_writes, 1);
     }
 
@@ -1284,7 +1278,7 @@ mod tests {
         assert_eq!(s.in_use, 0);
         assert_eq!(s.available + s.credit_pending, 4, "slot returned once");
         let live: Vec<_> = (0..4).map(|_| a.alloc().expect("no slot lost")).collect();
-        let mut slots: Vec<u32> = live.iter().map(ArenaMbuf::slot).collect();
+        let mut slots: Vec<u32> = live.iter().map(Mbuf::slot).collect();
         slots.sort_unstable();
         slots.dedup();
         assert_eq!(slots.len(), 4, "a slot was issued twice: {slots:?}");

@@ -1,8 +1,8 @@
 //! # dpdk-sim
 //!
 //! A faithful, process-local substitute for the slice of DPDK that the paper's
-//! system depends on: packet buffers ([`Mbuf`]) on the heap or in a shared
-//! [`Arena`], single-producer/single-consumer rings with DPDK burst
+//! system depends on: packet buffers ([`Mbuf`]), each a slot of an
+//! [`Arena`] segment, single-producer/single-consumer rings with DPDK burst
 //! semantics ([`ring`]), a TSC-style cycle clock ([`cycles`]) and the
 //! lcore workers every polling loop runs on ([`lcore`]).
 //!
@@ -16,8 +16,10 @@
 //!   NIC port is the same channel as a VM's, paced at its wire end.
 //! * Mbufs carry the few metadata fields the reproduction needs (input port,
 //!   a 64-bit user scratch word and a timestamp) in a [`SlotHeader`] beside
-//!   the layout. Each owns its buffer exclusively and releases it on drop,
-//!   like `rte_pktmbuf_free`.
+//!   the layout. Each owns its slot exclusively and releases it on drop,
+//!   like `rte_pktmbuf_free`. There is one packet type: a packet made
+//!   where no shared arena is mapped takes a slot of the process-wide
+//!   [`Arena::private`] segment.
 //! * The shared-memory highway allocates from [`Arena`] segments whose
 //!   handles are **offset-based** ([`MbufDesc`], one `u64` of segment id
 //!   and slot; the header stays in the segment): valid in any process that
@@ -32,12 +34,14 @@ pub mod lcore;
 pub mod mbuf;
 pub mod ring;
 
-pub use arena::{Arena, ArenaMbuf, ArenaStats, MbufDesc, SlotHeader, WeakArena};
-pub use mbuf::Mbuf;
+pub use arena::{Arena, ArenaStats, Mbuf, MbufDesc, SlotHeader, WeakArena};
 pub use ring::{spsc_ring, SpscConsumer, SpscProducer};
 
-/// Default mbuf data room, matching DPDK's `RTE_MBUF_DEFAULT_BUF_SIZE` minus
-/// headroom — big enough for a 1500 B MTU frame plus slack.
+/// Default mbuf slot size and the slot count of [`Arena::private`]: the
+/// size of DPDK's `RTE_MBUF_DEFAULT_DATAROOM`. DPDK puts its headroom in
+/// front of that room; a slot holds its 128-byte [`mbuf::MBUF_HEADROOM`]
+/// inside, so the largest packet it takes is [`mbuf::MBUF_MAX_LEN`],
+/// 1920 bytes: a 1500 B MTU frame plus slack.
 pub const DEFAULT_BUF_SIZE: usize = 2048;
 
 /// Default burst size used by PMD loops throughout the reproduction,

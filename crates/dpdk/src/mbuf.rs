@@ -1,163 +1,61 @@
-//! Packet buffer handles with `rte_mbuf` semantics: headroom for header
-//! prepends, tailroom for appends, and the metadata words the dataplane
-//! carries alongside packet bytes.
+//! The `rte_mbuf` API of a packet: headroom for header prepends, tailroom
+//! for appends, and the metadata words the dataplane carries alongside
+//! packet bytes.
 //!
-//! An [`Mbuf`] owns its bytes exclusively — a private heap buffer or one
-//! slot of a shared [`crate::Arena`] — and moves from holder to holder;
-//! nothing shares a buffer, so writes never need a copy-on-write check.
-//!
-//! An `Mbuf` is 16 bytes: the arena slot's 16-byte handle, or a box holding
-//! a heap buffer. The layout (`data_off`, `len`) and the metadata words
-//! (`port`, `udata`, `timestamp`) are one [`SlotHeader`]: an arena packet's
-//! lives in its slot, beside the bytes, so turning the mbuf into a ring
-//! descriptor and back copies none of it; a heap packet's lives in its box.
-//! The metadata words are read and written through accessors
-//! ([`Mbuf::port`], [`Mbuf::set_port`] and so on).
+//! Every [`Mbuf`] is the handle of one slot of an [`Arena`] segment (the
+//! type and its slab accessors live in [`crate::arena`]). It owns its slot
+//! exclusively and moves from holder to holder; nothing shares a buffer, so
+//! writes never need a copy-on-write check. The layout (`data_off`, `len`)
+//! and the metadata words (`port`, `udata`, `timestamp`) are the slot's
+//! [`SlotHeader`], beside the bytes, so turning the mbuf into a ring
+//! descriptor and back copies none of it. The metadata words are read and
+//! written through accessors ([`Mbuf::port`], [`Mbuf::set_port`] and so
+//! on). A packet made where no shared arena is mapped ([`Mbuf::from_slice`],
+//! [`Mbuf::duplicate`]) takes a slot of the private segment,
+//! [`Arena::private`].
 
-use crate::arena::{ArenaMbuf, MbufDesc, SlotHeader};
+use crate::arena::{Arena, Mbuf, SlotHeader};
 
 /// Headroom reserved at the front of every buffer, like
-/// `RTE_PKTMBUF_HEADROOM`.
+/// `RTE_PKTMBUF_HEADROOM`. It lies inside the slot.
 pub const MBUF_HEADROOM: usize = 128;
 
-/// Tailroom reserved after the packet in heap mbufs, so consumers can
-/// append trailers the way `rte_pktmbuf_append` users expect. (Arena slots
-/// get whatever their slot size leaves; real DPDK buffers are a fixed
-/// 2 KiB regardless of packet length, so spare tailroom is the norm.)
-pub const MBUF_TAILROOM: usize = 128;
-
-/// A process-private packet buffer and its header.
-struct HeapBuf {
-    header: SlotHeader,
-    buf: Box<[u8]>,
-}
-
-/// Backing storage of an [`Mbuf`]: a process-private heap buffer, or a
-/// slot in a shared [`crate::Arena`] segment.
-enum Storage {
-    Heap(Box<HeapBuf>),
-    Arena(ArenaMbuf),
-}
-
-/// A packet buffer handle.
-///
-/// Owns a byte buffer; when dropped, a heap mbuf frees its memory and an
-/// arena-backed mbuf returns its slot to the [`crate::Arena`] (freelist or
-/// credit stack).
-pub struct Mbuf(Storage);
+/// The longest packet a [`crate::DEFAULT_BUF_SIZE`] slot holds behind its
+/// headroom: 1920 bytes.
+pub const MBUF_MAX_LEN: usize = crate::DEFAULT_BUF_SIZE - MBUF_HEADROOM;
 
 impl Mbuf {
-    fn heap(buf: Box<[u8]>, data_off: usize, len: usize) -> Mbuf {
-        let header = SlotHeader {
-            data_off: data_off as u32,
-            len: len as u32,
-            ..SlotHeader::default()
-        };
-        Mbuf(Storage::Heap(Box::new(HeapBuf { header, buf })))
-    }
-
-    /// Creates a heap mbuf owning `data`, with no headroom.
-    pub fn from_vec(data: Vec<u8>) -> Mbuf {
-        let len = data.len();
-        Mbuf::heap(data.into_boxed_slice(), 0, len)
-    }
-
-    /// Creates a heap mbuf copying `data`, with standard headroom so
-    /// headers can still be prepended and tailroom so trailers can be
-    /// appended.
+    /// Copies `data` into a slot of the private segment, behind the
+    /// standard headroom; the rest of the slot is tailroom.
+    ///
+    /// # Panics
+    ///
+    /// When `data` is longer than [`MBUF_MAX_LEN`] (1920 bytes) or the
+    /// private segment is full. Tests and harnesses call it; the product
+    /// allocates through [`Arena::alloc_from`] and drops the packet on
+    /// `None`.
     pub fn from_slice(data: &[u8]) -> Mbuf {
-        let mut buf = vec![0u8; MBUF_HEADROOM + data.len() + MBUF_TAILROOM];
-        buf[MBUF_HEADROOM..MBUF_HEADROOM + data.len()].copy_from_slice(data);
-        Mbuf::heap(buf.into_boxed_slice(), MBUF_HEADROOM, data.len())
+        assert!(
+            data.len() <= MBUF_MAX_LEN,
+            "Mbuf::from_slice: {} bytes exceed the {MBUF_MAX_LEN} a slot holds",
+            data.len()
+        );
+        Arena::private()
+            .alloc_from(data)
+            .expect("Mbuf::from_slice: the private segment is full")
     }
 
-    /// Wraps an arena slot in the generic mbuf API. The layout and metadata
-    /// stay in the slot's header.
+    /// The identity: every mbuf is already an arena slot.
     #[inline]
-    pub fn from_arena(am: ArenaMbuf) -> Mbuf {
-        Mbuf(Storage::Arena(am))
-    }
-
-    /// True when the payload lives in a shared arena segment (descriptor-
-    /// only enqueue applies).
-    pub fn is_arena(&self) -> bool {
-        matches!(self.0, Storage::Arena(_))
-    }
-
-    /// Segment id of arena-backed payload (diagnostics / census tests).
-    pub fn arena_segment_id(&self) -> Option<u64> {
-        match &self.0 {
-            Storage::Arena(am) => Some(am.segment_id()),
-            Storage::Heap(_) => None,
-        }
-    }
-
-    /// Converts an arena-backed mbuf into its ring descriptor (the
-    /// zero-copy enqueue). Heap mbufs come back unchanged in `Err` so the
-    /// caller can enqueue them by value.
-    #[inline]
-    pub fn try_into_desc(self) -> Result<MbufDesc, Mbuf> {
-        match self.0 {
-            Storage::Arena(am) => Ok(am.into_desc()),
-            heap => Err(Mbuf(heap)),
-        }
-    }
-
-    /// The packet's layout and metadata.
-    fn header(&self) -> SlotHeader {
-        match &self.0 {
-            Storage::Heap(heap) => heap.header,
-            Storage::Arena(am) => am.header(),
-        }
+    pub fn from_arena(m: Mbuf) -> Mbuf {
+        m
     }
 
     /// Rewrites the header through `edit` (no byte of the packet changes).
     fn edit(&mut self, edit: impl FnOnce(&mut SlotHeader)) {
-        match &mut self.0 {
-            Storage::Heap(heap) => edit(&mut heap.header),
-            Storage::Arena(am) => {
-                let mut header = am.header();
-                edit(&mut header);
-                am.set_header(header);
-            }
-        }
-    }
-
-    fn raw_mut(&mut self) -> &mut [u8] {
-        match &mut self.0 {
-            Storage::Heap(heap) => &mut heap.buf,
-            Storage::Arena(am) => am.slot_bytes_mut(),
-        }
-    }
-
-    /// Bytes in the buffer: headroom, packet and tailroom.
-    fn room(&self) -> usize {
-        match &self.0 {
-            Storage::Heap(heap) => heap.buf.len(),
-            Storage::Arena(am) => am.slot_bytes().len(),
-        }
-    }
-
-    /// Packet bytes.
-    pub fn data(&self) -> &[u8] {
-        match &self.0 {
-            Storage::Heap(heap) => {
-                let h = heap.header;
-                &heap.buf[h.data_off as usize..][..h.len as usize]
-            }
-            Storage::Arena(am) => am.data(),
-        }
-    }
-
-    /// Mutable packet bytes.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        match &mut self.0 {
-            Storage::Heap(heap) => {
-                let h = heap.header;
-                &mut heap.buf[h.data_off as usize..][..h.len as usize]
-            }
-            Storage::Arena(am) => am.data_mut(),
-        }
+        let mut header = self.header();
+        edit(&mut header);
+        self.set_header(header);
     }
 
     /// Current packet length.
@@ -180,12 +78,12 @@ impl Mbuf {
         self.room() - self.headroom() - self.len()
     }
 
-    /// Resizes the packet in place (must fit in the tailroom). New bytes are
+    /// Resizes the packet in place (must fit in the slot). New bytes are
     /// whatever the buffer previously held — callers overwrite them.
     pub fn set_len(&mut self, len: usize) {
         assert!(
             self.headroom() + len <= self.room(),
-            "mbuf set_len {len} exceeds buffer"
+            "mbuf set_len {len} exceeds its slot"
         );
         self.edit(|h| h.len = len as u32);
     }
@@ -196,7 +94,7 @@ impl Mbuf {
         assert!(n <= self.tailroom(), "mbuf append {n} exceeds tailroom");
         let start = self.headroom() + self.len();
         self.edit(|h| h.len += n as u32);
-        &mut self.raw_mut()[start..start + n]
+        &mut self.slot_bytes_mut()[start..start + n]
     }
 
     /// Prepends `n` bytes at the head (like `rte_pktmbuf_prepend`) and
@@ -208,7 +106,7 @@ impl Mbuf {
             h.data_off -= n as u32;
             h.len += n as u32;
         });
-        &mut self.raw_mut()[off - n..off]
+        &mut self.slot_bytes_mut()[off - n..off]
     }
 
     /// Removes `n` bytes from the head (like `rte_pktmbuf_adj`).
@@ -263,45 +161,33 @@ impl Mbuf {
     }
 
     /// Copies the packet for multi-output actions (flood), preserving
-    /// metadata. The copy is always a heap mbuf: a buffer has one owner, so
-    /// an arena packet keeps its slot and each extra output pays for its
-    /// own bytes — flood is the rare path.
-    pub fn duplicate(&self) -> Mbuf {
+    /// metadata, into a slot of the private segment: a buffer has one
+    /// owner, so the original keeps its slot and each extra output pays
+    /// for its own bytes — flood is the rare path. `None` (the packet is
+    /// not copied) when the private segment is full or the packet does not
+    /// fit one of its slots.
+    pub fn duplicate(&self) -> Option<Mbuf> {
+        let mut copy = Arena::private().alloc_from(self.data())?;
         let from = self.header();
-        let mut copy = Mbuf::from_slice(self.data());
         copy.edit(|h| {
             h.port = from.port;
             h.udata = from.udata;
             h.timestamp = from.timestamp;
         });
-        copy
-    }
-}
-
-impl std::fmt::Debug for Mbuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.0 {
-            Storage::Heap(_) => "heap",
-            Storage::Arena(_) => "arena",
-        };
-        let h = self.header();
-        f.debug_struct("Mbuf")
-            .field("len", &h.len)
-            .field("port", &h.port)
-            .field("udata", &h.udata)
-            .field("backend", &backend)
-            .finish()
+        Some(copy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::MbufDesc;
 
     #[test]
-    fn heap_mbuf_has_headroom_and_appends() {
+    fn a_slice_mbuf_has_headroom_and_appends() {
         let mut m = Mbuf::from_slice(&[]);
         assert_eq!(m.headroom(), MBUF_HEADROOM);
+        assert_eq!(m.tailroom(), MBUF_MAX_LEN);
         assert_eq!(m.len(), 0);
         m.append(64).fill(0xAA);
         assert_eq!(m.len(), 64);
@@ -319,7 +205,7 @@ mod tests {
 
     #[test]
     fn trim_shortens_tail() {
-        let mut m = Mbuf::from_vec(vec![1, 2, 3, 4]);
+        let mut m = Mbuf::from_slice(&[1, 2, 3, 4]);
         m.trim(3);
         assert_eq!(m.data(), &[1]);
         assert!(!m.is_empty());
@@ -328,15 +214,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds headroom")]
     fn prepend_beyond_headroom_panics() {
-        let mut m = Mbuf::from_vec(vec![0u8; 4]); // from_vec has no headroom
-        m.prepend(1);
+        let mut m = Mbuf::from_slice(&[0u8; 4]);
+        m.prepend(MBUF_HEADROOM + 1);
     }
 
     #[test]
     #[should_panic(expected = "exceeds tailroom")]
     fn append_beyond_tailroom_panics() {
         let mut m = Mbuf::from_slice(&[1]);
-        m.append(MBUF_TAILROOM + 1);
+        m.append(m.tailroom() + 1);
     }
 
     #[test]
@@ -346,7 +232,7 @@ mod tests {
         m.set_udata(0xdead_beef);
         m.set_timestamp(42);
         assert_eq!((m.port(), m.udata(), m.timestamp()), (7, 0xdead_beef, 42));
-        let copy = m.duplicate();
+        let copy = m.duplicate().expect("a private slot");
         assert_eq!(
             (copy.port(), copy.udata(), copy.timestamp()),
             (7, 0xdead_beef, 42)
@@ -356,13 +242,12 @@ mod tests {
     #[test]
     fn desc_roundtrip_preserves_edits_and_metadata() {
         let arena = crate::Arena::new("t", 2, 512);
-        let mut m = Mbuf::from_arena(arena.alloc_from(&[1, 2, 3, 4]).unwrap());
+        let mut m = arena.alloc_from(&[1, 2, 3, 4]).unwrap();
         m.adj(1); // trims head: layout must survive the descriptor hop
         m.set_port(9);
         m.set_udata(0xabc);
         m.set_timestamp(11);
-        let desc = m.try_into_desc().expect("arena-backed");
-        let back = Mbuf::from_arena(crate::arena::adopt(desc).unwrap());
+        let back = crate::arena::adopt(m.into_desc()).unwrap();
         assert_eq!(back.data(), &[2, 3, 4]);
         assert_eq!(
             (back.port(), back.udata(), back.timestamp()),
@@ -375,12 +260,5 @@ mod tests {
         assert!(std::mem::size_of::<Mbuf>() <= 16);
         assert_eq!(std::mem::size_of::<MbufDesc>(), 8);
         assert_eq!(SlotHeader::SIZE, 32);
-    }
-
-    #[test]
-    fn boxed_mbuf_refuses_desc_conversion() {
-        let m = Mbuf::from_slice(&[1]);
-        let m = m.try_into_desc().unwrap_err();
-        assert_eq!(m.data(), &[1], "handed back intact");
     }
 }

@@ -15,7 +15,7 @@
 //!    the slot header travels with the slot, not in the token.
 
 use dpdk_sim::arena::{adopt, Resolver};
-use dpdk_sim::{Arena, ArenaMbuf, MbufDesc, SlotHeader};
+use dpdk_sim::{Arena, Mbuf, MbufDesc, SlotHeader};
 use proptest::prelude::*;
 
 /// One step of the random-interleaving machine.
@@ -87,7 +87,7 @@ proptest! {
     fn live_handles_never_overlap(cap in 1usize..32, extra in 0usize..8) {
         let arena = Arena::new("props", cap, 256);
         let want = cap + extra; // over-ask: the tail must fail, not alias
-        let mut live: Vec<ArenaMbuf> = Vec::new();
+        let mut live: Vec<Mbuf> = Vec::new();
         for i in 0..want {
             match arena.alloc_from(&tag(i)) {
                 Some(m) => live.push(m),
@@ -112,7 +112,7 @@ proptest! {
         free_via_consumer in proptest::collection::vec(proptest::bool::ANY, 32..33),
     ) {
         let arena = Arena::new("props", cap, 256);
-        let live: Vec<ArenaMbuf> = (0..cap).map(|i| arena.alloc_from(&tag(i)).unwrap()).collect();
+        let live: Vec<Mbuf> = (0..cap).map(|i| arena.alloc_from(&tag(i)).unwrap()).collect();
         prop_assert!(arena.alloc().is_none());
         // Free each handle through a randomly chosen mapping: direct drop
         // (owner freelist) or a descriptor hop adopted by a consumer
@@ -137,7 +137,7 @@ proptest! {
     ) {
         let arena = Arena::new("props", cap, 256);
         let consumer = arena.consumer();
-        let mut live: Vec<(usize, ArenaMbuf)> = Vec::new();
+        let mut live: Vec<(usize, Mbuf)> = Vec::new();
         let mut next_id = 0usize;
         for op in ops {
             match op {
@@ -179,7 +179,7 @@ proptest! {
     ) {
         let arena = Arena::new("props", cap, 256);
         let mut resolver = Resolver::default();
-        let mut live: Vec<ArenaMbuf> = Vec::new();
+        let mut live: Vec<Mbuf> = Vec::new();
         let mut in_flight: Vec<MbufDesc> = Vec::new();
         let (mut made, mut adopted, mut dropped) = (0usize, 0usize, 0usize);
         for op in ops {
@@ -208,7 +208,7 @@ proptest! {
             prop_assert!(adopted <= made, "{adopted} adopts for {made} descriptors");
             prop_assert_eq!(adopted + dropped + in_flight.len(), made);
             // Every holder — handle or descriptor — names its own slot.
-            let mut slots: Vec<u32> = live.iter().map(ArenaMbuf::slot).collect();
+            let mut slots: Vec<u32> = live.iter().map(Mbuf::slot).collect();
             slots.extend(in_flight.iter().map(MbufDesc::slot));
             let held = slots.len();
             slots.sort_unstable();
@@ -252,7 +252,7 @@ proptest! {
     }
 }
 
-fn count_distinct_slots(live: &[(usize, ArenaMbuf)]) -> usize {
+fn count_distinct_slots(live: &[(usize, Mbuf)]) -> usize {
     let mut slots: Vec<u32> = live.iter().map(|(_, m)| m.slot()).collect();
     slots.sort_unstable();
     slots.dedup();

@@ -6,7 +6,7 @@
 //! stamp, which [`TrafficSink`] uses to report throughput, loss, reordering
 //! and latency percentiles.
 
-use dpdk_sim::{cycles, Mbuf};
+use dpdk_sim::{cycles, Arena, Mbuf};
 use packet_wire::{MacAddr, PacketBuilder, ProbeHeader};
 use std::net::Ipv4Addr;
 use telemetry::LatencyHistogram;
@@ -74,14 +74,19 @@ impl TrafficGen {
         }
     }
 
-    /// Produces up to `max` probes into `out`; returns how many.
+    /// Produces up to `max` probes into `out`; returns how many. Each takes
+    /// a slot of the private segment; the burst ends early when none is
+    /// free (the segment's `alloc_failures` counts it).
     pub fn gen_burst(&mut self, out: &mut Vec<Mbuf>, max: usize) -> usize {
         let n = self.budget(max);
         let now = cycles::now();
+        let mut made = 0;
         for _ in 0..n {
             let template = &self.templates[self.next_flow];
+            let Some(mut m) = Arena::private().alloc_from(template) else {
+                break;
+            };
             self.next_flow = (self.next_flow + 1) % self.templates.len();
-            let mut m = Mbuf::from_slice(template);
             ProbeHeader::stamp_frame(
                 // stamp_frame needs the raw bytes; operate on the mbuf data
                 m.data_mut(),
@@ -92,9 +97,10 @@ impl TrafficGen {
             m.set_timestamp(now);
             self.next_seq += 1;
             out.push(m);
+            made += 1;
         }
-        self.generated += n as u64;
-        n
+        self.generated += made as u64;
+        made
     }
 }
 
@@ -215,13 +221,14 @@ mod tests {
     #[test]
     fn rate_limit_is_enforced() {
         let mut gen = TrafficGen::new(64, 1).with_rate(100_000.0); // 100 kpps
-        let mut out = Vec::new();
+        let (mut out, mut made) = (Vec::new(), 0);
         let start = std::time::Instant::now();
         while start.elapsed() < std::time::Duration::from_millis(50) {
-            gen.gen_burst(&mut out, 64);
+            made += gen.gen_burst(&mut out, 64);
+            out.clear(); // the probes go back to the private segment
         }
         let secs = start.elapsed().as_secs_f64();
-        let rate = out.len() as f64 / secs;
+        let rate = made as f64 / secs;
         assert!(
             rate < 140_000.0,
             "generated {rate:.0} pps against a 100 kpps cap"

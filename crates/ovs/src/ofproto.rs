@@ -13,7 +13,8 @@
 
 use crate::pmd::Datapath;
 use crate::table::RuleEntry;
-use dpdk_sim::{cycles, Mbuf};
+use dpdk_sim::mbuf::MBUF_MAX_LEN;
+use dpdk_sim::{cycles, Arena};
 use openflow::messages::*;
 use openflow::{Action, FlowMatch, OfError, PortNo, SwitchLink};
 use parking_lot::Mutex;
@@ -465,9 +466,26 @@ impl Ofproto {
         }
     }
 
-    fn handle_packet_out(&self, po: PacketOut) {
+    /// Sends a controller packet-out through its actions. The data takes
+    /// a slot of the private segment: data longer than a slot holds
+    /// ([`MBUF_MAX_LEN`]) is answered with `OFPBRC_BAD_LEN` and dropped, and
+    /// data that finds the segment full is dropped (the segment's
+    /// `alloc_failures` counts it).
+    fn handle_packet_out(&self, po: PacketOut, xid: u32) {
+        if po.data.len() > MBUF_MAX_LEN {
+            self.send(
+                &OfpMessage::Error {
+                    err_type: 1, // OFPET_BAD_REQUEST
+                    code: 6,     // OFPBRC_BAD_LEN
+                },
+                xid,
+            );
+            return;
+        }
+        let Some(mut pkt) = Arena::private().alloc_from(&po.data) else {
+            return;
+        };
         let snapshot: Vec<_> = self.dp.ports.read().values().cloned().collect();
-        let mut pkt = Mbuf::from_slice(&po.data);
         let targets = crate::actions::execute(&mut pkt, &po.actions);
         let mut staged = BTreeMap::new();
         self.dp
@@ -571,7 +589,7 @@ impl Ofproto {
                     let desc = self.build_desc_stats();
                     self.send(&OfpMessage::DescStatsReply(desc), xid);
                 }
-                OfpMessage::PacketOut(po) => self.handle_packet_out(po),
+                OfpMessage::PacketOut(po) => self.handle_packet_out(po, xid),
                 OfpMessage::BarrierRequest => self.send(&OfpMessage::BarrierReply, xid),
                 // Replies/asynchronous messages are controller-bound only.
                 other => {
@@ -589,6 +607,7 @@ mod tests {
     use super::*;
     use crate::pmd::PmdCaches;
     use crate::port::OvsPort;
+    use dpdk_sim::Mbuf;
     use openflow::messages::FlowMod;
     use packet_wire::PacketBuilder;
     use shmem_sim::channel;

@@ -419,8 +419,11 @@ impl Datapath {
 
     /// Queues one (already rewritten) packet on the staging queue of every
     /// port `targets` resolves to: a duplicate for each destination but
-    /// the last, which takes the original. Controller targets punt a copy
-    /// first. Builds no list: the destinations are counted, then staged.
+    /// the last, which takes the original. A duplicate takes a slot of the
+    /// private segment; when none is free that destination's copy is
+    /// dropped (the segment's `alloc_failures` counts it). Controller
+    /// targets punt a copy first. Builds no list: the destinations are
+    /// counted, then staged.
     pub fn stage_outputs(
         &self,
         pkt: Mbuf,
@@ -443,7 +446,7 @@ impl Datapath {
             left -= 1;
             let m = match left {
                 0 => pkt.take(),
-                _ => pkt.as_ref().map(Mbuf::duplicate),
+                _ => pkt.as_ref().and_then(Mbuf::duplicate),
             };
             staged.entry(dest).or_default().extend(m);
         };
@@ -1141,20 +1144,26 @@ mod tests {
             })
             .collect();
         let arena = dpdk_sim::Arena::new("flood", 8, 512);
-        let mut pkt = Mbuf::from_arena(arena.alloc_from(&[7; 60]).unwrap());
+        let mut pkt = arena.alloc_from(&[7; 60]).unwrap();
         pkt.set_udata(0x77);
+        let slot = pkt.slot();
 
         let mut staged = BTreeMap::new();
         dp.stage_outputs(pkt, PortNo(1), &[OutputTarget::Flood], &mut staged, &ports);
         let dests: Vec<PortNo> = staged.keys().copied().collect();
         assert_eq!(dests, [PortNo(2), PortNo(3), PortNo(4)]);
         let mut out: Vec<Mbuf> = staged.into_values().flatten().collect();
+        let private = dpdk_sim::Arena::private().segment_id();
         assert!(
-            !out[0].is_arena() && !out[1].is_arena(),
-            "copies are private"
+            out[..2].iter().all(|m| m.segment_id() == private),
+            "the copies live in the private segment"
         );
-        assert!(out[2].is_arena(), "the last port gets the original");
-        assert_eq!(arena.in_use(), 1, "no copy took a slot");
+        assert_eq!(
+            (out[2].segment_id(), out[2].slot()),
+            (arena.segment_id(), slot),
+            "the last port gets the original in its slot"
+        );
+        assert_eq!(arena.in_use(), 1, "no copy took a slot of the arena");
         for m in &out {
             assert_eq!((m.data(), m.udata()), (&[7; 60][..], 0x77));
         }

@@ -522,6 +522,44 @@ mod tests {
     }
 
     #[test]
+    fn an_oversize_packet_out_is_refused_and_the_switch_runs_on() {
+        let sw = VSwitchd::new(VSwitchdConfig::default());
+        let (sw1, mut vm1) = channel("dpdkr1", 8);
+        sw.add_dpdkr_port(PortNo(1), "dpdkr1", sw1);
+        let (ctrl, link) = framed_link();
+        sw.attach_controller(link);
+        sw.start();
+
+        let out = vec![Action::Output(PortNo(1))];
+        let oversize = vec![0xee; dpdk_sim::mbuf::MBUF_MAX_LEN + 1];
+        let xid = ctrl.packet_out(oversize, out.clone()).unwrap();
+        match ctrl.wait_reply(xid, Duration::from_secs(5)).unwrap() {
+            openflow::OfpMessage::Error { err_type, code } => {
+                assert_eq!((err_type, code), (1, 6), "OFPET_BAD_REQUEST/OFPBRC_BAD_LEN")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        ctrl.packet_out(PacketBuilder::udp_probe(64).build(), out)
+            .unwrap();
+        ctrl.barrier(Duration::from_secs(2)).unwrap();
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let got = loop {
+            if let Some(m) = vm1.recv() {
+                break m;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the 64-byte packet-out never arrived"
+            );
+            std::thread::yield_now();
+        };
+        assert_eq!(got.len(), 64, "the oversize data was not sent");
+        assert!(vm1.recv().is_none());
+        sw.stop();
+    }
+
+    #[test]
     fn echo_and_features() {
         let sw = VSwitchd::new(VSwitchdConfig::default());
         let (sw1, _vm1) = channel("dpdkr1", 8);

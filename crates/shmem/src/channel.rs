@@ -5,66 +5,32 @@
 //! port (VM endpoint ↔ vSwitch endpoint) and of a bypass connection
 //! (VM endpoint ↔ VM endpoint).
 //!
-//! The rings carry 16-byte [`PktSlot`]s: an arena-backed packet is
-//! enqueued as its [`MbufDesc`] — one `u64` of segment id and slot index,
-//! the only representation valid on both sides of an ivshmem BAR — so a
-//! hop moves an 8-byte token while the payload and its slot header (layout
-//! and metadata) stay put in the shared slab (the zero-copy hop). Neither
-//! end copies metadata, and a header write is not a slab write. The
-//! descriptor is a move-only token that carries the sender's reference to
-//! the segment; the receiving endpoint resolves a segment id once, through
-//! its own [`Resolver`], and adopts every later descriptor from that
-//! segment by taking that reference back — no lock and no reference-count
-//! write per hop. A descriptor whose segment is no longer mapped is
-//! dropped and counted ([`ChannelEndStats::unmapped_drops`]). Heap-backed
-//! mbufs still travel by value, keeping every legacy producer working.
-//! Both ends poll; nothing notifies a peer that a ring filled.
+//! Each ring carries 8-byte [`MbufDesc`] tokens: every packet is an arena
+//! slot, and it is enqueued as its descriptor — one `u64` of segment id
+//! and slot index, the only representation valid on both sides of an
+//! ivshmem BAR — so a hop moves one word while the payload and its slot
+//! header (layout and metadata) stay put in the slab (the zero-copy hop).
+//! Neither end copies metadata, and a header write is not a slab write.
+//! The descriptor is a move-only token that carries the sender's reference
+//! to the segment; the receiving endpoint resolves a segment id once,
+//! through its own [`Resolver`], and adopts every later descriptor from
+//! that segment by taking that reference back — no lock and no
+//! reference-count write per hop. A descriptor whose segment is no longer
+//! mapped is dropped and counted ([`ChannelEndStats::unmapped_drops`]). A
+//! ring destroyed with descriptors still in flight releases each slot as it
+//! drops the descriptor, like a ring freeing its mbufs. Both ends poll;
+//! nothing notifies a peer that a ring filled.
 
 use dpdk_sim::arena::Resolver;
 use dpdk_sim::{spsc_ring, Mbuf, MbufDesc, SpscConsumer, SpscProducer};
-
-/// One slot on a channel ring, 16 bytes: an owned heap mbuf, or an arena
-/// descriptor (the zero-copy representation). A ring destroyed with
-/// descriptors still in flight (endpoint dropped before the peer drained
-/// it) releases each slot as it drops the descriptor, like a ring freeing
-/// its mbufs.
-#[derive(Debug)]
-pub enum PktSlot {
-    /// Process-private mbuf, moved by value (legacy path).
-    Boxed(Mbuf),
-    /// Offset-based handle into a shared arena segment.
-    Desc(MbufDesc),
-}
-
-impl PktSlot {
-    /// An arena-backed packet travels as its descriptor, any other by value.
-    fn of(pkt: Mbuf) -> PktSlot {
-        match pkt.try_into_desc() {
-            Ok(desc) => PktSlot::Desc(desc),
-            Err(m) => PktSlot::Boxed(m),
-        }
-    }
-
-    fn is_desc(&self) -> bool {
-        matches!(self, PktSlot::Desc(_))
-    }
-
-    /// The packet, a descriptor adopted through `segments`; `None` when its
-    /// segment is no longer mapped.
-    fn into_mbuf(self, segments: &mut Resolver) -> Option<Mbuf> {
-        match self {
-            PktSlot::Boxed(m) => Some(m),
-            PktSlot::Desc(desc) => segments.adopt(desc).map(Mbuf::from_arena),
-        }
-    }
-}
 
 /// Per-endpoint channel counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelEndStats {
     /// Packets sent as arena descriptors (zero-copy hops).
     pub desc_sent: u64,
-    /// Packets sent as owned heap mbufs (copy/move path).
+    /// Always 0: every packet travels as a descriptor. Kept for readers
+    /// that still report it.
     pub boxed_sent: u64,
     /// Received descriptors that did not adopt: the segment was no longer
     /// mapped — the packet is lost, exactly like traffic in flight across
@@ -75,8 +41,8 @@ pub struct ChannelEndStats {
 /// One endpoint of a bidirectional packet channel.
 pub struct ChannelEnd {
     name: String,
-    tx: SpscProducer<PktSlot>,
-    rx: SpscConsumer<PktSlot>,
+    tx: SpscProducer<MbufDesc>,
+    rx: SpscConsumer<MbufDesc>,
     /// The arena segments this endpoint has received from, each resolved
     /// once (the receiver's BAR mapping).
     segments: Resolver,
@@ -120,10 +86,8 @@ impl ChannelEnd {
         if self.tx.room(1) == 0 {
             return Err(pkt);
         }
-        let slot = PktSlot::of(pkt);
-        self.stats.desc_sent += u64::from(slot.is_desc());
-        self.stats.boxed_sent += u64::from(!slot.is_desc());
-        self.tx.push_burst(std::iter::once(slot));
+        self.stats.desc_sent += 1;
+        self.tx.push_burst(std::iter::once(pkt.into_desc()));
         Ok(())
     }
 
@@ -131,14 +95,8 @@ impl ChannelEnd {
     /// returns how many were sent, with one ring publish for the burst.
     pub fn send_burst(&mut self, pkts: &mut Vec<Mbuf>) -> usize {
         let n = self.tx.room(pkts.len());
-        let mut descs = 0;
-        self.tx.push_burst(pkts.drain(..n).map(|pkt| {
-            let slot = PktSlot::of(pkt);
-            descs += u64::from(slot.is_desc());
-            slot
-        }));
-        self.stats.desc_sent += descs;
-        self.stats.boxed_sent += n as u64 - descs;
+        self.tx.push_burst(pkts.drain(..n).map(Mbuf::into_desc));
+        self.stats.desc_sent += n as u64;
         n
     }
 
@@ -146,8 +104,8 @@ impl ChannelEnd {
     /// been unmapped are dropped (counted in
     /// [`ChannelEndStats::unmapped_drops`]) and the next slot is tried.
     pub fn recv(&mut self) -> Option<Mbuf> {
-        while let Some(slot) = self.rx.dequeue() {
-            match slot.into_mbuf(&mut self.segments) {
+        while let Some(desc) = self.rx.dequeue() {
+            match self.segments.adopt(desc) {
                 Some(m) => return Some(m),
                 None => self.stats.unmapped_drops += 1,
             }
@@ -162,8 +120,8 @@ impl ChannelEnd {
         let start = out.len();
         loop {
             let mut unmapped = 0;
-            self.rx.pop_burst(max - (out.len() - start), |slot| {
-                match slot.into_mbuf(&mut self.segments) {
+            self.rx.pop_burst(max - (out.len() - start), |desc| {
+                match self.segments.adopt(desc) {
                     Some(m) => out.push(m),
                     None => unmapped += 1,
                 }
@@ -209,7 +167,6 @@ impl std::fmt::Debug for ChannelEnd {
             .field("pending_rx", &self.pending_rx())
             .field("pending_tx", &self.pending_tx())
             .field("desc_sent", &self.stats.desc_sent)
-            .field("boxed_sent", &self.stats.boxed_sent)
             .finish()
     }
 }
@@ -263,13 +220,13 @@ mod tests {
         let arena = Arena::new("chan-arena", 8, 512);
         let (mut a, mut b) = channel("t", 8);
         let writes_before = arena.stats().slab_writes;
-        let mut m = Mbuf::from_arena(arena.alloc_from(&[9, 8, 7]).unwrap());
+        let mut m = arena.alloc_from(&[9, 8, 7]).unwrap();
         m.set_udata(0x55);
         a.send(m).unwrap();
         assert_eq!(a.stats().desc_sent, 1);
         assert_eq!(a.stats().boxed_sent, 0);
         let got = b.recv().unwrap();
-        assert!(got.is_arena(), "arrives still arena-backed");
+        assert_eq!(got.segment_id(), arena.segment_id(), "arrives in its slot");
         assert_eq!(got.data(), &[9, 8, 7]);
         assert_eq!(got.udata(), 0x55);
         assert_eq!(
@@ -283,8 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_slot_is_two_words() {
-        assert!(std::mem::size_of::<PktSlot>() <= 16);
+    fn a_ring_slot_is_one_word() {
+        let (a, _b) = channel("t", 4);
+        let tx: &SpscProducer<MbufDesc> = &a.tx;
+        assert_eq!(tx.capacity(), 4);
+        assert_eq!(std::mem::size_of::<MbufDesc>(), 8);
     }
 
     /// Trims the head, prepends into the headroom, trims the tail and sets
@@ -300,21 +260,22 @@ mod tests {
     }
 
     #[test]
-    fn edited_arena_and_heap_packets_arrive_intact() {
+    fn edited_packets_arrive_intact() {
         let arena = Arena::new("chan-edit", 4, 512);
         let (mut a, mut b) = channel("t", 8);
         let frame = [1, 2, 3, 4, 5, 6];
         let mut pkts = vec![
-            edit(Mbuf::from_arena(arena.alloc_from(&frame).unwrap()), 7),
+            edit(arena.alloc_from(&frame).unwrap(), 7),
             edit(Mbuf::from_slice(&frame), 9),
         ];
         let headroom: Vec<usize> = pkts.iter().map(Mbuf::headroom).collect();
         assert_eq!(a.send_burst(&mut pkts), 2);
-        assert_eq!((a.stats().desc_sent, a.stats().boxed_sent), (1, 1));
+        assert_eq!((a.stats().desc_sent, a.stats().boxed_sent), (2, 0));
         let mut out = Vec::new();
         assert_eq!(b.recv_burst(&mut out, 8), 2);
-        for ((m, tag), room) in out.iter().zip([7u64, 9]).zip(headroom) {
-            assert_eq!(m.is_arena(), tag == 7);
+        let segments = [arena.segment_id(), Arena::private().segment_id()];
+        for (((m, tag), room), segment) in out.iter().zip([7u64, 9]).zip(headroom).zip(segments) {
+            assert_eq!(m.segment_id(), segment);
             assert_eq!(m.data(), &[0xAA, 3, 4, 5]);
             assert_eq!(m.headroom(), room);
             assert_eq!(
@@ -329,19 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn boxed_packets_still_travel_by_value() {
+    fn a_slice_packet_travels_as_a_descriptor() {
         let (mut a, mut b) = channel("t", 4);
         a.send(Mbuf::from_slice(&[1, 2])).unwrap();
-        assert_eq!(a.stats().boxed_sent, 1);
-        assert!(!b.recv().unwrap().is_arena());
+        assert_eq!((a.stats().desc_sent, a.stats().boxed_sent), (1, 0));
+        let got = b.recv().unwrap();
+        assert_eq!(got.segment_id(), Arena::private().segment_id());
+        assert_eq!(got.data(), &[1, 2]);
     }
 
     #[test]
     fn unmapped_segment_descriptors_are_dropped_not_wedged() {
         let arena = Arena::new("chan-gone", 4, 256);
         let (mut a, mut b) = channel("t", 8);
-        a.send(Mbuf::from_arena(arena.alloc_from(&[1]).unwrap()))
-            .unwrap();
+        a.send(arena.alloc_from(&[1]).unwrap()).unwrap();
         a.send(Mbuf::from_slice(&[2])).unwrap();
         drop(arena); // segment unmapped while a desc is in flight
         let got = b.recv().expect("recv skips the dead desc");
@@ -354,11 +316,9 @@ mod tests {
         let arena = Arena::new("chan-cached", 4, 256);
         let weak = arena.weak();
         let (mut a, mut b) = channel("t", 8);
-        a.send(Mbuf::from_arena(arena.alloc_from(&[1]).unwrap()))
-            .unwrap();
+        a.send(arena.alloc_from(&[1]).unwrap()).unwrap();
         drop(b.recv().unwrap()); // `b` has now resolved the segment
-        a.send(Mbuf::from_arena(arena.alloc_from(&[2]).unwrap()))
-            .unwrap();
+        a.send(arena.alloc_from(&[2]).unwrap()).unwrap();
         drop(arena); // owner and every handle gone, one descriptor in flight
         assert!(weak.upgrade().is_none(), "the receiver kept it mapped");
         assert!(b.recv().is_none());
@@ -372,7 +332,7 @@ mod tests {
         let mut pkts: Vec<Mbuf> = (0u8..8)
             .map(|i| {
                 let from = if i % 2 == 0 { &x } else { &y };
-                Mbuf::from_arena(from.alloc_from(&[i, i]).unwrap())
+                from.alloc_from(&[i, i]).unwrap()
             })
             .collect();
         assert_eq!(a.send_burst(&mut pkts), 8);
@@ -380,7 +340,7 @@ mod tests {
         assert_eq!(b.recv_burst(&mut out, 16), 8);
         for (i, m) in (0u8..).zip(&out) {
             let from = if i % 2 == 0 { &x } else { &y };
-            assert_eq!(m.arena_segment_id(), Some(from.segment_id()));
+            assert_eq!(m.segment_id(), from.segment_id());
             assert_eq!(m.data(), &[i, i]);
         }
         drop(out);
@@ -395,8 +355,7 @@ mod tests {
         let arena = Arena::new("chan-teardown", 8, 256);
         let (mut a, b) = channel("t", 8);
         for i in 0u8..3 {
-            a.send(Mbuf::from_arena(arena.alloc_from(&[i]).unwrap()))
-                .unwrap();
+            a.send(arena.alloc_from(&[i]).unwrap()).unwrap();
         }
         assert_eq!(arena.in_use(), 3);
         // Endpoints die with the packets still queued — no leak.
@@ -496,7 +455,7 @@ mod tests {
         while sent < 500 {
             match arena.alloc_from(&[(sent % 100) as u8]) {
                 Some(am) => {
-                    let mut m = Some(Mbuf::from_arena(am));
+                    let mut m = Some(am);
                     while let Some(p) = m.take() {
                         if let Err(back) = gen_end.send(p) {
                             m = Some(back);

@@ -5,9 +5,9 @@
 //!
 //! * [`mod@channel`] — a bidirectional pair of SPSC packet rings. One channel
 //!   is what a `dpdkr` port exposes (the *normal* channel to the vSwitch) and
-//!   what a bypass connection creates between two VMs. Arena-backed packets
-//!   ride the rings as offset descriptors (zero-copy hops); heap mbufs move
-//!   by value.
+//!   what a bypass connection creates between two VMs. Every packet is an
+//!   arena slot and rides the rings as its 8-byte offset descriptor (the
+//!   zero-copy hop).
 //! * [`registry`] — the host's table of named shared-memory segments, so
 //!   tests and the compute agent can observe segment lifecycle (created on
 //!   bypass setup, released on teardown) exactly as hugepage segments are in
@@ -26,7 +26,7 @@ pub mod registry;
 pub mod serial;
 pub mod stats;
 
-pub use channel::{channel, ChannelEnd, ChannelEndStats, PktSlot};
+pub use channel::{channel, ChannelEnd, ChannelEndStats};
 pub use ivshmem::DeviceBoard;
 pub use ivshmem::IvshmemDevice;
 pub use registry::{SegmentKind, SegmentRecord, ShmRegistry, DEFAULT_ARENA_SLOTS};

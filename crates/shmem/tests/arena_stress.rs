@@ -121,8 +121,8 @@ fn stage(
             continue;
         }
         for m in burst.drain(..) {
-            assert!(m.is_arena(), "descriptor hop left the arena");
             let (seq, slot) = read_stamp(&m);
+            assert_eq!(m.slot(), slot, "descriptor hop left its slot");
             assert!(
                 last_seq < Some(seq),
                 "stage {stage}: {seq} after {last_seq:?}"

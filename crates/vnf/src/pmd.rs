@@ -26,7 +26,8 @@ pub struct DpdkrPmd {
     normal: ChannelEnd,
     bypass: Option<ChannelEnd>,
     /// Guest mapping of the host packet arena (a consumer view), when the
-    /// compute agent has plugged one.
+    /// compute agent has plugged one: it keeps the segment mapped while
+    /// this port may receive its descriptors.
     arena: Option<Arena>,
     tx_accounting: Option<BypassTxAccounting>,
     rx_active: bool,
@@ -93,19 +94,6 @@ impl DpdkrPmd {
     /// The mapped packet arena, if any.
     pub fn arena(&self) -> Option<&Arena> {
         self.arena.as_ref()
-    }
-
-    /// Allocates a transmit buffer for application-originated packets:
-    /// from the mapped arena when one is present (so the packet rides the
-    /// rings as an offset descriptor), falling back to a heap mbuf when
-    /// the arena is absent or exhausted.
-    pub fn alloc_tx(&self, payload: &[u8]) -> Mbuf {
-        if let Some(arena) = &self.arena {
-            if let Some(am) = arena.alloc_from(payload) {
-                return Mbuf::from_arena(am);
-            }
-        }
-        Mbuf::from_slice(payload)
     }
 
     /// Enables bypass transmit with the given stats accounting.
@@ -333,22 +321,6 @@ mod tests {
         pmd.map_bypass(by_here);
         pmd.enable_rx();
         pmd.unmap_bypass();
-    }
-
-    #[test]
-    fn alloc_tx_prefers_the_arena_and_falls_back_to_heap() {
-        let (mut pmd, _sw, _stats) = pmd_with_switch();
-        // No arena yet: heap mbuf.
-        assert!(!pmd.alloc_tx(&[1, 2, 3]).is_arena());
-        let host = dpdk_sim::Arena::new("pmd-arena", 1, 256);
-        pmd.set_arena(host.consumer());
-        let m = pmd.alloc_tx(&[4, 5]);
-        assert!(m.is_arena());
-        assert_eq!(m.data(), &[4, 5]);
-        // Arena exhausted (single slot held by `m`): heap fallback.
-        assert!(!pmd.alloc_tx(&[6]).is_arena());
-        drop(m);
-        assert_eq!(host.credit_pending(), 1, "guest free takes the credit ring");
     }
 
     #[test]

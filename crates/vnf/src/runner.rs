@@ -485,7 +485,7 @@ mod tests {
         assert_eq!(arena.stats().slab_writes - before, 40, "one rewrite each");
         let out: Vec<Mbuf> = std::iter::from_fn(|| sw1.recv()).collect();
         assert_eq!(out.len(), 40);
-        assert!(out.iter().all(|m| m.is_arena()));
+        assert!(out.iter().all(|m| m.segment_id() == arena.segment_id()));
         let key = packet_wire::FlowKey::extract(out[0].data());
         assert_eq!(key.ipv4_src, public);
     }
