@@ -30,8 +30,7 @@
 //!   steering rules through one [`openflow::FabricRuntime`], whether the
 //!   fabric is one switch or many, and knows nothing of the highway.
 //! * [`policy`] — the [`policy::AccelerationPolicy`]: which detected links
-//!   may be accelerated (port exclusions) and when (setup debounce against
-//!   controller rule flapping).
+//!   may be accelerated (port exclusions).
 //! * [`events`] — the [`events::EventJournal`]: a timestamped record of
 //!   every bypass lifecycle step, with live subscriptions; the setup-time
 //!   experiment and the failure-injection tests read it.

@@ -16,7 +16,7 @@
 //! 2. the switch's port admin state (a link over a down port is vetoed —
 //!    the switch would have dropped that traffic, and a bypass must never
 //!    deliver packets the flow table would not);
-//! 3. the [`AccelerationPolicy`] (port exclusions; setup debounce).
+//! 3. the [`AccelerationPolicy`] (port exclusions).
 //!
 //! Every lifecycle step is recorded in the [`EventJournal`].
 
@@ -55,7 +55,7 @@ impl SetupRecord {
 /// The manager's view of one directed link (observability API).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
-    /// Desired but not yet set up (debouncing or queued behind other work).
+    /// Desired but not yet set up (queued behind other work).
     Pending,
     /// Carried by a live bypass channel.
     Active,
@@ -314,11 +314,6 @@ impl HighwayManager {
                     if s.actual.get(src) == Some(wanted) {
                         continue;
                     }
-                    // Debounce: only set up once the link has been stable
-                    // for the policy's grace period.
-                    if detected_at.elapsed() < self.policy.setup_debounce {
-                        continue;
-                    }
                     op = Some(Op::Setup(*link, *detected_at));
                     break;
                 }
@@ -410,10 +405,10 @@ impl HighwayManager {
 
     fn worker_loop(&self, wake: Receiver<()>) {
         while !self.stop.load(Ordering::Acquire) {
-            if !self.reconcile_step() {
-                // Converged (or debouncing): sleep until the observer wakes
-                // us, or re-check shortly for debounce expiry.
-                let _ = wake.recv_timeout(Duration::from_millis(5));
+            // Converged: every change to the desired set (and `shutdown`)
+            // leaves a token in `wake` after making it, so none is missed.
+            if !self.reconcile_step() && wake.recv().is_err() {
+                return;
             }
         }
     }
@@ -681,41 +676,6 @@ mod tests {
             manager.journal().is_empty(),
             "excluded links are not even Detected"
         );
-        manager.shutdown();
-    }
-
-    #[test]
-    fn debounce_absorbs_flapping() {
-        let (agent, _registry, _vms) = agent_world();
-        let manager = HighwayManager::with_policy(
-            Arc::clone(&agent),
-            AccelerationPolicy::debounced(Duration::from_millis(80)),
-            StatsRegion::new(),
-        );
-        // Flap the link rapidly for ~40 ms: the debounce must absorb every
-        // cycle without engaging the agent.
-        let start = Instant::now();
-        while start.elapsed() < Duration::from_millis(40) {
-            manager.table_changed(&[p2p_snapshot(2, 3, 1)]);
-            manager.table_changed(&[]);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        manager.table_changed(&[]);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(manager.setup_log().len(), 0, "no setup during the flap");
-        assert!(manager
-            .journal()
-            .of_kind(BypassEventKind::SetupStarted)
-            .is_empty());
-
-        // Once stable, the link is accelerated after the grace period.
-        manager.table_changed(&[p2p_snapshot(2, 3, 1)]);
-        assert_eq!(manager.link_states()[&2], LinkState::Pending);
-        assert!(manager.wait_converged(Duration::from_secs(5)));
-        assert_eq!(manager.active_links().len(), 1);
-        assert_eq!(manager.setup_log().len(), 1);
-        // The recorded setup time includes the debounce by construction.
-        assert!(manager.setup_log()[0].setup_time() >= Duration::from_millis(80));
         manager.shutdown();
     }
 }

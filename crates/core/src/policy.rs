@@ -1,15 +1,9 @@
 //! Acceleration policy: which detected p-2-p links the highway is allowed
-//! to carry, and when.
+//! to carry.
 //!
-//! The paper's prototype accelerates every detected link immediately. In
-//! operation two refinements matter, and both are exposed here as knobs:
+//! The paper's prototype accelerates every detected link as soon as it is
+//! detected. Two filters narrow that:
 //!
-//! * **Debounce** — a controller reshuffling its table (e.g. a routing
-//!   convergence burst) can create and destroy the same p-2-p link many
-//!   times per second. Every activation costs ~100 ms of hypervisor work
-//!   (§3), so chasing a flapping link wastes agent time and can queue a
-//!   storm of stale setups. With a debounce, a link must remain stable for
-//!   a grace period before the agent is engaged.
 //! * **Port exclusion** — some dpdkr ports should never be bypassed (e.g.
 //!   ports whose VM is about to be migrated, or operator policy). The
 //!   detector result is filtered against this set.
@@ -21,39 +15,18 @@
 //!   whole "what may be accelerated" decision lives in one place.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 /// Policy for turning detected links into bypass channels.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AccelerationPolicy {
-    /// How long a detected link must remain stable before setup begins.
-    /// Zero (the default, and the paper's behaviour) sets up immediately.
-    pub setup_debounce: Duration,
     /// OpenFlow ports that must never participate in a bypass.
     pub excluded_ports: BTreeSet<u32>,
-}
-
-impl Default for AccelerationPolicy {
-    fn default() -> Self {
-        AccelerationPolicy {
-            setup_debounce: Duration::ZERO,
-            excluded_ports: BTreeSet::new(),
-        }
-    }
 }
 
 impl AccelerationPolicy {
     /// The paper's policy: accelerate everything, immediately.
     pub fn paper() -> AccelerationPolicy {
         AccelerationPolicy::default()
-    }
-
-    /// A conservative policy with the given debounce.
-    pub fn debounced(grace: Duration) -> AccelerationPolicy {
-        AccelerationPolicy {
-            setup_debounce: grace,
-            ..AccelerationPolicy::default()
-        }
     }
 
     /// Builder: exclude a port from acceleration.
@@ -77,7 +50,7 @@ mod tests {
     #[test]
     fn default_allows_everything_immediately() {
         let p = AccelerationPolicy::default();
-        assert_eq!(p.setup_debounce, Duration::ZERO);
+        assert!(p.excluded_ports.is_empty());
         assert!(p.allows(1, 2));
     }
 
@@ -91,10 +64,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let p = AccelerationPolicy::debounced(Duration::from_millis(50))
-            .exclude_port(1)
-            .exclude_port(9);
-        assert_eq!(p.setup_debounce, Duration::from_millis(50));
+        let p = AccelerationPolicy::paper().exclude_port(1).exclude_port(9);
         assert_eq!(p.excluded_ports.len(), 2);
+        assert!(!p.allows(1, 2) && !p.allows(3, 9));
     }
 }

@@ -63,7 +63,7 @@
 //! that legitimately mutate payload), never per hop.
 
 use crate::mbuf::MBUF_HEADROOM;
-use crate::{events, DEFAULT_BUF_SIZE};
+use crate::DEFAULT_BUF_SIZE;
 use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -394,7 +394,6 @@ impl ArenaSegment {
 
     fn foreign_free(&self) {
         self.foreign_frees.fetch_add(1, Ordering::Relaxed);
-        events::emit("arena_foreign_free", 1);
     }
 
     fn return_slot(&self, slot: u32, via_credit: bool) {
@@ -449,7 +448,6 @@ impl ArenaSegment {
         });
         let Some(slot) = slot else {
             self.alloc_failures.fetch_add(1, Ordering::Relaxed);
-            events::emit("arena_alloc_failure", 1);
             return None;
         };
         self.allocs.fetch_add(1, Ordering::Relaxed);
@@ -580,8 +578,9 @@ fn lookup_segment(segment_id: u64) -> Option<Weak<ArenaSegment>> {
 }
 
 /// Takes back the segment reference `desc` owns and rebinds the slot into
-/// a handle — or refuses the descriptor, counting `arena_adopt_failure`.
-/// The caller consumes `desc`: it is forgotten or being dropped.
+/// a handle — or refuses the descriptor, which the caller counts (a
+/// channel in its `unmapped_drops`). The caller consumes `desc`: it is
+/// forgotten or being dropped.
 ///
 /// * The segment is no longer mapped: the slot is freed, the reference
 ///   dropped, the packet lost.
@@ -592,10 +591,7 @@ fn lookup_segment(segment_id: u64) -> Option<Weak<ArenaSegment>> {
 ///   on a guess.
 #[inline]
 fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<Mbuf> {
-    let Some(seg) = seg else {
-        events::emit("arena_adopt_failure", 1);
-        return None;
-    };
+    let seg = seg?;
     // SAFETY: `desc` came from `into_desc`, which kept its handle's strong
     // reference instead of dropping it, so the allocation behind `seg` (the
     // `Weak` for `desc`'s segment id; ids are never reused) is live and this
@@ -619,7 +615,6 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<Mbuf> {
     if fits {
         release(&seg, slot, true);
     }
-    events::emit("arena_adopt_failure", 1);
     None
 }
 
@@ -628,10 +623,9 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<Mbuf> {
 /// This is what a consumer does after dequeuing: look the segment up in the
 /// process-wide segment table and rebind the offsets. The adopted handle
 /// recycles through the credit stack (the adopter is by definition not the
-/// owner's allocation path). Returns `None` — and counts
-/// `arena_adopt_failure` — when the segment is no longer mapped, the
-/// packet-loss mode a real unmap-under-traffic has, or when the
-/// descriptor's slot and layout do not fit the segment.
+/// owner's allocation path). Returns `None` when the segment is no longer
+/// mapped, the packet-loss mode a real unmap-under-traffic has, or when
+/// the descriptor's slot and layout do not fit the segment.
 ///
 /// Adopting consumes the descriptor, so its slot and segment reference
 /// move into the one handle this returns.

@@ -29,7 +29,6 @@
 
 pub mod arena;
 pub mod cycles;
-pub mod events;
 pub mod lcore;
 pub mod mbuf;
 pub mod ring;

@@ -390,14 +390,22 @@ pmd 0: 7 megaflows
 
     #[test]
     fn dump_datapath_stats_reports_drop_classes() {
+        use crate::pmd::PmdCaches;
+        use parking_lot::Mutex;
+        use std::sync::Arc;
+        use telemetry::Tier;
+
         let dp = Datapath::new(false);
-        dp.lookups.store(10, std::sync::atomic::Ordering::Relaxed);
-        dp.matched.store(8, std::sync::atomic::Ordering::Relaxed);
-        dp.emc_hits.store(5, std::sync::atomic::Ordering::Relaxed);
-        dp.megaflow_hits
-            .store(2, std::sync::atomic::Ordering::Relaxed);
-        dp.classifier_hits
-            .store(1, std::sync::atomic::Ordering::Relaxed);
+        let caches = Arc::new(Mutex::new(PmdCaches::new()));
+        dp.register_pmd_caches(&caches);
+        for (tier, n) in [
+            (Some(Tier::Emc), 5),
+            (Some(Tier::Megaflow), 2),
+            (Some(Tier::Classifier), 1),
+            (None, 2),
+        ] {
+            caches.lock().perf.count_lookup(tier, n);
+        }
         dp.miss_drops.store(2, std::sync::atomic::Ordering::Relaxed);
         dp.tx_no_port_drops
             .store(3, std::sync::atomic::Ordering::Relaxed);

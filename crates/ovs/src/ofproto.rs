@@ -629,7 +629,8 @@ mod tests {
             vec![Action::Output(PortNo(2))],
         ));
 
-        let caches = Mutex::new(PmdCaches::new());
+        let caches = Arc::new(Mutex::new(PmdCaches::new()));
+        dp.register_pmd_caches(&caches);
         // Same flow three times: classifier resolves once, EMC the rest.
         for _ in 0..3 {
             vm1.send(Mbuf::from_slice(&PacketBuilder::udp_probe(64).build()))

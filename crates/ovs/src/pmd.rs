@@ -7,8 +7,8 @@
 //! and grouped once; each distinct key resolves through the cache
 //! hierarchy once, so a 32-packet burst of one flow costs one lookup, not
 //! thirty-two; then every packet, in burst order, runs the output plan its
-//! rule compiled at install. The hot path allocates nothing, and the
-//! datapath's lookup counters move once per burst.
+//! rule compiled at install. The hot path allocates nothing, and every
+//! lookup is counted once, in the perf block of the PMD that made it.
 //!
 //! The datapath shards across N PMDs (see `docs/datapath.md`):
 //! every port is polled by exactly one PMD, which runs each packet it
@@ -140,7 +140,7 @@ pub enum CacheTier {
     Classifier,
 }
 
-/// A point-in-time copy of the datapath's lookup counters, split by the
+/// A point-in-time sum of the datapath's lookup counters, split by the
 /// tier that resolved each packet. The invariants these satisfy are pinned
 /// by `stats_split_by_tier_is_consistent` (and reported via `OFPST_TABLE`):
 ///
@@ -162,6 +162,31 @@ pub struct CacheTierStats {
     pub tx_no_port_drops: u64,
 }
 
+impl CacheTierStats {
+    /// Adds one PMD block's lookup counters.
+    fn add(&mut self, p: &PmdPerf) {
+        self.lookups += p.lookups;
+        self.matched += p.matched();
+        self.emc_hits += p.emc_hits;
+        self.megaflow_hits += p.megaflow_hits;
+        self.classifier_hits += p.classifier_hits;
+        self.misses += p.misses;
+    }
+
+    /// Counts `n` lookups resolved in `tier` (`None`: missed), as
+    /// [`PmdPerf::count_lookup`] does for a PMD.
+    fn count(&mut self, tier: Option<Tier>, n: u64) {
+        self.lookups += n;
+        match tier {
+            Some(Tier::Emc) => self.emc_hits += n,
+            Some(Tier::Megaflow) => self.megaflow_hits += n,
+            Some(Tier::Classifier) => self.classifier_hits += n,
+            None => self.misses += n,
+        }
+        self.matched = self.lookups - self.misses;
+    }
+}
+
 /// Shared datapath state: the port table and the flow table.
 pub struct Datapath {
     pub ports: RwLock<BTreeMap<PortNo, Arc<OvsPort>>>,
@@ -175,19 +200,6 @@ pub struct Datapath {
     table_generation: Arc<AtomicU64>,
     /// Bumped whenever the port set changes (PMD refreshes its snapshot).
     pub ports_generation: AtomicU64,
-    /// Table lookups performed: every processed packet counts exactly one,
-    /// whichever tier resolves it — `OFPST_TABLE` lookup semantics. Always
-    /// equals `matched + (miss_drops + punted misses)`.
-    pub lookups: AtomicU64,
-    /// Lookups that hit a rule, in any tier. Always equals
-    /// `emc_hits + megaflow_hits + classifier_hits`.
-    pub matched: AtomicU64,
-    /// Packets resolved by the exact-match cache (tier 1).
-    pub emc_hits: AtomicU64,
-    /// Packets resolved by the megaflow cache (tier 2).
-    pub megaflow_hits: AtomicU64,
-    /// Packets resolved by a full classifier walk (tier 3).
-    pub classifier_hits: AtomicU64,
     /// Packets dropped because no rule matched (miss policy = drop).
     pub miss_drops: AtomicU64,
     /// Packets dropped at transmit because the staged destination port had
@@ -210,6 +222,13 @@ pub struct Datapath {
     /// Cache handles of the live PMDs, in PMD order, so operator
     /// paths (`dump_megaflows`, snapshots) can observe the per-PMD caches.
     pmd_caches: RwLock<Vec<Arc<Mutex<PmdCaches>>>>,
+    /// The lookups no registered PMD block holds: the blocks of retired
+    /// PMDs, folded in by [`Datapath::deregister_pmd_caches`], and the
+    /// bursts processed without caches. With the registered blocks it
+    /// makes up [`Datapath::cache_stats`]. Counters only (its
+    /// `tx_no_port_drops` stays 0): a retired PMD's histograms are not
+    /// read, and a `PmdPerf` would cost every datapath 64 KiB of them.
+    retired: Mutex<CacheTierStats>,
     /// When false, the hot path skips every cycle read and histogram
     /// update (packet/tier counters still tick — they are plain adds on
     /// state already held). Flippable at runtime.
@@ -228,11 +247,6 @@ impl Datapath {
             table_generation: table.generation_handle(),
             table: RwLock::new(table),
             ports_generation: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            matched: AtomicU64::new(0),
-            emc_hits: AtomicU64::new(0),
-            megaflow_hits: AtomicU64::new(0),
-            classifier_hits: AtomicU64::new(0),
             miss_drops: AtomicU64::new(0),
             tx_no_port_drops: AtomicU64::new(0),
             fanout_drops: AtomicU64::new(0),
@@ -242,6 +256,7 @@ impl Datapath {
             control_wake: Arc::new(openflow::Event::new()),
             packet_in_drops: AtomicU64::new(0),
             pmd_caches: RwLock::new(Vec::new()),
+            retired: Mutex::new(CacheTierStats::default()),
             telemetry_enabled: AtomicBool::new(true),
         })
     }
@@ -286,15 +301,23 @@ impl Datapath {
         self.table.write().sweep_timeouts(now)
     }
 
-    /// Registers a PMD's caches for operator observation
-    /// (megaflow dumps).
+    /// Registers a PMD's caches: its perf block counts in
+    /// [`Datapath::cache_stats`] and snapshots, and operator paths
+    /// (megaflow dumps) see its caches.
     pub fn register_pmd_caches(&self, caches: &Arc<Mutex<PmdCaches>>) {
         self.pmd_caches.write().push(Arc::clone(caches));
     }
 
-    /// Drops a retired PMD's cache registration.
+    /// Drops a retired PMD's cache registration and folds its lookup
+    /// counters into the retired block, so the datapath's totals keep
+    /// them.
     pub fn deregister_pmd_caches(&self, caches: &Arc<Mutex<PmdCaches>>) {
-        self.pmd_caches.write().retain(|c| !Arc::ptr_eq(c, caches));
+        let mut registered = self.pmd_caches.write();
+        let before = registered.len();
+        registered.retain(|c| !Arc::ptr_eq(c, caches));
+        if registered.len() < before {
+            self.retired.lock().add(&caches.lock().perf);
+        }
     }
 
     /// Per-PMD snapshots of every cached megaflow aggregate (one vec per
@@ -307,19 +330,26 @@ impl Datapath {
             .collect()
     }
 
-    /// Point-in-time copy of the tier-split lookup counters.
+    /// The tier-split lookup counters: the sum of every registered PMD
+    /// block and the retired block.
     pub fn cache_stats(&self) -> CacheTierStats {
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        let matched = self.matched.load(Ordering::Relaxed);
-        CacheTierStats {
-            lookups,
-            matched,
-            emc_hits: self.emc_hits.load(Ordering::Relaxed),
-            megaflow_hits: self.megaflow_hits.load(Ordering::Relaxed),
-            classifier_hits: self.classifier_hits.load(Ordering::Relaxed),
-            misses: lookups.saturating_sub(matched),
-            tx_no_port_drops: self.tx_no_port_drops.load(Ordering::Relaxed),
+        self.sum_blocks(|_| {})
+    }
+
+    /// Sums the registered PMD blocks and the retired block in one pass
+    /// over the registry, which a retiring PMD's fold cannot interleave
+    /// with, calling `each` on every registered PMD's caches under their
+    /// lock.
+    fn sum_blocks(&self, mut each: impl FnMut(&mut PmdCaches)) -> CacheTierStats {
+        let registered = self.pmd_caches.read();
+        let mut s = *self.retired.lock();
+        for c in registered.iter() {
+            let mut c = c.lock();
+            each(&mut c);
+            s.add(&c.perf);
         }
+        s.tx_no_port_drops = self.tx_no_port_drops.load(Ordering::Relaxed);
+        s
     }
 
     /// Builds the full structured telemetry view: datapath-wide totals,
@@ -328,19 +358,13 @@ impl Datapath {
     /// every rendering surface (appctl text, JSON, Prometheus) formats
     /// from.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let s = self.cache_stats();
-        let pmds: Vec<PmdPerf> = self
-            .pmd_caches
-            .read()
-            .iter()
-            .map(|c| {
-                let mut guard = c.lock();
-                // Settle packets from bursts the sampler skipped, so the
-                // snapshot honours "stage counts == packets processed".
-                guard.flush_stage_carry();
-                guard.perf.clone()
-            })
-            .collect();
+        let mut pmds = Vec::new();
+        let s = self.sum_blocks(|c| {
+            // Settle packets from bursts the sampler skipped, so the
+            // snapshot honours "stage counts == packets processed".
+            c.flush_stage_carry();
+            pmds.push(c.perf.clone());
+        });
         TelemetrySnapshot {
             enabled: self.telemetry_enabled(),
             taken_at_cycles: cycles::now(),
@@ -542,11 +566,12 @@ impl Datapath {
     ///    [`OutputPlan`](crate::actions::OutputPlan), compiled at install)
     ///    and queue it on `staged`.
     ///
-    /// Per-flow order is kept and the burst drains completely. The lookup
-    /// counters are added to the datapath once per call. `caches` is
-    /// locked once for the whole burst: in the threaded datapath each PMD
-    /// owns its caches, so the lock is uncontended except by an operator
-    /// snapshot, which waits for at most one burst.
+    /// Per-flow order is kept and the burst drains completely. Each lookup
+    /// is counted once, in the perf block of `caches` (without caches, in
+    /// the datapath's retired block). `caches` is locked once for the
+    /// whole burst: in the threaded datapath each PMD owns its caches, so
+    /// the lock is uncontended except by an operator snapshot, which waits
+    /// for at most one burst.
     pub fn process_burst(
         &self,
         burst: &mut Vec<Mbuf>,
@@ -570,7 +595,8 @@ impl Datapath {
             _ => false,
         };
         let mut chunk = Chunk::new();
-        let mut counts = BurstCounts::default();
+        let packets = burst.len() as u64;
+        let mut miss_drops = 0u64;
         let (mut classify_cycles, mut exec_cycles, mut groups) = (0u64, 0u64, 0u64);
         while !burst.is_empty() {
             let len = burst.len().min(DEFAULT_BURST);
@@ -580,33 +606,30 @@ impl Datapath {
                 let (n, bytes) = (chunk.packets[g], chunk.bytes[g]);
                 let (rule, tier) =
                     self.resolve(in_port, &chunk.keys[g], guard.as_deref_mut(), n, bytes);
-                let resolved = rule.as_ref().map(|_| tier);
-                if let Some(c) = guard.as_deref_mut() {
-                    // Misses are attributed with `None`: they walked the
-                    // whole hierarchy but hit no tier.
-                    let tier = resolved.map(|t| match t {
-                        CacheTier::Emc => Tier::Emc,
-                        CacheTier::Megaflow => Tier::Megaflow,
-                        CacheTier::Classifier => Tier::Classifier,
-                    });
-                    if sampled {
+                // Misses are attributed with `None`: they walked the whole
+                // hierarchy but hit no tier.
+                let tier = rule.as_ref().map(|_| match tier {
+                    CacheTier::Emc => Tier::Emc,
+                    CacheTier::Megaflow => Tier::Megaflow,
+                    CacheTier::Classifier => Tier::Classifier,
+                });
+                match guard.as_deref_mut() {
+                    Some(c) if sampled => {
                         let t = cycles::now();
                         let cyc = t.saturating_sub(cursor);
                         cursor = t;
                         classify_cycles += cyc;
                         c.perf.record_lookup(tier, cyc, n);
                         c.perf.record_stage(Stage::Classify, cyc, n);
-                    } else {
+                    }
+                    Some(c) => {
                         c.perf.count_lookup(tier, n);
                         if telemetry {
                             c.carry_pkts += n;
                         }
                     }
+                    None => self.retired.lock().count(tier, n),
                 }
-                if rule.is_none() {
-                    coverage!("upcall_miss");
-                }
-                counts.add(resolved, n);
                 chunk.rules[g] = rule;
             }
             groups += chunk.groups as u64;
@@ -617,17 +640,18 @@ impl Datapath {
                 in_port,
                 staged,
                 port_snapshot,
-                &mut counts,
+                &mut miss_drops,
             );
             if sampled {
                 exec_cycles += cycles::now().saturating_sub(cursor);
             }
         }
-        counts.publish(self);
-        if sampled && counts.lookups > 0 {
+        if miss_drops > 0 {
+            self.miss_drops.fetch_add(miss_drops, Ordering::Relaxed);
+        }
+        if sampled && packets > 0 {
             if let Some(c) = guard.as_deref_mut() {
-                c.perf
-                    .record_stage(Stage::Execute, exec_cycles, counts.lookups);
+                c.perf.record_stage(Stage::Execute, exec_cycles, packets);
                 // Remember this burst's costs as the representative value
                 // for packets carried from the unstamped bursts around it.
                 c.last_classify_cyc = classify_cycles / groups.max(1);
@@ -649,7 +673,7 @@ impl Datapath {
         in_port: PortNo,
         staged: &mut BTreeMap<PortNo, Vec<Mbuf>>,
         port_snapshot: &[Arc<OvsPort>],
-        counts: &mut BurstCounts,
+        miss_drops: &mut u64,
     ) {
         let plan_of = |i: usize| {
             chunk.rules[usize::from(chunk.group_of[i])]
@@ -662,7 +686,7 @@ impl Datapath {
                 if self.miss_to_controller {
                     self.punt(&pkt, in_port, PacketInReason::NoMatch);
                 } else {
-                    counts.miss_drops += 1;
+                    *miss_drops += 1;
                 }
                 continue;
             };
@@ -683,21 +707,6 @@ impl Datapath {
                 queue.push(pkt);
             }
         }
-    }
-
-    /// Runs one packet through lookup + action execution, staging the
-    /// results — a burst of one. Shared by packet-out handling and tests.
-    pub fn process_packet(
-        &self,
-        pkt: Mbuf,
-        in_port: PortNo,
-        caches: Option<&Mutex<PmdCaches>>,
-        staged: &mut BTreeMap<PortNo, Vec<Mbuf>>,
-        port_snapshot: &[Arc<OvsPort>],
-        now: u64,
-    ) {
-        let mut burst = vec![pkt];
-        self.process_burst(&mut burst, in_port, caches, staged, port_snapshot, now);
     }
 
     /// Flushes staged packets to their ports (dropping on full rings).
@@ -804,47 +813,6 @@ impl Chunk {
                 g += 1;
             }
             rule.hit_n(packets, bytes, now);
-        }
-    }
-}
-
-/// The datapath's lookup counters for one burst, added to its atomics
-/// once per [`Datapath::process_burst`] call.
-#[derive(Default)]
-struct BurstCounts {
-    lookups: u64,
-    emc: u64,
-    megaflow: u64,
-    classifier: u64,
-    misses: u64,
-    miss_drops: u64,
-}
-
-impl BurstCounts {
-    /// Counts `n` packets resolved in `tier` (`None`: missed).
-    fn add(&mut self, tier: Option<CacheTier>, n: u64) {
-        self.lookups += n;
-        match tier {
-            Some(CacheTier::Emc) => self.emc += n,
-            Some(CacheTier::Megaflow) => self.megaflow += n,
-            Some(CacheTier::Classifier) => self.classifier += n,
-            None => self.misses += n,
-        }
-    }
-
-    fn publish(&self, dp: &Datapath) {
-        let matched = self.lookups - self.misses;
-        for (counter, n) in [
-            (&dp.lookups, self.lookups),
-            (&dp.matched, matched),
-            (&dp.emc_hits, self.emc),
-            (&dp.megaflow_hits, self.megaflow),
-            (&dp.classifier_hits, self.classifier),
-            (&dp.miss_drops, self.miss_drops),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
         }
     }
 }
@@ -1243,6 +1211,14 @@ mod tests {
         pump_once(dp, Some(caches));
     }
 
+    /// `caches` registered with `dp`, so its lookups count in
+    /// [`Datapath::cache_stats`].
+    fn registered(dp: &Datapath, caches: PmdCaches) -> Arc<Mutex<PmdCaches>> {
+        let caches = Arc::new(Mutex::new(caches));
+        dp.register_pmd_caches(&caches);
+        caches
+    }
+
     /// Pins the tier-split stats semantics (`OFPST_TABLE` consistency):
     /// lookups == matched + misses, matched == sum of per-tier hits, and a
     /// repeated flow climbs the hierarchy (classifier → megaflow/EMC).
@@ -1254,7 +1230,7 @@ mod tests {
             10,
             vec![Action::Output(PortNo(2))],
         ));
-        let caches = Mutex::new(PmdCaches::new());
+        let caches = registered(&dp, PmdCaches::new());
 
         // Burst 1: two packets of one flow + one of another → grouped
         // classification resolves each group once, in the classifier.
@@ -1311,6 +1287,42 @@ mod tests {
         assert_eq!(s.matched, s.emc_hits + s.megaflow_hits + s.classifier_hits);
     }
 
+    /// The datapath's totals are the registered blocks plus the retired
+    /// block: a burst processed without caches counts there, and a
+    /// deregistered PMD's lookups stay counted, once.
+    #[test]
+    fn totals_keep_cacheless_and_retired_lookups() {
+        let (dp, mut vm1, _vm2) = two_port_dp(false);
+        dp.table_apply(&FlowMod::add(
+            FlowMatch::in_port(PortNo(1)),
+            10,
+            vec![Action::Output(PortNo(2))],
+        ));
+        vm1.send(probe()).unwrap();
+        pump(&dp);
+        let caches = registered(&dp, PmdCaches::new());
+        for _ in 0..2 {
+            vm1.send(probe()).unwrap();
+            pump_with_caches(&dp, &caches);
+        }
+        let live = dp.cache_stats();
+        assert_eq!(
+            (
+                live.lookups,
+                live.matched,
+                live.classifier_hits,
+                live.emc_hits
+            ),
+            (3, 3, 2, 1)
+        );
+        dp.deregister_pmd_caches(&caches);
+        dp.deregister_pmd_caches(&caches);
+        assert_eq!(dp.cache_stats(), live, "folded once");
+        let snap = dp.telemetry_snapshot();
+        assert!(snap.pmds.is_empty());
+        assert_eq!((snap.totals.lookups, snap.totals.emc_hits), (3, 1));
+    }
+
     /// The megaflow tier serves EMC misses: a wildcard rule resolved for
     /// one flow covers sibling flows under the staged mask, so a *new* flow
     /// of the same aggregate is a megaflow hit, not a classifier walk.
@@ -1322,14 +1334,14 @@ mod tests {
             10,
             vec![Action::Output(PortNo(2))],
         ));
-        let caches = Mutex::new(PmdCaches::new());
+        let caches = registered(&dp, PmdCaches::new());
 
         vm1.send(Mbuf::from_slice(
             &PacketBuilder::udp_probe(64).ports(1000, 1).build(),
         ))
         .unwrap();
         pump_with_caches(&dp, &caches);
-        assert_eq!(dp.classifier_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(dp.cache_stats().classifier_hits, 1);
 
         // A different 5-tuple, same in_port: the staged mask pinned only
         // in_port, so this is a megaflow hit.
@@ -1338,8 +1350,8 @@ mod tests {
         ))
         .unwrap();
         pump_with_caches(&dp, &caches);
-        assert_eq!(dp.megaflow_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(dp.classifier_hits.load(Ordering::Relaxed), 1);
+        let s = dp.cache_stats();
+        assert_eq!((s.megaflow_hits, s.classifier_hits), (1, 1));
         assert_eq!(caches.lock().megaflow.mask_count(), 1);
         assert!(vm2.recv().is_some() && vm2.recv().is_some());
 
@@ -1349,7 +1361,7 @@ mod tests {
         ))
         .unwrap();
         pump_with_caches(&dp, &caches);
-        assert_eq!(dp.emc_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(dp.cache_stats().emc_hits, 1);
     }
 
     /// Once warm, the megaflow tier catches a working set that thrashes
@@ -1364,10 +1376,10 @@ mod tests {
             10,
             vec![Action::Output(PortNo(2))],
         ));
-        let caches = Mutex::new(PmdCaches::with_capacity(
-            EMC_ENTRIES,
-            DEFAULT_MEGAFLOW_ENTRIES,
-        ));
+        let caches = registered(
+            &dp,
+            PmdCaches::with_capacity(EMC_ENTRIES, DEFAULT_MEGAFLOW_ENTRIES),
+        );
         let frames: Vec<Vec<u8>> = (0..4 * EMC_ENTRIES as u16)
             .map(|f| PacketBuilder::udp_probe(64).ports(10_000 + f, f).build())
             .collect();
@@ -1385,16 +1397,15 @@ mod tests {
             delivered
         };
         assert_eq!(pass(), frames.len(), "warm pass");
-        let classifier = dp.classifier_hits.load(Ordering::Relaxed);
-        let megaflow = dp.megaflow_hits.load(Ordering::Relaxed);
+        let warm = dp.cache_stats();
         assert_eq!(pass(), frames.len(), "measured pass");
+        let measured = dp.cache_stats();
         assert_eq!(
-            dp.classifier_hits.load(Ordering::Relaxed),
-            classifier,
+            measured.classifier_hits, warm.classifier_hits,
             "warm megaflow: no classifier walks"
         );
         assert!(
-            dp.megaflow_hits.load(Ordering::Relaxed) > megaflow,
+            measured.megaflow_hits > warm.megaflow_hits,
             "EMC absorbed everything: no thrash?"
         );
     }

@@ -138,7 +138,6 @@ impl ShmRegistry {
         let name = "hugepage-arena";
         let arena = Arena::new(name, DEFAULT_ARENA_SLOTS, dpdk_sim::DEFAULT_BUF_SIZE);
         telemetry::pools::register_arena(&arena);
-        telemetry::pools::install_event_bridge();
         let record = SegmentRecord {
             name: name.to_string(),
             kind: SegmentKind::Arena,

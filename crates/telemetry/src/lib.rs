@@ -11,8 +11,7 @@
 //!   [`LatencyHistogram`]s per pipeline [`Stage`] and cache [`Tier`],
 //!   merged exactly across PMDs for whole-datapath views.
 //! - [`pools`] — weak-registered arena rows (exhaustion, high
-//!   water, foreign frees, slab writes) and the `dpdk_sim::events` →
-//!   coverage bridge.
+//!   water, foreign frees, slab writes).
 //! - [`TelemetrySnapshot`] — the structured point-in-time view behind the
 //!   [`appctl`] text renderings, the Prometheus exporter and the JSON
 //!   consumed by the benchmark and the CI smoke test (parseable with

@@ -3,13 +3,10 @@
 //! Arenas register weakly here ([`register_arena`]); [`snapshot_pools`]
 //! walks the registry, prunes dead arenas, and returns one [`PoolStats`]
 //! row per live one — the data behind the `pmd-stats-show` arena section
-//! and the `highway_pool_*` Prometheus series.
-//!
-//! [`install_event_bridge`] closes the layering gap downward: `dpdk-sim`
-//! sits below this crate, so its exceptional-path events (alloc failures,
-//! foreign frees, rejected descriptors) are emitted through
-//! `dpdk_sim::events` and forwarded here into
-//! [`crate::coverage`](mod@crate::coverage) counters.
+//! and the `highway_pool_*` Prometheus series. An arena's exceptional
+//! events are its own counters (`alloc_failures`, `foreign_frees`); a
+//! descriptor that does not adopt is counted by the channel that dropped
+//! it (`unmapped_drops`).
 
 use dpdk_sim::{Arena, WeakArena};
 use parking_lot::Mutex;
@@ -77,21 +74,6 @@ pub fn snapshot_pools() -> Vec<PoolStats> {
     out
 }
 
-// ---- dpdk event bridge -----------------------------------------------------
-
-fn event_bridge(name: &'static str, n: u64) {
-    crate::coverage::add(name, n);
-}
-
-/// Installs the `dpdk_sim::events` → [`crate::coverage`](mod@crate::coverage)
-/// bridge, so
-/// exceptional pool events ("arena_alloc_failure", "arena_foreign_free",
-/// "arena_adopt_failure") show up as coverage counters. Idempotent —
-/// the hook is first-set-wins and this always offers the same function.
-pub fn install_event_bridge() {
-    dpdk_sim::events::set_event_hook(event_bridge);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +92,5 @@ mod tests {
         drop((arena, _held));
         let rows = snapshot_pools();
         assert!(rows.iter().all(|r| r.name != "arena-snap-live"));
-    }
-
-    #[test]
-    fn event_bridge_forwards_dpdk_events_to_coverage() {
-        install_event_bridge();
-        let before = crate::coverage::total("arena_alloc_failure");
-        // Exhaust a 1-slot arena: the failure emits through the hook.
-        let arena = Arena::new("bridge-test", 1, 64);
-        let _held = arena.alloc().unwrap();
-        assert!(arena.alloc().is_none());
-        assert_eq!(crate::coverage::total("arena_alloc_failure"), before + 1);
     }
 }

@@ -46,7 +46,8 @@ impl HistSummary {
     }
 }
 
-/// Datapath-wide counter totals (the shared atomics, not per-PMD).
+/// Datapath-wide counter totals: the lookup and tier counts summed over
+/// every PMD block, live or retired, and the datapath's drop counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DatapathTotals {
     pub lookups: u64,

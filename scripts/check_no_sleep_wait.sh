@@ -8,8 +8,11 @@
 #   repository, which is what they were before.
 # - A PMD's or a guest's step runs on a worker it shares with other
 #   steppers (docs/architecture.md, "Threads and placement"): a sleep in
-#   the guest, the switch's ports and PMD loop, the channels and serial
-#   ports they poll, or the worker itself stalls every stepper on it.
+#   the guest, the switch's ports and PMD loop, what they call into
+#   (actions, the lookup caches and flow table, the arena, ring and mbuf,
+#   the cycle clock, packet parsing, the perf block, histograms, coverage
+#   and channel statistics), the channels and serial ports they poll, or
+#   the worker itself stalls every stepper on it.
 # Test modules may sleep: by the repository's convention they are the
 # `#[cfg(test)]` tail of a file, so each file is checked up to that line.
 set -euo pipefail
@@ -33,9 +36,13 @@ done < <(
     find crates/vnf/src -name '*.rs' | sort
     echo crates/ovs/src/pmd.rs
     echo crates/ovs/src/port.rs
+    for f in actions classifier emc megaflow table; do echo "crates/ovs/src/$f.rs"; done
     echo crates/shmem/src/channel.rs
     echo crates/shmem/src/serial.rs
-    echo crates/dpdk/src/lcore.rs
+    echo crates/shmem/src/stats.rs
+    for f in lcore arena ring mbuf cycles; do echo "crates/dpdk/src/$f.rs"; done
+    find crates/packet/src -name '*.rs' | sort
+    for f in hist pmd_perf coverage; do echo "crates/telemetry/src/$f.rs"; done
 )
 
 if [ "$fail" -ne 0 ]; then

@@ -129,7 +129,7 @@ fn round_bursts() -> Vec<(PortNo, Vec<Mbuf>)> {
 fn drive(
     dp: &Datapath,
     sinks: &mut [ChannelEnd],
-    caches: &[Mutex<PmdCaches>],
+    caches: &[Arc<Mutex<PmdCaches>>],
     staged: &mut BTreeMap<PortNo, Vec<Mbuf>>,
     rounds: usize,
 ) -> (u64, u64) {
@@ -141,7 +141,7 @@ fn drive(
         allocations += allocations_in(|| {
             for (in_port, burst) in &mut bursts {
                 let owner = usize::from(in_port.0 - 1) * caches.len() / usize::from(PAIRS);
-                dp.process_burst(burst, *in_port, Some(&caches[owner]), staged, &ports, now);
+                dp.process_burst(burst, *in_port, Some(&*caches[owner]), staged, &ports, now);
             }
             dp.flush_staged(staged);
         });
@@ -156,7 +156,12 @@ fn drive(
 
 fn assert_zero_allocations_per_packet(sets: usize) {
     let (dp, mut sinks) = pairs_world();
-    let caches: Vec<Mutex<PmdCaches>> = (0..sets).map(|_| Mutex::new(PmdCaches::new())).collect();
+    let caches: Vec<Arc<Mutex<PmdCaches>>> = (0..sets)
+        .map(|_| Arc::new(Mutex::new(PmdCaches::new())))
+        .collect();
+    for c in &caches {
+        dp.register_pmd_caches(c);
+    }
     let mut staged = BTreeMap::new();
     let per_round = u64::from(PAIRS) * u64::from(FLOWS);
     // Warm-up: caches primed, staging queues and their capacity in place.

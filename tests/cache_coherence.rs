@@ -26,8 +26,8 @@ use vnf_highway::shmem::ChannelEnd;
 struct World {
     dp: Arc<Datapath>,
     ofproto: Ofproto,
-    /// One warm cache set per simulated PMD.
-    pmds: Vec<Mutex<PmdCaches>>,
+    /// One warm cache set per simulated PMD, registered with `dp`.
+    pmds: Vec<Arc<Mutex<PmdCaches>>>,
     vm: Vec<ChannelEnd>,
 }
 
@@ -42,10 +42,17 @@ fn three_port_world(npmds: usize) -> World {
         dp.add_port(OvsPort::dpdkr(PortNo(no), format!("dpdkr{no}"), sw));
         vm.push(vm_end);
     }
+    let pmds = (0..npmds)
+        .map(|_| {
+            let caches = Arc::new(Mutex::new(PmdCaches::new()));
+            dp.register_pmd_caches(&caches);
+            caches
+        })
+        .collect();
     World {
         dp,
         ofproto,
-        pmds: (0..npmds).map(|_| Mutex::new(PmdCaches::new())).collect(),
+        pmds,
         vm,
     }
 }
@@ -74,7 +81,7 @@ fn pump(w: &mut World) {
                 w.dp.process_burst(
                     &mut shard,
                     port.no,
-                    Some(&w.pmds[owner]),
+                    Some(&*w.pmds[owner]),
                     &mut staged,
                     &snapshot,
                     now,
@@ -126,7 +133,7 @@ fn flow_mod_modify_invalidates_warm_caches() {
             pump(&mut w);
         }
         assert!(w.vm[1].recv().is_some() && w.vm[1].recv().is_some());
-        assert!(w.dp.emc_hits.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        assert!(w.dp.cache_stats().emc_hits > 0);
 
         let mut modify = FlowMod::add(
             FlowMatch::in_port(PortNo(1)),

@@ -925,7 +925,8 @@ proptest! {
         };
         let (dp, ports, _ends) = world();
         let (reference, ref_ports, _ref_ends) = world();
-        let caches = Mutex::new(PmdCaches::new());
+        let caches = Arc::new(Mutex::new(PmdCaches::new()));
+        dp.register_pmd_caches(&caches);
         let mut staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
         let mut ref_staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
         let mut ref_punts: Vec<(PortNo, PacketInReason, Vec<u8>)> = Vec::new();
@@ -945,7 +946,7 @@ proptest! {
                 })
                 .collect();
             let mut burst: Vec<Mbuf> = frames.iter().map(|f| Mbuf::from_slice(f)).collect();
-            dp.process_burst(&mut burst, in_port, Some(&caches), &mut staged, &ports, now);
+            dp.process_burst(&mut burst, in_port, Some(&*caches), &mut staged, &ports, now);
             prop_assert!(burst.is_empty(), "the burst drains");
 
             for frame in &frames {

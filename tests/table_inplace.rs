@@ -103,14 +103,22 @@ fn readers_classify_while_a_writer_churns() {
                             .build()
                     })
                     .collect();
-                let caches = parking_lot::Mutex::new(PmdCaches::new());
+                let caches = Arc::new(parking_lot::Mutex::new(PmdCaches::new()));
+                s.dp.register_pmd_caches(&caches);
                 let mut staged: BTreeMap<PortNo, Vec<Mbuf>> = BTreeMap::new();
                 // One packet through the datapath: the change whose action
                 // it was served (by output port), or None on a miss.
                 let mut classify = |frame: &[u8]| -> Option<u64> {
-                    let pkt = Mbuf::from_slice(frame);
+                    let mut burst = vec![Mbuf::from_slice(frame)];
                     let now = cycles::now();
-                    s.dp.process_packet(pkt, PortNo(1), Some(&caches), &mut staged, &[], now);
+                    s.dp.process_burst(
+                        &mut burst,
+                        PortNo(1),
+                        Some(&*caches),
+                        &mut staged,
+                        &[],
+                        now,
+                    );
                     let served = staged.iter().find(|(_, pkts)| !pkts.is_empty());
                     let served = served.map(|(port, _)| u64::from(port.0) - 1);
                     staged.clear();
