@@ -8,16 +8,13 @@
 //!
 //! * `ArenaSegment` (internal) — one contiguous slab carved into
 //!   fixed-size slots, followed by one [`SlotHeader`] per slot; one `held`
-//!   flag per slot (the double-free guard), and two lock-free LIFO stacks
-//!   of slot indices linked through one shared `next[]` array: the owner's
-//!   **freelist** and the **credit stack**.
-//!   Consumers that finish with a buffer push its slot onto the credit
-//!   stack instead of the freelist, so recycling never contends with the
-//!   producer's pops; when the freelist runs dry the producer detaches the
-//!   whole credit chain with one CAS and splices it onto the freelist with
-//!   one more. Slots never issued yet sit behind a `fresh` watermark, so a
-//!   new segment pushes nothing, and LIFO reuse keeps the slots in use —
-//!   and the pages faulted in — near the in-flight high water.
+//!   flag per slot (the double-free guard), and one lock-free LIFO stack
+//!   of free slot indices linked through a `next[]` array. Every release,
+//!   through whichever mapping or handle, pushes onto it, the way every
+//!   process that maps a DPDK mempool shares its one free ring. Slots never
+//!   issued yet sit behind a `fresh` watermark, so a new segment pushes
+//!   nothing, and LIFO reuse keeps the slots in use — and the pages
+//!   faulted in — at the in-flight high water.
 //! * [`SlotHeader`] — a packet's metadata (`data_off`, `len`, `port`,
 //!   `udata`, `timestamp`), kept in the slab beside its bytes the way an
 //!   `rte_mbuf` header sits in its buffer. The headers are one region after
@@ -25,14 +22,12 @@
 //!   writes none of them and a header page faults in with first use. The
 //!   slot's one holder reads and writes its header; a header write is not
 //!   counted as a slab write.
-//! * [`Arena`] — a process-local *mapping* of a segment. The owner mapping
-//!   (created by [`Arena::new`]) frees straight to the freelist; consumer
-//!   mappings ([`Arena::consumer`]) free through the credit stack, like a
-//!   guest that must not write the host's freelist head. A packet made
-//!   where no shared arena is mapped takes a slot of the process-wide
-//!   [`Arena::private`] segment, which is never unmapped.
+//! * [`Arena`] — a process-local *mapping* of a segment; a clone is another
+//!   mapping of it (a guest's, say). A packet made where no shared arena is
+//!   mapped takes a slot of the process-wide [`Arena::private`] segment,
+//!   which is never unmapped.
 //! * [`Mbuf`] — the packet: a 16-byte RAII handle over one slot (its
-//!   segment, the slot index and which stack frees it), the slot's only
+//!   segment and the slot index), the slot's only
 //!   owner, and convertible to/from the move-only 8-byte [`MbufDesc`] token
 //!   that rides rings between mappings (the zero-copy hop). A hop moves the
 //!   token and copies no metadata: the header stays in the slot. Ownership
@@ -228,22 +223,21 @@ fn unpack(head: u64) -> (u32, u32) {
 }
 
 /// A lock-free LIFO of slot indices (a Treiber stack). The links live in
-/// the segment's `next[]` array, one per slot: a slot is on at most one
-/// stack at a time, so both stacks share it. The head packs a 32-bit ABA
+/// the segment's `next[]` array, one per slot. The head packs a 32-bit ABA
 /// tag, bumped by every successful CAS, above the top slot index, so a pop
 /// that read a stale `next` cannot succeed.
 ///
 /// Ordering: a push stores its `next` link, then publishes with a
-/// `Release` CAS on the head; pops and detaches read the head with
-/// `Acquire` (every later head CAS is an RMW, so it carries the release
-/// on), so whoever takes a slot sees the link written before its push.
-/// `len` pairs the same way, so a reader that sees a slot counted also
-/// sees the `fresh` watermark that issued it.
+/// `Release` CAS on the head; pops read the head with `Acquire` (every
+/// later head CAS is an RMW, so it carries the release on), so whoever
+/// takes a slot sees the link written before its push. `len` pairs the
+/// same way, so a reader that sees a slot counted also sees the `fresh`
+/// watermark that issued it.
 struct SlotStack {
     head: AtomicU64,
     /// Slots on the stack. Raised before a push publishes and lowered only
-    /// after a pop or detach succeeds, so a concurrent reader may count an
-    /// in-flight push early but never sees the count go below zero.
+    /// after a pop succeeds, so a concurrent reader may count an in-flight
+    /// push early but never sees the count go below zero.
     len: AtomicUsize,
 }
 
@@ -259,15 +253,13 @@ impl SlotStack {
         self.len.load(Ordering::Acquire)
     }
 
-    /// Pushes the chain `first ..= last`, already linked through `next`,
-    /// of `n` slots with one successful CAS.
-    fn push_chain(&self, next: &[AtomicU32], first: u32, last: u32, n: usize) {
-        self.len.fetch_add(n, Ordering::Release);
+    fn push(&self, next: &[AtomicU32], slot: u32) {
+        self.len.fetch_add(1, Ordering::Release);
         let mut cur = self.head.load(Ordering::Relaxed);
         loop {
             let (tag, top) = unpack(cur);
-            next[last as usize].store(top, Ordering::Relaxed);
-            let new = pack(tag.wrapping_add(1), first);
+            next[slot as usize].store(top, Ordering::Relaxed);
+            let new = pack(tag.wrapping_add(1), slot);
             match self
                 .head
                 .compare_exchange_weak(cur, new, Ordering::Release, Ordering::Relaxed)
@@ -276,10 +268,6 @@ impl SlotStack {
                 Err(now) => cur = now,
             }
         }
-    }
-
-    fn push(&self, next: &[AtomicU32], slot: u32) {
-        self.push_chain(next, slot, slot, 1);
     }
 
     fn pop(&self, next: &[AtomicU32]) -> Option<u32> {
@@ -304,45 +292,13 @@ impl SlotStack {
             }
         }
     }
-
-    /// Detaches the whole stack with one CAS and returns the chain as
-    /// `(first, last, n)`, found by walking the now-private links. `len`
-    /// drops before the caller can push the chain anywhere else, so no
-    /// reader counts a slot on two stacks.
-    fn take_all(&self, next: &[AtomicU32]) -> Option<(u32, u32, usize)> {
-        let mut cur = self.head.load(Ordering::Acquire);
-        let first = loop {
-            let (tag, top) = unpack(cur);
-            if top == NIL {
-                return None;
-            }
-            let new = pack(tag.wrapping_add(1), NIL);
-            match self
-                .head
-                .compare_exchange_weak(cur, new, Ordering::Acquire, Ordering::Acquire)
-            {
-                Ok(_) => break top,
-                Err(now) => cur = now,
-            }
-        };
-        let (mut last, mut n) = (first, 1);
-        loop {
-            let below = next[last as usize].load(Ordering::Relaxed);
-            if below == NIL {
-                break;
-            }
-            (last, n) = (below, n + 1);
-        }
-        self.len.fetch_sub(n, Ordering::Relaxed);
-        Some((first, last, n))
-    }
 }
 
 /// One shared-memory arena segment (the thing a hugepage backs).
 ///
 /// `repr(C)` keeps the declared order: the fields every hop reads and
 /// almost nothing writes fill the first two cache lines, and the counters
-/// the allocating thread bumps per packet sit behind the padded stacks, so
+/// the allocating thread bumps per packet sit behind the padded stack, so
 /// an adopt on another CPU never pulls a line the allocator writes. The
 /// 128-byte alignment keeps those lines apart from the `Arc` counts in
 /// front of the segment, which every allocation and last free write.
@@ -358,65 +314,29 @@ pub(crate) struct ArenaSegment {
     /// `Arc` count, not by this).
     mappings: AtomicUsize,
     /// Per-slot ownership: set while a handle or descriptor holds the
-    /// slot; clear when it is on a stack or never issued.
+    /// slot; clear when it is on the stack or never issued.
     held: Box<[AtomicBool]>,
-    /// Stack links: the slot below each slot on whichever stack holds it.
+    /// Stack links: the slot below each slot on the free stack.
     next: Box<[AtomicU32]>,
     name: String,
-    /// Owner-side freelist.
+    /// The free stack: every release pushes here.
     free: CachePadded<SlotStack>,
-    /// Credit-return stack: consumer mappings push finished slots here.
-    credit: CachePadded<SlotStack>,
     /// Slots `fresh..capacity` have never been issued.
     fresh: AtomicUsize,
     // ---- counters ----
     allocs: AtomicU64,
     alloc_failures: AtomicU64,
-    /// Direct freelist returns (owner mapping frees).
     frees: AtomicU64,
-    /// Returns via the credit stack (consumer mapping frees).
-    credit_returns: AtomicU64,
-    /// Credits the owner has moved from the credit stack to the freelist.
-    credits_reclaimed: AtomicU64,
     /// Releases of a slot nobody held or this segment never issued.
     foreign_frees: AtomicU64,
     /// Mutable-byte accesses to the slab (the zero-copy census probe).
     slab_writes: AtomicU64,
-    in_use: AtomicUsize,
-    high_water: AtomicUsize,
 }
 
 impl ArenaSegment {
     /// Slab offset of `slot`'s header: the headers follow the slots.
     fn header_at(&self, slot: u32) -> usize {
         self.capacity * self.slot_size + slot as usize * SlotHeader::SIZE
-    }
-
-    fn foreign_free(&self) {
-        self.foreign_frees.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn return_slot(&self, slot: u32, via_credit: bool) {
-        self.in_use.fetch_sub(1, Ordering::Relaxed);
-        if via_credit {
-            self.credit.push(&self.next, slot);
-            self.credit_returns.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.free.push(&self.next, slot);
-            self.frees.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Moves the whole credit stack onto the freelist: one CAS detaches
-    /// it, one CAS splices it on. Returns slots reclaimed.
-    fn reclaim_credits(&self) -> usize {
-        let Some((first, last, n)) = self.credit.take_all(&self.next) else {
-            return 0;
-        };
-        self.free.push_chain(&self.next, first, last, n);
-        self.credits_reclaimed
-            .fetch_add(n as u64, Ordering::Relaxed);
-        n
     }
 
     /// Issues the next never-used slot, if any remain.
@@ -429,7 +349,7 @@ impl ArenaSegment {
             .map(|f| f as u32)
     }
 
-    /// Freelist plus never-issued slots. The freelist is read first: a
+    /// Free stack plus never-issued slots. The stack is read first: a
     /// slot counted there was issued before the watermark read, so the sum
     /// never exceeds capacity.
     fn available(&self) -> usize {
@@ -438,22 +358,14 @@ impl ArenaSegment {
     }
 
     fn take_slot(&self) -> Option<u32> {
-        // Recycled slots before fresh ones: freelist, then (when dry) the
-        // consumers' credits in one batch — the producer-side half of the
-        // credit protocol, amortised, never per packet — and only then a
-        // slot never touched before.
-        let slot = self.free.pop(&self.next).or_else(|| {
-            self.reclaim_credits();
-            self.free.pop(&self.next).or_else(|| self.issue_fresh())
-        });
-        let Some(slot) = slot else {
+        // A recycled slot before a fresh one, so a never-touched slot is
+        // issued only when every issued slot is held.
+        let Some(slot) = self.free.pop(&self.next).or_else(|| self.issue_fresh()) else {
             self.alloc_failures.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.held[slot as usize].store(true, Ordering::Release);
-        let now = self.in_use.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
         Some(slot)
     }
 }
@@ -469,23 +381,17 @@ impl Drop for ArenaSegment {
 pub struct ArenaStats {
     pub capacity: usize,
     pub slot_size: usize,
-    /// Slots allocatable without a reclaim: on the owner freelist or never
-    /// issued.
+    /// Slots allocatable: on the free stack or never issued.
     pub available: usize,
-    /// Slots parked on the credit stack, not yet reclaimed by the owner.
-    pub credit_pending: usize,
-    /// Slots in flight (allocated, not yet returned by either path).
+    /// Slots in flight: `allocs - frees`.
     pub in_use: usize,
-    /// Highest `in_use` ever observed.
+    /// Slots ever issued. A never-used slot is issued only when the free
+    /// stack is empty, so this is the most slots ever held at once (give
+    /// or take a free racing that empty pop).
     pub high_water: usize,
     pub allocs: u64,
     pub alloc_failures: u64,
-    /// Direct freelist returns (owner-mapping frees).
     pub frees: u64,
-    /// Returns through the credit stack (consumer-mapping frees).
-    pub credit_returns: u64,
-    /// Credits the owner has folded back into the freelist.
-    pub credits_reclaimed: u64,
     /// Releases of a slot nobody held or this segment never issued (a
     /// double free through a stale or duplicated descriptor, cross-segment
     /// confusion) — must stay 0 in a healthy system.
@@ -500,13 +406,9 @@ pub struct ArenaStats {
 /// A process-local mapping of an arena segment.
 ///
 /// Clone is cheap; clones share the segment and each counts as a mapping.
-/// The mapping created by [`Arena::new`] is the *owner* (frees go straight
-/// to the freelist); [`Arena::consumer`] derives a consumer mapping whose
-/// frees take the credit-return stack, the way a guest recycles a
-/// host-owned buffer.
+/// Every mapping allocates from and frees to the segment's one free stack.
 pub struct Arena {
     seg: Arc<ArenaSegment>,
-    via_credit: bool,
 }
 
 impl Clone for Arena {
@@ -514,7 +416,6 @@ impl Clone for Arena {
         self.seg.mappings.fetch_add(1, Ordering::Relaxed);
         Arena {
             seg: Arc::clone(&self.seg),
-            via_credit: self.via_credit,
         }
     }
 }
@@ -533,9 +434,9 @@ pub struct WeakArena {
 }
 
 impl WeakArena {
-    /// Upgrades to a live (consumer) mapping, if the segment is still
-    /// mapped: `None` once its last mapping is gone, even while handles or
-    /// descriptors in flight keep the segment itself alive.
+    /// Upgrades to a live mapping, if the segment is still mapped: `None`
+    /// once its last mapping is gone, even while handles or descriptors in
+    /// flight keep the segment itself alive.
     pub fn upgrade(&self) -> Option<Arena> {
         let seg = self.seg.upgrade()?;
         seg.mappings
@@ -543,10 +444,7 @@ impl WeakArena {
                 (n > 0).then_some(n + 1)
             })
             .ok()?;
-        Some(Arena {
-            seg,
-            via_credit: true,
-        })
+        Some(Arena { seg })
     }
 }
 
@@ -606,14 +504,10 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<Mbuf> {
         SlotHeader::load(header.try_into().unwrap()).fits(seg.slot_size)
     };
     if fits && seg.mappings.load(Ordering::Relaxed) > 0 {
-        return Some(Mbuf {
-            seg,
-            slot,
-            via_credit: true,
-        });
+        return Some(Mbuf { seg, slot });
     }
     if fits {
-        release(&seg, slot, true);
+        release(&seg, slot);
     }
     None
 }
@@ -621,10 +515,9 @@ fn claim(seg: Option<&Weak<ArenaSegment>>, desc: &MbufDesc) -> Option<Mbuf> {
 /// Resolves a descriptor received from a ring into a live handle.
 ///
 /// This is what a consumer does after dequeuing: look the segment up in the
-/// process-wide segment table and rebind the offsets. The adopted handle
-/// recycles through the credit stack (the adopter is by definition not the
-/// owner's allocation path). Returns `None` when the segment is no longer
-/// mapped, the packet-loss mode a real unmap-under-traffic has, or when
+/// process-wide segment table and rebind the offsets. Returns `None` when
+/// the segment is no longer mapped, the packet-loss mode a real
+/// unmap-under-traffic has, or when
 /// the descriptor's slot and layout do not fit the segment.
 ///
 /// Adopting consumes the descriptor, so its slot and segment reference
@@ -673,7 +566,7 @@ impl Resolver {
 
 impl Arena {
     /// Creates a new segment of `capacity` slots of `slot_size` bytes and
-    /// returns its owner mapping. No slot or header is touched: all start
+    /// returns its first mapping. No slot or header is touched: all start
     /// behind the never-issued watermark, in one zero-filled allocation.
     pub fn new(name: impl Into<String>, capacity: usize, slot_size: usize) -> Arena {
         assert!(capacity > 0, "arena capacity must be positive");
@@ -689,31 +582,15 @@ impl Arena {
             next: (0..capacity).map(|_| AtomicU32::new(NIL)).collect(),
             name: name.into(),
             free: CachePadded::new(SlotStack::new()),
-            credit: CachePadded::new(SlotStack::new()),
             fresh: AtomicUsize::new(0),
             allocs: AtomicU64::new(0),
             alloc_failures: AtomicU64::new(0),
             frees: AtomicU64::new(0),
-            credit_returns: AtomicU64::new(0),
-            credits_reclaimed: AtomicU64::new(0),
             foreign_frees: AtomicU64::new(0),
             slab_writes: AtomicU64::new(0),
-            in_use: AtomicUsize::new(0),
-            high_water: AtomicUsize::new(0),
         });
         segment_table().insert(seg.id, Arc::downgrade(&seg));
-        Arena {
-            seg,
-            via_credit: false,
-        }
-    }
-
-    /// Derives a consumer mapping: same segment, but frees (and frees of
-    /// buffers allocated through it) take the credit-return stack.
-    pub fn consumer(&self) -> Arena {
-        let mut mapping = self.clone();
-        mapping.via_credit = true;
-        mapping
+        Arena { seg }
     }
 
     /// Non-owning reference for registries.
@@ -734,7 +611,7 @@ impl Arena {
     }
 
     /// Allocates one empty mbuf with standard headroom, or `None` when the
-    /// segment is exhausted (after reclaiming any pending credits).
+    /// segment is exhausted.
     pub fn alloc(&self) -> Option<Mbuf> {
         self.alloc_len(0)
     }
@@ -763,17 +640,9 @@ impl Arena {
         let mut m = Mbuf {
             seg: Arc::clone(&self.seg),
             slot: self.seg.take_slot()?,
-            via_credit: self.via_credit,
         };
         m.set_header(header);
         Some(m)
-    }
-
-    /// Moves the credit-return stack onto the freelist (owner-side batch
-    /// reclaim); returns how many slots moved. Also runs implicitly when
-    /// an allocation finds the freelist dry.
-    pub fn reclaim_credits(&self) -> usize {
-        self.seg.reclaim_credits()
     }
 
     /// Segment name.
@@ -796,50 +665,51 @@ impl Arena {
         self.seg.slot_size
     }
 
-    /// Slots allocatable without a reclaim: on the freelist or never
-    /// issued (excludes unreclaimed credits).
+    /// Slots allocatable: on the free stack or never issued.
     pub fn available(&self) -> usize {
         self.seg.available()
     }
 
-    /// Slots parked on the credit stack awaiting owner reclaim.
+    /// Always 0: every free lands on the one free stack, so no slot waits
+    /// to be reclaimed. Kept for readers that still report it (ROADMAP
+    /// item 10).
     pub fn credit_pending(&self) -> usize {
-        self.seg.credit.len()
+        0
     }
 
-    /// Slots currently in flight.
+    /// Slots currently in flight: `allocs - frees`.
     pub fn in_use(&self) -> usize {
-        self.seg.in_use.load(Ordering::Relaxed)
+        self.stats().in_use
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot. `frees` is read before `allocs`, and `in_use` is
+    /// their saturating difference, so a free racing the reads cannot
+    /// make it negative.
     pub fn stats(&self) -> ArenaStats {
         let s = &self.seg;
+        let frees = s.frees.load(Ordering::Relaxed);
+        let allocs = s.allocs.load(Ordering::Relaxed);
         ArenaStats {
             capacity: s.capacity,
             slot_size: s.slot_size,
             available: s.available(),
-            credit_pending: s.credit.len(),
-            in_use: s.in_use.load(Ordering::Relaxed),
-            high_water: s.high_water.load(Ordering::Relaxed),
-            allocs: s.allocs.load(Ordering::Relaxed),
+            in_use: allocs.saturating_sub(frees) as usize,
+            high_water: s.fresh.load(Ordering::Relaxed),
+            allocs,
             alloc_failures: s.alloc_failures.load(Ordering::Relaxed),
-            frees: s.frees.load(Ordering::Relaxed),
-            credit_returns: s.credit_returns.load(Ordering::Relaxed),
-            credits_reclaimed: s.credits_reclaimed.load(Ordering::Relaxed),
+            frees,
             foreign_frees: s.foreign_frees.load(Ordering::Relaxed),
             cow_copies: 0,
             slab_writes: s.slab_writes.load(Ordering::Relaxed),
         }
     }
 
-    /// Zero-leak census: true when every slot is accounted for — on the
-    /// freelist, on the credit stack or never issued — and nothing foreign
-    /// ever came back.
+    /// Zero-leak census, from two independent sources that must agree:
+    /// the counters (`allocs == frees`, no foreign free) and the free
+    /// stack (every slot on it or never issued).
     pub fn census_clean(&self) -> bool {
-        self.in_use() == 0
-            && self.available() + self.credit_pending() == self.capacity()
-            && self.stats().foreign_frees == 0
+        let s = self.stats();
+        s.in_use == 0 && s.foreign_frees == 0 && s.available == s.capacity
     }
 }
 
@@ -850,14 +720,12 @@ impl std::fmt::Debug for Arena {
             .field("id", &self.seg.id)
             .field("capacity", &self.seg.capacity)
             .field("available", &self.available())
-            .field("credit_pending", &self.credit_pending())
-            .field("consumer", &self.via_credit)
             .finish()
     }
 }
 
-/// A packet: the handle of the one arena slot it lives in — its segment,
-/// the slot index and the stack a free takes, 16 bytes. The packet's
+/// A packet: the handle of the one arena slot it lives in — its segment
+/// and the slot index, 16 bytes. The packet's
 /// layout and metadata live in the slot's [`SlotHeader`]. It moves; it is
 /// never cloned, so the slot has exactly one holder until the handle is
 /// dropped, which returns the slot like `rte_pktmbuf_free`. This is the
@@ -865,7 +733,6 @@ impl std::fmt::Debug for Arena {
 pub struct Mbuf {
     seg: Arc<ArenaSegment>,
     slot: u32,
-    via_credit: bool,
 }
 
 impl Mbuf {
@@ -956,25 +823,31 @@ impl Mbuf {
     }
 }
 
-/// Returns `slot` to a stack, clearing its `held` flag.
+/// Returns `slot` to the free stack, clearing its `held` flag.
 ///
 /// Releasing a slot nobody holds, or a slot past the segment's end, is
-/// counted as a foreign free and touches neither stack: pushing it again
+/// counted as a foreign free and leaves the stack alone: pushing it again
 /// would link the slot into a cycle. In-process the types rule it out (a
 /// descriptor is move-only); the guard stays for descriptors that a type
-/// cannot guard, such as ones read out of shared memory. The `AcqRel` swap pairs with the `Release` store
-/// that issued the slot, so the holder's writes to the bytes happen before
-/// the slot can be issued again (the stacks' CASes publish them too).
-fn release(seg: &ArenaSegment, slot: u32, via_credit: bool) {
+/// cannot guard, such as ones read out of shared memory. The `AcqRel` swap
+/// pairs with the `Release` store that issued the slot, so the holder's
+/// writes to the bytes happen before the slot can be issued again (the
+/// stack's CASes publish them too).
+fn release(seg: &ArenaSegment, slot: u32) {
     match seg.held.get(slot as usize) {
-        Some(held) if held.swap(false, Ordering::AcqRel) => seg.return_slot(slot, via_credit),
-        _ => seg.foreign_free(),
+        Some(held) if held.swap(false, Ordering::AcqRel) => {
+            seg.free.push(&seg.next, slot);
+            seg.frees.fetch_add(1, Ordering::Relaxed);
+        }
+        _ => {
+            seg.foreign_frees.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 impl Drop for Mbuf {
     fn drop(&mut self) {
-        release(&self.seg, self.slot, self.via_credit);
+        release(&self.seg, self.slot);
     }
 }
 
@@ -1026,40 +899,21 @@ mod tests {
     }
 
     #[test]
-    fn consumer_frees_take_the_credit_ring() {
+    fn a_slot_freed_through_any_mapping_is_the_next_one_issued() {
         let a = arena(4);
-        let c = a.consumer();
-        let m = a.alloc_from(&[1, 2, 3]).unwrap();
-        let desc = m.into_desc();
-        // The consumer adopts and drops: slot parks on the credit ring.
-        let got = adopt(desc).unwrap();
-        assert_eq!(got.data(), &[1, 2, 3]);
-        drop(got);
-        assert_eq!(a.credit_pending(), 1);
-        assert_eq!(a.available(), 3);
-        assert!(a.census_clean(), "credit ring counts as accounted-for");
-        // Owner reclaim folds it back.
-        assert_eq!(a.reclaim_credits(), 1);
-        assert_eq!(a.available(), 4);
+        let guest = a.weak().upgrade().expect("mapped"); // a second mapping
+        let (x, y) = (a.alloc().unwrap(), a.alloc().unwrap());
+        let (sx, sy) = (x.slot(), y.slot());
+        drop(y);
+        drop(adopt(x.into_desc()).unwrap()); // freed through an adopted handle
+        let m = a.alloc().unwrap();
+        assert_eq!(m.slot(), sx, "the adopted handle's free went elsewhere");
+        drop(guest.alloc().unwrap()); // slot `sy`, freed through the guest
+        assert_eq!(a.alloc().unwrap().slot(), sy);
         let s = a.stats();
-        assert_eq!(s.credit_returns, 1);
-        assert_eq!(s.credits_reclaimed, 1);
-        drop(c);
-    }
-
-    #[test]
-    fn exhaustion_reclaims_credits_automatically() {
-        let a = arena(2);
-        let m1 = a.alloc().unwrap();
-        let m2 = a.alloc().unwrap();
-        // Consumer-return both slots (credit ring), freelist stays empty.
-        drop(adopt(m1.into_desc()).unwrap());
-        drop(adopt(m2.into_desc()).unwrap());
-        assert_eq!(a.available(), 0);
-        assert_eq!(a.credit_pending(), 2);
-        // Alloc succeeds anyway: take_slot reclaims the credits first.
-        assert!(a.alloc().is_some());
-        assert_eq!(a.stats().credits_reclaimed, 2);
+        assert_eq!((s.allocs, s.frees, s.in_use, s.high_water), (5, 4, 1, 2));
+        drop(m);
+        assert!(a.census_clean(), "census: {:?}", a.stats());
     }
 
     #[test]
@@ -1158,7 +1012,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&a.seg), 1, "its reference is dropped");
         assert!(!a.census_clean());
         // Still held, so releasing it now is no foreign free.
-        release(&a.seg, slot, false);
+        release(&a.seg, slot);
         assert!(a.census_clean());
     }
 
@@ -1203,13 +1057,11 @@ mod tests {
         }
         assert_eq!(unmapped_drops, 2);
         let live = seg.upgrade().unwrap();
-        assert_eq!(
-            (
-                live.in_use.load(Ordering::Relaxed),
-                live.frees.load(Ordering::Relaxed)
-            ),
-            (1, 0)
+        let (allocs, frees) = (
+            live.allocs.load(Ordering::Relaxed),
+            live.frees.load(Ordering::Relaxed),
         );
+        assert_eq!((allocs - frees, frees), (1, 2), "(in use, frees)");
         drop(live);
         // The ring dies with the last descriptor still queued.
         drop((tx, rx));
@@ -1253,7 +1105,6 @@ mod tests {
         drop(tx);
         let sum = t.join().unwrap();
         assert_eq!(sum, (0..1000u64).map(|i| i % 251).sum::<u64>());
-        a.reclaim_credits();
         assert!(a.census_clean());
     }
 
@@ -1264,13 +1115,13 @@ mod tests {
         // past the end.
         let a = arena(4);
         let slot = a.seg.take_slot().unwrap();
-        release(&a.seg, slot, false);
-        release(&a.seg, slot, false);
-        release(&a.seg, 4, false);
+        release(&a.seg, slot);
+        release(&a.seg, slot);
+        release(&a.seg, 4);
         let s = a.stats();
         assert_eq!(s.foreign_frees, 2);
         assert_eq!(s.in_use, 0);
-        assert_eq!(s.available + s.credit_pending, 4, "slot returned once");
+        assert_eq!(s.available, 4, "slot returned once");
         let live: Vec<_> = (0..4).map(|_| a.alloc().expect("no slot lost")).collect();
         let mut slots: Vec<u32> = live.iter().map(Mbuf::slot).collect();
         slots.sort_unstable();
@@ -1283,7 +1134,6 @@ mod tests {
     fn a_new_arena_issues_nothing_and_is_census_clean() {
         let a = Arena::new("lazy", 16_384, 256);
         assert_eq!(a.available(), a.capacity());
-        assert_eq!(a.credit_pending(), 0);
         assert!(a.census_clean());
         assert_eq!(a.stats().allocs, 0);
     }
@@ -1298,17 +1148,12 @@ mod tests {
             burst.extend((0..32).map(|_| a.alloc().unwrap().into_desc()));
             for desc in burst.drain(..) {
                 issued.insert(desc.slot());
-                drop(consumer.adopt(desc).unwrap()); // credit-stack free
+                drop(consumer.adopt(desc).unwrap()); // an adopted handle's free
             }
         }
-        assert!(
-            issued.len() <= 64,
-            "{} distinct slots for 32 in flight",
-            issued.len()
-        );
+        assert_eq!(issued.len(), 32, "distinct slots for 32 in flight");
         let s = a.stats();
-        assert_eq!(s.allocs, 320_000);
-        assert_eq!(s.credit_returns, 320_000);
+        assert_eq!((s.allocs, s.frees, s.high_water), (320_000, 320_000, 32));
         assert!(a.census_clean(), "census: {s:?}");
     }
 

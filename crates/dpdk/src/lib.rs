@@ -23,9 +23,10 @@
 //! * The shared-memory highway allocates from [`Arena`] segments whose
 //!   handles are **offset-based** ([`MbufDesc`], one `u64` of segment id
 //!   and slot; the header stays in the segment): valid in any process that
-//!   maps the segment, moved (never shared) between holders, with lock-free
-//!   LIFO slot stacks (freelist and credit return) for cross-mapping
-//!   recycling — the representation an ivshmem BAR actually permits.
+//!   maps the segment, moved (never shared) between holders, with one
+//!   lock-free LIFO free stack per segment that every mapping allocates
+//!   from and frees to — the representation an ivshmem BAR actually
+//!   permits.
 
 pub mod arena;
 pub mod cycles;

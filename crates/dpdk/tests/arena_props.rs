@@ -3,11 +3,12 @@
 //!
 //! 1. live handles never overlap — every allocated slot is distinct and
 //!    writes through one handle are invisible through any other;
-//! 2. exhaustion then free recovers full capacity, whichever mapping
-//!    (owner freelist or consumer credit ring) the frees went through;
-//! 3. a random interleaving of alloc / into_desc→adopt / free / reclaim
-//!    ends with a zero-leak census: `in_use == 0`,
-//!    `available + credit_pending == capacity`, `foreign_frees == 0`;
+//! 2. exhaustion then free recovers full capacity, whichever way (a
+//!    direct drop or an adopted handle) the frees went;
+//! 3. a random interleaving of alloc (through either of two mappings) /
+//!    into_desc→adopt / free keeps `allocs == frees + in_use` after every
+//!    step and ends with a zero-leak census: `in_use == 0`,
+//!    `available == capacity`, `foreign_frees == 0`;
 //! 4. adopt succeeds at most once per `into_desc`, whether descriptors are
 //!    adopted through the global table, through a resolver, or dropped
 //!    unadopted — and the census is clean at the end;
@@ -21,14 +22,13 @@ use proptest::prelude::*;
 /// One step of the random-interleaving machine.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Allocate (from the owner or the consumer mapping) and fill with a tag.
-    Alloc { via_consumer: bool },
+    /// Allocate (through the first or the second mapping) and fill with a
+    /// tag.
+    Alloc { via_second: bool },
     /// Round-trip an arbitrary live handle through a descriptor + adopt.
     DescHop { pick: usize },
     /// Drop an arbitrary live handle.
     Free { pick: usize },
-    /// Owner-side credit reclaim.
-    Reclaim,
 }
 
 /// One step of the descriptor-lifetime machine.
@@ -67,10 +67,9 @@ fn desc_op_strategy() -> impl Strategy<Value = DescOp> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        proptest::bool::ANY.prop_map(|via_consumer| Op::Alloc { via_consumer }),
+        proptest::bool::ANY.prop_map(|via_second| Op::Alloc { via_second }),
         (0usize..64).prop_map(|pick| Op::DescHop { pick }),
         (0usize..64).prop_map(|pick| Op::Free { pick }),
-        Just(Op::Reclaim),
     ]
 }
 
@@ -109,23 +108,22 @@ proptest! {
     #[test]
     fn exhaustion_then_free_recovers_full_capacity(
         cap in 1usize..32,
-        free_via_consumer in proptest::collection::vec(proptest::bool::ANY, 32..33),
+        free_adopted in proptest::collection::vec(proptest::bool::ANY, 32..33),
     ) {
         let arena = Arena::new("props", cap, 256);
         let live: Vec<Mbuf> = (0..cap).map(|i| arena.alloc_from(&tag(i)).unwrap()).collect();
         prop_assert!(arena.alloc().is_none());
-        // Free each handle through a randomly chosen mapping: direct drop
-        // (owner freelist) or a descriptor hop adopted by a consumer
-        // (credit ring).
+        // Free each handle a randomly chosen way: direct drop, or a
+        // descriptor hop and a drop of the adopted handle.
         for (i, m) in live.into_iter().enumerate() {
-            if free_via_consumer[i % free_via_consumer.len()] {
+            if free_adopted[i % free_adopted.len()] {
                 drop(adopt(m.into_desc()).unwrap());
             } else {
                 drop(m);
             }
         }
         prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
-        // Full capacity is allocatable again (reclaim happens inside alloc).
+        // Full capacity is allocatable again.
         let again: Vec<_> = (0..cap).map(|_| arena.alloc().unwrap()).collect();
         prop_assert_eq!(again.len(), cap);
     }
@@ -136,13 +134,13 @@ proptest! {
         cap in 1usize..16,
     ) {
         let arena = Arena::new("props", cap, 256);
-        let consumer = arena.consumer();
+        let second = arena.clone();
         let mut live: Vec<(usize, Mbuf)> = Vec::new();
         let mut next_id = 0usize;
         for op in ops {
             match op {
-                Op::Alloc { via_consumer } => {
-                    let from = if via_consumer { &consumer } else { &arena };
+                Op::Alloc { via_second } => {
+                    let from = if via_second { &second } else { &arena };
                     if let Some(m) = from.alloc_from(&tag(next_id)) {
                         live.push((next_id, m));
                         next_id += 1;
@@ -156,9 +154,6 @@ proptest! {
                 Op::Free { pick } if !live.is_empty() => {
                     live.swap_remove(pick % live.len());
                 }
-                Op::Reclaim => {
-                    arena.reclaim_credits();
-                }
                 _ => {}
             }
             // Interleaving invariant: every live handle still reads the
@@ -167,6 +162,8 @@ proptest! {
                 prop_assert_eq!(m.data(), &tag(*id), "slot contents clobbered");
             }
             prop_assert_eq!(arena.in_use(), count_distinct_slots(&live));
+            let s = arena.stats();
+            prop_assert_eq!(s.allocs, s.frees + s.in_use as u64, "census: {:?}", s);
         }
         drop(live);
         prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
@@ -247,7 +244,6 @@ proptest! {
             prop_assert_eq!(back.header(), header);
         }
         prop_assert_eq!(arena.stats().slab_writes, writes, "a header write counted");
-        arena.reclaim_credits();
         prop_assert!(arena.census_clean(), "census: {:?}", arena.stats());
     }
 }

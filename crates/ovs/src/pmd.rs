@@ -311,6 +311,14 @@ impl Datapath {
     /// Drops a retired PMD's cache registration and folds its lookup
     /// counters into the retired block, so the datapath's totals keep
     /// them.
+    ///
+    /// # Deadlocks
+    ///
+    /// Locks `caches` under the registry's write lock. A caller that holds
+    /// the guard of any registered [`PmdCaches`] can hang for good: on
+    /// `caches` itself, or behind a reader of the registry that waits for
+    /// its guard. Take no caches lock across the call
+    /// (ROADMAP item 2's published snapshot removes the hazard).
     pub fn deregister_pmd_caches(&self, caches: &Arc<Mutex<PmdCaches>>) {
         let mut registered = self.pmd_caches.write();
         let before = registered.len();
@@ -322,6 +330,13 @@ impl Datapath {
 
     /// Per-PMD snapshots of every cached megaflow aggregate (one vec per
     /// registered PMD, in registration order).
+    ///
+    /// # Deadlocks
+    ///
+    /// Locks every registered [`PmdCaches`], one after another. A caller
+    /// that holds one of those guards hangs for good, and so do the dumps
+    /// built on this. Take no caches lock across the call
+    /// (ROADMAP item 2's published snapshot removes the hazard).
     pub fn megaflow_rows(&self) -> Vec<Vec<MegaflowRow>> {
         self.pmd_caches
             .read()
@@ -332,6 +347,13 @@ impl Datapath {
 
     /// The tier-split lookup counters: the sum of every registered PMD
     /// block and the retired block.
+    ///
+    /// # Deadlocks
+    ///
+    /// Locks every registered [`PmdCaches`], one after another. A caller
+    /// that holds one of those guards hangs for good, and so do the dumps
+    /// built on this. Take no caches lock across the call
+    /// (ROADMAP item 2's published snapshot removes the hazard).
     pub fn cache_stats(&self) -> CacheTierStats {
         self.sum_blocks(|_| {})
     }
@@ -357,6 +379,13 @@ impl Datapath {
     /// and the process-wide coverage counters. This is the single source
     /// every rendering surface (appctl text, JSON, Prometheus) formats
     /// from.
+    ///
+    /// # Deadlocks
+    ///
+    /// Locks every registered [`PmdCaches`], one after another. A caller
+    /// that holds one of those guards hangs for good, and so do the dumps
+    /// built on this. Take no caches lock across the call
+    /// (ROADMAP item 2's published snapshot removes the hazard).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut pmds = Vec::new();
         let s = self.sum_blocks(|c| {

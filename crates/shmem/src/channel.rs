@@ -235,7 +235,6 @@ mod tests {
             "only the ingress copy touched the slab"
         );
         drop(got);
-        arena.reclaim_credits();
         assert!(arena.census_clean());
     }
 
@@ -284,7 +283,6 @@ mod tests {
             );
         }
         drop(out);
-        arena.reclaim_credits();
         assert!(arena.census_clean(), "census: {:?}", arena.stats());
         assert_eq!(arena.stats().slab_writes, 2, "ingress copy and prepend");
     }
@@ -345,7 +343,6 @@ mod tests {
         }
         drop(out);
         for arena in [&x, &y] {
-            arena.reclaim_credits();
             assert!(arena.census_clean(), "census: {:?}", arena.stats());
         }
     }
@@ -361,7 +358,6 @@ mod tests {
         // Endpoints die with the packets still queued — no leak.
         drop(a);
         drop(b);
-        arena.reclaim_credits();
         assert!(arena.census_clean(), "census: {:?}", arena.stats());
         assert_eq!(arena.stats().foreign_frees, 0);
     }
@@ -436,7 +432,7 @@ mod tests {
                 }
             }
         });
-        let consumer = arena.consumer();
+        let mapping = arena.clone();
         let sink = std::thread::spawn(move || {
             let mut sum = 0u64;
             let mut got = 0;
@@ -448,7 +444,7 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
-            drop(consumer);
+            drop(mapping);
             sum
         });
         let mut sent = 0u64;
@@ -459,22 +455,17 @@ mod tests {
                     while let Some(p) = m.take() {
                         if let Err(back) = gen_end.send(p) {
                             m = Some(back);
-                            arena.reclaim_credits();
                             std::thread::yield_now();
                         }
                     }
                     sent += 1;
                 }
-                None => {
-                    arena.reclaim_credits();
-                    std::thread::yield_now();
-                }
+                None => std::thread::yield_now(),
             }
         }
         hop.join().unwrap();
         let sum = sink.join().unwrap();
         assert_eq!(sum, (0..500u64).map(|i| i % 100).sum::<u64>());
-        arena.reclaim_credits();
         assert!(arena.census_clean(), "census: {:?}", arena.stats());
         assert_eq!(
             arena.stats().slab_writes,

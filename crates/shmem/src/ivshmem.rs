@@ -84,11 +84,12 @@ impl DeviceBoard {
         self.slots.lock().get_mut(segment_name)?.map()
     }
 
-    /// Host side: maps the packet arena into the VM (as a consumer
-    /// mapping — the guest recycles buffers through the credit stack).
-    /// Idempotent for the same segment; a re-plug simply replaces it.
+    /// Host side: maps the packet arena into the VM, as a second mapping
+    /// of the host's segment (a clone): the guest allocates from and frees
+    /// to the same free stack as the host. Idempotent for the same
+    /// segment; a re-plug simply replaces it.
     pub fn set_arena(&self, arena: &dpdk_sim::Arena) {
-        *self.arena.lock() = Some(arena.consumer());
+        *self.arena.lock() = Some(arena.clone());
     }
 
     /// Guest side: the VM's mapping of the packet arena, if one is plugged.
@@ -140,17 +141,20 @@ mod tests {
     }
 
     #[test]
-    fn arena_mapping_is_a_consumer_view() {
+    fn arena_mapping_shares_the_host_free_stack() {
         let board = DeviceBoard::new();
         assert!(board.arena().is_none());
         let host = dpdk_sim::Arena::new("vm-arena", 4, 256);
         board.set_arena(&host);
         let guest = board.arena().unwrap();
         assert_eq!(guest.segment_id(), host.segment_id());
-        // Guest frees travel the credit ring, not the owner freelist.
-        drop(guest.alloc_from(&[1]).unwrap());
-        assert_eq!(host.credit_pending(), 1);
-        assert_eq!(host.stats().credit_returns, 1);
+        // A guest free is the host's next allocation.
+        let _held = host.alloc().unwrap();
+        let m = guest.alloc_from(&[1]).unwrap();
+        let slot = m.slot();
+        drop(m);
+        assert_eq!(host.alloc().unwrap().slot(), slot);
+        assert_eq!(host.stats().frees, 2);
     }
 
     #[test]

@@ -48,8 +48,8 @@ struct RegistryInner {
 }
 
 /// Slots in the host-wide hugepage arena. Sized well above the sum of all
-/// ring depths a test topology creates, so credit-return lag never starves
-/// generators.
+/// ring depths a test topology creates, so the packets queued on its rings
+/// never starve generators.
 pub const DEFAULT_ARENA_SLOTS: usize = 16384;
 
 /// The host's shared-memory segment registry. Clone is cheap and shares
@@ -128,8 +128,8 @@ impl ShmRegistry {
     /// The host-wide packet arena, created lazily on first use: one
     /// hugepage segment every VM's ivshmem device maps, so descriptors are
     /// valid end to end. Registered as a [`SegmentKind::Arena`] segment and
-    /// with the telemetry pool registry. Returns the owner mapping; guests
-    /// derive consumer mappings via [`Arena::consumer`].
+    /// with the telemetry pool registry. Returns a mapping of it; a guest's
+    /// mapping is another clone (`DeviceBoard::set_arena`).
     pub fn hugepage_arena(&self) -> Arena {
         let mut inner = self.inner.lock();
         if let Some(arena) = &inner.arena {

@@ -1,16 +1,15 @@
-//! Cross-thread stress of the shared arena's lock-free slot stacks, driven
-//! over real channels. An owner thread allocates; three consumer stages
+//! Cross-thread stress of the shared arena's lock-free free stack, driven
+//! over real channels. An owner thread allocates, and frees every
+//! `OWNER_FREE_EVERY`th of an extra buffer itself; three consumer stages
 //! relay the descriptors down a chain of channels and each frees a third
-//! of them through the credit stack; a fifth thread allocates from a
-//! consumer mapping, writes each buffer and drops it. So the freelist is
-//! popped by two threads and the credit stack pushed by four while
-//! allocators detach and splice it.
+//! of them from its adopted handles; a fifth thread allocates from a
+//! second mapping, writes each buffer and drops it. So the one stack is
+//! popped by two threads and pushed by five.
 //!
 //! A per-slot `held` table proves no slot is ever issued while it is live.
-//! The main thread samples `available()` and `credit_pending()` mid-run:
-//! neither may read above capacity, which a transient underflow of a stack
-//! length would. The run ends census-clean with every allocation returned
-//! exactly once.
+//! The main thread samples `available()` mid-run: it may not read above
+//! capacity, which a transient underflow of the stack length would. The
+//! run ends census-clean with every allocation returned exactly once.
 
 use dpdk_sim::{Arena, Mbuf};
 use shmem_sim::{channel, ChannelEnd};
@@ -23,6 +22,7 @@ const PKTS: u64 = 200_000;
 const CAPACITY: usize = 256;
 const DEPTH: usize = 32;
 const STAGES: u64 = 3;
+const OWNER_FREE_EVERY: u64 = 8;
 const WATCHDOG: Duration = Duration::from_secs(20);
 
 struct Shared {
@@ -85,9 +85,11 @@ fn send_all(end: &mut ChannelEnd, mut m: Mbuf, shared: &Shared) {
     }
 }
 
-fn owner(arena: Arena, mut out: ChannelEnd, shared: Arc<Shared>) -> ChannelEnd {
+/// Sends `PKTS` stamped packets, and returns how many extra buffers it
+/// allocated and freed itself.
+fn owner(arena: Arena, mut out: ChannelEnd, shared: Arc<Shared>) -> (ChannelEnd, u64) {
     let _guard = StopOnPanic(Arc::clone(&shared));
-    let mut seq = 0;
+    let (mut seq, mut own_frees) = (0, 0);
     while seq < PKTS && !shared.stopped() {
         let Some(mut am) = arena.alloc() else {
             thread::yield_now();
@@ -98,9 +100,17 @@ fn owner(arena: Arena, mut out: ChannelEnd, shared: Arc<Shared>) -> ChannelEnd {
         am.set_len(12);
         am.data_mut().copy_from_slice(&stamp(seq, slot));
         send_all(&mut out, Mbuf::from_arena(am), &shared);
+        if seq % OWNER_FREE_EVERY == 0 {
+            if let Some(extra) = arena.alloc() {
+                shared.issue(extra.slot());
+                shared.retire(extra.slot());
+                drop(extra); // the owner's own free
+                own_frees += 1;
+            }
+        }
         seq += 1;
     }
-    out
+    (out, own_frees)
 }
 
 /// Consumer stage `stage`: frees the packets whose `seq % STAGES == stage`
@@ -133,7 +143,7 @@ fn stage(
                 Some(out) if seq % STAGES != stage => send_all(out, m, &shared),
                 _ => {
                     shared.retire(slot);
-                    drop(m); // adopted by this channel: the credit path
+                    drop(m); // adopted by this channel
                 }
             }
         }
@@ -141,13 +151,13 @@ fn stage(
     (input, relay)
 }
 
-/// Allocates from a consumer mapping beside the owner, writes each buffer,
+/// Allocates from a second mapping beside the owner, writes each buffer,
 /// reads it back and drops it, until `done`.
-fn churner(consumer: Arena, done: Arc<AtomicBool>, shared: Arc<Shared>) -> u64 {
+fn churner(mapping: Arena, done: Arc<AtomicBool>, shared: Arc<Shared>) -> u64 {
     let _guard = StopOnPanic(Arc::clone(&shared));
     let mut rounds = 0u64;
     while !done.load(Ordering::Acquire) && !shared.stopped() {
-        let Some(mut am) = consumer.alloc() else {
+        let Some(mut am) = mapping.alloc() else {
             thread::yield_now();
             continue;
         };
@@ -160,7 +170,7 @@ fn churner(consumer: Arena, done: Arc<AtomicBool>, shared: Arc<Shared>) -> u64 {
             "slot written by another holder"
         );
         shared.retire(am.slot());
-        drop(am); // consumer mapping: the credit path
+        drop(am);
         rounds += 1;
         thread::yield_now(); // churn beside the pipeline, not instead of it
     }
@@ -168,7 +178,7 @@ fn churner(consumer: Arena, done: Arc<AtomicBool>, shared: Arc<Shared>) -> u64 {
 }
 
 #[test]
-fn arena_stacks_survive_five_threads_over_channels() {
+fn arena_stack_survives_five_threads_over_channels() {
     let arena = Arena::new("stress", CAPACITY, 64);
     let shared = Arc::new(Shared {
         held: (0..CAPACITY).map(|_| AtomicBool::new(false)).collect(),
@@ -190,8 +200,8 @@ fn arena_stacks_survive_five_threads_over_channels() {
         spawn_stage(2, s2_in, None),
     ];
     let churner = {
-        let (consumer, done, shared) = (arena.consumer(), owner_done.clone(), shared.clone());
-        thread::spawn(move || churner(consumer, done, shared))
+        let (mapping, done, shared) = (arena.clone(), owner_done.clone(), shared.clone());
+        thread::spawn(move || churner(mapping, done, shared))
     };
     let owner = {
         let (arena, shared) = (arena.clone(), shared.clone());
@@ -200,7 +210,7 @@ fn arena_stacks_survive_five_threads_over_channels() {
 
     // Sampler and watchdog.
     let deadline = Instant::now() + WATCHDOG;
-    let (mut samples, mut max_available, mut max_pending) = (0u64, 0, 0);
+    let (mut samples, mut max_available) = (0u64, 0);
     while !(owner.is_finished() && stages.iter().all(|s| s.is_finished())) {
         if Instant::now() > deadline {
             shared.stop.store(true, Ordering::Relaxed);
@@ -209,12 +219,11 @@ fn arena_stacks_survive_five_threads_over_channels() {
             break;
         }
         max_available = max_available.max(arena.available());
-        max_pending = max_pending.max(arena.credit_pending());
         samples += 1;
         thread::sleep(Duration::from_micros(100));
     }
     owner_done.store(true, Ordering::Release);
-    let _owner_end = owner.join().expect("owner thread");
+    let (_owner_end, own_frees) = owner.join().expect("owner thread");
     let _ends: Vec<_> = stages
         .into_iter()
         .map(|s| s.join().expect("consumer stage"))
@@ -229,16 +238,12 @@ fn arena_stacks_survive_five_threads_over_channels() {
         max_available <= CAPACITY,
         "available() read {max_available}"
     );
-    assert!(
-        max_pending <= CAPACITY,
-        "credit_pending() read {max_pending}"
-    );
 
-    arena.reclaim_credits();
     let s = arena.stats();
     assert!(arena.census_clean(), "census: {s:?}");
-    assert_eq!(s.allocs, s.frees + s.credit_returns, "census: {s:?}");
-    assert_eq!(s.allocs, PKTS + churned, "census: {s:?}");
+    assert_eq!(s.allocs, s.frees, "census: {s:?}");
+    assert_eq!(s.allocs, PKTS + churned + own_frees, "census: {s:?}");
+    assert!(own_frees > 0, "the owner never freed");
     assert!(shared.held.iter().all(|h| !h.load(Ordering::Relaxed)));
     assert!(samples > 0, "the sampler never ran");
 }

@@ -44,12 +44,8 @@ pub fn pmd_stats_show(snap: &TelemetrySnapshot) -> String {
             p.capacity, p.available, p.in_use, p.high_water
         ));
         out.push_str(&format!(
-            "  allocs: {}  alloc failures: {}  frees: {}  foreign frees: {}\n",
-            p.allocs, p.alloc_failures, p.frees, p.foreign_frees
-        ));
-        out.push_str(&format!(
-            "  credit returns: {}  credits reclaimed: {}  slab writes: {}\n",
-            p.credit_returns, p.credits_reclaimed, p.slab_writes
+            "  allocs: {}  alloc failures: {}  frees: {}  foreign frees: {}  slab writes: {}\n",
+            p.allocs, p.alloc_failures, p.frees, p.foreign_frees, p.slab_writes
         ));
     }
     out
@@ -354,8 +350,6 @@ mod tests {
                 alloc_failures: 1,
                 frees: 20,
                 foreign_frees: 0,
-                credit_returns: 18,
-                credits_reclaimed: 16,
                 slab_writes: 41,
             }],
             doorbells: Default::default(),
@@ -376,8 +370,8 @@ mod tests {
         let s = pmd_stats_show(&snap());
         assert!(s.contains("arena \"hw-arena\":"), "missing arena row:\n{s}");
         assert!(s.contains("high water: 7"));
-        assert!(s.contains("foreign frees: 0"));
-        assert!(s.contains("credit returns: 18  credits reclaimed: 16  slab writes: 41\n"));
+        assert!(s.contains("frees: 20  foreign frees: 0  slab writes: 41\n"));
+        assert!(!s.contains("credit"), "no credit-stack line:\n{s}");
         assert!(!s.contains("doorbells"), "no doorbell line:\n{s}");
     }
 

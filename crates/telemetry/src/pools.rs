@@ -17,20 +17,16 @@ use std::sync::OnceLock;
 pub struct PoolStats {
     pub name: String,
     pub capacity: usize,
-    /// Slots immediately allocatable: freelist plus never-issued slots
-    /// (excludes unreclaimed credits).
+    /// Slots immediately allocatable: on the free stack or never issued.
     pub available: usize,
+    /// `allocs - frees`.
     pub in_use: usize,
-    /// Highest `in_use` ever observed.
+    /// Slots ever issued: the most held at once.
     pub high_water: usize,
     pub allocs: u64,
     pub alloc_failures: u64,
     pub frees: u64,
     pub foreign_frees: u64,
-    /// Frees routed through the credit-return stack.
-    pub credit_returns: u64,
-    /// Credits the owner folded back into the freelist.
-    pub credits_reclaimed: u64,
     /// Mutable-byte accesses to the slab.
     pub slab_writes: u64,
 }
@@ -63,8 +59,6 @@ pub fn snapshot_pools() -> Vec<PoolStats> {
                 alloc_failures: s.alloc_failures,
                 frees: s.frees,
                 foreign_frees: s.foreign_frees,
-                credit_returns: s.credit_returns,
-                credits_reclaimed: s.credits_reclaimed,
                 slab_writes: s.slab_writes,
             });
             true

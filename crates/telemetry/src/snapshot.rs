@@ -176,8 +176,7 @@ impl TelemetrySnapshot {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"capacity\":{},\"available\":{},\
                  \"in_use\":{},\"high_water\":{},\"allocs\":{},\"alloc_failures\":{},\
-                 \"frees\":{},\"foreign_frees\":{},\"credit_returns\":{},\
-                 \"credits_reclaimed\":{},\"slab_writes\":{}}}",
+                 \"frees\":{},\"foreign_frees\":{},\"slab_writes\":{}}}",
                 p.name,
                 p.capacity,
                 p.available,
@@ -187,8 +186,6 @@ impl TelemetrySnapshot {
                 p.alloc_failures,
                 p.frees,
                 p.foreign_frees,
-                p.credit_returns,
-                p.credits_reclaimed,
                 p.slab_writes,
             ));
         }
@@ -283,8 +280,6 @@ mod tests {
                 alloc_failures: 1,
                 frees: 50,
                 foreign_frees: 0,
-                credit_returns: 46,
-                credits_reclaimed: 40,
                 slab_writes: 102,
             }],
             doorbells: DoorbellTotals::default(),
@@ -330,11 +325,30 @@ mod tests {
         assert_eq!(pools.len(), 1);
         let row = |key: &str| pools[0].get(key).and_then(|x| x.as_u64());
         assert_eq!(row("high_water"), Some(9));
-        assert_eq!(row("credit_returns"), Some(46));
+        assert_eq!(row("frees"), Some(50));
         assert_eq!(row("slab_writes"), Some(102));
-        for gone in ["kind", "cow_copies"] {
-            assert!(pools[0].get(gone).is_none(), "{gone} still rendered");
-        }
+        let keys: Vec<&str> = pools[0]
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "alloc_failures",
+                "allocs",
+                "available",
+                "capacity",
+                "foreign_frees",
+                "frees",
+                "high_water",
+                "in_use",
+                "name",
+                "slab_writes"
+            ],
+            "a pool row renders exactly the PoolStats fields"
+        );
         assert!(v.get("doorbells").is_none(), "doorbells still rendered");
     }
 }

@@ -316,7 +316,8 @@ impl ComputeAgent {
                     .map(|s| s.directions.is_empty())
                     .unwrap_or(false);
                 if dismantle {
-                    self.dismantle_pair(&mut pairs, key);
+                    // The rollback reports the setup error, not its own.
+                    let _ = self.dismantle_pair(&mut pairs, key);
                 }
                 Err(e)
             }
@@ -396,35 +397,44 @@ impl ComputeAgent {
         Ok(())
     }
 
-    /// Unmaps, unplugs and releases a pair with no live directions.
-    /// Best-effort: the guest `UnmapBypass` handler sanitises its own PMD,
-    /// and a failed `device_del` leaves the device behind (like QEMU
-    /// keeping guest-mapped memory alive) while host state is still freed.
+    /// Unmaps, unplugs and releases a pair with no live directions, and
+    /// returns the errors it met on the way. Best-effort: the guest
+    /// `UnmapBypass` handler sanitises its own PMD, and a failed
+    /// `device_del` leaves the device behind (like QEMU keeping
+    /// guest-mapped memory alive) while host state is still freed.
     ///
     /// Note the asymmetry: only *mapped* ports get an `UnmapBypass`, but
     /// *both* endpoints get a `device_del` — hot-plug happens for the pair
     /// up front, mapping happens per port, and a rollback can interleave.
-    fn dismantle_pair(&self, pairs: &mut HashMap<(u32, u32), PairState>, key: (u32, u32)) {
+    fn dismantle_pair(
+        &self,
+        pairs: &mut HashMap<(u32, u32), PairState>,
+        key: (u32, u32),
+    ) -> Vec<String> {
+        let mut errors = Vec::new();
         let Some(mut state) = pairs.remove(&key) else {
-            return;
+            return errors;
         };
         for port in state.mapped.drain() {
             let Ok(vm) = self.vm_for(port) else { continue };
-            let _ = self.guest_request(
-                &vm,
-                PmdCtrl::UnmapBypass {
-                    seq: 0,
-                    of_port: port,
-                },
-            );
+            let unmap = PmdCtrl::UnmapBypass {
+                seq: 0,
+                of_port: port,
+            };
+            if let Err(e) = self.guest_request(&vm, unmap) {
+                errors.push(e.to_string());
+            }
         }
         for port in [key.0, key.1] {
             let Ok(vm) = self.vm_for(port) else { continue };
             if vm.plugged_devices().iter().any(|d| d == &state.segment) {
-                let _ = self.unplug(&vm, &state.segment);
+                if let Err(e) = self.unplug(&vm, &state.segment) {
+                    errors.push(e.to_string());
+                }
             }
         }
         self.registry.release(&state.segment);
+        errors
     }
 
     /// Tears down the bypass direction `src_port → dst_port` losslessly.
@@ -477,28 +487,9 @@ impl ComputeAgent {
             Err(e) => errors.push(e.to_string()),
         }
 
-        let mut released = false;
-        let state = pairs.get_mut(&key).expect("still present");
-        if state.directions.is_empty() {
-            // Unmap both PMDs, unplug both devices, release the segment.
-            for port in state.mapped.drain() {
-                let Ok(vm) = self.vm_for(port) else { continue };
-                if let Err(e) = self.guest_request(
-                    &vm,
-                    PmdCtrl::UnmapBypass {
-                        seq: 0,
-                        of_port: port,
-                    },
-                ) {
-                    errors.push(e.to_string());
-                }
-                if let Err(e) = self.unplug(&vm, &segment) {
-                    errors.push(e.to_string());
-                }
-            }
-            self.registry.release(&segment);
-            pairs.remove(&key);
-            released = true;
+        let released = pairs[&key].directions.is_empty();
+        if released {
+            errors.extend(self.dismantle_pair(&mut pairs, key));
         }
 
         if errors.is_empty() {

@@ -314,7 +314,6 @@ fn drive_chain(
     let frame = PacketBuilder::udp_probe(64).build();
     let (mut busy, mut idle, mut delivered) = (0, 0, 0);
     for _ in 0..rounds {
-        arena.reclaim_credits();
         let mut burst: Vec<Mbuf> = (0..DEFAULT_BURST)
             .map(|_| Mbuf::from_arena(arena.alloc_from(&frame).expect("arena slot")))
             .collect();

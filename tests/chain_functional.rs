@@ -215,7 +215,6 @@ fn highway_chain_is_zero_copy_end_to_end() {
     }
     drop(w.dep);
     drop(node);
-    arena.reclaim_credits();
     assert_eq!(arena.in_use(), base_in_use, "arena slots leaked");
 }
 

@@ -289,8 +289,8 @@ fn rolling_reconfiguration_leaks_no_arena_slots() {
         "the settled link lost traffic ({delivered} of {seq} delivered overall)"
     );
 
-    // Census: stop the node, drop every ring, reclaim credits — all
-    // slots home, no foreign frees.
+    // Census: stop the node, drop every ring — all slots home, no foreign
+    // frees.
     let node = w.node;
     drop(w.entry);
     drop(w.exit);
@@ -301,7 +301,6 @@ fn rolling_reconfiguration_leaks_no_arena_slots() {
     drop(w.dep);
     drop(w.ctrl);
     drop(node);
-    arena.reclaim_credits();
     assert_eq!(arena.in_use(), 0, "arena slots leaked: {:?}", arena.stats());
     assert_eq!(arena.stats().foreign_frees, 0);
 }

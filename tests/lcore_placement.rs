@@ -142,7 +142,6 @@ fn chain_on_one_worker(cpu: usize, vms_first: bool) {
         mine.iter().all(|name| !left.contains(name)),
         "steppers outlived stop and shutdown: {left:?}"
     );
-    arena.reclaim_credits();
     assert!(
         arena.census_clean(),
         "census after teardown: in use {}, stats {:?}",
