@@ -96,11 +96,6 @@ impl FabricChainSteering {
         self.per_switch.values().all(|s| s.settled)
     }
 
-    /// Whether the switch `dpid` has settled its rules.
-    pub fn switch_settled(&self, dpid: u64) -> bool {
-        self.per_switch.get(&dpid).is_some_and(|s| s.settled)
-    }
-
     /// How many times the app has pushed `dpid`'s rule set (1 +
     /// reconnects).
     pub fn connects(&self, dpid: u64) -> u64 {

@@ -1,10 +1,9 @@
 //! The bypass lifecycle journal.
 //!
 //! Every step of a bypass channel's life — detection, setup, activation,
-//! teardown, failure — is recorded here with a timestamp, and optionally
-//! streamed to subscribers. The journal gives three things the prototype's
-//! authors needed during their evaluation and any operator would need in
-//! production:
+//! teardown, failure — is recorded here with a timestamp. The journal
+//! gives three things the prototype's authors needed during their
+//! evaluation and any operator would need in production:
 //!
 //! 1. **observability** — `ovs-appctl`-style introspection of what the
 //!    highway did and when (see `tests/failure_injection.rs`);
@@ -12,11 +11,15 @@
 //!    claim) measures `Detected → Active` gaps straight from the journal;
 //! 3. **test oracles** — integration tests assert on exact event sequences
 //!    rather than sleeping and polling switch state.
+//!
+//! The journal owns its manager's one [`Event`]: every `record` notifies
+//! it, and so does every change to the manager's desired link set. The
+//! manager's worker, its `wait_converged` and `wait_for` park on it.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use openflow::Event;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Events the journal retains. A node that sets bypasses up and tears them
 /// down for days must not grow by a kilobyte per cycle; 4096 events is a
@@ -59,13 +62,12 @@ pub struct BypassEvent {
     pub detail: String,
 }
 
-/// A journal of the most recent [`JOURNAL_CAPACITY`] events with fan-out
-/// to live subscribers. Subscribers see every event; `snapshot`,
-/// `of_kind` and `wait_for`'s look at history see the retained window.
+/// A journal of the most recent [`JOURNAL_CAPACITY`] events. `snapshot`,
+/// `of_kind` and `wait_for` see the retained window.
 #[derive(Default)]
 pub struct EventJournal {
     log: Mutex<VecDeque<BypassEvent>>,
-    subscribers: Mutex<Vec<Sender<BypassEvent>>>,
+    event: Event,
 }
 
 impl EventJournal {
@@ -74,8 +76,22 @@ impl EventJournal {
         EventJournal::default()
     }
 
-    /// Appends an event and fans it out to live subscribers.
+    /// Appends an event and notifies the journal's [`Event`].
     pub fn record(&self, kind: BypassEventKind, src: u32, dst: u32, detail: impl Into<String>) {
+        self.append(kind, src, dst, detail);
+        self.event.notify();
+    }
+
+    /// [`EventJournal::record`] without the notify, for a caller that
+    /// holds a lock a woken waiter would block on; it notifies after
+    /// releasing that lock.
+    pub(crate) fn append(
+        &self,
+        kind: BypassEventKind,
+        src: u32,
+        dst: u32,
+        detail: impl Into<String>,
+    ) {
         let ev = BypassEvent {
             at: Instant::now(),
             kind,
@@ -83,14 +99,16 @@ impl EventJournal {
             dst,
             detail: detail.into(),
         };
-        self.subscribers
-            .lock()
-            .retain(|tx| tx.send(ev.clone()).is_ok());
         let mut log = self.log.lock();
         if log.len() == JOURNAL_CAPACITY {
             log.pop_front();
         }
         log.push_back(ev);
+    }
+
+    /// The eventcount `record` notifies; the manager notifies it too.
+    pub(crate) fn event(&self) -> &Event {
+        &self.event
     }
 
     /// A snapshot of the retained events, oldest first.
@@ -108,14 +126,6 @@ impl EventJournal {
         self.len() == 0
     }
 
-    /// Subscribes to future events. Dropped receivers are pruned lazily on
-    /// the next `record`.
-    pub fn subscribe(&self) -> Receiver<BypassEvent> {
-        let (tx, rx) = unbounded();
-        self.subscribers.lock().push(tx);
-        rx
-    }
-
     /// Retained events of one kind, in order.
     pub fn of_kind(&self, kind: BypassEventKind) -> Vec<BypassEvent> {
         self.log
@@ -127,34 +137,23 @@ impl EventJournal {
     }
 
     /// Blocks until an event of `kind` for the directed link `(src, dst)`
-    /// exists in the journal (checks history first, then waits on a live
-    /// subscription). Returns false on timeout.
-    pub fn wait_for(
-        &self,
-        kind: BypassEventKind,
-        src: u32,
-        dst: u32,
-        timeout: std::time::Duration,
-    ) -> bool {
-        // Subscribe *before* scanning history so no event can be missed.
-        let rx = self.subscribe();
-        if self
-            .log
-            .lock()
-            .iter()
-            .any(|e| e.kind == kind && e.src == src && e.dst == dst)
-        {
-            return true;
-        }
+    /// is in the retained window. Returns false on timeout.
+    pub fn wait_for(&self, kind: BypassEventKind, src: u32, dst: u32, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+            // Registered before the scan, so a `record` after it wakes us.
+            let waiter = self.event.prepare();
+            if self
+                .log
+                .lock()
+                .iter()
+                .rev()
+                .any(|e| e.kind == kind && e.src == src && e.dst == dst)
+            {
+                return true;
+            }
+            if !waiter.park_until(deadline) {
                 return false;
-            };
-            match rx.recv_timeout(remaining) {
-                Ok(ev) if ev.kind == kind && ev.src == src && ev.dst == dst => return true,
-                Ok(_) => continue,
-                Err(_) => return false,
             }
         }
     }
@@ -163,7 +162,6 @@ impl EventJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn records_and_snapshots_in_order() {
@@ -182,7 +180,6 @@ mod tests {
     #[test]
     fn retains_only_the_most_recent_events() {
         let j = EventJournal::new();
-        let rx = j.subscribe();
         for i in 0..10_000u32 {
             j.record(BypassEventKind::Detected, i, i + 1, "");
         }
@@ -192,28 +189,6 @@ mod tests {
         assert_eq!(window.last().unwrap().src, 9_999, "newest event last");
         assert_eq!(window[0].src, 10_000 - JOURNAL_CAPACITY as u32);
         assert_eq!(j.of_kind(BypassEventKind::Detected).len(), JOURNAL_CAPACITY);
-        // History is a window; the live feed is not.
-        assert_eq!(rx.try_iter().count(), 10_000);
-    }
-
-    #[test]
-    fn subscription_receives_future_events() {
-        let j = EventJournal::new();
-        j.record(BypassEventKind::Detected, 1, 2, "before subscribe");
-        let rx = j.subscribe();
-        j.record(BypassEventKind::Active, 1, 2, "after subscribe");
-        let got = rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(got.kind, BypassEventKind::Active);
-        assert!(rx.try_recv().is_err(), "history is not replayed");
-    }
-
-    #[test]
-    fn dropped_subscribers_are_pruned() {
-        let j = EventJournal::new();
-        drop(j.subscribe());
-        drop(j.subscribe());
-        j.record(BypassEventKind::Detected, 1, 2, "");
-        assert_eq!(j.subscribers.lock().len(), 0);
     }
 
     #[test]

@@ -126,14 +126,6 @@ impl Fabric {
         &self.nodes[index]
     }
 
-    /// The node owning `dpid`, if any.
-    pub fn node_by_dpid(&self, dpid: u64) -> Option<&HighwayNode> {
-        self.dpids
-            .iter()
-            .position(|&d| d == dpid)
-            .map(|i| &self.nodes[i])
-    }
-
     /// Datapath ids, node order.
     pub fn dpids(&self) -> &[u64] {
         &self.dpids

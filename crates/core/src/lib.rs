@@ -29,11 +29,10 @@
 //!   controller the paper assumes: it installs each switch's service-chain
 //!   steering rules through one [`openflow::FabricRuntime`], whether the
 //!   fabric is one switch or many, and knows nothing of the highway.
-//! * [`policy`] — the [`policy::AccelerationPolicy`]: which detected links
-//!   may be accelerated (port exclusions).
 //! * [`events`] — the [`events::EventJournal`]: a timestamped record of
-//!   every bypass lifecycle step, with live subscriptions; the setup-time
-//!   experiment and the failure-injection tests read it.
+//!   every bypass lifecycle step; the setup-time experiment and the
+//!   failure-injection tests read it. It has no subscriptions: a waiter
+//!   parks on the [`openflow::Event`] every record notifies.
 
 pub mod apps;
 pub mod detector;
@@ -41,7 +40,6 @@ pub mod events;
 pub mod fabric;
 pub mod manager;
 pub mod node;
-pub mod policy;
 pub mod stats;
 
 pub use apps::{FabricChainSteering, Seam};
@@ -50,5 +48,4 @@ pub use events::{BypassEvent, BypassEventKind, EventJournal};
 pub use fabric::{Fabric, FabricChain, Trunk};
 pub use manager::{HighwayManager, LinkState, SetupRecord};
 pub use node::{HighwayNode, HighwayNodeConfig};
-pub use policy::AccelerationPolicy;
 pub use stats::HighwayStatsAugmenter;

@@ -10,20 +10,22 @@
 //! makes rule flapping safe: operations never interleave, and the final
 //! state always reflects the last flow table seen.
 //!
-//! Three inputs shape the desired set:
+//! Two inputs shape the desired set:
 //!
 //! 1. the detector's output over the latest rule snapshot;
 //! 2. the switch's port admin state (a link over a down port is vetoed —
 //!    the switch would have dropped that traffic, and a bypass must never
-//!    deliver packets the flow table would not);
-//! 3. the [`AccelerationPolicy`] (port exclusions).
+//!    deliver packets the flow table would not).
 //!
-//! Every lifecycle step is recorded in the [`EventJournal`].
+//! A link is deferred, not dropped, while an endpoint has no registered VM.
+//!
+//! Every lifecycle step is recorded in the [`EventJournal`]. The journal's
+//! [`openflow::Event`] is the manager's one wait mechanism: every change to
+//! the desired set, every journal record and `shutdown` notify it, and the
+//! worker and [`HighwayManager::wait_converged`] park on it.
 
 use crate::detector::{detect_p2p_links, P2pLink};
 use crate::events::{BypassEventKind, EventJournal};
-use crate::policy::AccelerationPolicy;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use ovs_dp::{FlowTableObserver, RuleSnapshot};
 use parking_lot::Mutex;
 use shmem_sim::StatsRegion;
@@ -69,7 +71,7 @@ struct Shared {
     last_rules: Vec<RuleSnapshot>,
     /// Ports currently administratively down on the switch.
     down_ports: BTreeSet<u32>,
-    /// What table+ports+policy currently imply, stamped with detection time.
+    /// What table+ports currently imply, stamped with detection time.
     desired: BTreeMap<u32, (P2pLink, Instant)>,
     /// Directions actually set up (src → link and the detection it serves).
     /// The stamp is part of a bypass's identity: a rule deleted and added
@@ -94,63 +96,46 @@ pub struct HighwayManager {
     agent: Arc<ComputeAgent>,
     /// The region the guests count bypassed traffic into.
     stats: StatsRegion,
-    policy: AccelerationPolicy,
     journal: Arc<EventJournal>,
-    shared: Arc<Mutex<Shared>>,
-    wake: Sender<()>,
-    stop: Arc<AtomicBool>,
+    shared: Mutex<Shared>,
+    stop: AtomicBool,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl HighwayManager {
-    /// Creates the manager with the paper's accelerate-everything policy
-    /// and a statistics region of its own.
+    /// Creates the manager with a statistics region of its own and starts
+    /// its reconciliation worker. The worker runs until
+    /// [`HighwayManager::shutdown`]: it holds an `Arc` of the manager, so
+    /// dropping the caller's handle does not stop it.
     pub fn new(agent: Arc<ComputeAgent>) -> Arc<HighwayManager> {
-        HighwayManager::with_policy(agent, AccelerationPolicy::paper(), StatsRegion::new())
+        HighwayManager::with_stats(agent, StatsRegion::new())
     }
 
-    /// Creates the manager with an explicit policy over the statistics
-    /// region the agent's guests count into, and starts its
-    /// reconciliation worker.
-    pub fn with_policy(
-        agent: Arc<ComputeAgent>,
-        policy: AccelerationPolicy,
-        stats: StatsRegion,
-    ) -> Arc<HighwayManager> {
-        let (wake_tx, wake_rx) = bounded::<()>(1);
+    /// [`HighwayManager::new`] over the statistics region the agent's
+    /// guests count into.
+    pub fn with_stats(agent: Arc<ComputeAgent>, stats: StatsRegion) -> Arc<HighwayManager> {
         let manager = Arc::new(HighwayManager {
             agent,
             stats,
-            policy,
             journal: Arc::new(EventJournal::new()),
-            shared: Arc::new(Mutex::new(Shared::default())),
-            wake: wake_tx,
-            stop: Arc::new(AtomicBool::new(false)),
+            shared: Mutex::new(Shared::default()),
+            stop: AtomicBool::new(false),
             worker: Mutex::new(None),
         });
         let worker = {
             let manager = Arc::clone(&manager);
             std::thread::Builder::new()
                 .name("highway-manager".into())
-                .spawn(move || manager.worker_loop(wake_rx))
+                .spawn(move || manager.worker_loop())
                 .expect("spawn highway manager")
         };
         *manager.worker.lock() = Some(worker);
         manager
     }
 
-    fn wake_worker(&self) {
-        let _ = self.wake.try_send(()); // coalesced: one token is enough
-    }
-
     /// The lifecycle journal.
     pub fn journal(&self) -> &Arc<EventJournal> {
         &self.journal
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &AccelerationPolicy {
-        &self.policy
     }
 
     /// The links currently carried by bypass channels.
@@ -186,20 +171,10 @@ impl HighwayManager {
 
     /// Per-link state as the manager sees it, keyed by source port.
     pub fn link_states(&self) -> BTreeMap<u32, LinkState> {
-        let s = self.shared.lock();
-        let mut out = BTreeMap::new();
-        for (src, set_up) in &s.actual {
-            let state = if s.desired.get(src) == Some(set_up) {
-                LinkState::Active
-            } else {
-                LinkState::TearingDown
-            };
-            out.insert(*src, state);
-        }
-        for src in s.desired.keys() {
-            out.entry(*src).or_insert(LinkState::Pending);
-        }
-        out
+        self.snapshot_links()
+            .into_iter()
+            .map(|(link, state)| (link.src, state))
+            .collect()
     }
 
     /// Completed setup records (clone).
@@ -224,13 +199,16 @@ impl HighwayManager {
     pub fn wait_converged(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
+            // Registered before the check: the worker clears `inflight`
+            // before the journal record that notifies, and a desired-set
+            // change notifies after it is made.
+            let waiter = self.journal.event().prepare();
             if self.is_converged() {
                 return true;
             }
-            if Instant::now() > deadline {
+            if !waiter.park_until(deadline) {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -243,19 +221,16 @@ impl HighwayManager {
             let mut s = self.shared.lock();
             self.recompute_desired(&mut s, now);
         }
-        self.wake_worker();
+        self.journal.event().notify();
     }
 
-    /// Recomputes the desired link set from the latest rules, port state
-    /// and policy. Records Detected/Vanished transitions. Caller wakes the
-    /// worker afterwards.
+    /// Recomputes the desired link set from the latest rules and port
+    /// state. Appends Detected/Vanished transitions to the journal; the
+    /// caller notifies once it has released `shared`.
     fn recompute_desired(&self, s: &mut Shared, now: Instant) {
         let links = detect_p2p_links(&s.last_rules);
         let mut new_desired = BTreeMap::new();
         for (src, link) in links {
-            if !self.policy.allows(link.src, link.dst) {
-                continue;
-            }
             if s.down_ports.contains(&link.src) || s.down_ports.contains(&link.dst) {
                 continue;
             }
@@ -269,7 +244,7 @@ impl HighwayManager {
             let stamp = match s.desired.get(&src) {
                 Some((old, t)) if *old == link => *t,
                 _ => {
-                    self.journal.record(
+                    self.journal.append(
                         BypassEventKind::Detected,
                         link.src,
                         link.dst,
@@ -283,7 +258,7 @@ impl HighwayManager {
         for (src, (old, _)) in &s.desired {
             if new_desired.get(src).map(|(l, _)| l) != Some(old) {
                 self.journal
-                    .record(BypassEventKind::Vanished, old.src, old.dst, "");
+                    .append(BypassEventKind::Vanished, old.src, old.dst, "");
             }
         }
         s.desired = new_desired;
@@ -403,12 +378,18 @@ impl HighwayManager {
         }
     }
 
-    fn worker_loop(&self, wake: Receiver<()>) {
+    fn worker_loop(&self) {
         while !self.stop.load(Ordering::Acquire) {
-            // Converged: every change to the desired set (and `shutdown`)
-            // leaves a token in `wake` after making it, so none is missed.
-            if !self.reconcile_step() && wake.recv().is_err() {
-                return;
+            if self.reconcile_step() {
+                continue;
+            }
+            // Registered only when idle, so the records of an agent
+            // operation find no waiter to wake; registered before the
+            // re-check, so a change (or `shutdown`) that notified since the
+            // pass above is not missed.
+            let waiter = self.journal.event().prepare();
+            if self.is_converged() && !self.stop.load(Ordering::Acquire) {
+                waiter.park();
             }
         }
     }
@@ -416,7 +397,7 @@ impl HighwayManager {
     /// Stops the worker (idempotent).
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        self.wake_worker();
+        self.journal.event().notify();
         if let Some(t) = self.worker.lock().take() {
             let _ = t.join();
         }
@@ -431,7 +412,7 @@ impl FlowTableObserver for HighwayManager {
             s.last_rules = rules.to_vec();
             self.recompute_desired(&mut s, now);
         }
-        self.wake_worker();
+        self.journal.event().notify();
     }
 
     fn ports_changed(&self, down_ports: &[openflow::PortNo]) {
@@ -441,13 +422,7 @@ impl FlowTableObserver for HighwayManager {
             s.down_ports = down_ports.iter().map(|p| u32::from(p.0)).collect();
             self.recompute_desired(&mut s, now);
         }
-        self.wake_worker();
-    }
-}
-
-impl Drop for HighwayManager {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.journal.event().notify();
     }
 }
 
@@ -561,6 +536,28 @@ mod tests {
         assert!(manager.wait_converged(Duration::from_secs(5)));
         assert_eq!(manager.active_links().len(), 1);
         assert_eq!(registry.live_of_kind(SegmentKind::Bypass).len(), 1);
+
+        // Waits racing a flipping table: a notify lost between a waiter's
+        // check and its park shows up as a 5 s stall and a false return.
+        let flipper = {
+            let manager = Arc::clone(&manager);
+            std::thread::spawn(move || {
+                for i in 0..1_000 {
+                    if i % 2 == 0 {
+                        manager.table_changed(&[]);
+                    } else {
+                        manager.table_changed(&[p2p_snapshot(2, 3, 1)]);
+                    }
+                }
+            })
+        };
+        while !flipper.is_finished() {
+            assert!(manager.wait_converged(Duration::from_secs(5)));
+        }
+        flipper.join().unwrap();
+        assert!(manager.wait_converged(Duration::from_secs(5)));
+        assert_eq!(manager.active_links().len(), 1);
+        assert_eq!(registry.live_of_kind(SegmentKind::Bypass).len(), 1);
         manager.shutdown();
     }
 
@@ -657,25 +654,6 @@ mod tests {
         assert!(manager.wait_converged(Duration::from_secs(5)));
         assert_eq!(manager.active_links().len(), 1);
         assert_eq!(manager.setup_log().len(), 2);
-        manager.shutdown();
-    }
-
-    #[test]
-    fn excluded_ports_are_never_accelerated() {
-        let (agent, registry, _vms) = agent_world();
-        let manager = HighwayManager::with_policy(
-            agent,
-            AccelerationPolicy::paper().exclude_port(3),
-            StatsRegion::new(),
-        );
-        manager.table_changed(&[p2p_snapshot(2, 3, 1), p2p_snapshot(3, 2, 2)]);
-        assert!(manager.wait_converged(Duration::from_secs(5)));
-        assert!(manager.active_links().is_empty());
-        assert_eq!(registry.live_of_kind(SegmentKind::Bypass).len(), 0);
-        assert!(
-            manager.journal().is_empty(),
-            "excluded links are not even Detected"
-        );
         manager.shutdown();
     }
 }

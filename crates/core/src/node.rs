@@ -9,7 +9,6 @@
 
 use crate::events::EventJournal;
 use crate::manager::{HighwayManager, SetupRecord};
-use crate::policy::AccelerationPolicy;
 use crate::stats::HighwayStatsAugmenter;
 use openflow::{framed_link, Connection, SwitchLink};
 use ovs_dp::{VSwitchd, VSwitchdConfig};
@@ -26,8 +25,6 @@ pub struct HighwayNodeConfig {
     pub latency: LatencyModel,
     /// Switch daemon configuration.
     pub switch: VSwitchdConfig,
-    /// Which detected links may be accelerated, and when.
-    pub policy: AccelerationPolicy,
 }
 
 impl Default for HighwayNodeConfig {
@@ -36,7 +33,6 @@ impl Default for HighwayNodeConfig {
             highway_enabled: true,
             latency: LatencyModel::zero(),
             switch: VSwitchdConfig::default(),
-            policy: AccelerationPolicy::paper(),
         }
     }
 }
@@ -83,8 +79,7 @@ impl HighwayNode {
             Arc::clone(&agent),
         );
         let manager = if config.highway_enabled {
-            let manager =
-                HighwayManager::with_policy(Arc::clone(&agent), config.policy, stats.clone());
+            let manager = HighwayManager::with_stats(Arc::clone(&agent), stats.clone());
             switch.register_observer(Arc::clone(&manager) as Arc<dyn ovs_dp::FlowTableObserver>);
             switch.set_stats_augmenter(Arc::new(HighwayStatsAugmenter::new(stats.clone())));
             // Links deferred because an endpoint VM had not registered yet
@@ -201,6 +196,12 @@ impl HighwayNode {
     /// The control-idle condition matters: a controller's `add_flow` is
     /// asynchronous, so without it this could report "converged" against
     /// the flow table from before a still-queued flow_mod.
+    ///
+    /// It polls every 1 ms instead of parking on the manager's `Event`:
+    /// no manager event signals `Ofproto::control_idle()`, and the poll
+    /// paces the benchmark's `bypass_setup`, whose per-cycle vectors and
+    /// setup log grow with the cycle rate (a parking version pushed its
+    /// `peak_rss_mb` past the bound). It parks once that growth is bounded.
     pub fn wait_highway_converged(&self, timeout: Duration) -> bool {
         let Some(manager) = &self.manager else {
             return true;

@@ -57,8 +57,12 @@ impl Event {
         }
         // The bump happens under the lock a parking waiter holds while it
         // compares epochs, so it cannot fall between compare and sleep.
-        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        // The wake comes after the unlock: a waiter woken under it would
+        // block on the lock at once and need a second wake-up.
+        {
+            let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+        }
         self.cond.notify_all();
     }
 }

@@ -13,6 +13,10 @@
 #   the cycle clock, packet parsing, the perf block, histograms, coverage
 #   and channel statistics), the channels and serial ports they poll, or
 #   the worker itself stalls every stepper on it.
+# - The highway manager's worker and its waits (`wait_converged`, the
+#   journal's `wait_for`) park on the manager's `Event`. The node's
+#   `wait_highway_converged` keeps a 1 ms poll (node.rs says why) and is
+#   not checked.
 # Test modules may sleep: by the repository's convention they are the
 # `#[cfg(test)]` tail of a file, so each file is checked up to that line.
 set -euo pipefail
@@ -33,6 +37,8 @@ done < <(
     find crates/openflow/src -name '*.rs' | sort
     echo crates/ovs/src/ofproto.rs
     echo crates/ovs/src/vswitchd.rs
+    echo crates/core/src/manager.rs
+    echo crates/core/src/events.rs
     find crates/vnf/src -name '*.rs' | sort
     echo crates/ovs/src/pmd.rs
     echo crates/ovs/src/port.rs

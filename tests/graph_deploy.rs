@@ -8,7 +8,6 @@
 use std::net::Ipv4Addr;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-use vnf_highway::highway::AccelerationPolicy;
 use vnf_highway::prelude::*;
 use vnf_highway::shmem::{ChannelEnd, SegmentKind};
 use vnf_highway::vm::{AppKind, GraphDeployment, GraphEdgeSpec, GraphPort, GraphSpec};
@@ -22,13 +21,10 @@ struct World {
 }
 
 fn deploy_figure1(highway: bool) -> World {
-    // External ports are not VM-backed; exclude them so the manager does
-    // not even try (policy in action — without it, the edge seams would
-    // be detected and logged as unsatisfiable).
-    let policy = AccelerationPolicy::paper().exclude_port(1).exclude_port(2);
+    // External ports are not VM-backed: the manager defers the edge seams
+    // and never tries them.
     let node = HighwayNode::new(HighwayNodeConfig {
         highway_enabled: highway,
-        policy,
         ..HighwayNodeConfig::default()
     });
     let entry_no = node.orchestrator().alloc_port();
@@ -204,10 +200,7 @@ fn icmp_reply_rides_the_reverse_bypass() {
     // entry → forwarder ⇄ reflector. The request crosses the bypassed
     // middle seam; the reflector sends it back, so the reply rides the
     // *reverse* bypass and must emerge back at the entry port.
-    let node = HighwayNode::new(HighwayNodeConfig {
-        policy: AccelerationPolicy::paper().exclude_port(1),
-        ..HighwayNodeConfig::default()
-    });
+    let node = HighwayNode::new(HighwayNodeConfig::default());
     let (mut entry, sw_end) =
         node.registry()
             .create_channel("dpdkr1", SegmentKind::DpdkrNormal, 2048);
@@ -303,10 +296,7 @@ fn icmp_reply_rides_the_reverse_bypass() {
 fn nat_chain_rewrites_over_the_bypass() {
     // A NAT VNF in a 2-VM chain: translation must be byte-identical no
     // matter which channel carries the packet.
-    let node = HighwayNode::new(HighwayNodeConfig {
-        policy: AccelerationPolicy::paper().exclude_port(1).exclude_port(2),
-        ..HighwayNodeConfig::default()
-    });
+    let node = HighwayNode::new(HighwayNodeConfig::default());
     let (mut entry, sw_end) =
         node.registry()
             .create_channel("dpdkr1", SegmentKind::DpdkrNormal, 2048);

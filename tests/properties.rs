@@ -611,21 +611,58 @@ proptest! {
     }
 }
 
-// ---------- acceleration policy ----------
+// ---------- what the manager accelerates ----------
+
+/// The VM owning a port in `manager_accelerates_exactly_the_serviceable_links`'s
+/// world: ports 1 and 2 are external, VM `n` owns ports `3 + 2n` and `4 + 2n`.
+fn owning_vm(port: u16) -> Option<u16> {
+    (port >= 3).then(|| (port - 3) / 2)
+}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Excluded ports never appear in the policy-filtered link set, and
-    /// removing the exclusions restores exactly the detector's output.
+    /// The manager's active links are exactly the detector's links minus
+    /// every link with a down endpoint or one no VM owns: the down-port
+    /// veto and the VM-presence deferral are the only filters.
     #[test]
-    fn policy_filter_is_sound_and_complete(
-        rules in proptest::collection::vec((1u16..12, 1u16..12, proptest::num::u64::ANY), 0..12),
-        excluded in proptest::collection::btree_set(1u32..12, 0..4),
+    fn manager_accelerates_exactly_the_serviceable_links(
+        rules in proptest::collection::vec((1u16..=8, 1u16..=8, proptest::num::u64::ANY), 0..8),
+        down in proptest::collection::btree_set(1u16..=8, 0..3),
     ) {
-        use vnf_highway::highway::AccelerationPolicy;
+        use std::time::Duration;
+        use vnf_highway::highway::HighwayManager;
+        use vnf_highway::ovs::FlowTableObserver;
+        use vnf_highway::prelude::{ComputeAgent, L2Forwarder, LatencyModel, SegmentKind, StatsRegion, Vm};
+        use vnf_highway::shmem::ShmRegistry;
+
+        let registry = ShmRegistry::new();
+        let agent = Arc::new(ComputeAgent::new(registry.clone(), LatencyModel::zero()));
+        let vms: Vec<Arc<Vm>> = (0..3u16)
+            .map(|n| {
+                let ports = [3 + 2 * n, 4 + 2 * n]
+                    .into_iter()
+                    .map(|p| {
+                        let (vm_end, _sw_end) = registry.create_channel(
+                            format!("dpdkr{p}"),
+                            SegmentKind::DpdkrNormal,
+                            64,
+                        );
+                        (u32::from(p), vm_end)
+                    })
+                    .collect();
+                Vm::launch(format!("vm{n}"), ports, Box::new(L2Forwarder::new()), StatsRegion::new())
+            })
+            .collect();
+        for vm in &vms {
+            agent.register_vm(Arc::clone(vm));
+        }
+        let manager = HighwayManager::new(agent);
+
+        // A rule joining two ports of one VM is not a bypass (`SameVm`).
         let snapshot: Vec<RuleSnapshot> = rules
             .iter()
+            .filter(|(src, dst, _)| owning_vm(*src).is_none() || owning_vm(*src) != owning_vm(*dst))
             .enumerate()
             .map(|(i, (src, dst, cookie))| RuleSnapshot {
                 id: i as u64,
@@ -635,26 +672,23 @@ proptest! {
                 cookie: *cookie,
             })
             .collect();
-        let links = detect_p2p_links(&snapshot);
-        let mut policy = AccelerationPolicy::paper();
-        for p in &excluded {
-            policy = policy.exclude_port(*p);
-        }
-        let filtered: Vec<_> = links
-            .values()
-            .filter(|l| policy.allows(l.src, l.dst))
+        let down_ports: Vec<PortNo> = down.iter().map(|p| PortNo(*p)).collect();
+        manager.table_changed(&snapshot);
+        manager.ports_changed(&down_ports);
+        prop_assert!(manager.wait_converged(Duration::from_secs(5)));
+
+        let serviceable = |p: u32| !down.contains(&(p as u16)) && owning_vm(p as u16).is_some();
+        let expected: Vec<_> = detect_p2p_links(&snapshot)
+            .into_values()
+            .filter(|l| serviceable(l.src) && serviceable(l.dst))
             .collect();
-        for l in &filtered {
-            prop_assert!(!excluded.contains(&l.src));
-            prop_assert!(!excluded.contains(&l.dst));
+        prop_assert_eq!(manager.active_links(), expected);
+        prop_assert!(manager.failures().is_empty(), "{:?}", manager.failures());
+
+        manager.shutdown();
+        for vm in &vms {
+            vm.shutdown();
         }
-        // Completeness: nothing else was removed.
-        let removed = links.len() - filtered.len();
-        let should_remove = links
-            .values()
-            .filter(|l| excluded.contains(&l.src) || excluded.contains(&l.dst))
-            .count();
-        prop_assert_eq!(removed, should_remove);
     }
 }
 
