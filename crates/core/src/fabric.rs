@@ -20,13 +20,10 @@
 use crate::apps::Seam;
 use crate::node::{HighwayNode, HighwayNodeConfig};
 use openflow::PortNo;
-use shmem_sim::SegmentKind;
+use shmem_sim::DEFAULT_RING_DEPTH;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vm_host::{Vm, VnfSpec};
-
-/// Ring depth for edge and trunk channels (matches the node tests).
-const EDGE_RING_DEPTH: usize = 1024;
 
 /// N highway nodes with unique datapath ids, plus the trunks between them.
 pub struct Fabric {
@@ -168,7 +165,7 @@ impl Fabric {
         let port_a = self.nodes[a].orchestrator().alloc_port();
         let port_b = self.nodes[b].orchestrator().alloc_port();
         let name = format!("trunk{no}");
-        let (end_a, end_b) = shmem_sim::channel(&name, EDGE_RING_DEPTH);
+        let (end_a, end_b) = shmem_sim::channel(&name, DEFAULT_RING_DEPTH);
         self.nodes[a]
             .switch()
             .add_dpdkr_port(PortNo(port_a as u16), &name, end_a);
@@ -192,8 +189,8 @@ impl Fabric {
         let first = spans[0];
         let last = *spans.last().unwrap();
 
-        let (entry, entry_port) = self.edge_port(first, "fabric-entry");
-        let (exit, exit_port) = self.edge_port(last, "fabric-exit");
+        let (entry_port, entry) = self.nodes[first].add_edge_port("fabric-entry");
+        let (exit_port, exit) = self.nodes[last].add_edge_port("fabric-exit");
 
         let mut vms = Vec::with_capacity(spans.len());
         let mut vm_ports = Vec::with_capacity(spans.len());
@@ -241,20 +238,6 @@ impl Fabric {
             trunks,
             seams,
         }
-    }
-
-    /// Creates an edge (traffic generator / sink) dpdkr port on `node`;
-    /// returns the host-side channel end and the port number.
-    fn edge_port(&self, node: usize, label: &str) -> (shmem_sim::ChannelEnd, u32) {
-        let n = &self.nodes[node];
-        let no = n.orchestrator().alloc_port();
-        let (host_end, sw_end) = n.registry().create_channel(
-            format!("dpdkr{no}"),
-            SegmentKind::DpdkrNormal,
-            EDGE_RING_DEPTH,
-        );
-        n.switch().add_dpdkr_port(PortNo(no as u16), label, sw_end);
-        (host_end, no)
     }
 }
 

@@ -169,14 +169,6 @@ impl HighwayManager {
         out
     }
 
-    /// Per-link state as the manager sees it, keyed by source port.
-    pub fn link_states(&self) -> BTreeMap<u32, LinkState> {
-        self.snapshot_links()
-            .into_iter()
-            .map(|(link, state)| (link.src, state))
-            .collect()
-    }
-
     /// Completed setup records (clone).
     pub fn setup_log(&self) -> Vec<SetupRecord> {
         self.shared.lock().log.clone()
@@ -481,7 +473,13 @@ mod tests {
         assert!(manager.wait_converged(Duration::from_secs(5)));
         assert_eq!(manager.active_links().len(), 1);
         assert_eq!(registry.live_of_kind(SegmentKind::Bypass).len(), 1);
-        assert_eq!(manager.link_states()[&2], LinkState::Active);
+        let states: Vec<_> = manager
+            .snapshot_links()
+            .into_iter()
+            .filter(|(link, _)| link.src == 2)
+            .map(|(_, state)| state)
+            .collect();
+        assert_eq!(states, [LinkState::Active]);
 
         manager.table_changed(&[]);
         assert!(manager.wait_converged(Duration::from_secs(5)));

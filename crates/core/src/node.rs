@@ -12,7 +12,7 @@ use crate::manager::{HighwayManager, SetupRecord};
 use crate::stats::HighwayStatsAugmenter;
 use openflow::{framed_link, Connection, SwitchLink};
 use ovs_dp::{VSwitchd, VSwitchdConfig};
-use shmem_sim::{ShmRegistry, StatsRegion};
+use shmem_sim::{ChannelEnd, ShmRegistry, StatsRegion};
 use std::sync::Arc;
 use std::time::Duration;
 use vm_host::{ComputeAgent, LatencyModel, Orchestrator};
@@ -177,9 +177,11 @@ impl HighwayNode {
         conn.reconnect(Box::new(c_end));
     }
 
-    /// Registers a VM with the compute agent so its ports can be bypassed.
-    pub fn register_vm(&self, vm: Arc<vm_host::Vm>) {
-        self.agent.register_vm(vm);
+    /// Adds an edge dpdkr port named `label` (a traffic generator, a sink
+    /// or a NIC) at the shared ring depth; returns its number and the
+    /// outside end of its channel. See [`Orchestrator::add_edge_port`].
+    pub fn add_edge_port(&self, label: &str) -> (u32, ChannelEnd) {
+        self.orchestrator.add_edge_port(label)
     }
 
     /// Currently active bypass links `(src, dst)`.
@@ -341,8 +343,8 @@ mod tests {
         highway: bool,
     ) -> (
         HighwayNode,
-        shmem_sim::ChannelEnd,
-        shmem_sim::ChannelEnd,
+        ChannelEnd,
+        ChannelEnd,
         vm_host::ChainDeployment,
     ) {
         let node = HighwayNode::new(if highway {
@@ -350,34 +352,16 @@ mod tests {
         } else {
             HighwayNodeConfig::vanilla()
         });
-        let entry_no = node.orchestrator().alloc_port();
-        let (entry_end, sw_end) = node.registry().create_channel(
-            format!("dpdkr{entry_no}"),
-            SegmentKind::DpdkrNormal,
-            1024,
-        );
-        node.switch()
-            .add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-        let exit_no = node.orchestrator().alloc_port();
-        let (exit_end, sw_end) = node.registry().create_channel(
-            format!("dpdkr{exit_no}"),
-            SegmentKind::DpdkrNormal,
-            1024,
-        );
-        node.switch()
-            .add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end);
-
+        let (entry_no, entry_end) = node.add_edge_port("entry");
+        let (exit_no, exit_end) = node.add_edge_port("exit");
         let dep = node.orchestrator().deploy_chain(2, entry_no, exit_no, |i| {
             VnfSpec::forwarder(format!("vm{i}"))
         });
-        for vm in &dep.vms {
-            node.register_vm(std::sync::Arc::clone(vm));
-        }
         node.start();
         (node, entry_end, exit_end, dep)
     }
 
-    fn pump_until(end: &mut shmem_sim::ChannelEnd, timeout: Duration) -> Option<Mbuf> {
+    fn pump_until(end: &mut ChannelEnd, timeout: Duration) -> Option<Mbuf> {
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(m) = end.recv() {

@@ -83,11 +83,6 @@ impl PcieBus {
             bucket: Mutex::new(TokenBucket::new(rate, burst)),
         })
     }
-
-    /// PCIe x8 Gen2 (~32 Gb/s usable) — the 82599ES's slot.
-    pub fn x8_gen2() -> Arc<PcieBus> {
-        PcieBus::new(32.0)
-    }
 }
 
 /// One direction of a NIC port's wire: line-rate pacing, and DMA across

@@ -115,9 +115,6 @@ pub struct TrafficSink {
     pub reordered: u64,
     highest_seq: Option<u64>,
     latency: LatencyHistogram,
-    started_at: u64,
-    first_rx: Option<u64>,
-    last_rx: u64,
 }
 
 impl Default for TrafficSink {
@@ -135,9 +132,6 @@ impl TrafficSink {
             reordered: 0,
             highest_seq: None,
             latency: LatencyHistogram::new(),
-            started_at: cycles::now(),
-            first_rx: None,
-            last_rx: 0,
         }
     }
 
@@ -147,10 +141,6 @@ impl TrafficSink {
         for m in pkts.drain(..) {
             self.received += 1;
             self.bytes += m.len() as u64;
-            if self.first_rx.is_none() {
-                self.first_rx = Some(now);
-            }
-            self.last_rx = now;
             if let Some(probe) = ProbeHeader::from_frame(m.data()) {
                 if let Some(h) = self.highest_seq {
                     if probe.seq < h {
@@ -174,25 +164,9 @@ impl TrafficSink {
         }
     }
 
-    /// Receive throughput over the observation window, in Mpps.
-    pub fn rate_mpps(&self) -> f64 {
-        match self.first_rx {
-            Some(first) if self.last_rx > first => {
-                let secs = cycles::to_duration(self.last_rx - first).as_secs_f64();
-                self.received as f64 / secs / 1e6
-            }
-            _ => 0.0,
-        }
-    }
-
     /// Latency histogram of delivered probes.
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
-    }
-
-    /// Seconds since the sink was created.
-    pub fn elapsed_secs(&self) -> f64 {
-        cycles::to_duration(cycles::now() - self.started_at).as_secs_f64()
     }
 }
 

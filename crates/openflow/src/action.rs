@@ -37,11 +37,6 @@ impl Action {
             _ => None,
         }
     }
-
-    /// True for any `Output` action (physical or reserved).
-    pub fn is_output(&self) -> bool {
-        matches!(self, Action::Output(_))
-    }
 }
 
 /// Helpers over whole action lists.

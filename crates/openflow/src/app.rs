@@ -118,11 +118,6 @@ impl<A: FabricApp> FabricRuntime<A> {
         self.switches.len() - 1
     }
 
-    /// Number of registered switch sessions.
-    pub fn switch_count(&self) -> usize {
-        self.switches.len()
-    }
-
     /// Datapath ids of every announced switch, sorted.
     pub fn dpids(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self.by_dpid.keys().copied().collect();
@@ -138,11 +133,6 @@ impl<A: FabricApp> FabricRuntime<A> {
     /// The application, for inspecting its state.
     pub fn app(&self) -> &A {
         &self.app
-    }
-
-    /// Mutable access to the application.
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
     }
 
     /// One fair scheduling round over every switch; returns the number of

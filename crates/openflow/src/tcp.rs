@@ -134,13 +134,6 @@ impl TcpTransport {
     pub fn peer_addr(&self) -> std::io::Result<SocketAddr> {
         self.stream.peer_addr()
     }
-
-    /// A second handle onto the same socket — lets a test keep the power
-    /// to `shutdown(2)` the stream after the transport is boxed away
-    /// (simulating a controller process dying mid-write).
-    pub fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
-        self.stream.try_clone()
-    }
 }
 
 impl Transport for TcpTransport {

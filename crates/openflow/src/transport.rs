@@ -244,11 +244,6 @@ impl FaultControl {
     pub fn is_cut(&self) -> bool {
         self.state.cut.load(Ordering::Acquire)
     }
-
-    /// Total bytes written across the link so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.state.written.load(Ordering::Acquire)
-    }
 }
 
 /// One end of a [`faulty_pair`].

@@ -123,12 +123,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         IpProtocol::from_u8(self.buffer.as_ref()[field::PROTOCOL])
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let d = self.buffer.as_ref();
-        u16::from_be_bytes([d[field::CHECKSUM.start], d[field::CHECKSUM.start + 1]])
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Ipv4Addr {
         let d = self.buffer.as_ref();

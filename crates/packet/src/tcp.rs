@@ -28,12 +28,6 @@ impl TcpFlags {
     pub fn fin(&self) -> bool {
         self.0 & Self::FIN != 0
     }
-    pub fn rst(&self) -> bool {
-        self.0 & Self::RST != 0
-    }
-    pub fn psh(&self) -> bool {
-        self.0 & Self::PSH != 0
-    }
 }
 
 /// A view over a TCP segment.

@@ -194,17 +194,6 @@ impl ComputeAgent {
         self.run_registration_hooks();
     }
 
-    /// Unregisters a VM (e.g. on destruction).
-    pub fn unregister_vm(&self, vm: &Vm) {
-        {
-            let mut map = self.vms_by_port.lock();
-            for p in vm.of_ports() {
-                map.remove(p);
-            }
-        }
-        self.run_registration_hooks();
-    }
-
     /// True when some registered VM owns this OpenFlow port. Only such
     /// ports can terminate a bypass — there is a guest PMD to reconfigure.
     pub fn has_port(&self, port: u32) -> bool {

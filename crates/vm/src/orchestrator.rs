@@ -10,7 +10,7 @@ use crate::vm::Vm;
 use openflow::messages::FlowMod;
 use openflow::{Action, FlowMatch, PortNo};
 use ovs_dp::VSwitchd;
-use shmem_sim::{SegmentKind, ShmRegistry, StatsRegion, DEFAULT_RING_DEPTH};
+use shmem_sim::{ChannelEnd, SegmentKind, ShmRegistry, StatsRegion, DEFAULT_RING_DEPTH};
 use std::sync::Arc;
 use vnf_apps::{Firewall, FirewallRule, L2Forwarder, NetworkMonitor, VnfApp, WebCache};
 
@@ -200,6 +200,21 @@ impl Orchestrator {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Adds an edge port — a traffic generator's, a sink's or a NIC's — to
+    /// the switch: a dpdkr port named `label` over a fresh `dpdkr<no>`
+    /// segment of [`DEFAULT_RING_DEPTH`]. Returns the port number and the
+    /// outside end of the channel.
+    pub fn add_edge_port(&self, label: &str) -> (u32, ChannelEnd) {
+        let no = self.alloc_port();
+        let (end, sw_end) = self.registry.create_channel(
+            format!("dpdkr{no}"),
+            SegmentKind::DpdkrNormal,
+            DEFAULT_RING_DEPTH,
+        );
+        self.switch.add_dpdkr_port(PortNo(no as u16), label, sw_end);
+        (no, end)
+    }
+
     /// Creates a VM with `n_ports` dpdkr ports attached to the switch and
     /// boots it with the given application.
     pub fn create_vm(&self, spec: VnfSpec, n_ports: usize) -> Arc<Vm> {
@@ -337,32 +352,18 @@ mod tests {
     use std::time::{Duration, Instant};
 
     struct Edge {
-        entry: shmem_sim::ChannelEnd,
-        exit: shmem_sim::ChannelEnd,
+        entry: ChannelEnd,
+        exit: ChannelEnd,
     }
 
+    /// A bare switch and orchestrator with the entry and exit edge ports
+    /// (port numbers 1 and 2).
     fn switch_with_edges() -> (Arc<VSwitchd>, Orchestrator, Edge) {
         let switch = Arc::new(VSwitchd::new(VSwitchdConfig::default()));
-        let registry = ShmRegistry::new();
-        let stats = StatsRegion::new();
-        let orch = Orchestrator::new(Arc::clone(&switch), registry.clone(), stats);
-        // Edge "traffic generator" ports take two port numbers.
-        let entry_no = orch.alloc_port();
-        let (gen_end, sw_end) =
-            registry.create_channel(format!("dpdkr{entry_no}"), SegmentKind::DpdkrNormal, 1024);
-        switch.add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-        let exit_no = orch.alloc_port();
-        let (sink_end, sw_end2) =
-            registry.create_channel(format!("dpdkr{exit_no}"), SegmentKind::DpdkrNormal, 1024);
-        switch.add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end2);
-        (
-            switch,
-            orch,
-            Edge {
-                entry: gen_end,
-                exit: sink_end,
-            },
-        )
+        let orch = Orchestrator::new(Arc::clone(&switch), ShmRegistry::new(), StatsRegion::new());
+        let (_, entry) = orch.add_edge_port("entry");
+        let (_, exit) = orch.add_edge_port("exit");
+        (switch, orch, Edge { entry, exit })
     }
 
     #[test]
@@ -442,7 +443,7 @@ mod tests {
         switch.start();
         assert_eq!(dep.cookies.len(), 5);
 
-        let recv_one = |end: &mut shmem_sim::ChannelEnd| {
+        let recv_one = |end: &mut ChannelEnd| {
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 if let Some(m) = end.recv() {

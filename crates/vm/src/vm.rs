@@ -128,11 +128,6 @@ impl Vm {
         self.board.set_arena(arena);
     }
 
-    /// True when the packet arena is mapped into this VM.
-    pub fn has_arena(&self) -> bool {
-        self.board.arena().is_some()
-    }
-
     /// Devices currently plugged (diagnostics/tests).
     pub fn plugged_devices(&self) -> Vec<String> {
         self.board.plugged()

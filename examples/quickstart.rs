@@ -11,7 +11,6 @@
 
 use std::time::{Duration, Instant};
 use vnf_highway::prelude::*;
-use vnf_highway::shmem::SegmentKind;
 
 fn main() {
     // A server node with the highway enabled (zero hypervisor latency so
@@ -20,24 +19,13 @@ fn main() {
     let node = HighwayNode::new(HighwayNodeConfig::default());
 
     // Two edge dpdkr ports stand in for the traffic generator and sink.
-    let entry_no = node.orchestrator().alloc_port();
-    let (mut entry, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{entry_no}"), SegmentKind::DpdkrNormal, 1024);
-    node.switch()
-        .add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-    let exit_no = node.orchestrator().alloc_port();
-    let (mut exit, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{exit_no}"), SegmentKind::DpdkrNormal, 1024);
-    node.switch()
-        .add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end);
+    let (entry_no, mut entry) = node.add_edge_port("entry");
+    let (exit_no, mut exit) = node.add_edge_port("exit");
 
-    // Two VMs running the paper's forwarder application.
+    // Two VMs running the paper's forwarder application; the orchestrator
+    // registers each with the compute agent as it boots it.
     let vm_a = node.orchestrator().create_vm(VnfSpec::forwarder("vm-a"), 2);
     let vm_b = node.orchestrator().create_vm(VnfSpec::forwarder("vm-b"), 2);
-    node.register_vm(vm_a.clone());
-    node.register_vm(vm_b.clone());
     node.start();
 
     // An ordinary OpenFlow controller installs the steering rules:

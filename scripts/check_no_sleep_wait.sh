@@ -17,6 +17,9 @@
 #   journal's `wait_for`) park on the manager's `Event`. The node's
 #   `wait_highway_converged` keeps a 1 ms poll (node.rs says why) and is
 #   not checked.
+# - The chain testbed's probe send and drain (`src/testbed.rs`) yield
+#   between polls: every end-to-end test shares them, so a sleep there
+#   would be a latency floor under the whole suite.
 # Test modules may sleep: by the repository's convention they are the
 # `#[cfg(test)]` tail of a file, so each file is checked up to that line.
 set -euo pipefail
@@ -49,6 +52,7 @@ done < <(
     for f in lcore arena ring mbuf cycles; do echo "crates/dpdk/src/$f.rs"; done
     find crates/packet/src -name '*.rs' | sort
     for f in hist pmd_perf coverage; do echo "crates/telemetry/src/$f.rs"; done
+    echo src/testbed.rs
 )
 
 if [ "$fail" -ne 0 ]; then

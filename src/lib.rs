@@ -20,7 +20,10 @@
 //! * [`nic`] — simulated 10 G NICs and traffic generation;
 //! * [`model`] — the calibrated performance model behind the figures;
 //! * [`telemetry`] — coverage counters, per-PMD perf blocks, latency
-//!   histograms and the appctl/Prometheus introspection surface.
+//!   histograms and the appctl/Prometheus introspection surface;
+//! * [`testbed`] — [`testbed::Chain`], the paper's chain of N VNFs built,
+//!   driven with probes and torn down (with an arena census) in one place;
+//!   the integration tests build their worlds on it.
 //!
 //! Start with [`highway::HighwayNode`] — see `examples/quickstart.rs`,
 //! and `docs/architecture.md` in the repository for the full layer map.
@@ -119,6 +122,8 @@ pub use simnet as model;
 pub use telemetry;
 pub use vm_host as vm;
 pub use vnf_apps as vnf;
+
+pub mod testbed;
 
 /// Convenience prelude for examples and downstream users.
 pub mod prelude {

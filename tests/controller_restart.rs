@@ -11,65 +11,22 @@ use vnf_highway::openflow::{
     faulty_pair, Connection, FaultConfig, FlowMod, OfpMessage, SwitchLink,
 };
 use vnf_highway::prelude::*;
-use vnf_highway::shmem::{ChannelEnd, SegmentKind};
-
-struct World {
-    node: HighwayNode,
-    entry: ChannelEnd,
-    exit: ChannelEnd,
-    dep: vnf_highway::vm::ChainDeployment,
-    mid: (u32, u32),
-}
+use vnf_highway::testbed::Chain;
 
 /// A 2-VM chain whose middle-seam rules are stripped, so the test's own
-/// controller decides when the bypass-triggering rule appears.
-fn deploy() -> World {
-    let node = HighwayNode::new(HighwayNodeConfig::default());
-    let entry_no = node.orchestrator().alloc_port();
-    let (entry, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{entry_no}"), SegmentKind::DpdkrNormal, 2048);
-    node.switch()
-        .add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-    let exit_no = node.orchestrator().alloc_port();
-    let (exit, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{exit_no}"), SegmentKind::DpdkrNormal, 2048);
-    node.switch()
-        .add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end);
-    let dep = node.orchestrator().deploy_chain(2, entry_no, exit_no, |i| {
-        VnfSpec::forwarder(format!("vm{i}"))
-    });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
+/// controller decides when the bypass-triggering rule appears. Returns the
+/// started chain and its middle seam.
+fn deploy() -> (Chain, (u32, u32)) {
+    let chain = Chain::deploy(HighwayNodeConfig::default(), 2);
+    let mid = (chain.dep.vm_ports[0].1, chain.dep.vm_ports[1].0);
+    for port in [mid.0, mid.1] {
+        chain
+            .node
+            .switch()
+            .inject_flow_mod(&FlowMod::delete(FlowMatch::in_port(PortNo(port as u16))));
     }
-    let mid = (dep.vm_ports[0].1, dep.vm_ports[1].0);
-    node.switch()
-        .inject_flow_mod(&FlowMod::delete(FlowMatch::in_port(PortNo(mid.0 as u16))));
-    node.switch()
-        .inject_flow_mod(&FlowMod::delete(FlowMatch::in_port(PortNo(mid.1 as u16))));
-    node.start();
-    World {
-        node,
-        entry,
-        exit,
-        dep,
-        mid,
-    }
-}
-
-fn traffic_flows(w: &mut World, seq: u64) -> bool {
-    let m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).seq(seq).build());
-    w.entry.send(m).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < deadline {
-        if let Some(m) = w.exit.recv() {
-            assert_eq!(ProbeHeader::from_frame(m.data()).unwrap().seq, seq);
-            return true;
-        }
-        std::thread::yield_now();
-    }
-    false
+    chain.node.start();
+    (chain, mid)
 }
 
 /// Drains the controller's async inbox, tallying `FlowRemoved` per cookie.
@@ -92,17 +49,18 @@ fn storm_cookie(i: usize) -> u64 {
 
 #[test]
 fn restart_mid_storm_replays_and_converges() {
-    let mut w = deploy();
+    let (mut chain, mid) = deploy();
 
     // The controller speaks over a cuttable transport; the switch side is
     // attached exactly like `connect_controller` would.
     let (c_end, s_end, ctl) = faulty_pair(FaultConfig::default());
-    w.node
+    chain
+        .node
         .switch()
         .attach_controller(SwitchLink::new(Box::new(s_end)));
     let ctrl = Connection::new(Box::new(c_end));
     ctrl.handshake(Duration::from_secs(5)).expect("handshake");
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
 
     // Flow-mod storm: the middle-seam rule early on, then bystanders.
     // The transport is cut midway — a controller crash mid-storm.
@@ -113,8 +71,8 @@ fn restart_mid_storm_replays_and_converges() {
         }
         let (fmatch, actions, cookie) = if i == 2 {
             (
-                FlowMatch::in_port(PortNo(w.mid.0 as u16)),
-                vec![Action::Output(PortNo(w.mid.1 as u16))],
+                FlowMatch::in_port(PortNo(mid.0 as u16)),
+                vec![Action::Output(PortNo(mid.1 as u16))],
                 MID_COOKIE,
             )
         } else {
@@ -137,7 +95,7 @@ fn restart_mid_storm_replays_and_converges() {
 
     // Controller restart: fresh transport on both sides, replay of every
     // unacknowledged flow mod, fenced by an internal barrier.
-    w.node.reconnect_controller(&ctrl);
+    chain.node.reconnect_controller(&ctrl);
     ctrl.barrier(Duration::from_secs(5))
         .expect("post-replay barrier");
     assert_eq!(ctrl.unacked_flow_mods(), 0, "replay log retired");
@@ -156,7 +114,7 @@ fn restart_mid_storm_replays_and_converges() {
     let stats = ctrl.flow_stats(Duration::from_secs(5)).expect("stats");
     for i in 0..STORM {
         let (cookie, want_out) = if i == 2 {
-            (MID_COOKIE, w.mid.1 as u16)
+            (MID_COOKIE, mid.1 as u16)
         } else {
             (storm_cookie(i), 600 + i as u16)
         };
@@ -170,14 +128,19 @@ fn restart_mid_storm_replays_and_converges() {
     }
 
     // The highway saw the replayed middle rule and spliced the bypass.
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
-    assert_eq!(w.node.active_links(), vec![(w.mid.0, w.mid.1)]);
-    assert!(traffic_flows(&mut w, 1), "traffic over the replayed chain");
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
+    assert_eq!(chain.node.active_links(), vec![mid]);
+    chain.send_probes([1]);
+    assert_eq!(
+        chain.drain(1, Duration::from_secs(10)),
+        [1],
+        "traffic over the replayed chain"
+    );
 
     // Deleting everything yields exactly one FlowRemoved per cookie: the
     // replay really did not leave hidden duplicates behind.
     ctrl.send(&OfpMessage::FlowMod(FlowMod::delete_strict(
-        FlowMatch::in_port(PortNo(w.mid.0 as u16)),
+        FlowMatch::in_port(PortNo(mid.0 as u16)),
         100,
     )))
     .unwrap();
@@ -201,10 +164,7 @@ fn restart_mid_storm_replays_and_converges() {
         assert_eq!(*n, 1, "cookie {cookie:#x} removed {n} times");
     }
 
-    w.node.stop();
-    for vm in &w.dep.vms {
-        vm.shutdown();
-    }
+    chain.stop();
 }
 
 /// A second, sharper angle on the same property: two crashes in a row
@@ -212,10 +172,11 @@ fn restart_mid_storm_replays_and_converges() {
 /// until a barrier retires it.
 #[test]
 fn replay_survives_a_second_crash() {
-    let w = deploy();
+    let (chain, _) = deploy();
 
     let (c_end, s_end, ctl) = faulty_pair(FaultConfig::default());
-    w.node
+    chain
+        .node
         .switch()
         .attach_controller(SwitchLink::new(Box::new(s_end)));
     let ctrl = Connection::new(Box::new(c_end));
@@ -234,7 +195,8 @@ fn replay_survives_a_second_crash() {
     // First restart over another cuttable link, cut again immediately:
     // the replayed mods go into the void (or partially arrive).
     let (c2, s2, ctl2) = faulty_pair(FaultConfig::default());
-    w.node
+    chain
+        .node
         .switch()
         .attach_controller(SwitchLink::new(Box::new(s2)));
     ctrl.reconnect(Box::new(c2));
@@ -242,7 +204,7 @@ fn replay_survives_a_second_crash() {
     assert_eq!(ctrl.unacked_flow_mods(), 4, "log intact after second cut");
 
     // Second restart over a healthy link finally lands everything.
-    w.node.reconnect_controller(&ctrl);
+    chain.node.reconnect_controller(&ctrl);
     ctrl.barrier(Duration::from_secs(5)).expect("final barrier");
     assert_eq!(ctrl.unacked_flow_mods(), 0);
     let stats = ctrl.flow_stats(Duration::from_secs(5)).expect("stats");
@@ -255,8 +217,5 @@ fn replay_survives_a_second_crash() {
         );
     }
 
-    w.node.stop();
-    for vm in &w.dep.vms {
-        vm.shutdown();
-    }
+    chain.stop();
 }

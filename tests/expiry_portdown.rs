@@ -8,80 +8,28 @@
 use std::time::{Duration, Instant};
 use vnf_highway::highway::BypassEventKind;
 use vnf_highway::openflow::messages::{FlowMod, OfpMessage};
+use vnf_highway::openflow::Connection;
 use vnf_highway::prelude::*;
-use vnf_highway::shmem::{ChannelEnd, SegmentKind};
+use vnf_highway::shmem::SegmentKind;
+use vnf_highway::testbed::Chain;
 
-struct World {
-    node: HighwayNode,
-    ctrl: vnf_highway::openflow::Connection,
-    entry: ChannelEnd,
-    exit: ChannelEnd,
-    dep: vnf_highway::vm::ChainDeployment,
+/// A converged 2-VM highway chain and a controller attached to its node.
+fn deploy() -> (Chain, Connection) {
+    let chain = Chain::build(HighwayNodeConfig::default(), 2);
+    let ctrl = chain.node.connect_controller();
+    (chain, ctrl)
 }
 
-fn deploy() -> World {
-    let node = HighwayNode::new(HighwayNodeConfig::default());
-    let entry_no = node.orchestrator().alloc_port();
-    let (entry, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{entry_no}"), SegmentKind::DpdkrNormal, 2048);
-    node.switch()
-        .add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-    let exit_no = node.orchestrator().alloc_port();
-    let (exit, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{exit_no}"), SegmentKind::DpdkrNormal, 2048);
-    node.switch()
-        .add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end);
-    let dep = node.orchestrator().deploy_chain(2, entry_no, exit_no, |i| {
-        VnfSpec::forwarder(format!("vm{i}"))
-    });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
-    node.start();
-    let ctrl = node.connect_controller();
-    assert!(node.wait_highway_converged(Duration::from_secs(15)));
-    World {
-        node,
-        ctrl,
-        entry,
-        exit,
-        dep,
-    }
-}
-
-fn teardown(w: World) {
-    w.node.stop();
-    for vm in &w.dep.vms {
-        vm.shutdown();
-    }
-}
-
-fn send_and_expect(w: &mut World, seq: u64, expect_delivery: bool) -> bool {
-    let m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).seq(seq).build());
-    w.entry.send(m).unwrap();
-    let deadline = Instant::now()
-        + if expect_delivery {
-            Duration::from_secs(10)
-        } else {
-            Duration::from_millis(300)
-        };
-    while Instant::now() < deadline {
-        if let Some(m) = w.exit.recv() {
-            assert_eq!(ProbeHeader::from_frame(m.data()).unwrap().seq, seq);
-            return true;
-        }
-        std::thread::yield_now();
-    }
-    false
-}
+/// How long a probe that must not arrive is waited for.
+const NOT_DELIVERED: Duration = Duration::from_millis(300);
+/// How long a probe that must arrive is waited for.
+const DELIVERED: Duration = Duration::from_secs(10);
 
 #[test]
 fn hard_timeout_expiry_tears_down_the_bypass() {
-    let mut w = deploy();
-    let (mid_src, mid_dst) = (w.dep.vm_ports[0].1, w.dep.vm_ports[1].0);
-    assert!(w.node.active_links().contains(&(mid_src, mid_dst)));
+    let (mut chain, ctrl) = deploy();
+    let (mid_src, mid_dst) = (chain.dep.vm_ports[0].1, chain.dep.vm_ports[1].0);
+    assert!(chain.node.active_links().contains(&(mid_src, mid_dst)));
 
     // Replace the middle forward rule with one that expires in 2 s. (The
     // replace itself churns the bypass; wait for re-convergence.)
@@ -92,23 +40,24 @@ fn hard_timeout_expiry_tears_down_the_bypass() {
     )
     .with_cookie(0xdead);
     fm.hard_timeout = 2;
-    w.ctrl.send(&OfpMessage::FlowMod(fm)).unwrap();
-    w.ctrl.barrier(Duration::from_secs(3)).unwrap();
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
-    assert!(send_and_expect(&mut w, 1, true), "traffic flows pre-expiry");
+    ctrl.send(&OfpMessage::FlowMod(fm)).unwrap();
+    ctrl.barrier(Duration::from_secs(3)).unwrap();
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
+    chain.send_probes([1]);
+    assert_eq!(chain.drain(1, DELIVERED), [1], "traffic flows pre-expiry");
 
     // Wait out the timeout (the vswitchd housekeeping loop sweeps every
     // 100 ms). The rule vanishes ⇒ the detector revokes the link ⇒ the
     // bypass is dismantled without any controller involvement.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while w.node.active_links().contains(&(mid_src, mid_dst)) && Instant::now() < deadline {
+    while chain.node.active_links().contains(&(mid_src, mid_dst)) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(
-        !w.node.active_links().contains(&(mid_src, mid_dst)),
+        !chain.node.active_links().contains(&(mid_src, mid_dst)),
         "bypass must die with its rule"
     );
-    assert!(w.node.journal().unwrap().wait_for(
+    assert!(chain.node.journal().unwrap().wait_for(
         BypassEventKind::Removed,
         mid_src,
         mid_dst,
@@ -120,7 +69,7 @@ fn hard_timeout_expiry_tears_down_the_bypass() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut removed = None;
     while removed.is_none() && Instant::now() < deadline {
-        match w.ctrl.try_recv() {
+        match ctrl.try_recv() {
             Some(Ok((OfpMessage::FlowRemoved(fr), _))) if fr.cookie == 0xdead => removed = Some(fr),
             Some(_) => {}
             None => std::thread::yield_now(),
@@ -131,8 +80,9 @@ fn hard_timeout_expiry_tears_down_the_bypass() {
 
     // With no middle rule, forward traffic is dropped at the switch — by
     // the *normal* path, proving the bypass is really gone.
-    assert!(!send_and_expect(&mut w, 2, false));
-    teardown(w);
+    chain.send_probes([2]);
+    assert!(chain.drain(1, NOT_DELIVERED).is_empty());
+    chain.stop();
 }
 
 #[test]
@@ -141,8 +91,8 @@ fn bypassed_traffic_defeats_idle_expiry() {
     // sweep only watched switch counters it would expire the rule while
     // traffic is flowing — tearing down the fast path and then
     // blackholing the flow. The sweep must read the shared stats region.
-    let mut w = deploy();
-    let (mid_src, mid_dst) = (w.dep.vm_ports[0].1, w.dep.vm_ports[1].0);
+    let (mut chain, ctrl) = deploy();
+    let (mid_src, mid_dst) = (chain.dep.vm_ports[0].1, chain.dep.vm_ports[1].0);
 
     // Replace the middle rule with one that idles out after 1 s.
     let mut fm = FlowMod::add(
@@ -152,18 +102,20 @@ fn bypassed_traffic_defeats_idle_expiry() {
     )
     .with_cookie(0x1d1e);
     fm.idle_timeout = 1;
-    w.ctrl.send(&OfpMessage::FlowMod(fm)).unwrap();
-    w.ctrl.barrier(Duration::from_secs(3)).unwrap();
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
-    assert!(w.node.active_links().contains(&(mid_src, mid_dst)));
+    ctrl.send(&OfpMessage::FlowMod(fm)).unwrap();
+    ctrl.barrier(Duration::from_secs(3)).unwrap();
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
+    assert!(chain.node.active_links().contains(&(mid_src, mid_dst)));
 
     // Keep traffic flowing over the bypass for 2.5 s — well past the
     // idle timeout. Every packet crosses the bypass, none the switch.
     let start = Instant::now();
     let mut seq = 0u64;
     while start.elapsed() < Duration::from_millis(2_500) {
-        assert!(
-            send_and_expect(&mut w, seq, true),
+        chain.send_probes([seq]);
+        assert_eq!(
+            chain.drain(1, DELIVERED),
+            [seq],
             "flow must stay alive at t={:?}",
             start.elapsed()
         );
@@ -172,48 +124,59 @@ fn bypassed_traffic_defeats_idle_expiry() {
     }
     // The rule survived (and so did the bypass).
     assert!(
-        w.node.active_links().contains(&(mid_src, mid_dst)),
+        chain.node.active_links().contains(&(mid_src, mid_dst)),
         "busy bypassed rule must not idle out"
     );
 
     // Now actually go idle: the rule expires and the bypass follows.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while w.node.active_links().contains(&(mid_src, mid_dst)) && Instant::now() < deadline {
+    while chain.node.active_links().contains(&(mid_src, mid_dst)) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
     }
     assert!(
-        !w.node.active_links().contains(&(mid_src, mid_dst)),
+        !chain.node.active_links().contains(&(mid_src, mid_dst)),
         "idle rule expires once traffic really stops"
     );
-    teardown(w);
+    chain.stop();
 }
 
 #[test]
 fn port_down_reverts_to_normal_path_and_up_restores() {
-    let mut w = deploy();
-    let (_mid_src, mid_dst) = (w.dep.vm_ports[0].1, w.dep.vm_ports[1].0);
-    assert_eq!(w.node.active_links().len(), 2, "both middle directions");
-    assert_eq!(w.node.registry().live_of_kind(SegmentKind::Bypass).len(), 1);
+    let (mut chain, ctrl) = deploy();
+    let mid_dst = chain.dep.vm_ports[1].0;
+    assert_eq!(chain.node.active_links().len(), 2, "both middle directions");
+    assert_eq!(
+        chain
+            .node
+            .registry()
+            .live_of_kind(SegmentKind::Bypass)
+            .len(),
+        1
+    );
 
     // The controller disables the second VM's ingress port. Both bypass
     // directions touch it, so both must be dismantled — even though every
     // steering rule is still installed.
-    w.ctrl.set_port_down(PortNo(mid_dst as u16), true).unwrap();
-    w.ctrl.barrier(Duration::from_secs(3)).unwrap();
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
+    ctrl.set_port_down(PortNo(mid_dst as u16), true).unwrap();
+    ctrl.barrier(Duration::from_secs(3)).unwrap();
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
     assert!(
-        w.node.active_links().is_empty(),
+        chain.node.active_links().is_empty(),
         "links vetoed by port state"
     );
     assert_eq!(
-        w.node.registry().live_of_kind(SegmentKind::Bypass).len(),
+        chain
+            .node
+            .registry()
+            .live_of_kind(SegmentKind::Bypass)
+            .len(),
         0,
         "segment released"
     );
 
     // Traffic now takes the normal path and dies at the down port,
     // exactly as the controller intended.
-    let drops_before = w
+    let drops_before = chain
         .node
         .switch()
         .datapath()
@@ -221,10 +184,11 @@ fn port_down_reverts_to_normal_path_and_up_restores() {
         .unwrap()
         .stats()
         .odropped;
-    assert!(!send_and_expect(&mut w, 10, false));
+    chain.send_probes([10]);
+    assert!(chain.drain(1, NOT_DELIVERED).is_empty());
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let drops = w
+        let drops = chain
             .node
             .switch()
             .datapath()
@@ -241,14 +205,15 @@ fn port_down_reverts_to_normal_path_and_up_restores() {
 
     // Port back up: the link is re-detected from the cached flow table
     // (no flow_mod needed) and traffic resumes end to end.
-    w.ctrl.set_port_down(PortNo(mid_dst as u16), false).unwrap();
-    w.ctrl.barrier(Duration::from_secs(3)).unwrap();
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
-    assert_eq!(w.node.active_links().len(), 2);
-    assert!(send_and_expect(&mut w, 11, true));
+    ctrl.set_port_down(PortNo(mid_dst as u16), false).unwrap();
+    ctrl.barrier(Duration::from_secs(3)).unwrap();
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
+    assert_eq!(chain.node.active_links().len(), 2);
+    chain.send_probes([11]);
+    assert_eq!(chain.drain(1, DELIVERED), [11]);
 
     // The controller observed both transitions as PortStatus messages.
-    let statuses = w.ctrl.drain_port_status();
+    let statuses = ctrl.drain_port_status();
     let downs = statuses.iter().filter(|s| s.down).count();
     let ups = statuses
         .iter()
@@ -256,5 +221,5 @@ fn port_down_reverts_to_normal_path_and_up_restores() {
         .count();
     assert!(downs >= 1, "down transition announced");
     assert!(ups >= 1, "up transition announced");
-    teardown(w);
+    chain.stop();
 }

@@ -27,18 +27,8 @@ fn deploy_figure1(highway: bool) -> World {
         highway_enabled: highway,
         ..HighwayNodeConfig::default()
     });
-    let entry_no = node.orchestrator().alloc_port();
-    assert_eq!(entry_no, 1);
-    let (entry, sw_end) = node
-        .registry()
-        .create_channel("dpdkr1", SegmentKind::DpdkrNormal, 2048);
-    node.switch().add_dpdkr_port(PortNo(1), "entry", sw_end);
-    let exit_no = node.orchestrator().alloc_port();
-    assert_eq!(exit_no, 2);
-    let (exit, sw_end) = node
-        .registry()
-        .create_channel("dpdkr2", SegmentKind::DpdkrNormal, 2048);
-    node.switch().add_dpdkr_port(PortNo(2), "exit", sw_end);
+    let (entry_no, entry) = node.add_edge_port("entry");
+    let (exit_no, exit) = node.add_edge_port("exit");
 
     let mut web = FlowMatch::any();
     web.ip_proto = Some(17);
@@ -79,16 +69,13 @@ fn deploy_figure1(highway: bool) -> World {
             ),
         ],
         edges: vec![
-            GraphEdgeSpec::all(GraphPort::External(1), fw_in),
+            GraphEdgeSpec::all(GraphPort::External(entry_no), fw_in),
             GraphEdgeSpec::all(fw_out, mon_in),
             GraphEdgeSpec::matching(mon_out, cache_in, web, 200),
-            GraphEdgeSpec::all(mon_out, GraphPort::External(2)),
-            GraphEdgeSpec::all(cache_out, GraphPort::External(2)),
+            GraphEdgeSpec::all(mon_out, GraphPort::External(exit_no)),
+            GraphEdgeSpec::all(cache_out, GraphPort::External(exit_no)),
         ],
     });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
     node.start();
     assert!(node.wait_highway_converged(Duration::from_secs(15)));
     World {
@@ -201,11 +188,7 @@ fn icmp_reply_rides_the_reverse_bypass() {
     // middle seam; the reflector sends it back, so the reply rides the
     // *reverse* bypass and must emerge back at the entry port.
     let node = HighwayNode::new(HighwayNodeConfig::default());
-    let (mut entry, sw_end) =
-        node.registry()
-            .create_channel("dpdkr1", SegmentKind::DpdkrNormal, 2048);
-    assert_eq!(node.orchestrator().alloc_port(), 1);
-    node.switch().add_dpdkr_port(PortNo(1), "entry", sw_end);
+    let (entry_no, mut entry) = node.add_edge_port("entry");
 
     let dep = node.orchestrator().deploy_graph(GraphSpec {
         vnfs: vec![
@@ -219,7 +202,10 @@ fn icmp_reply_rides_the_reverse_bypass() {
             ),
         ],
         edges: vec![
-            GraphEdgeSpec::all(GraphPort::External(1), GraphPort::Vnf { node: 0, port: 0 }),
+            GraphEdgeSpec::all(
+                GraphPort::External(entry_no),
+                GraphPort::Vnf { node: 0, port: 0 },
+            ),
             // Bidirectional p-2-p middle seam (bypassed both ways).
             GraphEdgeSpec::all(
                 GraphPort::Vnf { node: 0, port: 1 },
@@ -230,12 +216,12 @@ fn icmp_reply_rides_the_reverse_bypass() {
                 GraphPort::Vnf { node: 0, port: 1 },
             ),
             // Reverse path from the forwarder back to the entry.
-            GraphEdgeSpec::all(GraphPort::Vnf { node: 0, port: 0 }, GraphPort::External(1)),
+            GraphEdgeSpec::all(
+                GraphPort::Vnf { node: 0, port: 0 },
+                GraphPort::External(entry_no),
+            ),
         ],
     });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
     node.start();
     assert!(node.wait_highway_converged(Duration::from_secs(15)));
     assert_eq!(
@@ -297,16 +283,8 @@ fn nat_chain_rewrites_over_the_bypass() {
     // A NAT VNF in a 2-VM chain: translation must be byte-identical no
     // matter which channel carries the packet.
     let node = HighwayNode::new(HighwayNodeConfig::default());
-    let (mut entry, sw_end) =
-        node.registry()
-            .create_channel("dpdkr1", SegmentKind::DpdkrNormal, 2048);
-    assert_eq!(node.orchestrator().alloc_port(), 1);
-    node.switch().add_dpdkr_port(PortNo(1), "entry", sw_end);
-    let (mut exit, sw_end) =
-        node.registry()
-            .create_channel("dpdkr2", SegmentKind::DpdkrNormal, 2048);
-    assert_eq!(node.orchestrator().alloc_port(), 2);
-    node.switch().add_dpdkr_port(PortNo(2), "exit", sw_end);
+    let (entry_no, mut entry) = node.add_edge_port("entry");
+    let (exit_no, mut exit) = node.add_edge_port("exit");
 
     let public = Ipv4Addr::new(203, 0, 113, 7);
     let dep = node.orchestrator().deploy_graph(GraphSpec {
@@ -321,17 +299,20 @@ fn nat_chain_rewrites_over_the_bypass() {
             (VnfSpec::forwarder("fwd"), 2),
         ],
         edges: vec![
-            GraphEdgeSpec::all(GraphPort::External(1), GraphPort::Vnf { node: 0, port: 0 }),
+            GraphEdgeSpec::all(
+                GraphPort::External(entry_no),
+                GraphPort::Vnf { node: 0, port: 0 },
+            ),
             GraphEdgeSpec::all(
                 GraphPort::Vnf { node: 0, port: 1 },
                 GraphPort::Vnf { node: 1, port: 0 },
             ),
-            GraphEdgeSpec::all(GraphPort::Vnf { node: 1, port: 1 }, GraphPort::External(2)),
+            GraphEdgeSpec::all(
+                GraphPort::Vnf { node: 1, port: 1 },
+                GraphPort::External(exit_no),
+            ),
         ],
     });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
     node.start();
     assert!(node.wait_highway_converged(Duration::from_secs(15)));
     assert_eq!(node.active_links().len(), 1, "nat→fwd seam bypassed");

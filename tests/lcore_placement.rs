@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use vnf_highway::dpdk::lcore;
 use vnf_highway::prelude::*;
 use vnf_highway::shmem::{channel, ChannelEnd};
+use vnf_highway::testbed::Chain;
 use vnf_highway::vnf::{Verdict, VnfApp};
 
 /// Runs `f` on a thread allowed only the last CPU this one may use, so
@@ -62,30 +63,15 @@ fn send(end: &mut ChannelEnd, mut m: Mbuf) {
 fn chain_on_one_worker(cpu: usize, vms_first: bool) {
     const FLOWS: u16 = 4;
     const PER_FLOW: u64 = 200;
-    let tag = if vms_first { "vf" } else { "nf" };
-    let node = HighwayNode::new(HighwayNodeConfig::default());
-    let edge = |name: &str| {
-        let no = node.orchestrator().alloc_port();
-        let (ours, sw_end) =
-            node.registry()
-                .create_channel(format!("dpdkr{no}"), SegmentKind::DpdkrNormal, 2048);
-        node.switch()
-            .add_dpdkr_port(PortNo(no as u16), name, sw_end);
-        (no, ours)
-    };
-    let (entry_no, mut entry) = edge("entry");
-    let (exit_no, mut exit) = edge("exit");
-    let dep = node.orchestrator().deploy_chain(4, entry_no, exit_no, |i| {
-        VnfSpec::forwarder(format!("{tag}-vnf{i}"))
-    });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
-    node.start();
-    assert!(node.wait_highway_converged(Duration::from_secs(15)));
+    let Chain {
+        node,
+        mut entry,
+        mut exit,
+        dep,
+    } = Chain::build(HighwayNodeConfig::default(), 4);
 
     let worker = one_cpu_worker(cpu);
-    let mut mine: Vec<String> = (0..4).map(|i| format!("vm-{tag}-vnf{i}")).collect();
+    let mut mine: Vec<String> = (0..4).map(|i| format!("vm-vm{i}")).collect();
     mine.push("ovs-pmd-0".into());
     for name in &mine {
         assert!(

@@ -4,65 +4,27 @@
 //! modes (correctness, not throughput: `benchmark/README.md` covers the
 //! measured runs).
 //!
-//! A NIC port is a dpdkr channel like a VM's. The generator and the sink
-//! hold its wire end and pace it with a `WirePacer` at 10 G line rate.
+//! A NIC port is a dpdkr channel like a VM's: the chain's entry and exit
+//! edge ports are its two NIC ports. The generator and the sink hold their
+//! outside ends and pace them with a `WirePacer` each, at 10 G line rate.
 
 use std::time::{Duration, Instant};
 use vnf_highway::nic::{LineRate, TrafficGen, TrafficSink, WirePacer};
 use vnf_highway::prelude::*;
-use vnf_highway::shmem::{channel, ChannelEnd, DEFAULT_RING_DEPTH};
-
-/// The wire end of a NIC port.
-struct Wire {
-    end: ChannelEnd,
-    pacer: WirePacer,
-}
-
-/// Adds a 10 G NIC port to the switch; returns its number and wire end.
-fn nic_port(node: &HighwayNode, name: &str) -> (u32, Wire) {
-    let no = node.orchestrator().alloc_port();
-    let (sw_end, end) = channel(name, DEFAULT_RING_DEPTH);
-    node.switch()
-        .add_dpdkr_port(PortNo(no as u16), name, sw_end);
-    let pacer = WirePacer::new(LineRate::TEN_G, None);
-    (no, Wire { end, pacer })
-}
-
-struct World {
-    node: HighwayNode,
-    wire_in: Wire,
-    wire_out: Wire,
-    dep: vnf_highway::vm::ChainDeployment,
-}
-
-fn deploy(n_vms: usize, highway: bool) -> World {
-    let node = HighwayNode::new(if highway {
-        HighwayNodeConfig::default()
-    } else {
-        HighwayNodeConfig::vanilla()
-    });
-
-    let (in_no, wire_in) = nic_port(&node, "nic-in");
-    let (out_no, wire_out) = nic_port(&node, "nic-out");
-    let dep = node.orchestrator().deploy_chain(n_vms, in_no, out_no, |i| {
-        VnfSpec::forwarder(format!("vm{i}"))
-    });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
-    node.start();
-    assert!(node.wait_highway_converged(Duration::from_secs(15)));
-    World {
-        node,
-        wire_in,
-        wire_out,
-        dep,
-    }
-}
+use vnf_highway::testbed::Chain;
 
 fn run(n_vms: usize, highway: bool) -> TrafficSink {
     const N: u64 = 500;
-    let mut w = deploy(n_vms, highway);
+    let mut chain = Chain::build(
+        if highway {
+            HighwayNodeConfig::default()
+        } else {
+            HighwayNodeConfig::vanilla()
+        },
+        n_vms,
+    );
+    let mut pace_in = WirePacer::new(LineRate::TEN_G, None);
+    let mut pace_out = WirePacer::new(LineRate::TEN_G, None);
     // Paced generation: far below line rate so nothing is dropped and the
     // functional check is exact.
     let mut gen = TrafficGen::new(64, 4).with_rate(200_000.0);
@@ -79,13 +41,13 @@ fn run(n_vms: usize, highway: bool) -> TrafficSink {
             let want = ((N - gen.generated) as usize).min(32);
             let generated = gen.gen_burst(&mut burst, want);
             // Beyond line rate, or into a full ring, a frame is lost.
-            let admitted = w.wire_in.pacer.admit(&burst);
+            let admitted = pace_in.admit(&burst);
             burst.truncate(admitted);
-            let sent = w.wire_in.end.send_burst(&mut burst);
+            let sent = chain.entry.send_burst(&mut burst);
             wire_drops += (generated - sent) as u64;
         }
-        w.wire_out.end.recv_burst(&mut egress, 32);
-        let n = w.wire_out.pacer.admit(&egress);
+        chain.exit.recv_burst(&mut egress, 32);
+        let n = pace_out.admit(&egress);
         let mut onto_wire: Vec<Mbuf> = egress.drain(..n).collect();
         sink.consume(&mut onto_wire);
         std::thread::yield_now();
@@ -98,8 +60,8 @@ fn run(n_vms: usize, highway: bool) -> TrafficSink {
     assert_eq!(wire_drops, 0, "the wire side counted no drop at this rate");
     if highway && n_vms >= 2 {
         // Inner seams bypassed: the switch saw only the NIC-edge seams.
-        let inner_egress = w.dep.vm_ports[0].1;
-        let port = w
+        let inner_egress = chain.dep.vm_ports[0].1;
+        let port = chain
             .node
             .switch()
             .datapath()
@@ -107,10 +69,7 @@ fn run(n_vms: usize, highway: bool) -> TrafficSink {
             .unwrap();
         assert_eq!(port.stats().ipackets, 0);
     }
-    w.node.stop();
-    for vm in &w.dep.vms {
-        vm.shutdown();
-    }
+    chain.stop();
     sink
 }
 

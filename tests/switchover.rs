@@ -3,79 +3,19 @@
 //! take either path, but every one of them arrives exactly once.
 
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use vnf_highway::openflow::Connection;
 use vnf_highway::prelude::*;
-use vnf_highway::shmem::{ChannelEnd, SegmentKind};
+use vnf_highway::shmem::SegmentKind;
+use vnf_highway::testbed::Chain;
 
-struct World {
-    node: HighwayNode,
-    ctrl: vnf_highway::openflow::Connection,
-    entry: ChannelEnd,
-    exit: ChannelEnd,
-    vms: Vec<std::sync::Arc<Vm>>,
-    a_out: u32,
-    b_in: u32,
-}
-
-fn deploy() -> World {
-    let node = HighwayNode::new(HighwayNodeConfig::default());
-    let entry_no = node.orchestrator().alloc_port();
-    let (entry, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{entry_no}"), SegmentKind::DpdkrNormal, 4096);
-    node.switch()
-        .add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-    let exit_no = node.orchestrator().alloc_port();
-    let (exit, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{exit_no}"), SegmentKind::DpdkrNormal, 4096);
-    node.switch()
-        .add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end);
-
-    let dep = node.orchestrator().deploy_chain(2, entry_no, exit_no, |i| {
-        VnfSpec::forwarder(format!("vm{i}"))
-    });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
-    node.start();
-    let ctrl = node.connect_controller();
-    assert!(node.wait_highway_converged(Duration::from_secs(15)));
-    World {
-        node,
-        ctrl,
-        entry,
-        exit,
-        a_out: dep.vm_ports[0].1,
-        b_in: dep.vm_ports[1].0,
-        vms: dep.vms,
-    }
-}
-
-fn push(entry: &mut ChannelEnd, base: u64, count: u64) {
-    for seq in 0..count {
-        let mut m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).seq(base + seq).build());
-        loop {
-            match entry.send(m) {
-                Ok(()) => break,
-                Err(ret) => {
-                    m = ret;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-fn drain(exit: &mut ChannelEnd, want: u64, seqs: &mut Vec<u64>, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    let target = seqs.len() as u64 + want;
-    while (seqs.len() as u64) < target && Instant::now() < deadline {
-        match exit.recv() {
-            Some(m) => seqs.push(ProbeHeader::from_frame(m.data()).unwrap().seq),
-            None => std::thread::yield_now(),
-        }
-    }
+/// A converged 2-VM highway chain, a controller attached to its node, and
+/// the middle seam `(a_out, b_in)`.
+fn deploy() -> (Chain, Connection, u32, u32) {
+    let chain = Chain::build(HighwayNodeConfig::default(), 2);
+    let ctrl = chain.node.connect_controller();
+    let (a_out, b_in) = (chain.dep.vm_ports[0].1, chain.dep.vm_ports[1].0);
+    (chain, ctrl, a_out, b_in)
 }
 
 /// The "veto" rule that turns the middle seam non-p-2-p.
@@ -89,51 +29,50 @@ fn veto_match(a_out: u32) -> FlowMatch {
 
 #[test]
 fn transitions_under_traffic_lose_nothing() {
-    let mut w = deploy();
+    let (mut chain, ctrl, a_out, b_in) = deploy();
     let mut seqs: Vec<u64> = Vec::new();
 
     // Phase 1: bypass active.
-    assert_eq!(w.node.active_links().len(), 2); // middle seam, both ways
-    push(&mut w.entry, 0, 200);
-    drain(&mut w.exit, 200, &mut seqs, Duration::from_secs(15));
+    assert_eq!(chain.node.active_links().len(), 2); // middle seam, both ways
+    chain.send_probes(0..200);
+    seqs.extend(chain.drain(200, Duration::from_secs(15)));
 
     // Phase 2: add the veto rule *while traffic is in flight*. It covers
     // in_port = a_out only, so precisely the forward direction of the
     // middle seam loses its p-2-p property; the reverse direction is its
     // own link (per §2) and stays accelerated.
-    push(&mut w.entry, 200, 100);
-    w.ctrl
-        .add_flow(
-            veto_match(w.a_out),
-            200,
-            vec![Action::Output(PortNo(w.b_in as u16))],
-            0x777,
-        )
-        .unwrap();
-    push(&mut w.entry, 300, 100);
-    drain(&mut w.exit, 200, &mut seqs, Duration::from_secs(15));
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
+    chain.send_probes(200..300);
+    ctrl.add_flow(
+        veto_match(a_out),
+        200,
+        vec![Action::Output(PortNo(b_in as u16))],
+        0x777,
+    )
+    .unwrap();
+    chain.send_probes(300..400);
+    seqs.extend(chain.drain(200, Duration::from_secs(15)));
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
     assert_eq!(
-        w.node.active_links(),
-        vec![(w.b_in, w.a_out)],
+        chain.node.active_links(),
+        vec![(b_in, a_out)],
         "forward bypass torn down; reverse stays"
     );
 
     // Phase 3: normal path carries traffic.
-    push(&mut w.entry, 400, 100);
-    drain(&mut w.exit, 100, &mut seqs, Duration::from_secs(15));
+    chain.send_probes(400..500);
+    seqs.extend(chain.drain(100, Duration::from_secs(15)));
 
     // Phase 4: remove the veto while traffic flows; bypass returns.
-    push(&mut w.entry, 500, 100);
-    w.ctrl.del_flow_strict(veto_match(w.a_out), 200).unwrap();
-    push(&mut w.entry, 600, 100);
-    drain(&mut w.exit, 200, &mut seqs, Duration::from_secs(15));
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
-    assert_eq!(w.node.active_links().len(), 2, "bypass re-established");
+    chain.send_probes(500..600);
+    ctrl.del_flow_strict(veto_match(a_out), 200).unwrap();
+    chain.send_probes(600..700);
+    seqs.extend(chain.drain(200, Duration::from_secs(15)));
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
+    assert_eq!(chain.node.active_links().len(), 2, "bypass re-established");
 
     // Phase 5: and still carries traffic.
-    push(&mut w.entry, 700, 100);
-    drain(&mut w.exit, 100, &mut seqs, Duration::from_secs(15));
+    chain.send_probes(700..800);
+    seqs.extend(chain.drain(100, Duration::from_secs(15)));
 
     // Exactly-once delivery across all transitions.
     assert_eq!(seqs.len(), 800, "every packet arrived");
@@ -143,48 +82,48 @@ fn transitions_under_traffic_lose_nothing() {
 
     // The setup log recorded the two initial activations plus the forward
     // re-activation after the veto was lifted.
-    assert!(w.node.setup_log().len() >= 3);
+    assert!(chain.node.setup_log().len() >= 3);
 
-    w.node.stop();
-    for vm in &w.vms {
-        vm.shutdown();
-    }
+    chain.stop();
 }
 
 #[test]
 fn repeated_flapping_is_stable() {
-    let mut w = deploy();
+    let (mut chain, ctrl, a_out, b_in) = deploy();
     let mut seqs = Vec::new();
     let mut base = 0u64;
     for round in 0..3 {
-        w.ctrl
-            .add_flow(
-                veto_match(w.a_out),
-                200,
-                vec![Action::Output(PortNo(w.b_in as u16))],
-                0x800 + round,
-            )
-            .unwrap();
-        push(&mut w.entry, base, 50);
+        ctrl.add_flow(
+            veto_match(a_out),
+            200,
+            vec![Action::Output(PortNo(b_in as u16))],
+            0x800 + round,
+        )
+        .unwrap();
+        chain.send_probes(base..base + 50);
         base += 50;
-        w.ctrl.del_flow_strict(veto_match(w.a_out), 200).unwrap();
-        push(&mut w.entry, base, 50);
+        ctrl.del_flow_strict(veto_match(a_out), 200).unwrap();
+        chain.send_probes(base..base + 50);
         base += 50;
-        drain(&mut w.exit, 100, &mut seqs, Duration::from_secs(15));
+        seqs.extend(chain.drain(100, Duration::from_secs(15)));
     }
-    assert!(w.node.wait_highway_converged(Duration::from_secs(15)));
+    assert!(chain.node.wait_highway_converged(Duration::from_secs(15)));
     assert_eq!(seqs.len() as u64, base);
     assert_eq!(
         seqs.iter().collect::<HashSet<_>>().len() as u64,
         base,
         "no duplicates across flaps"
     );
-    assert_eq!(w.node.active_links().len(), 2);
+    assert_eq!(chain.node.active_links().len(), 2);
     // No leaked segments: exactly one bypass pair remains.
-    assert_eq!(w.node.registry().live_of_kind(SegmentKind::Bypass).len(), 1);
+    assert_eq!(
+        chain
+            .node
+            .registry()
+            .live_of_kind(SegmentKind::Bypass)
+            .len(),
+        1
+    );
 
-    w.node.stop();
-    for vm in &w.vms {
-        vm.shutdown();
-    }
+    chain.stop();
 }

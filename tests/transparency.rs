@@ -8,95 +8,44 @@
 
 use std::time::{Duration, Instant};
 use vnf_highway::openflow::messages::OfpMessage;
+use vnf_highway::openflow::Connection;
 use vnf_highway::prelude::*;
-use vnf_highway::shmem::{ChannelEnd, SegmentKind};
+use vnf_highway::testbed::Chain;
 
-struct World {
-    node: HighwayNode,
-    ctrl: vnf_highway::openflow::Connection,
-    entry: ChannelEnd,
-    exit: ChannelEnd,
-    dep: vnf_highway::vm::ChainDeployment,
+/// A converged 2-VM chain and a controller attached to its node.
+fn deploy(highway: bool) -> (Chain, Connection) {
+    let chain = Chain::build(
+        if highway {
+            HighwayNodeConfig::default()
+        } else {
+            HighwayNodeConfig::vanilla()
+        },
+        2,
+    );
+    let ctrl = chain.node.connect_controller();
+    (chain, ctrl)
 }
 
-fn deploy(highway: bool) -> World {
-    let node = HighwayNode::new(if highway {
-        HighwayNodeConfig::default()
-    } else {
-        HighwayNodeConfig::vanilla()
-    });
-    let entry_no = node.orchestrator().alloc_port();
-    let (entry, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{entry_no}"), SegmentKind::DpdkrNormal, 2048);
-    node.switch()
-        .add_dpdkr_port(PortNo(entry_no as u16), "entry", sw_end);
-    let exit_no = node.orchestrator().alloc_port();
-    let (exit, sw_end) =
-        node.registry()
-            .create_channel(format!("dpdkr{exit_no}"), SegmentKind::DpdkrNormal, 2048);
-    node.switch()
-        .add_dpdkr_port(PortNo(exit_no as u16), "exit", sw_end);
-    let dep = node.orchestrator().deploy_chain(2, entry_no, exit_no, |i| {
-        VnfSpec::forwarder(format!("vm{i}"))
-    });
-    for vm in &dep.vms {
-        node.register_vm(vm.clone());
-    }
-    node.start();
-    let ctrl = node.connect_controller();
-    assert!(node.wait_highway_converged(Duration::from_secs(15)));
-    World {
-        node,
-        ctrl,
-        entry,
-        exit,
-        dep,
-    }
-}
-
-fn run_traffic(w: &mut World, n: u64) {
-    for seq in 0..n {
-        let mut m = Mbuf::from_slice(&PacketBuilder::udp_probe(64).seq(seq).build());
-        loop {
-            match w.entry.send(m) {
-                Ok(()) => break,
-                Err(ret) => {
-                    m = ret;
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-    let mut got = 0;
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while got < n && Instant::now() < deadline {
-        match w.exit.recv() {
-            Some(_) => got += 1,
-            None => std::thread::yield_now(),
-        }
-    }
-    assert_eq!(got, n);
-}
-
-fn teardown(w: World) {
-    w.node.stop();
-    for vm in &w.dep.vms {
-        vm.shutdown();
-    }
+/// Sends `n` probes through the chain and waits until all arrived.
+fn run_traffic(chain: &mut Chain, n: u64) {
+    chain.send_probes(0..n);
+    assert_eq!(
+        chain.drain(n as usize, Duration::from_secs(20)).len() as u64,
+        n
+    );
 }
 
 #[test]
 fn flow_and_port_stats_are_mode_invariant() {
     const N: u64 = 300;
     let observe = |highway: bool| {
-        let mut w = deploy(highway);
-        run_traffic(&mut w, N);
-        let mut flows = w.ctrl.flow_stats(Duration::from_secs(3)).unwrap();
+        let (mut chain, ctrl) = deploy(highway);
+        run_traffic(&mut chain, N);
+        let mut flows = ctrl.flow_stats(Duration::from_secs(3)).unwrap();
         flows.sort_by_key(|e| e.cookie);
-        let mut ports = w.ctrl.port_stats(Duration::from_secs(3)).unwrap();
+        let mut ports = ctrl.port_stats(Duration::from_secs(3)).unwrap();
         ports.sort_by_key(|e| e.port_no);
-        teardown(w);
+        chain.stop();
         (flows, ports)
     };
     let (vf, vp) = observe(false);
@@ -127,39 +76,38 @@ fn flow_and_port_stats_are_mode_invariant() {
 #[test]
 fn bypassed_flow_counters_are_exact() {
     const N: u64 = 250;
-    let mut w = deploy(true);
-    run_traffic(&mut w, N);
-    let flows = w.ctrl.flow_stats(Duration::from_secs(3)).unwrap();
+    let (mut chain, ctrl) = deploy(true);
+    run_traffic(&mut chain, N);
+    let flows = ctrl.flow_stats(Duration::from_secs(3)).unwrap();
     // The middle seam rule (vm0.out → vm1.in) was fully bypassed, yet its
     // counters are exact.
-    let middle_cookie = w.dep.forward_cookies[1];
+    let middle_cookie = chain.dep.forward_cookies[1];
     let middle = flows
         .iter()
         .find(|e| e.cookie == middle_cookie)
         .expect("middle rule present");
     assert_eq!(middle.packet_count, N);
     assert_eq!(middle.byte_count, N * 64);
-    teardown(w);
+    chain.stop();
 }
 
 #[test]
 fn flow_removed_includes_bypassed_counters() {
     const N: u64 = 120;
-    let mut w = deploy(true);
-    run_traffic(&mut w, N);
+    let (mut chain, ctrl) = deploy(true);
+    run_traffic(&mut chain, N);
 
     // Strict-delete the bypassed middle rule.
-    let (from, _to) = (w.dep.vm_ports[0].1, w.dep.vm_ports[1].0);
-    w.ctrl
-        .del_flow_strict(FlowMatch::in_port(PortNo(from as u16)), 100)
+    let (from, _to) = (chain.dep.vm_ports[0].1, chain.dep.vm_ports[1].0);
+    ctrl.del_flow_strict(FlowMatch::in_port(PortNo(from as u16)), 100)
         .unwrap();
-    w.ctrl.barrier(Duration::from_secs(3)).unwrap();
+    ctrl.barrier(Duration::from_secs(3)).unwrap();
 
     // The FlowRemoved notification must carry the full (bypassed) count.
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut found = None;
     while found.is_none() && Instant::now() < deadline {
-        match w.ctrl.try_recv() {
+        match ctrl.try_recv() {
             Some(Ok((OfpMessage::FlowRemoved(fr), _xid))) => found = Some(fr),
             Some(_) => {}
             None => std::thread::yield_now(),
@@ -168,46 +116,40 @@ fn flow_removed_includes_bypassed_counters() {
     let fr = found.expect("FlowRemoved received");
     assert_eq!(fr.packet_count, N);
     assert_eq!(fr.byte_count, N * 64);
-    teardown(w);
+    chain.stop();
 }
 
 #[test]
 fn packet_out_reaches_bypassed_port() {
-    let mut w = deploy(true);
-    assert!(!w.node.active_links().is_empty(), "bypass is up");
+    let (mut chain, ctrl) = deploy(true);
+    assert!(!chain.node.active_links().is_empty(), "bypass is up");
 
     // Packet-out into the first VM: travels the chain to the exit port
     // even though that VM's egress is served by a bypass channel.
-    let vm0_in = w.dep.vm_ports[0].0;
-    w.ctrl
-        .packet_out(
-            PacketBuilder::udp_probe(64).seq(42).build(),
-            vec![Action::Output(PortNo(vm0_in as u16))],
-        )
-        .unwrap();
-    w.ctrl.barrier(Duration::from_secs(3)).unwrap();
+    let vm0_in = chain.dep.vm_ports[0].0;
+    ctrl.packet_out(
+        PacketBuilder::udp_probe(64).seq(42).build(),
+        vec![Action::Output(PortNo(vm0_in as u16))],
+    )
+    .unwrap();
+    ctrl.barrier(Duration::from_secs(3)).unwrap();
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut delivered = None;
-    while delivered.is_none() && Instant::now() < deadline {
-        match w.exit.recv() {
-            Some(m) => delivered = Some(m),
-            None => std::thread::yield_now(),
-        }
-    }
-    let m = delivered.expect("packet-out crossed the (bypassed) chain");
-    assert_eq!(ProbeHeader::from_frame(m.data()).unwrap().seq, 42);
-    teardown(w);
+    assert_eq!(
+        chain.drain(1, Duration::from_secs(10)),
+        [42],
+        "packet-out crossed the (bypassed) chain"
+    );
+    chain.stop();
 }
 
 #[test]
 fn features_reply_hides_the_highway() {
     // The port list the controller sees is identical in both modes.
     let view = |highway: bool| {
-        let w = deploy(highway);
-        let xid = w.ctrl.send(&OfpMessage::FeaturesRequest).unwrap();
-        let reply = w.ctrl.wait_reply(xid, Duration::from_secs(3)).unwrap();
-        teardown(w);
+        let (chain, ctrl) = deploy(highway);
+        let xid = ctrl.send(&OfpMessage::FeaturesRequest).unwrap();
+        let reply = ctrl.wait_reply(xid, Duration::from_secs(3)).unwrap();
+        chain.stop();
         match reply {
             OfpMessage::FeaturesReply { ports, .. } => ports,
             other => panic!("unexpected {other:?}"),
